@@ -40,7 +40,6 @@ sys.path.insert(0, str(Path(__file__).parent))  # for direct execution
 from _bench_utils import save_bench_root, save_json
 from bench_dag_kernels import BENCH_PR_NUMBER, build_layered_dag
 
-from repro.api import MachineSpec, ScheduleRequest, SchedulerSpec, SchedulingService
 from repro.core import BspMachine, BspSchedule, ComputationalDAG, DagBuilder
 from repro.core import csr, kernels
 from repro.core.csr import topological_levels
@@ -64,15 +63,6 @@ HCCS_ACCEPTANCE_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_HCCS_SPEEDUP", "
 #: (num_nodes, passes) for the HCcs comparison (skip-level edges give the
 #: transfers non-trivial feasible windows)
 HCCS_CASES = ((30_000, 1),)
-#: shared-DAG batch shape for the thread-vs-process ``solve_many`` section
-SOLVE_MANY_REQUESTS = 32
-SOLVE_MANY_NODES = int(os.environ.get("REPRO_BENCH_BATCH_NODES", "100000"))
-SOLVE_MANY_WORKERS = int(os.environ.get("REPRO_BENCH_BATCH_WORKERS", "4"))
-#: thread executor must beat the process executor on the shared-DAG batch
-#: (>= 1.0 on a quiet machine; CI can lower the floor for runner noise)
-THREAD_ACCEPTANCE_SPEEDUP = float(
-    os.environ.get("REPRO_BENCH_MIN_THREAD_SPEEDUP", "1.0")
-)
 
 
 def _level_schedule(dag: ComputationalDAG, procs: int, g: float) -> BspSchedule:
@@ -201,47 +191,6 @@ def bench_hccs() -> dict:
     return {"cases": entries}
 
 
-def bench_solve_many() -> dict:
-    """Thread vs process executor on a batch sharing one in-memory DAG.
-
-    The 32 requests differ only in their seed, so the process pool ships the
-    same large DAG across the worker pipe once per request (plus the eagerly
-    serialised results on the way back) while the thread pool ships nothing.
-    The scheduler itself is cheap by design — the section measures the
-    fan-out overhead, which is exactly what ``executor="thread"`` removes.
-    """
-    dag = build_layered_dag(SOLVE_MANY_NODES)
-    machine = MachineSpec(num_procs=BENCH_PROCS, g=2, latency=5)
-    requests = [
-        ScheduleRequest(
-            dag=dag, machine=machine, scheduler=SchedulerSpec("cilk"), seed=seed
-        )
-        for seed in range(SOLVE_MANY_REQUESTS)
-    ]
-    timings: dict[str, float] = {}
-    costs: dict[str, list[float]] = {}
-    for executor in ("process", "thread"):
-        service = SchedulingService(cache_size=0)
-        start = time.perf_counter()
-        batch = service.solve_many(
-            requests, workers=SOLVE_MANY_WORKERS, executor=executor
-        )
-        timings[executor] = time.perf_counter() - start
-        costs[executor] = [result.cost for result in batch]
-    # differential: both executor flavours must solve the batch identically
-    assert costs["process"] == costs["thread"], "executor flavours disagree"
-    return {
-        "num_requests": SOLVE_MANY_REQUESTS,
-        "num_nodes": dag.num_nodes,
-        "num_edges": dag.num_edges,
-        "num_procs": BENCH_PROCS,
-        "workers": SOLVE_MANY_WORKERS,
-        "process_s": timings["process"],
-        "thread_s": timings["thread"],
-        "speedup": timings["process"] / timings["thread"],
-    }
-
-
 _report_cache: dict | None = None
 
 
@@ -255,7 +204,6 @@ def run_benchmarks() -> dict:
         "jit_warmup_seconds": warmup_seconds,
         "hc": bench_hc(),
         "hccs": bench_hccs(),
-        "solve_many": bench_solve_many(),
     }
     save_json("bench_hc_refinement", report)
     save_bench_root(BENCH_PR_NUMBER, {"hc_refinement": report})
@@ -272,14 +220,6 @@ def run_benchmarks() -> dict:
                 f"vectorized {case['vectorized_s'] * 1e3:8.1f} ms   "
                 f"speedup {case['speedup']:6.1f}x"
             )
-    batch = report["solve_many"]
-    print(
-        f"\nsolve_many shared-DAG batch ({batch['num_requests']} requests, "
-        f"n={batch['num_nodes']}, {batch['workers']} workers):\n"
-        f"  process {batch['process_s'] * 1e3:9.1f} ms   "
-        f"thread {batch['thread_s'] * 1e3:8.1f} ms   "
-        f"speedup {batch['speedup']:6.1f}x"
-    )
     return report
 
 
@@ -313,17 +253,6 @@ def test_hccs_never_slower_than_seed():
             f"HCcs speedup {case['speedup']:.2f}x below the "
             f"{HCCS_ACCEPTANCE_SPEEDUP}x floor at {case['num_nodes']} nodes"
         )
-
-
-def test_thread_executor_beats_process_on_shared_dag_batch():
-    """``solve_many(executor="thread")`` must win the zero-pickle batch."""
-    report = _cached_report()
-    batch = report["solve_many"]
-    assert batch["speedup"] >= THREAD_ACCEPTANCE_SPEEDUP, (
-        f"thread executor speedup {batch['speedup']:.2f}x below the "
-        f"{THREAD_ACCEPTANCE_SPEEDUP}x floor on the "
-        f"{batch['num_requests']}-request shared-DAG batch"
-    )
 
 
 if __name__ == "__main__":

@@ -1,14 +1,7 @@
-"""Single-solve latency benchmarks: fan-out, pass fronts, PK coarsening.
+"""Single-solve latency benchmarks: pass fronts, PK coarsening.
 
-Three sections, one per piece of the latency tentpole:
+Two sections, one per piece of the latency work:
 
-* **init_fanout** — the pipeline's per-initialiser HC + HCcs chains fanned
-  over a thread pool (``PipelineConfig.init_workers``) vs the serial walk.
-  Every timed pair first proves bit-identical output (stage trace and
-  final assignment), so the fan-out is wall-clock-only by construction.
-  Thread fan-out cannot win on a single-CPU host; the recorded entries
-  carry ``cpu_count`` so the trajectory table stays interpretable and the
-  pytest floor is skipped when only one CPU is available.
 * **hccs_fronts** — the batched pass fronts of
   :func:`repro.core.kernels.hccs_pass_fronts` vs the serial window walk
   (forced through a huge ``max_steps`` cap, which pins the exact
@@ -46,28 +39,15 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))  # for direct execution
 from _bench_utils import save_bench_root, save_json
-from bench_dag_kernels import build_layered_dag
 from bench_hc_refinement import _level_schedule
 
-from repro.core import BspMachine, ComputationalDAG, DagBuilder, csr, kernels
-from repro.schedulers import PipelineConfig, SchedulingPipeline, coarsen_dag
-from repro.schedulers.base import Budget, Scheduler
+from repro.core import ComputationalDAG, DagBuilder, csr, kernels
+from repro.schedulers import coarsen_dag
+from repro.schedulers.base import Budget
 from repro.schedulers.comm_hill_climbing import CommScheduleHillClimbing
-from repro.schedulers.registry import create_scheduler
 
 BENCH_PR_NUMBER = int(os.environ.get("REPRO_BENCH_PR", "9"))
 
-#: instance size for the fan-out section; the acceptance-scale run uses
-#: 100k nodes (the O(n^2) greedy initialiser then dominates at ~2 min per
-#: solve), the default keeps the benchmark CI-friendly
-FANOUT_NODES = int(os.environ.get("REPRO_BENCH_PIPELINE_NODES", "20000"))
-FANOUT_WORKERS = int(os.environ.get("REPRO_BENCH_PIPELINE_WORKERS", "4"))
-FANOUT_PROCS = 4
-#: fan-out floor on a quiet multi-core machine (CI can lower it); the
-#: pytest floor is skipped outright when the host has a single CPU
-FANOUT_ACCEPTANCE_SPEEDUP = float(
-    os.environ.get("REPRO_BENCH_MIN_INIT_FANOUT_SPEEDUP", "1.0")
-)
 #: (num_nodes, num_layers) for the pass-front comparison
 FRONT_CASES = ((30_000, 3_000),)
 FRONT_PROCS = 8
@@ -157,84 +137,7 @@ def build_dense_dag(num_nodes: int, density: float, seed: int = 0) -> Computatio
 
 
 # ---------------------------------------------------------------------- #
-# section 1: threaded initialiser fan-out
-# ---------------------------------------------------------------------- #
-class _ThreeInitialiserPipeline(SchedulingPipeline):
-    """Pipeline variant with three comparable-cost heuristic initialisers.
-
-    The registry heuristics pipeline fans out two initialisers; ``ILPinit``
-    (the paper's third) is orders of magnitude slower than its siblings
-    even on tiny instances, so a timing benchmark over it would only ever
-    measure the ILP.  Three heuristics of similar per-chain cost exercise
-    the fan-out the way the paper's three-initialiser portfolio does.
-    """
-
-    def _initializers(self, machine: BspMachine) -> list[Scheduler]:
-        return [
-            create_scheduler("bsp_greedy"),
-            create_scheduler("bl_est"),
-            create_scheduler("clustering"),
-        ]
-
-
-def _fanout_config(workers: int) -> PipelineConfig:
-    # every nondeterministic knob pinned: no wall-clock budgets, no ILP --
-    # the two widths must produce byte-identical output
-    return PipelineConfig(
-        use_ilp=False,
-        use_comm_ilp=False,
-        local_search_seconds=None,
-        hc_max_passes=1,
-        hc_max_steps=100,
-        hccs_max_passes=1,
-        init_workers=workers,
-    )
-
-
-def bench_init_fanout() -> dict:
-    """Serial vs threaded initialiser fan-out with identical-output asserts."""
-    dag = build_layered_dag(FANOUT_NODES)
-    machine = BspMachine.uniform(FANOUT_PROCS, g=2, latency=5)
-    cases = (
-        ("heuristics", SchedulingPipeline),
-        ("three_initialisers", _ThreeInitialiserPipeline),
-    )
-    entries = []
-    for label, pipeline_cls in cases:
-        runs = {}
-        for workers in (1, FANOUT_WORKERS):
-            pipeline = pipeline_cls(_fanout_config(workers))
-            start = time.perf_counter()
-            result = pipeline.schedule_with_stages(dag, machine)
-            elapsed = time.perf_counter() - start
-            runs[workers] = (result, elapsed)
-        serial, serial_s = runs[1]
-        threaded, threaded_s = runs[FANOUT_WORKERS]
-        # differential: the fan-out must be wall-clock-only
-        assert serial.stages.to_dict() == threaded.stages.to_dict(), label
-        assert np.array_equal(serial.schedule.procs, threaded.schedule.procs)
-        assert np.array_equal(serial.schedule.supersteps, threaded.schedule.supersteps)
-        pipeline = pipeline_cls(_fanout_config(1))
-        entries.append(
-            {
-                "case": label,
-                "num_nodes": dag.num_nodes,
-                "num_edges": dag.num_edges,
-                "num_procs": FANOUT_PROCS,
-                "initialisers": [s.name for s in pipeline._initializers(machine)],
-                "workers": FANOUT_WORKERS,
-                "cpu_count": os.cpu_count(),
-                "final_cost": serial.schedule.cost(),
-                "serial_s": serial_s,
-                "threaded_s": threaded_s,
-                "speedup": serial_s / threaded_s,
-            }
-        )
-    return {"cases": entries}
-
-
-# ---------------------------------------------------------------------- #
-# section 2: batched HCcs pass fronts
+# section 1: batched HCcs pass fronts
 # ---------------------------------------------------------------------- #
 def bench_hccs_fronts() -> dict:
     """Batched pass fronts vs the pinned serial walk, move-for-move."""
@@ -278,7 +181,7 @@ def bench_hccs_fronts() -> dict:
 
 
 # ---------------------------------------------------------------------- #
-# section 3: Pearce-Kelly coarsening growth
+# section 2: Pearce-Kelly coarsening growth
 # ---------------------------------------------------------------------- #
 def bench_pk_coarsening() -> dict:
     """Exact-DFS vs Pearce-Kelly contraction checks on dense DAGs."""
@@ -327,7 +230,6 @@ def run_benchmarks() -> dict:
     report = {
         "kernel_backend": kernels.get_backend(),
         "jit_warmup_seconds": warmup_seconds,
-        "init_fanout": bench_init_fanout(),
         "hccs_fronts": bench_hccs_fronts(),
         "pk_coarsening": bench_pk_coarsening(),
     }
@@ -337,17 +239,6 @@ def run_benchmarks() -> dict:
         f"\nkernel backend: {report['kernel_backend']}"
         + (f" (JIT warmup {warmup_seconds:.2f} s)" if warmup_seconds else "")
     )
-    print(
-        f"\ninitialiser fan-out (n={FANOUT_NODES}, P={FANOUT_PROCS}, "
-        f"{FANOUT_WORKERS} workers, {os.cpu_count()} CPU(s)):"
-    )
-    for case in report["init_fanout"]["cases"]:
-        print(
-            f"  {case['case']:18s} [{', '.join(case['initialisers'])}] "
-            f"serial {case['serial_s'] * 1e3:8.1f} ms   "
-            f"threaded {case['threaded_s'] * 1e3:8.1f} ms   "
-            f"speedup {case['speedup']:5.2f}x"
-        )
     print(f"\nHCcs pass fronts (P={FRONT_PROCS}):")
     for case in report["hccs_fronts"]["cases"]:
         print(
@@ -382,26 +273,6 @@ def _cached_report() -> dict:
     if _report_cache is None:
         _report_cache = run_benchmarks()
     return _report_cache
-
-
-def test_init_fanout_meets_floor():
-    """Threaded fan-out must meet the floor (multi-core hosts only)."""
-    import pytest
-
-    if (os.cpu_count() or 1) < 2:
-        pytest.skip("thread fan-out cannot win on a single-CPU host")
-    report = _cached_report()
-    for case in report["init_fanout"]["cases"]:
-        assert case["speedup"] >= FANOUT_ACCEPTANCE_SPEEDUP, (
-            f"init fan-out speedup {case['speedup']:.2f}x below the "
-            f"{FANOUT_ACCEPTANCE_SPEEDUP}x floor ({case['case']})"
-        )
-
-
-def test_init_fanout_output_identical():
-    """The identical-output asserts inside the section must have run."""
-    report = _cached_report()
-    assert report["init_fanout"]["cases"], "fan-out section produced no cases"
 
 
 def test_hccs_fronts_meet_floor():

@@ -24,7 +24,7 @@ through — the CLI, the experiment harness and the examples all build
   (:class:`repro.store.ResultStore`) shared across processes and CI runs,
   and every computed result is persisted there.  Re-running any workload
   against a warm store performs zero scheduler invocations.
-* ``solve_many``'s process executor ships **each distinct DAG once per
+* ``solve_many``'s process pool ships **each distinct DAG once per
   worker**, not once per request: misses are grouped by DAG content
   fingerprint, the deduplicated DAG table rides the pool initializer, and
   both requests and returned payloads cross the pipe DAG-free (results
@@ -125,11 +125,6 @@ def _solve_task(
         return replace(result, _schedule=None, _schedule_dict=payload)
     result.schedule_dict()
     return replace(result, _schedule=None)
-
-
-def _solve_task_thread(_payload: None, request: ScheduleRequest) -> ScheduleResult:
-    """Thread-pool handler: no pipe, so the live schedule object is kept."""
-    return _solve_request(request)
 
 
 class SchedulingService:
@@ -261,7 +256,6 @@ class SchedulingService:
         self,
         requests: list[ScheduleRequest | dict],
         workers: int | None = None,
-        executor: str = "process",
     ) -> list[ScheduleResult]:
         """Solve a batch, optionally pool-parallel; results in request order.
 
@@ -271,15 +265,7 @@ class SchedulingService:
         returns canonical payloads bit-identical to a serial one; see
         :mod:`repro.core.parallel` for the pool degradation contract.
 
-        ``executor="thread"`` fans out over a thread pool instead of a
-        process pool: requests and results never cross a pickle boundary
-        (a batch sharing one large in-memory DAG ships it zero times
-        instead of once per request), and the hot loops release the GIL
-        under the compiled kernel backend.  With the numpy backend threads
-        still interleave under the GIL — prefer processes there unless the
-        batch is dominated by serialization.
-
-        The process executor groups misses by DAG content fingerprint:
+        Misses are grouped by DAG content fingerprint:
         each distinct in-memory DAG crosses the worker pipe once per
         worker (in the pool payload), not once per request, and results
         travel back DAG-free (re-embedded on this side) — a whole machine
@@ -303,12 +289,7 @@ class SchedulingService:
                 unique_misses[fingerprint] = index
         if unique_misses:
             misses = [coerced[i] for i in unique_misses.values()]
-            if executor == "process":
-                solved = self._solve_misses_process(misses, workers)
-            else:
-                solved = parallel_map(
-                    _solve_task_thread, None, misses, workers, executor=executor
-                )
+            solved = self._solve_misses_process(misses, workers)
             by_fingerprint = dict(zip(unique_misses, solved))
             for fingerprint, result in by_fingerprint.items():
                 self._cache_put(fingerprint, result)
@@ -349,7 +330,7 @@ class SchedulingService:
                     _fingerprint=request.fingerprint(),
                 )
             )
-        solved = parallel_map(_solve_task, shared, tasks, workers, executor="process")
+        solved = parallel_map(_solve_task, shared, tasks, workers)
         embedded_dags: dict[str, dict] = {}
         for index, result in enumerate(solved):
             payload = result.schedule_dict()

@@ -84,6 +84,21 @@ class SchedulerSpec:
                     f"scheduler {self.name!r} does not accept parameter(s) "
                     f"{', '.join(unknown)}; accepted: {', '.join(sorted(accepted))}"
                 )
+        # validate a pipeline config here rather than mid-solve in build();
+        # params keep their given form so to_dict() and fingerprints hold
+        config = self.params.get("config")
+        if isinstance(config, dict):
+            try:
+                PipelineConfig.from_dict(config)
+            except TypeError as exc:
+                raise ConfigurationError(
+                    f"scheduler {self.name!r}: invalid config: {exc}"
+                ) from exc
+        elif config is not None and not isinstance(config, PipelineConfig):
+            raise ConfigurationError(
+                f"scheduler {self.name!r}: config must be a PipelineConfig, "
+                f"a dict or None, got {type(config).__name__}"
+            )
 
     # ------------------------------------------------------------------ #
     def build(self, default_seed: int | None = None) -> Scheduler:

@@ -88,7 +88,6 @@ store, so repeated invocations answer from disk instead of recomputing.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -114,7 +113,7 @@ from .io import (
     write_hdagb,
     write_hyperdag,
 )
-from .schedulers import ENV_INIT_WORKERS, available_schedulers
+from .schedulers import available_schedulers
 
 __all__ = ["main", "build_parser"]
 
@@ -178,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     schedule.add_argument("--render", action="store_true", help="print the full superstep-by-superstep schedule")
     schedule.add_argument("--output", help="write the schedule (JSON) to this path")
     schedule.add_argument("--seed", type=int, default=0, help="seed for randomised schedulers")
-    _add_init_workers_argument(schedule)
 
     compare = subparsers.add_parser("compare", help="compare several schedulers on one instance")
     _add_machine_arguments(compare)
@@ -192,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="schedulers to compare",
     )
     compare.add_argument("--seed", type=int, default=0, help="seed for randomised schedulers")
-    _add_init_workers_argument(compare)
 
     kernels_cmd = subparsers.add_parser(
         "kernels", help="show the active kernel backend (numpy / numba)"
@@ -267,12 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="pool width per batch (default: the REPRO_WORKERS environment knob)",
-    )
-    serve.add_argument(
-        "--executor",
-        choices=("process", "thread"),
-        default="process",
-        help="pool flavour for the per-batch fan-out",
     )
     serve.add_argument(
         "--lease-seconds",
@@ -416,31 +407,6 @@ def _add_gc_arguments(parser: argparse.ArgumentParser) -> None:
             "touched without this flag)"
         ),
     )
-
-
-def _add_init_workers_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--init-workers",
-        type=int,
-        default=None,
-        help=(
-            "thread fan-out width for the pipeline initialiser runs "
-            "(sets REPRO_INIT_WORKERS; the schedule is identical at any "
-            "width, only wall-clock changes)"
-        ),
-    )
-
-
-def _apply_init_workers(args: argparse.Namespace) -> None:
-    """Publish ``--init-workers`` through the environment knob.
-
-    The environment variable is the one path that reaches every pipeline
-    factory — including the no-argument registry factories such as
-    ``framework_heuristics`` that never see a :class:`PipelineConfig`.
-    """
-    value = getattr(args, "init_workers", None)
-    if value is not None:
-        os.environ[ENV_INIT_WORKERS] = str(max(int(value), 1))
 
 
 def _add_store_argument(parser: argparse.ArgumentParser) -> None:
@@ -593,7 +559,6 @@ def _command_generate(args: argparse.Namespace) -> int:
 
 
 def _command_schedule(args: argparse.Namespace) -> int:
-    _apply_init_workers(args)
     request = _request_from_args(args, args.scheduler)
     result = SchedulingService(store=args.store).solve(request)
     machine = request.build_machine()
@@ -614,7 +579,6 @@ def _command_schedule(args: argparse.Namespace) -> int:
 
 
 def _command_compare(args: argparse.Namespace) -> int:
-    _apply_init_workers(args)
     service = SchedulingService(store=args.store)
     # resolve the instance once and share the DAG (and its fingerprint
     # memo) across the whole batch instead of re-reading the file per
@@ -748,7 +712,6 @@ def _command_serve_worker(args: argparse.Namespace) -> int:
     dispatcher = Dispatcher(
         args.root,
         workers=args.workers,
-        executor=args.executor,
         lease_seconds=args.lease_seconds,
         max_attempts=args.max_attempts,
         batch_size=args.batch_size,

@@ -5,8 +5,7 @@ leaves :func:`available` false (with the reason kept for diagnostics) and
 the dispatch layer falls back to the numpy backend.  When numba is present
 every loop kernel from :mod:`repro.core.kernels.loops` is wrapped with
 ``@njit(nogil=True, cache=True)`` — compiled to native code that releases
-the GIL for the duration of a pass, which is what makes the thread executor
-of :func:`repro.core.parallel.parallel_map` profitable.
+the GIL for the duration of a pass.
 
 Compilation is lazy (first call per signature); :func:`warmup` forces it on
 tiny instances so benchmarks can keep JIT compile time out of their timed

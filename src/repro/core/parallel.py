@@ -1,4 +1,4 @@
-"""Deterministic pool fan-out (process or thread) shared by the batched entry points.
+"""Deterministic process-pool fan-out shared by the batched entry points.
 
 Both the experiment grid (:func:`repro.analysis.experiments.run_grid`) and
 the scheduling service (:meth:`repro.api.SchedulingService.solve_many`)
@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 import pickle
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
@@ -85,7 +85,6 @@ def parallel_map(
     payload,
     tasks: Sequence[_Task],
     workers: int | None = None,
-    executor: str = "process",
     return_errors: bool = False,
 ) -> list[_Result]:
     """Apply ``handler(payload, task)`` to every task, optionally in parallel.
@@ -98,22 +97,10 @@ def parallel_map(
     fails pickling) into :class:`TaskError` result entries instead of
     cancelling the batch; infrastructure failures (a broken pool) are still
     handled by the serial-recompute contract, not reported as task errors.
-
-    ``executor`` selects the pool flavour: ``"process"`` (the default — full
-    interpreter isolation, everything crosses a pickle boundary) or
-    ``"thread"`` — shared address space, nothing is pickled, worthwhile when
-    the handler spends its time in GIL-releasing code such as the compiled
-    kernel backend (:mod:`repro.core.kernels`).  The thread path needs no
-    pickling pre-flight and cannot lose workers, so its only degradation is
-    ``workers <= 1`` serial execution.
     """
     tasks = list(tasks)
     if workers is None:
         workers = default_workers()
-    if executor not in ("process", "thread"):
-        raise ValueError(
-            f"unknown executor {executor!r}: expected 'process' or 'thread'"
-        )
 
     def call(task: _Task) -> _Result:
         if not return_errors:
@@ -129,26 +116,6 @@ def parallel_map(
 
     if workers <= 1 or len(tasks) <= 1:
         return serial()
-
-    if executor == "thread":
-        pool = ThreadPoolExecutor(max_workers=min(workers, len(tasks)))
-        try:
-            futures = [pool.submit(handler, payload, task) for task in tasks]
-            results = []
-            for future in futures:
-                try:
-                    results.append(future.result())
-                except BaseException as exc:
-                    if return_errors and isinstance(exc, Exception):
-                        results.append(TaskError(exc))
-                        continue
-                    # mirror the process path: a task error cancels the
-                    # remaining tasks and propagates promptly
-                    pool.shutdown(wait=True, cancel_futures=True)
-                    raise
-        finally:
-            pool.shutdown(wait=False)
-        return results
 
     # pre-flight: prove the shared payload can cross a process boundary
     # (pickle signals this with TypeError/AttributeError/ValueError as often

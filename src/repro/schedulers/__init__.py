@@ -27,13 +27,11 @@ from .ilp import (
 from .listsched import BlEstScheduler, EtfScheduler
 from .multilevel import MultilevelScheduler, coarsen_dag
 from .pipeline import (
-    ENV_INIT_WORKERS,
     MultilevelPipeline,
     PipelineConfig,
     PipelineResult,
     SchedulingPipeline,
     StageCosts,
-    resolve_init_workers,
 )
 from .registry import SCHEDULER_FACTORIES, available_schedulers, create_scheduler
 from .source_heuristic import SourceScheduler
@@ -42,7 +40,6 @@ from .trivial import RoundRobinScheduler, TrivialScheduler
 __all__ = [
     "BlEstScheduler",
     "Budget",
-    "ENV_INIT_WORKERS",
     "BspGreedyScheduler",
     "CilkScheduler",
     "CommScheduleHillClimbing",
@@ -77,5 +74,4 @@ __all__ = [
     "coarsen_dag",
     "create_scheduler",
     "estimate_window_variables",
-    "resolve_init_workers",
 ]

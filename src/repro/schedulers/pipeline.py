@@ -22,13 +22,10 @@ around the same base pipeline.
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass, field, fields
 
 from ..core.dag import ComputationalDAG
 from ..core.machine import BspMachine
-from ..core.parallel import parallel_map
 from ..core.schedule import BspSchedule
 from .base import (
     Budget,
@@ -51,42 +48,14 @@ from .multilevel import MultilevelScheduler
 from .source_heuristic import SourceScheduler
 
 __all__ = [
-    "ENV_INIT_WORKERS",
     "MultilevelPipeline",
     "PipelineConfig",
     "PipelineResult",
     "SchedulingPipeline",
     "StageCosts",
-    "resolve_init_workers",
 ]
 
 _EPS = 1e-9
-
-#: environment knob for the initialiser fan-out width (used when the config
-#: leaves ``init_workers`` unset)
-ENV_INIT_WORKERS = "REPRO_INIT_WORKERS"
-
-
-def resolve_init_workers(value: int | None) -> int:
-    """Effective initialiser fan-out width.
-
-    An explicit ``value`` wins; otherwise the ``REPRO_INIT_WORKERS``
-    environment variable is consulted (default 1 = serial).  The result is
-    clamped to at least 1.
-    """
-    if value is not None:
-        return max(int(value), 1)
-    raw = os.environ.get(ENV_INIT_WORKERS, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        warnings.warn(
-            f"ignoring non-integer {ENV_INIT_WORKERS}={raw!r}", stacklevel=2
-        )
-        return 1
-
 
 @dataclass
 class PipelineConfig:
@@ -135,22 +104,10 @@ class PipelineConfig:
     ilp_node_limit: int | None = None
     #: random seed forwarded to randomised components
     seed: int = 0
-    #: thread fan-out width for the per-initialiser local-search runs
-    #: (``None`` = read ``REPRO_INIT_WORKERS``, default serial).  This is an
-    #: execution knob, not part of the declarative wire form: the schedule
-    #: produced is bit-identical for every width, so :meth:`to_dict`
-    #: excludes it and result fingerprints are unaffected.
-    init_workers: int | None = None
 
     def to_dict(self) -> dict:
-        """Plain JSON-compatible dict (the declarative wire form).
-
-        ``init_workers`` is deliberately omitted: it changes how fast the
-        pipeline runs, never what it produces.
-        """
-        data = dict(self.__dict__)
-        del data["init_workers"]
-        return data
+        """Plain JSON-compatible dict (the declarative wire form)."""
+        return dict(self.__dict__)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
@@ -228,36 +185,6 @@ class PipelineResult:
     stages: StageCosts
 
 
-def _improve_one_initializer(payload, initializer):
-    """Run one initialiser and its HC + HCcs local search (fan-out handler).
-
-    Module-level handler for :func:`repro.core.parallel.parallel_map`; the
-    tasks are independent (each gets fresh improver instances and fresh
-    per-stage budgets), so running them on a thread pool changes wall-clock
-    only — the returned ``(initial, improved)`` pair is identical to the
-    serial run's.
-    """
-    pipeline, dag, machine, budget, outer_steps, outer_nodes = payload
-    config = pipeline.config
-    seconds = config.local_search_seconds
-
-    initial = initializer.schedule(dag, machine, budget)
-    hill_climb, comm_climb = pipeline._local_search()
-    hc_budget = Budget(
-        None if seconds is None else 0.9 * seconds,
-        max_steps=outer_steps,
-        ilp_node_limit=outer_nodes,
-    )
-    improved = hill_climb.improve(initial.with_lazy_comm(), hc_budget)
-    hccs_budget = Budget(
-        None if seconds is None else 0.1 * seconds,
-        max_steps=outer_steps,
-        ilp_node_limit=outer_nodes,
-    )
-    improved = comm_climb.improve(improved, hccs_budget)
-    return initial, improved
-
-
 class SchedulingPipeline(Scheduler):
     """The base scheduling framework of Figure 3."""
 
@@ -328,27 +255,26 @@ class SchedulingPipeline(Scheduler):
         outer_steps, outer_nodes = budget_limits(budget)
 
         # --- stage 1 + 2: initialisers, each followed by HC + HCcs -------- #
-        # the per-initialiser runs are independent, so they fan out over a
-        # thread pool (``init_workers`` / REPRO_INIT_WORKERS); results come
-        # back in initialiser-registry order and the winner is picked by
-        # ``min`` with its stable first-wins tie-break, so the outcome is
-        # bit-identical to the serial run at any width
-        initializers = self._initializers(machine)
-        workers = resolve_init_workers(config.init_workers)
-        payload = (self, dag, machine, budget, outer_steps, outer_nodes)
-        outcomes = parallel_map(
-            _improve_one_initializer,
-            payload,
-            initializers,
-            workers=workers,
-            executor="thread",
-        )
+        seconds = config.local_search_seconds
         candidates: list[BspSchedule] = []
         improved_candidates: list[BspSchedule] = []
-        for initializer, (initial, improved) in zip(initializers, outcomes):
+        for initializer in self._initializers(machine):
+            initial = initializer.schedule(dag, machine, budget)
             stages.initial[initializer.name] = initial.cost()
             candidates.append(initial)
-            improved_candidates.append(improved)
+            hill_climb, comm_climb = self._local_search()
+            hc_budget = Budget(
+                None if seconds is None else 0.9 * seconds,
+                max_steps=outer_steps,
+                ilp_node_limit=outer_nodes,
+            )
+            improved = hill_climb.improve(initial.with_lazy_comm(), hc_budget)
+            hccs_budget = Budget(
+                None if seconds is None else 0.1 * seconds,
+                max_steps=outer_steps,
+                ilp_node_limit=outer_nodes,
+            )
+            improved_candidates.append(comm_climb.improve(improved, hccs_budget))
 
         stages.best_init = min(schedule.cost() for schedule in candidates)
         incumbent = best_schedule(*improved_candidates)

@@ -13,8 +13,8 @@ freely between processes, machines with a common filesystem, and CI runs:
   fingerprints under ``queue/`` with lease / renew / expire semantics:
   atomic rename claims, abandoned leases retried, terminal failures
   recorded instead of wedging the batch.
-* :class:`Dispatcher` — leases batches to a worker fleet (process or
-  thread executors via :func:`repro.core.parallel.parallel_map`); workers
+* :class:`Dispatcher` — leases batches to a worker fleet (a process pool
+  via :func:`repro.core.parallel.parallel_map`); workers
   persist results *before* queue entries are completed, so worker death
   anywhere loses nothing, and renew their leases mid-solve via
   :class:`LeaseHeartbeat`, so long solves by healthy workers are never

@@ -10,7 +10,7 @@ store.  One :meth:`Dispatcher.run_once` cycle:
    worker that died *after* persisting but *before* completing) are
    completed immediately, without recomputation;
 4. **solve** — the remainder fan out over :func:`repro.core.parallel
-   .parallel_map` (process or thread executors); each pool worker runs a
+   .parallel_map` over a process pool; each pool worker runs a
    store-backed :class:`~repro.api.SchedulingService`, so results are
    persisted *in the worker*, before the queue entry is touched, and a
    :class:`~repro.store.heartbeat.LeaseHeartbeat` renews the entry's
@@ -129,10 +129,10 @@ class Dispatcher:
     ----------
     root:
         Store root (results, DAG payloads and the queue all live under it).
-    workers / executor:
-        Fan-out width and pool flavour, passed to
-        :func:`repro.core.parallel.parallel_map` (``workers=None`` reads
-        ``REPRO_WORKERS``; ``executor`` is ``"process"`` or ``"thread"``).
+    workers:
+        Process-pool width, passed to
+        :func:`repro.core.parallel.parallel_map` (``None`` reads
+        ``REPRO_WORKERS``).
     lease_seconds:
         Lease duration per claimed batch; a worker dead longer than this
         has its entries requeued by the next cycle (any dispatcher's).
@@ -150,7 +150,6 @@ class Dispatcher:
         self,
         root: str | Path,
         workers: int | None = None,
-        executor: str = "process",
         lease_seconds: float = 300.0,
         max_attempts: int = 3,
         batch_size: int | None = None,
@@ -160,7 +159,6 @@ class Dispatcher:
         self.store = ResultStore(root)
         self.queue = WorkQueue(root, clock=clock)
         self.workers = workers
-        self.executor = executor
         self.lease_seconds = float(lease_seconds)
         self.max_attempts = int(max_attempts)
         self.batch_size = batch_size
@@ -204,7 +202,6 @@ class Dispatcher:
             },
             [(task.fingerprint, task.request) for task in ready],
             self.workers,
-            executor=self.executor,
             return_errors=True,
         )
         for task, outcome in zip(ready, outcomes):

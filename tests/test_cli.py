@@ -117,27 +117,6 @@ class TestKernelsCommand:
             assert summary in out
 
 
-class TestInitWorkersFlag:
-    def test_flag_sets_environment_knob(self, hyperdag_file, capsys, monkeypatch):
-        from repro.schedulers import ENV_INIT_WORKERS
-
-        # setenv (not delenv) so teardown rolls back the value main() writes
-        monkeypatch.setenv(ENV_INIT_WORKERS, "1")
-        import os
-
-        code = main(
-            [
-                "schedule", str(hyperdag_file),
-                "--scheduler", "framework_heuristics",
-                "--procs", "2",
-                "--init-workers", "3",
-            ]
-        )
-        assert code == 0
-        assert os.environ[ENV_INIT_WORKERS] == "3"
-        assert "cost" in capsys.readouterr().out
-
-
 class TestCompare:
     def test_compare_prints_cost_table(self, hyperdag_file, capsys):
         code = main(

@@ -15,10 +15,11 @@ Two concerns live here:
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.api import MachineSpec, ScheduleRequest, SchedulerSpec, SchedulingService
 from repro.core import BspMachine
 from repro.core.kernels import (
     ENV_VAR,
@@ -29,7 +30,7 @@ from repro.core.kernels import (
     numba_impl,
     warmup,
 )
-from repro.core.parallel import parallel_map
+from repro.core.parallel import TaskError, parallel_map
 from repro.dagdb import SparseMatrixPattern
 from repro.dagdb.structured import symbolic_fill_structure
 from repro.schedulers import CommScheduleHillClimbing, HillClimbingImprover
@@ -244,10 +245,10 @@ class TestBackendParity:
 
 
 # ---------------------------------------------------------------------- #
-# thread executor
+# process-pool parallel_map
 # ---------------------------------------------------------------------- #
 def _square(payload, task):
-    return payload + task * task
+    return payload + task * task, os.getpid()
 
 
 def _explode(payload, task):
@@ -256,53 +257,29 @@ def _explode(payload, task):
     return task
 
 
-class TestThreadExecutor:
-    def test_thread_results_in_task_order(self):
-        tasks = list(range(20))
-        expected = [_square(10, task) for task in tasks]
-        got = parallel_map(_square, 10, tasks, workers=4, executor="thread")
-        assert got == expected
+@pytest.mark.filterwarnings("error::UserWarning")
+class TestProcessPoolMap:
+    """``parallel_map``'s contract on a real two-worker process pool.
 
-    def test_unknown_executor_rejected_even_when_serial(self):
-        # validation must precede the workers<=1 serial shortcut: a typo
-        # in the executor name fails loudly instead of silently serialising
-        with pytest.raises(ValueError, match="unknown executor"):
-            parallel_map(_square, 0, [1], workers=1, executor="threads")
+    A silent fallback to serial execution warns, and warnings are errors
+    here, so every test below really crosses the process boundary.
+    """
 
-    def test_thread_task_error_propagates(self):
+    def test_results_in_task_order(self):
+        tasks = list(range(12))
+        got = parallel_map(_square, 10, tasks, workers=2)
+        assert [value for value, _ in got] == [10 + task * task for task in tasks]
+        assert os.getpid() not in {pid for _, pid in got}
+
+    def test_task_error_propagates(self):
         with pytest.raises(ValueError, match="boom"):
-            parallel_map(_explode, None, [0, 1, 2, 3], workers=2, executor="thread")
+            parallel_map(_explode, None, [0, 1, 2, 3], workers=2)
 
-    def test_solve_many_thread_matches_serial(self):
-        dag = random_dag(40, 0.15, seed=23)
-        machine = MachineSpec(num_procs=4, g=2, latency=3)
-        requests = [
-            ScheduleRequest(
-                dag=dag, machine=machine, scheduler=SchedulerSpec("cilk"), seed=seed
-            )
-            for seed in range(6)
-        ]
-        serial = SchedulingService(cache_size=0).solve_many(requests, workers=1)
-        threaded = SchedulingService(cache_size=0).solve_many(
-            requests, workers=3, executor="thread"
+    def test_return_errors_fills_failing_slot(self):
+        got = parallel_map(
+            _explode, None, [0, 1, 2, 3, 4], workers=2, return_errors=True
         )
-        assert [r.canonical_dict() for r in threaded] == [
-            r.canonical_dict() for r in serial
-        ]
-        # the thread path keeps the live schedule object (nothing crossed a
-        # pickle boundary, so there is nothing to rebuild lazily)
-        assert all(result._schedule is not None for result in threaded)
-
-    def test_solve_many_rejects_unknown_executor(self):
-        dag = random_dag(12, 0.2, seed=3)
-        machine = MachineSpec(num_procs=2, g=1, latency=1)
-        requests = [
-            ScheduleRequest(
-                dag=dag, machine=machine, scheduler=SchedulerSpec("cilk"), seed=seed
-            )
-            for seed in range(2)
-        ]
-        with pytest.raises(ValueError, match="unknown executor"):
-            SchedulingService(cache_size=0).solve_many(
-                requests, workers=2, executor="fibers"
-            )
+        assert got[:2] == [0, 1] and got[3:] == [3, 4]
+        assert isinstance(got[2], TaskError)
+        assert isinstance(got[2].error, ValueError)
+        assert str(got[2]) == "ValueError: boom"

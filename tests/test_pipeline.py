@@ -6,10 +6,12 @@ import pytest
 
 from repro.core import BspMachine
 from repro.schedulers import (
+    BspGreedyScheduler,
     CilkScheduler,
     HDaggScheduler,
     MultilevelPipeline,
     PipelineConfig,
+    Scheduler,
     SchedulingPipeline,
     TimeBudget,
     best_schedule,
@@ -26,6 +28,23 @@ FAST = PipelineConfig.fast()
 def spmv_instance():
     pattern = SparseMatrixPattern.random(7, 0.35, seed=5, ensure_diagonal=True)
     return build_spmv_dag(pattern).dag
+
+
+class _ExplodingScheduler(Scheduler):
+    name = "exploding"
+
+    def schedule(self, dag, machine, budget=None):
+        raise RuntimeError("initialiser exploded")
+
+
+class _RecordingScheduler(BspGreedyScheduler):
+    def __init__(self, calls):
+        super().__init__()
+        self._calls = calls
+
+    def schedule(self, dag, machine, budget=None):
+        self._calls.append(self.name)
+        return super().schedule(dag, machine, budget)
 
 
 class TestPipelineConfig:
@@ -107,6 +126,21 @@ class TestBasePipeline:
         machine = BspMachine.uniform(1, g=3, latency=5)
         schedule = SchedulingPipeline(FAST).schedule(spmv_instance, machine)
         assert schedule.cost() == pytest.approx(spmv_instance.total_work + machine.latency)
+
+    def test_serial_error_propagates_and_skips_later_tasks(self):
+        dag = random_dag(20, 0.2, seed=3)
+        machine = BspMachine.uniform(3, g=2, latency=2)
+        calls: list[str] = []
+        pipeline = SchedulingPipeline(
+            PipelineConfig(use_ilp=False, use_comm_ilp=False, local_search_seconds=None)
+        )
+        pipeline._initializers = lambda machine: [
+            _ExplodingScheduler(),
+            _RecordingScheduler(calls),
+        ]
+        with pytest.raises(RuntimeError, match="initialiser exploded"):
+            pipeline.schedule_with_stages(dag, machine)
+        assert calls == []  # the initialiser loop stops at the failing one
 
     def test_respects_overall_time_budget(self, spmv_instance):
         machine = BspMachine.uniform(4, g=1, latency=5)

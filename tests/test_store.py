@@ -566,9 +566,7 @@ class TestLeaseHeartbeat:
             "_worker_service",
             lambda root: SlowService(original(root)),
         )
-        dispatcher = Dispatcher(
-            tmp_path, workers=1, executor="thread", lease_seconds=0.1
-        )
+        dispatcher = Dispatcher(tmp_path, workers=1, lease_seconds=0.1)
         report = dispatcher.run_once()
         assert report.completed == [request.fingerprint()]
         # the heartbeat kept the lease: nothing left to expire or requeue
@@ -711,7 +709,7 @@ class TestTrialRecords:
         queue = WorkQueue(tmp_path)
         for request in self._requests():
             queue.submit(request.fingerprint(), request.to_dict())
-        Dispatcher(tmp_path, workers=1, executor="thread").drain()
+        Dispatcher(tmp_path, workers=1).drain()
         assert len(store.trials) == 2
         assert {t.scheduler for t in store.trials.trials()} == {
             "cilk",
