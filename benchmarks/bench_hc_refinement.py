@@ -195,22 +195,13 @@ _report_cache: dict | None = None
 
 
 def run_benchmarks() -> dict:
-    # force any JIT compilation before the timed regions; the compile time
-    # is machine/cache-dependent, so it is recorded as volatile metadata
-    # only and never enters a speedup
-    warmup_seconds = kernels.warmup()
     report = {
         "kernel_backend": kernels.get_backend(),
-        "jit_warmup_seconds": warmup_seconds,
         "hc": bench_hc(),
         "hccs": bench_hccs(),
     }
     save_json("bench_hc_refinement", report)
     save_bench_root(BENCH_PR_NUMBER, {"hc_refinement": report})
-    print(
-        f"\nkernel backend: {report['kernel_backend']}"
-        + (f" (JIT warmup {warmup_seconds:.2f} s)" if warmup_seconds else "")
-    )
     for label, section in (("HC", report["hc"]), ("HCcs", report["hccs"])):
         print(f"\n{label} (seed walker vs batched evaluation, P={BENCH_PROCS}):")
         for case in section["cases"]:

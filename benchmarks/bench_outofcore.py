@@ -1,6 +1,6 @@
-"""Out-of-core pipeline benchmarks: streaming generation, mmap load, quotient fill.
+"""Out-of-core pipeline benchmarks: streaming generation and mmap load.
 
-Three measurements, one per leg of the out-of-core DAG pipeline:
+Two measurements, one per leg of the out-of-core DAG pipeline:
 
 * **generation** — peak RSS (``ru_maxrss``) of producing a million-node
   stencil ``.hdagb`` file, streamed through
@@ -16,11 +16,6 @@ Three measurements, one per leg of the out-of-core DAG pipeline:
   (header + checksum only; arrays are zero-copy views).  This is the
   latency every worker pays per task when a dispatcher fans a stored
   instance out.
-* **symbolic_fill** — the quotient-graph (row-merge-tree) symbolic
-  factorisation vs the historical up-looking per-column union pass on
-  tridiagonal patterns at 10^5 and 10^6 columns, bit-identical outputs
-  asserted, which is the pass that gates elimination-DAG generation at
-  scale.
 
 Results (timings, peaks and speedups) are printed, persisted under
 ``benchmarks/results/bench_outofcore.json`` and mirrored into the stable
@@ -28,9 +23,8 @@ per-PR record ``BENCH_<n>.json`` via :func:`_bench_utils.save_bench_root`.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_outofcore.py``) or
 through pytest; the pytest entry points assert the acceptance floors
-(streamed peak well below the materialised peak, >= 50x mmap load, >= 10x
-quotient fill at 10^6 columns), each overridable via environment variables
-for loaded CI runners.
+(streamed peak well below the materialised peak, >= 50x mmap load), each
+overridable via environment variables for loaded CI runners.
 """
 
 from __future__ import annotations
@@ -43,13 +37,9 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).parent))  # for direct execution
 from _bench_utils import save_bench_root, save_json
 
-from repro.core import kernels
-from repro.dagdb import SparseMatrixPattern
 from repro.io import load_dag
 from repro.io.hyperdag import read_hyperdag, write_hyperdag
 
@@ -61,9 +51,6 @@ GENERATION_MEMORY_FACTOR = float(os.environ.get("REPRO_BENCH_OOC_MEM_FACTOR", "2
 #: 10^5-node instance for the load-latency comparison
 LOAD_SIDE, LOAD_STEPS = 100, 10
 MMAP_ACCEPTANCE_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_MMAP_SPEEDUP", "50.0"))
-FILL_SIZES = (100_000, 1_000_000)
-FILL_ACCEPTANCE_SIZE = 1_000_000
-FILL_ACCEPTANCE_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_FILL_SPEEDUP", "10.0"))
 #: stacked-PR sequence number of the stable BENCH_<n>.json record
 BENCH_PR_NUMBER = int(os.environ.get("REPRO_BENCH_PR", "8"))
 
@@ -189,43 +176,6 @@ def _timed(fn) -> float:
     return time.perf_counter() - start
 
 
-def bench_symbolic_fill() -> dict:
-    """Quotient-graph vs up-looking symbolic fill on tridiagonal patterns.
-
-    Times the two dispatched kernels on the same pre-symmetrised CSR
-    arrays — the symmetrisation is shared by both methods inside
-    :func:`symbolic_fill_csr`, so including it would only dilute the
-    kernel comparison.
-    """
-    cases = []
-    for size in FILL_SIZES:
-        pattern = SparseMatrixPattern.tridiagonal(size)
-        sym = pattern.symmetrized()
-        t0 = time.perf_counter()
-        q_indptr, q_indices, q_parents = kernels.symbolic_fill_quotient(
-            sym.indptr, sym.indices, sym.size
-        )
-        quotient_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        u_indptr, u_indices, u_parents = kernels.symbolic_fill(
-            sym.indptr, sym.indices, sym.size
-        )
-        uplooking_s = time.perf_counter() - t0
-        assert np.array_equal(q_indptr, u_indptr)
-        assert np.array_equal(q_indices, u_indices)
-        assert np.array_equal(q_parents, u_parents)
-        cases.append(
-            {
-                "matrix_size": size,
-                "fill_nnz": int(q_indptr[-1]),
-                "quotient_s": quotient_s,
-                "uplooking_s": uplooking_s,
-                "speedup": uplooking_s / quotient_s,
-            }
-        )
-    return {"kernel_backend": kernels.get_backend(), "cases": cases}
-
-
 _CACHE: dict[str, dict] = {}
 
 
@@ -258,17 +208,6 @@ def test_mmap_load_speedup():
     )
 
 
-def test_quotient_fill_speedup():
-    record = _section("symbolic_fill", bench_symbolic_fill)
-    case = next(
-        c for c in record["cases"] if c["matrix_size"] == FILL_ACCEPTANCE_SIZE
-    )
-    assert case["speedup"] >= FILL_ACCEPTANCE_SPEEDUP, (
-        f"quotient fill is only {case['speedup']:.1f}x faster at "
-        f"{FILL_ACCEPTANCE_SIZE} columns (floor {FILL_ACCEPTANCE_SPEEDUP}x)"
-    )
-
-
 def main() -> None:
     generation = _section("generation", bench_generation)
     print(
@@ -283,14 +222,7 @@ def main() -> None:
         f"load ({load['num_nodes']} nodes): text parse {load['text_parse_s']:.3f} s "
         f"vs mmap {load['mmap_load_s'] * 1e3:.2f} ms ({load['speedup']:.0f}x)"
     )
-    fill = _section("symbolic_fill", bench_symbolic_fill)
-    for case in fill["cases"]:
-        print(
-            f"symbolic fill (n={case['matrix_size']}): quotient "
-            f"{case['quotient_s']:.3f} s vs up-looking {case['uplooking_s']:.3f} s "
-            f"({case['speedup']:.1f}x)"
-        )
-    payload = {"generation": generation, "load": load, "symbolic_fill": fill}
+    payload = {"generation": generation, "load": load}
     save_json("bench_outofcore", payload)
     path = save_bench_root(BENCH_PR_NUMBER, {"outofcore": payload})
     print(f"recorded -> {path}")

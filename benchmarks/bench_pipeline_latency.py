@@ -226,19 +226,13 @@ _report_cache: dict | None = None
 
 
 def run_benchmarks() -> dict:
-    warmup_seconds = kernels.warmup()
     report = {
         "kernel_backend": kernels.get_backend(),
-        "jit_warmup_seconds": warmup_seconds,
         "hccs_fronts": bench_hccs_fronts(),
         "pk_coarsening": bench_pk_coarsening(),
     }
     save_json("bench_pipeline_latency", report)
     save_bench_root(BENCH_PR_NUMBER, {"pipeline_latency": report})
-    print(
-        f"\nkernel backend: {report['kernel_backend']}"
-        + (f" (JIT warmup {warmup_seconds:.2f} s)" if warmup_seconds else "")
-    )
     print(f"\nHCcs pass fronts (P={FRONT_PROCS}):")
     for case in report["hccs_fronts"]["cases"]:
         print(

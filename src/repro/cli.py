@@ -29,13 +29,6 @@ Three subcommands cover the common workflows:
         python -m repro compare cg.hdag --procs 4 --g 5 \\
             --schedulers cilk hdagg framework
 
-``kernels``
-    Print which kernel backend (:mod:`repro.core.kernels`) is active —
-    ``numba`` when a working install is importable, else ``numpy`` — along
-    with the ``REPRO_KERNEL_BACKEND`` override currently in effect::
-
-        python -m repro kernels
-
 ``queue``
     Inspect and manage a durable work queue (:mod:`repro.store`): show
     status, submit a request JSON file, expire abandoned leases, list
@@ -190,15 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="schedulers to compare",
     )
     compare.add_argument("--seed", type=int, default=0, help="seed for randomised schedulers")
-
-    kernels_cmd = subparsers.add_parser(
-        "kernels", help="show the active kernel backend (numpy / numba)"
-    )
-    kernels_cmd.add_argument(
-        "--warmup",
-        action="store_true",
-        help="force-compile the active backend's kernels and report the time",
-    )
 
     queue = subparsers.add_parser(
         "queue", help="inspect and manage a durable work queue"
@@ -606,36 +590,6 @@ def _command_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_kernels(args: argparse.Namespace) -> int:
-    from .core import kernels
-
-    info = kernels.backend_info()
-    if info["error"] is not None:
-        print(f"kernel backend error: {info['error']}", file=sys.stderr)
-        return 1
-    print(f"active backend:    {info['active']}")
-    print(f"available:         {', '.join(info['available'])}")
-    forced = info["forced"]
-    print(f"{kernels.ENV_VAR}: {forced if forced else '(unset)'}")
-    if info["numba_available"]:
-        print(f"numba version:     {info['numba_version']}")
-    else:
-        print(
-            "numba:             unavailable "
-            f"({info['numba_unavailable_reason']}); install the 'speed' "
-            "extra (pip install repro-bsp-scheduling[speed]) to enable the "
-            "compiled backend"
-        )
-    print("kernels:")
-    width = max(len(name) for name in kernels.KERNELS)
-    for name in sorted(kernels.KERNELS):
-        print(f"  {name:<{width}}  {kernels.KERNELS[name]}")
-    if args.warmup:
-        seconds = kernels.warmup()
-        print(f"warmup:            {seconds:.2f} s")
-    return 0
-
-
 def _command_queue(args: argparse.Namespace) -> int:
     from .store import ResultStore, WorkQueue
 
@@ -796,7 +750,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "generate": _command_generate,
         "schedule": _command_schedule,
         "compare": _command_compare,
-        "kernels": _command_kernels,
         "queue": _command_queue,
         "store": _command_store,
         "serve-worker": _command_serve_worker,

@@ -1,353 +1,368 @@
-"""Kernel-dispatch layer for the refinement/coarsening/symbolic hot loops.
+"""The refinement/coarsening/symbolic hot loops of the pipeline.
 
-Two interchangeable backends implement the hot loops of the pipeline —
-the HC refinement pass, the HCcs window walk (serial and batched-front
-flavours), the coarsening acyclicity probe and its Pearce–Kelly
-dynamic-order replacement, and the two symbolic factorisations.  The
-:data:`KERNELS` registry lists every dispatched kernel with a one-line
-summary; the ``repro kernels`` CLI prints it, so a new kernel only needs
-the :func:`_dispatched` decorator to show up everywhere:
+One numpy implementation per kernel: the HC refinement pass, the HCcs
+window walk (serial and batched-front flavours), the coarsening
+acyclicity probe and its Pearce–Kelly dynamic-order replacement, and the
+quotient-graph symbolic factorisation.  The heavy vectorized lifting lives
+where it always did (e.g. :meth:`LazyCostTracker.candidate_deltas`); these
+functions own the *pass drivers* — the per-node / per-window
+orchestration around it.
 
-* ``numpy`` — the vectorized reference implementation, extracted unchanged
-  from the scheduler/dagdb modules.  Always available.
-* ``numba`` — the same loops compiled with ``@njit(nogil=True, cache=True)``
-  (:mod:`repro.core.kernels.numba_impl`).  Selected automatically when a
-  working numba is importable; a missing or broken install silently falls
-  back to ``numpy``.
-
-The ``REPRO_KERNEL_BACKEND`` environment variable overrides the automatic
-choice (``numpy`` or ``numba``; forcing ``numba`` without a working install
-raises :class:`KernelBackendError` instead of silently degrading, so CI
-matrix legs cannot pass vacuously).  The undocumented value ``loops`` runs
-the *uncompiled* loop bodies of :mod:`repro.core.kernels.loops` — the exact
-code numba compiles — which is how the backend-parity suite pins the
-compiled backend's semantics on machines without numba.
-
-Both backends are pinned to the retained seed references by the existing
+Every kernel is pinned to the retained seed references by the
 differential suites; on the repository's integer/dyadic-weight instances
-they are bit-identical, not merely equal within tolerance.
+the results are bit-identical, not merely equal within tolerance.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from . import loops, numba_impl, numpy_impl
 from .state import HccsState
 
 __all__ = [
-    "ENV_VAR",
-    "KERNELS",
-    "KernelBackendError",
     "HccsState",
-    "available_backends",
-    "backend_info",
     "get_backend",
-    "warmup",
     "hc_pass",
     "hccs_pass",
     "hccs_pass_fronts",
     "coarsen_reach",
     "pk_order",
-    "symbolic_fill",
     "symbolic_fill_quotient",
 ]
-
-#: Environment knob selecting the kernel backend.
-ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-#: Public backend names ("loops" additionally accepted for parity testing).
-_PUBLIC = ("numpy", "numba")
-_NAMES = ("numpy", "numba", "loops")
-
-#: Node/window chunk between budget checks when a wall-clock budget is
-#: active: large enough to amortise the kernel-call overhead, small enough
-#: that an expired budget stops a pass promptly.
-_BUDGET_CHUNK = 2048
 
 _EPS = 1e-9
 
 
-class KernelBackendError(RuntimeError):
-    """An explicitly requested kernel backend cannot be honoured."""
-
-
 def get_backend() -> str:
-    """The active backend name, honouring ``REPRO_KERNEL_BACKEND``.
+    """Always ``"numpy"``.
 
-    Without the override: ``numba`` when a working install is importable,
-    else ``numpy``.  An unknown forced name, or forcing ``numba`` where it
-    is unavailable, raises :class:`KernelBackendError` with the reason.
+    Kept only because the benchmarks record it as host metadata
+    (``benchmarks/e2e/run.py`` calls it by name).
     """
-    forced = os.environ.get(ENV_VAR)
-    if forced is not None and forced.strip():
-        name = forced.strip().lower()
-        if name not in _NAMES:
-            raise KernelBackendError(
-                f"unknown kernel backend {forced!r} (from {ENV_VAR}): "
-                f"expected one of {', '.join(repr(n) for n in _PUBLIC)}"
-            )
-        if name == "numba" and not numba_impl.available():
-            raise KernelBackendError(
-                f"{ENV_VAR}=numba was forced but the numba backend is "
-                f"unavailable ({numba_impl.unavailable_reason()}); install "
-                f"the 'speed' extra (pip install repro-bsp-scheduling[speed]) or "
-                f"unset {ENV_VAR}"
-            )
-        return name
-    return "numba" if numba_impl.available() else "numpy"
+    return "numpy"
 
 
-def available_backends() -> tuple[str, ...]:
-    """The backend names usable in this interpreter (public names only)."""
-    return _PUBLIC if numba_impl.available() else ("numpy",)
-
-
-def backend_info() -> dict:
-    """Diagnostic snapshot for the ``repro kernels`` CLI subcommand."""
-    forced = os.environ.get(ENV_VAR)
-    try:
-        active: str | None = get_backend()
-        error = None
-    except KernelBackendError as exc:
-        active = None
-        error = str(exc)
-    return {
-        "active": active,
-        "forced": forced,
-        "error": error,
-        "available": list(available_backends()),
-        "numba_available": numba_impl.available(),
-        "numba_version": numba_impl.version(),
-        "numba_unavailable_reason": numba_impl.unavailable_reason(),
-    }
-
-
-def warmup() -> float:
-    """Pre-compile the active backend's kernels; returns seconds spent.
-
-    A no-op (0.0) unless the numba backend is active — the numpy and loops
-    backends have nothing to compile.
-    """
-    if get_backend() == "numba":
-        return numba_impl.warmup()
-    return 0.0
-
-
-# ---------------------------------------------------------------------- #
-# dispatched kernels
-# ---------------------------------------------------------------------- #
-#: Registry of every dispatched kernel: name -> one-line summary.  Filled
-#: by the ``_dispatched`` decorator, so the ``repro kernels`` listing (and
-#: anything else enumerating the kernel surface) can never fall behind.
-KERNELS: dict[str, str] = {}
-
-
-def _dispatched(fn):
-    """Register a dispatch function in :data:`KERNELS` (summary = doc line 1)."""
-    KERNELS[fn.__name__] = (fn.__doc__ or "").strip().splitlines()[0].rstrip(".")
-    return fn
-
-
-def _loop_fn(numba_name: str, loops_fn):
-    """The compiled kernel for the active backend ('numba' vs 'loops')."""
-    backend = get_backend()
-    if backend == "numba":
-        return getattr(numba_impl, numba_name)
-    return loops_fn
-
-
-@_dispatched
 def hc_pass(tracker, start, stop, max_accept=-1, eps=_EPS, budget=None):
     """One HC refinement pass over nodes ``[start, stop)`` of a tracker.
 
-    Dispatches to the active backend; returns ``(accepted, moves)`` where
-    ``moves`` lists the accepted ``(node, new_proc, new_step)`` triples in
-    acceptance order.  ``max_accept < 0`` (or ``None``) means unlimited; a
-    wall-clock ``budget`` is checked per node (numpy backend) or between
-    node chunks (compiled backends — one kernel call cannot observe the
-    clock mid-flight).
+    Evaluates every node's ``3 x P`` candidate moves with
+    ``tracker.candidate_deltas`` (read-only) and applies the first improving
+    candidate through ``tracker.apply_move``.  Returns ``(accepted,
+    moves)`` where ``moves`` lists the accepted ``(node, new_proc,
+    new_step)`` triples in acceptance order.  ``max_accept < 0`` (or
+    ``None``) means unlimited; a wall-clock ``budget`` is checked per node.
     """
     if max_accept is None:
         max_accept = -1
-    if get_backend() == "numpy":
-        return numpy_impl.hc_pass_numpy(tracker, start, stop, max_accept, eps, budget)
-    fn = _loop_fn("hc_pass_jit", loops.hc_pass_loops)
-    dag = tracker.dag
-    machine = tracker.machine
-    timed = budget is not None and budget.seconds is not None
-    chunk = _BUDGET_CHUNK if timed else max(stop - start, 1)
+    P = tracker.machine.num_procs
     accepted = 0
     moves: list[tuple[int, int, int]] = []
-    pos = start
-    while pos < stop:
+    for v in range(start, stop):
+        if max_accept >= 0 and accepted >= max_accept:
+            break
         if budget is not None and budget.expired():
             break
-        cap = -1 if max_accept < 0 else max_accept - accepted
-        if max_accept >= 0 and cap <= 0:
-            break
-        end = min(pos + chunk, stop)
-        moves_out = np.empty((max(end - pos, 1), 3), dtype=np.int64)
-        got = fn(
-            dag.succ_indptr,
-            dag.succ_indices,
-            dag.pred_indptr,
-            dag.pred_indices,
-            dag.work_weights,
-            dag.comm_weights,
-            machine.numa,
-            float(machine.g),
-            tracker.procs,
-            tracker.supersteps,
-            tracker.work,
-            tracker.send,
-            tracker.recv,
-            tracker._work_max,
-            tracker._comm_max,
-            tracker.need_min,
-            tracker.need_cnt,
-            pos,
-            end,
-            cap,
-            eps,
-            moves_out,
-        )
-        for k in range(got):
-            moves.append(
-                (int(moves_out[k, 0]), int(moves_out[k, 1]), int(moves_out[k, 2]))
-            )
-        accepted += int(got)
-        pos = end
+        deltas, valid = tracker.candidate_deltas(v)
+        hit = valid & (deltas < -eps)
+        if not hit.any():
+            continue
+        # first improving candidate in the reference scan order:
+        # steps (s-1, s, s+1) major, processors 0..P-1 minor
+        flat = int(np.argmax(hit))
+        step_offset, new_proc = divmod(flat, P)
+        new_step = int(tracker.supersteps[v]) - 1 + step_offset
+        tracker.apply_move(v, new_proc, new_step)
+        accepted += 1
+        moves.append((v, new_proc, new_step))
     return accepted, moves
 
 
-@_dispatched
 def hccs_pass(state: HccsState, start, stop, max_accept=-1, eps=_EPS, budget=None):
     """One HCcs pass over ``state.movable[start:stop]``.
 
-    Returns ``(accepted, moves)`` with the accepted ``(window_index,
-    new_phase)`` pairs in acceptance order; budget/cap semantics as in
-    :func:`hc_pass`.
+    One shared removal row scan per window, candidate phases scored against
+    the maintained row maxima in one vectorized expression.  Returns
+    ``(accepted, moves)`` with the accepted ``(window_index, new_phase)``
+    pairs in acceptance order; budget/cap semantics as in :func:`hc_pass`.
     """
     if max_accept is None:
         max_accept = -1
-    if get_backend() == "numpy":
-        return numpy_impl.hccs_pass_numpy(state, start, stop, max_accept, eps, budget)
-    fn = _loop_fn("hccs_pass_jit", loops.hccs_pass_loops)
-    timed = budget is not None and budget.seconds is not None
-    chunk = _BUDGET_CHUNK if timed else max(stop - start, 1)
+    send = state.send
+    recv = state.recv
+    comm_max = state.comm_max
+    choices = state.choices
     accepted = 0
     moves: list[tuple[int, int]] = []
-    pos = start
-    while pos < stop:
+    for mi in range(start, stop):
+        if max_accept >= 0 and accepted >= max_accept:
+            break
         if budget is not None and budget.expired():
             break
-        cap = -1 if max_accept < 0 else max_accept - accepted
-        if max_accept >= 0 and cap <= 0:
-            break
-        end = min(pos + chunk, stop)
-        moves_out = np.empty((max(end - pos, 1), 2), dtype=np.int64)
-        got = fn(
-            state.send,
-            state.recv,
-            state.comm_max,
-            state.choices,
-            state.movable,
-            state.srcs,
-            state.tgts,
-            state.earliest,
-            state.latest,
-            state.volumes,
-            pos,
-            end,
-            cap,
-            eps,
-            moves_out,
+        index = int(state.movable[mi])
+        current = int(choices[index])
+        lo = int(state.earliest[index])
+        hi = int(state.latest[index])
+        volume = float(state.volumes[index])
+        p1 = int(state.srcs[index])
+        p2 = int(state.tgts[index])
+
+        # removing the transfer from its current phase: one row scan,
+        # shared by every candidate phase of the window
+        send_row = send[current].copy()
+        send_row[p1] -= volume
+        recv_row = recv[current].copy()
+        recv_row[p2] -= volume
+        removal = max(float(send_row.max()), float(recv_row.max())) - comm_max[current]
+
+        # adding it to a candidate phase only raises that row, so the
+        # new maximum needs no row scan at all
+        window_max = comm_max[lo : hi + 1]
+        raised = np.maximum(
+            window_max,
+            np.maximum(send[lo : hi + 1, p1] + volume, recv[lo : hi + 1, p2] + volume),
         )
-        for k in range(got):
-            moves.append((int(moves_out[k, 0]), int(moves_out[k, 1])))
-        accepted += int(got)
-        pos = end
+        deltas = ((raised - window_max) + removal).tolist()
+
+        best_phase = current
+        best_delta = 0.0
+        for offset, delta in enumerate(deltas):
+            candidate = lo + offset
+            if candidate == current:
+                continue
+            if delta < best_delta - eps:
+                best_delta = delta
+                best_phase = candidate
+        if best_phase != current:
+            send[current, p1] -= volume
+            recv[current, p2] -= volume
+            send[best_phase, p1] += volume
+            recv[best_phase, p2] += volume
+            for s in (current, best_phase):
+                comm_max[s] = float(np.maximum(send[s], recv[s]).max())
+            choices[index] = best_phase
+            accepted += 1
+            moves.append((index, best_phase))
     return accepted, moves
 
 
-@_dispatched
 def coarsen_reach(graph, u, v, budget=None):
     """Alternative-path probe for the coarsener's acyclicity check.
 
     ``graph`` is a flat-adjacency working graph (``succ_pool``/``succ_start``
-    /``succ_len`` plus reusable DFS scratch).  Returns ``1`` when another
-    ``u -> v`` route exists (not contractable), ``0`` when none does, and
-    ``-1`` when the node ``budget`` (``None`` = unlimited) runs out first.
+    /``succ_len``).  Returns ``1`` when another ``u -> v`` route exists (not
+    contractable), ``0`` when none does, and ``-1`` when the node ``budget``
+    (``None`` = unlimited) runs out first.  A DFS over Python lists and
+    sets, which beat per-element numpy indexing by a wide margin.
     """
-    backend = get_backend()
-    if backend == "numpy":
-        # Python-native mirror of the loop body (identical visit order and
-        # budget accounting) — much faster than the un-jitted array DFS
-        return numpy_impl.coarsen_reach_numpy(graph, u, v, budget)
-    fn = (
-        numba_impl.coarsen_reach_jit if backend == "numba" else loops.coarsen_reach_loops
-    )
-    return int(
-        fn(
-            graph.succ_pool,
-            graph.succ_start,
-            graph.succ_len,
-            u,
-            v,
-            -1 if budget is None else budget,
-            graph.dfs_stack,
-            graph.dfs_seen,
-            graph.next_stamp(),
-        )
-    )
+    succ_pool = graph.succ_pool
+    succ_start = graph.succ_start
+    succ_len = graph.succ_len
+    base = int(succ_start[u])
+    stack = [w for w in succ_pool[base : base + int(succ_len[u])].tolist() if w != v]
+    seen = set(stack)
+    remaining = -1 if budget is None else budget
+    while stack:
+        x = stack.pop()
+        if remaining >= 0:
+            remaining -= 1
+            if remaining < 0:
+                return -1
+        xb = int(succ_start[x])
+        for w in succ_pool[xb : xb + int(succ_len[x])].tolist():
+            if w == v:
+                return 1
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return 0
 
 
-@_dispatched
 def pk_order(graph, op, u, v):
     """Pearce–Kelly dynamic topological order: contraction probe / edge insert.
 
     ``graph`` is a flat-adjacency working graph carrying an ``order`` array
-    (node -> position; dead nodes leave permanent holes) plus the shared DFS
-    scratch.  ``op == 0`` answers "does an alternative ``u -> v`` path
-    exist?" for an existing edge by a DFS pruned to ``order < order[v]`` —
-    exact because a valid order confines every alternative path to that
-    strip.  ``op == 1`` inserts edge ``u -> v``: the affected region
-    (forward from ``v``, backward from ``u``, both bounded by the violated
-    position interval) is discovered and reassigned in place, touching
-    ``O(affected region)`` nodes instead of the whole graph.  Returns ``1``
-    for "alternative path" / "would close a cycle", else ``0``.
+    (node -> position; dead nodes leave permanent holes).  ``op == 0``
+    answers "does an alternative ``u -> v`` path exist?" for an existing
+    edge by a DFS pruned to ``order < order[v]`` — exact because a valid
+    order confines every alternative path to that strip.  ``op == 1``
+    inserts edge ``u -> v``: the affected region (forward from ``v``,
+    backward from ``u``, both bounded by the violated position interval) is
+    discovered and reassigned in place, touching ``O(affected region)``
+    nodes instead of the whole graph.  Each region is the closure of a seed
+    under one bounded step relation, so it does not depend on the
+    traversal order, and the reassignment sorts by the (distinct) old
+    positions.  Returns ``1`` for "alternative path" / "would close a
+    cycle", else ``0``.
     """
-    backend = get_backend()
-    if backend == "numpy":
-        return numpy_impl.pk_order_numpy(graph, op, u, v)
-    fn = _loop_fn("pk_order_jit", loops.pk_order_loops)
-    return int(
-        fn(
-            graph.succ_pool,
-            graph.succ_start,
-            graph.succ_len,
-            graph.pred_pool,
-            graph.pred_start,
-            graph.pred_len,
-            graph.order,
-            op,
-            u,
-            v,
-            graph.dfs_stack,
-            graph.f_buf,
-            graph.b_buf,
-            graph.dfs_seen,
-            graph.next_stamp(),
-        )
+    succ_pool = graph.succ_pool
+    succ_start = graph.succ_start
+    succ_len = graph.succ_len
+    order = graph.order
+    if op == 0:
+        limit = int(order[v])
+        base = int(succ_start[u])
+        stack = [
+            w
+            for w in succ_pool[base : base + int(succ_len[u])].tolist()
+            if w != v and order[w] < limit
+        ]
+        seen = set(stack)
+        while stack:
+            x = stack.pop()
+            xb = int(succ_start[x])
+            for w in succ_pool[xb : xb + int(succ_len[x])].tolist():
+                if w == v:
+                    return 1
+                if order[w] < limit and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return 0
+
+    lb = int(order[v])
+    ub = int(order[u])
+    if ub < lb:
+        return 0
+    forward = [v]
+    seen_f = {v}
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        xb = int(succ_start[x])
+        for w in succ_pool[xb : xb + int(succ_len[x])].tolist():
+            if w == u:
+                return 1
+            if order[w] <= ub and w not in seen_f:
+                seen_f.add(w)
+                forward.append(w)
+                stack.append(w)
+    pred_pool = graph.pred_pool
+    pred_start = graph.pred_start
+    pred_len = graph.pred_len
+    backward = [u]
+    seen_b = {u}
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        xb = int(pred_start[x])
+        for w in pred_pool[xb : xb + int(pred_len[x])].tolist():
+            if order[w] >= lb and w not in seen_b:
+                seen_b.add(w)
+                backward.append(w)
+                stack.append(w)
+    backward.sort(key=lambda node: order[node])
+    forward.sort(key=lambda node: order[node])
+    region = backward + forward
+    positions = sorted(int(order[node]) for node in region)
+    for node, pos in zip(region, positions):
+        order[node] = pos
+    return 0
+
+
+def hccs_front_mask(lo, hi, num_rows):
+    """Scan-order greedy maximal set of row-disjoint HCcs windows.
+
+    One vectorized conflict scan: window ``k`` (interval ``[lo[k], hi[k]]``)
+    joins the front iff no earlier-scanned window's interval intersects it —
+    *earlier-scanned*, not *earlier-accepted*, so a deferred window still
+    claims its rows and the serial equivalence argument of
+    :func:`hccs_pass_fronts` holds.  Each phase row remembers the first
+    window covering it (``np.minimum.at``); a window is kept iff it is its
+    own interval-wide minimum.
+    """
+    k = lo.shape[0]
+    widths = hi - lo + 1
+    offsets = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(widths, out=offsets[1:])
+    total = int(offsets[-1])
+    rows = np.repeat(lo, widths) + (
+        np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], widths)
+    )
+    scan = np.repeat(np.arange(k, dtype=np.int64), widths)
+    first = np.full(num_rows, k, dtype=np.int64)
+    np.minimum.at(first, rows, scan)
+    return np.minimum.reduceat(first[rows], offsets[:-1]) == np.arange(
+        k, dtype=np.int64
     )
 
 
+def _hccs_front(state: HccsState, front, eps):
+    """Evaluate and apply one row-disjoint window front in a batched sweep.
+
+    ``front`` holds window indices whose feasible phase intervals are
+    pairwise disjoint, so every window sees the same row maxima a serial
+    walk would and the accepted moves scatter without conflicts.  The
+    first-exact-argmin phase choice equals the serial eps-guarded ascending
+    scan under the exact (integer/dyadic) weight regime, where distinct
+    deltas differ by at least one volume unit >> eps.  Returns
+    ``(accepted, moves)`` with moves in front order.
+    """
+    send = state.send
+    recv = state.recv
+    comm_max = state.comm_max
+    choices = state.choices
+    k = front.shape[0]
+    cur = choices[front]
+    lo = state.earliest[front]
+    hi = state.latest[front]
+    vol = state.volumes[front]
+    p1 = state.srcs[front]
+    p2 = state.tgts[front]
+
+    # removal terms: one gathered row block, the moving volume subtracted
+    send_rows = send[cur]
+    send_rows[np.arange(k), p1] -= vol
+    recv_rows = recv[cur]
+    recv_rows[np.arange(k), p2] -= vol
+    removal = np.maximum(send_rows.max(axis=1), recv_rows.max(axis=1)) - comm_max[cur]
+
+    # candidate deltas over the concatenated feasible intervals
+    widths = hi - lo + 1
+    offsets = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(widths, out=offsets[1:])
+    total = int(offsets[-1])
+    rep = np.repeat(np.arange(k, dtype=np.int64), widths)
+    phases = np.repeat(lo, widths) + (
+        np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], widths)
+    )
+    raised = np.maximum(
+        comm_max[phases],
+        np.maximum(send[phases, p1[rep]] + vol[rep], recv[phases, p2[rep]] + vol[rep]),
+    )
+    deltas = (raised - comm_max[phases]) + removal[rep]
+    deltas[phases == cur[rep]] = np.inf  # staying put is not a move
+    best = np.minimum.reduceat(deltas, offsets[:-1])
+    accept = best < -eps
+    if not accept.any():
+        return 0, []
+    # first phase attaining the window minimum (== the serial scan's pick)
+    hit_pos = np.where(
+        deltas == best[rep], np.arange(total, dtype=np.int64), total
+    )
+    firsts = np.minimum.reduceat(hit_pos, offsets[:-1])
+
+    ai = np.flatnonzero(accept)
+    new_phase = phases[firsts[ai]]
+    idx = front[ai]
+    cw = cur[ai]
+    vw = vol[ai]
+    p1w = p1[ai]
+    p2w = p2[ai]
+    # intervals are disjoint across the front, hence so are the touched
+    # rows: the scatter below never collides
+    send[cw, p1w] -= vw
+    recv[cw, p2w] -= vw
+    send[new_phase, p1w] += vw
+    recv[new_phase, p2w] += vw
+    touched = np.concatenate((cw, new_phase))
+    comm_max[touched] = np.maximum(send[touched], recv[touched]).max(axis=1)
+    choices[idx] = new_phase
+    moves = list(zip(idx.tolist(), new_phase.tolist()))
+    return len(moves), moves
+
+
 #: Fronts smaller than this finish the pass serially: the batched sweep's
-#: fixed overhead (concatenated-interval bookkeeping or a compiled call)
-#: is not worth paying for a handful of windows.
+#: fixed overhead (concatenated-interval bookkeeping) is not worth paying
+#: for a handful of windows.
 _FRONT_SERIAL_TAIL = 8
 
 #: A front must also cover at least this fraction of the remaining windows
@@ -358,20 +373,19 @@ _FRONT_SERIAL_TAIL = 8
 _FRONT_MIN_FRACTION = 64
 
 
-@_dispatched
 def hccs_pass_fronts(state: HccsState, eps=_EPS, budget=None):
     """One HCcs pass over all movable windows in batched row-disjoint fronts.
 
     Repeatedly extracts the scan-order-greedy maximal set of windows with
     pairwise-disjoint feasible phase intervals (one vectorized conflict
-    scan), evaluates and applies the whole front in one batched kernel
-    call, and defers the conflicting windows to the next front.  A window
-    only ever joins a front once every lower-scan-position window sharing
-    any of its rows has been applied, so each window observes exactly the
-    row state the serial walk would — under the exact (integer/dyadic)
-    weight regime the accepted moves are identical to
-    ``hccs_pass(state, 0, n, -1, eps)``, and they are returned in that
-    serial scan order.  Returns ``(accepted, moves)``.
+    scan), evaluates and applies the whole front in one batched sweep, and
+    defers the conflicting windows to the next front.  A window only ever
+    joins a front once every lower-scan-position window sharing any of its
+    rows has been applied, so each window observes exactly the row state
+    the serial walk would — under the exact (integer/dyadic) weight regime
+    the accepted moves are identical to ``hccs_pass(state, 0, n, -1,
+    eps)``, and they are returned in that serial scan order.  Returns
+    ``(accepted, moves)``.
     """
     movable = state.movable
     n = int(movable.size)
@@ -380,16 +394,13 @@ def hccs_pass_fronts(state: HccsState, eps=_EPS, budget=None):
     lo_all = state.earliest[movable]
     hi_all = state.latest[movable]
     num_rows = state.send.shape[0]
-    backend = get_backend()
     remaining = np.arange(n, dtype=np.int64)  # scan positions, ascending
     accepted = 0
     tagged: list[tuple[int, int, int]] = []
     while remaining.size:
         if budget is not None and budget.expired():
             break
-        mask = numpy_impl.hccs_front_mask(
-            lo_all[remaining], hi_all[remaining], num_rows
-        )
+        mask = hccs_front_mask(lo_all[remaining], hi_all[remaining], num_rows)
         front_pos = remaining[mask]
         small = front_pos.size <= max(
             _FRONT_SERIAL_TAIL, remaining.size // _FRONT_MIN_FRACTION
@@ -417,80 +428,80 @@ def hccs_pass_fronts(state: HccsState, eps=_EPS, budget=None):
             accepted += got
             break
         front = movable[front_pos]
-        if backend == "numpy":
-            got, front_moves = numpy_impl.hccs_front_numpy(state, front, eps)
-        else:
-            fn = _loop_fn("hccs_pass_jit", loops.hccs_pass_loops)
-            moves_out = np.empty((max(front.size, 1), 2), dtype=np.int64)
-            got = int(
-                fn(
-                    state.send,
-                    state.recv,
-                    state.comm_max,
-                    state.choices,
-                    front,
-                    state.srcs,
-                    state.tgts,
-                    state.earliest,
-                    state.latest,
-                    state.volumes,
-                    0,
-                    front.size,
-                    -1,
-                    eps,
-                    moves_out,
-                )
-            )
-            front_moves = [
-                (int(moves_out[k, 0]), int(moves_out[k, 1])) for k in range(got)
-            ]
+        got, front_moves = _hccs_front(state, front, eps)
         pos_of = dict(zip(front.tolist(), front_pos.tolist()))
         for index, phase in front_moves:
             tagged.append((pos_of[index], index, phase))
-        accepted += int(got)
+        accepted += got
         remaining = remaining[~mask]
     tagged.sort()
     return accepted, [(index, phase) for _, index, phase in tagged]
 
 
-@_dispatched
-def symbolic_fill(indptr, indices, n):
-    """Per-column structure union of the up-looking symbolic factorisation.
-
-    Takes the CSR pattern of the symmetrised matrix; returns the ragged
-    below-diagonal column structures of ``L`` as ``(out_indptr,
-    out_indices, parents)`` with ``parents`` the elimination tree.
-    """
-    backend = get_backend()
-    if backend == "numpy":
-        return numpy_impl.symbolic_fill_numpy(indptr, indices, n)
-    fn = _loop_fn("symbolic_fill_jit", loops.symbolic_fill_loops)
-    return fn(
-        np.ascontiguousarray(indptr, dtype=np.int64),
-        np.ascontiguousarray(indices, dtype=np.int64),
-        n,
-    )
-
-
-@_dispatched
 def symbolic_fill_quotient(indptr, indices, n):
     """Row-merge-tree symbolic factorisation (quotient-graph algorithm).
 
-    Same contract and bit-identical output as :func:`symbolic_fill`
-    (sorted below-diagonal column structures of ``L`` plus the elimination
-    tree), computed via Liu's path-compressed etree and marked row-subtree
-    traversals instead of per-column unions — ``O(|A| · α + |L|)`` total,
-    which is what makes million-column elimination DAGs constructible.
-    The numpy backend runs the walks over plain Python lists
-    (:func:`~repro.core.kernels.numpy_impl.symbolic_fill_quotient_numpy`);
-    the compiled backend jits the identical loop body.
+    Takes the CSR pattern of the symmetrised matrix; returns the sorted
+    below-diagonal column structures of ``L`` as ``(out_indptr,
+    out_indices, parents)`` with ``parents`` the elimination tree (``-1``
+    for roots).  Liu's path-compressed etree followed by marked row-subtree
+    traversals — ``O(|A| · α + |L|)`` total, which is what makes
+    million-column elimination DAGs constructible.  The strictly-lower
+    entries are extracted once with vectorised numpy, and the walks chase
+    plain Python lists (severalfold faster than ndarray scalar indexing).
+    Rows are visited in increasing order, so each column comes out sorted
+    and duplicate-free.
     """
-    backend = get_backend()
-    if backend == "numpy":
-        return numpy_impl.symbolic_fill_quotient_numpy(indptr, indices, n)
-    fn = _loop_fn("symbolic_fill_quotient_jit", loops.symbolic_fill_quotient_loops)
-    return fn(
-        np.ascontiguousarray(indptr, dtype=np.int64),
-        np.ascontiguousarray(indices, dtype=np.int64),
-        n,
-    )
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    lower = indices < rows
+    li = rows[lower].tolist()
+    lj = np.ascontiguousarray(indices)[lower].tolist()
+    parents = [-1] * n
+    ancestor = [-1] * n
+    # pass 1 — Liu's etree: entry (col, i) with i < col re-points i's
+    # compressed ancestor chain at col; the first unset link is the parent
+    for col, i in zip(li, lj):
+        while True:
+            nxt = ancestor[i]
+            if nxt == -1:
+                ancestor[i] = col
+                parents[i] = col
+                break
+            if nxt == col:
+                break
+            ancestor[i] = col
+            i = nxt
+    # pass 2 — row subtrees: row i contributes i to column j, parent(j), ...
+    # up to (excluded) i itself; marks cut every walk at the merge point
+    counts = [0] * n
+    mark = [-1] * n
+    previous = -1
+    for i, j in zip(li, lj):
+        if i != previous:
+            mark[i] = i
+            previous = i
+        while mark[j] != i:
+            counts[j] += 1
+            mark[j] = i
+            j = parents[j]
+    out_indptr = np.zeros(n + 1, dtype=np.int64)
+    if n:
+        np.cumsum(counts, out=out_indptr[1:])
+    # pass 3 — the same walks, now scattering into the flat output pool;
+    # rows arrive in increasing order, so every column comes out sorted
+    out = [0] * int(out_indptr[n])
+    cursor = out_indptr[:n].tolist()
+    mark = [-1] * n
+    previous = -1
+    for i, j in zip(li, lj):
+        if i != previous:
+            mark[i] = i
+            previous = i
+        while mark[j] != i:
+            c = cursor[j]
+            out[c] = i
+            cursor[j] = c + 1
+            mark[j] = i
+            j = parents[j]
+    out_indices = np.asarray(out, dtype=np.int64)
+    return out_indptr, out_indices, np.asarray(parents, dtype=np.int64)

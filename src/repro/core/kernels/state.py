@@ -1,4 +1,4 @@
-"""Columnar state containers shared by the kernel backends."""
+"""Columnar state container of the HCcs pass kernels."""
 
 from __future__ import annotations
 

@@ -39,6 +39,10 @@ __all__ = [
 
 _INT = np.int64
 
+#: the symmetry qualifiers of the coordinate format; all but ``general``
+#: store one triangle, which the reader mirrors
+_SYMMETRIES = ("general", "symmetric", "skew-symmetric", "hermitian")
+
 
 def loads_matrix_market_pattern(text: str) -> SparseMatrixPattern:
     """Parse MatrixMarket coordinate data from a string."""
@@ -79,6 +83,11 @@ def _read(handle: TextIO) -> SparseMatrixPattern:
     symmetry = header[4] if len(header) > 4 else "general"
     if layout != "coordinate":
         raise DagError(f"only coordinate MatrixMarket files are supported, got {layout!r}")
+    if symmetry not in _SYMMETRIES:
+        raise DagError(
+            f"unknown MatrixMarket symmetry {symmetry!r} "
+            f"(expected one of {', '.join(_SYMMETRIES)})"
+        )
 
     size_line = None
     for raw in handle:
@@ -121,21 +130,28 @@ def _read(handle: TextIO) -> SparseMatrixPattern:
         return SparseMatrixPattern.from_csr(
             rows, np.zeros(rows + 1, dtype=_INT), np.empty(0, dtype=_INT)
         )
-    if np.any(table[:, :2] != np.floor(table[:, :2])):
-        k = int(np.argmax((table[:, :2] != np.floor(table[:, :2])).any(axis=1)))
-        raise DagError(
-            f"malformed MatrixMarket entry: non-integer coordinate in row "
-            f"{table[k, 0]:g} {table[k, 1]:g}"
-        )
-    i = table[:, 0].astype(_INT) - 1
-    j = table[:, 1].astype(_INT) - 1
-    bad = (i < 0) | (i >= rows) | (j < 0) | (j >= cols)
+    coords = table[:, :2]
+    # every check runs on the floats: casting inf, nan or a huge value to
+    # int64 warns and wraps, which would misreport the entry
+    for bad, problem in (
+        (~np.isfinite(coords), "non-finite"),
+        (coords != np.floor(coords), "non-integer"),
+    ):
+        if bad.any():
+            k = int(np.argmax(bad.any(axis=1)))
+            raise DagError(
+                f"malformed MatrixMarket entry: {problem} coordinate in row "
+                f"{coords[k, 0]:g} {coords[k, 1]:g}"
+            )
+    bad = (coords < 1).any(axis=1) | (coords[:, 0] > rows) | (coords[:, 1] > cols)
     if bad.any():
         k = int(np.argmax(bad))
         raise DagError(
-            f"entry ({int(i[k]) + 1}, {int(j[k]) + 1}) out of bounds for {rows}x{cols}"
+            f"entry ({coords[k, 0]:g}, {coords[k, 1]:g}) out of bounds for {rows}x{cols}"
         )
-    if symmetry in ("symmetric", "skew-symmetric", "hermitian"):
+    i = coords[:, 0].astype(_INT) - 1
+    j = coords[:, 1].astype(_INT) - 1
+    if symmetry != "general":
         off_diag = i != j
         mirrored_i, mirrored_j = j[off_diag], i[off_diag]
         i = np.concatenate((i, mirrored_i))

@@ -646,8 +646,8 @@ class HillClimbingImprover(ScheduleImprover):
         while improved_any and passes < self.max_passes and not budget.expired():
             improved_any = False
             passes += 1
-            # one dispatched pass over all nodes: the active kernel backend
-            # (numpy / numba) fuses candidate evaluation and acceptance
+            # one kernel pass over all nodes fuses candidate evaluation
+            # and acceptance
             cap = None if max_steps is None else max_steps - accepted
             got, pass_moves = kernels.hc_pass(
                 tracker, 0, num_nodes, cap, _EPS, budget=budget

@@ -247,12 +247,12 @@ class _FlatGraph:
     The same mutable-graph contract as :class:`_MutableGraph`, but with the
     adjacency kept as *pooled sorted rows* (``succ_pool``/``succ_start``/
     ``succ_len`` and the predecessor mirror) instead of dict-of-sets.  The
-    flat successor arrays are exactly what the dispatched acyclicity probe
-    (:func:`repro.core.kernels.coarsen_reach`) walks — a compiled DFS over
-    int64 buffers with reusable stamp/stack scratch, no per-call Python set
-    allocation.  A contraction merges rows as sorted duplicate-free sets
-    (plain Python set-union — far cheaper than a numpy set op on the short
-    rows of bounded-degree DAGs); a merged row that outgrows its slot is
+    flat successor arrays are exactly what the acyclicity probes
+    (:func:`repro.core.kernels.coarsen_reach` and
+    :func:`repro.core.kernels.pk_order`) walk.  A contraction merges rows
+    as sorted duplicate-free sets (plain Python set-union — far cheaper
+    than a numpy set op on the short rows of bounded-degree DAGs); a
+    merged row that outgrows its slot is
     re-appended at the pool tail (per-row capacities, doubling pools), and
     neighbour rows only ever *replace* the removed endpoint by the kept one,
     which can never grow them.
@@ -274,22 +274,13 @@ class _FlatGraph:
         self.comm = dag.comm_weights.astype(np.float64, copy=True)
         self.alive = np.ones(n, dtype=bool)
         self._live = n
-        # reusable DFS scratch for the dispatched reachability probe
-        self.dfs_stack = np.empty(max(n, 1), dtype=np.int64)
-        self.dfs_seen = np.zeros(max(n, 1), dtype=np.int64)
-        self._stamp = 0
         # Pearce–Kelly dynamic topological order (node -> position; dead
-        # nodes leave permanent holes — only relative order matters) plus
-        # the forward/backward region scratch of the pk_order kernel
+        # nodes leave permanent holes — only relative order matters)
         self.order = None
-        self.f_buf = None
-        self.b_buf = None
         if use_order:
             topo = np.asarray(dag.topological_order(), dtype=np.int64)
             self.order = np.empty(max(n, 1), dtype=np.int64)
             self.order[topo] = np.arange(n, dtype=np.int64)
-            self.f_buf = np.empty(max(n, 1), dtype=np.int64)
-            self.b_buf = np.empty(max(n, 1), dtype=np.int64)
 
     @staticmethod
     def _sorted_rows(indptr, indices, n):
@@ -324,10 +315,6 @@ class _FlatGraph:
         out = {(v, w) for w in self.succ_row(v).tolist()}
         out |= {(w, v) for w in self.pred_row(v).tolist()}
         return out
-
-    def next_stamp(self) -> int:
-        self._stamp += 1
-        return self._stamp
 
     # ------------------------------------------------------------------ #
     def is_contractable(self, u: int, v: int, budget: int | None = None) -> bool:

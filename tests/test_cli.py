@@ -105,18 +105,6 @@ class TestSchedule:
         assert loaded.machine.num_procs == 8
 
 
-class TestKernelsCommand:
-    def test_lists_every_registered_kernel(self, capsys):
-        from repro.core import kernels
-
-        assert main(["kernels"]) == 0
-        out = capsys.readouterr().out
-        assert "active backend:" in out
-        for name, summary in kernels.KERNELS.items():
-            assert name in out
-            assert summary in out
-
-
 class TestCompare:
     def test_compare_prints_cost_table(self, hyperdag_file, capsys):
         code = main(

@@ -21,6 +21,9 @@ from conftest import assert_valid_schedule, build_chain_dag, build_diamond_dag
 from repro.dagdb import SparseMatrixPattern, build_spmv_dag
 
 TIME_LIMIT = 10.0
+#: branch-and-bound cap for the tests that would otherwise run HiGHS to the
+#: wall clock on ``small_instance``: deterministic and a few seconds each
+NODE_LIMIT = 200
 
 
 @pytest.fixture
@@ -95,7 +98,7 @@ class TestIlpFull:
     def test_improves_or_keeps_cost(self, small_instance):
         dag, machine = small_instance
         start = RoundRobinScheduler().schedule(dag, machine)
-        improved = IlpFullImprover(time_limit=TIME_LIMIT).improve(start)
+        improved = IlpFullImprover(time_limit=None, node_limit=NODE_LIMIT).improve(start)
         assert improved.cost() <= start.cost()
         assert_valid_schedule(improved)
 
@@ -119,7 +122,9 @@ class TestIlpPartial:
     def test_never_worse_and_valid(self, small_instance):
         dag, machine = small_instance
         start = RoundRobinScheduler().schedule(dag, machine)
-        improved = IlpPartialImprover(time_limit_per_window=TIME_LIMIT).improve(start)
+        improved = IlpPartialImprover(
+            time_limit_per_window=None, node_limit=NODE_LIMIT
+        ).improve(start)
         assert improved.cost() <= start.cost()
         assert_valid_schedule(improved)
 
@@ -174,7 +179,9 @@ class TestIlpInit:
     @pytest.mark.slow
     def test_produces_valid_schedule(self, small_instance):
         dag, machine = small_instance
-        schedule = IlpInitScheduler(time_limit_per_batch=TIME_LIMIT).schedule(dag, machine)
+        schedule = IlpInitScheduler(
+            time_limit_per_batch=None, node_limit=NODE_LIMIT
+        ).schedule(dag, machine)
         assert_valid_schedule(schedule)
         assert schedule.dag is dag
 
@@ -215,7 +222,9 @@ class TestIlpInit:
     @pytest.mark.slow
     def test_better_than_random_on_small_instance(self, small_instance):
         dag, machine = small_instance
-        ilp_init = IlpInitScheduler(time_limit_per_batch=TIME_LIMIT).schedule(dag, machine)
+        ilp_init = IlpInitScheduler(
+            time_limit_per_batch=None, node_limit=NODE_LIMIT
+        ).schedule(dag, machine)
         random_like = RoundRobinScheduler().schedule(dag, machine)
         assert ilp_init.cost() <= random_like.cost()
 

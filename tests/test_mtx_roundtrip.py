@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -84,8 +86,37 @@ class TestMalformedInputs:
             "%%MatrixMarket matrix coordinate real general\n2 2 1\n1\n",  # short entry
             "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 oops\n",  # bad field
             "%%MatrixMarket matrix coordinate real general\n2 2 1\n1.7 2 1\n",  # non-integer coord
+            "%%MatrixMarket matrix coordinate pattern weird\n2 2 1\n1 1\n",  # bad symmetry
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\ninf 1\n",  # non-finite
         ],
     )
     def test_raises_clean_dag_error(self, text):
         with pytest.raises(DagError):
             loads_matrix_market_pattern(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "%%MatrixMarket matrix coordinate pattern weird\n2 2 1\n1 1\n",
+                "unknown MatrixMarket symmetry 'weird'",
+            ),
+            (
+                "%%MatrixMarket matrix coordinate pattern general\n2 2 1\ninf 1\n",
+                "non-finite coordinate in row inf 1",
+            ),
+            (
+                "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 nan\n",
+                "non-finite coordinate in row 1 nan",
+            ),
+            (
+                "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1e300 1\n",
+                r"entry \(1e\+300, 1\) out of bounds for 2x2",
+            ),
+        ],
+    )
+    def test_error_names_the_problem(self, text, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy cast warning on the way
+            with pytest.raises(DagError, match=message):
+                loads_matrix_market_pattern(text)

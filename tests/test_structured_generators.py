@@ -38,19 +38,27 @@ class TestEliminationDag:
 
     def test_fill_structure_matches_dense_elimination(self):
         """The symbolic structures equal a brute-force elimination on the dense graph."""
-        pattern = SparseMatrixPattern.random(14, 0.2, seed=5, ensure_diagonal=True)
-        structures, parents = symbolic_fill_structure(pattern)
-        adj = pattern.symmetrized().to_dense().astype(bool)
-        n = pattern.size
-        for j in range(n):
-            higher = set(np.flatnonzero(adj[j]).tolist()) - set(range(j + 1))
-            # brute force: eliminating j connects its remaining neighbours
-            for i in sorted(higher):
-                adj[i, list(higher - {i})] = True
-                adj[list(higher - {i}), i] = True
-            assert structures[j].tolist() == sorted(higher), j
-            expected_parent = min(higher) if higher else -1
-            assert parents[j] == expected_parent
+        patterns = [
+            SparseMatrixPattern.random(14, density, seed=seed, ensure_diagonal=True)
+            for seed in (5, 6, 7)
+            for density in (0.1, 0.25)
+        ]
+        # arrowhead: the dense first row/column fills everything at step 0
+        n = 9
+        coords = [(0, j) for j in range(n)] + [(i, 0) for i in range(n)]
+        patterns.append(SparseMatrixPattern.from_coordinates(n, coords))
+        for pattern in patterns:
+            structures, parents = symbolic_fill_structure(pattern)
+            adj = pattern.symmetrized().to_dense().astype(bool)
+            for j in range(pattern.size):
+                higher = set(np.flatnonzero(adj[j]).tolist()) - set(range(j + 1))
+                # brute force: eliminating j connects its remaining neighbours
+                for i in sorted(higher):
+                    adj[i, list(higher - {i})] = True
+                    adj[list(higher - {i}), i] = True
+                assert structures[j].tolist() == sorted(higher), (pattern, j)
+                expected_parent = min(higher) if higher else -1
+                assert parents[j] == expected_parent
 
     def test_arrowhead_fills_completely(self):
         """Row/column 0 dense: eliminating column 0 connects everything."""
