@@ -40,6 +40,7 @@ from ..core.serialization import (
     machine_from_dict,
     machine_to_dict,
 )
+from ..core.wire import as_int, as_mapping
 from ..schedulers.base import Budget
 from .spec import SchedulerSpec
 
@@ -186,11 +187,12 @@ class ScheduleRequest:
     def from_dict(cls, data: dict) -> "ScheduleRequest":
         """Rebuild a request from :meth:`to_dict` output."""
         try:
+            data = as_mapping(data, "schedule request")
             if "dag_ref" in data:
                 dag: dict | str = str(data["dag_ref"])
             else:
                 dag = dict(data["dag"])
-            machine_data = data["machine"]
+            machine_data = as_mapping(data["machine"], "machine")
             # an explicit NUMA matrix marks a materialised machine; the
             # four-scalar form is a declarative spec
             if "numa" in machine_data:
@@ -199,8 +201,12 @@ class ScheduleRequest:
                 machine = MachineSpec.from_dict(machine_data)
             scheduler = SchedulerSpec.from_dict(data["scheduler"])
             budget_data = data.get("budget")
-            budget = None if budget_data is None else Budget.from_dict(budget_data)
-            seed = int(data.get("seed", 0))
+            budget = (
+                None
+                if budget_data is None
+                else Budget.from_dict(as_mapping(budget_data, "budget"))
+            )
+            seed = as_int(data.get("seed", 0), "seed")
         except (KeyError, TypeError, ValueError) as exc:
             raise ReproError(f"malformed schedule request: {exc}") from exc
         return cls(

@@ -41,6 +41,7 @@ from typing import Callable
 from ..core.exceptions import ReproError
 from ..core.schedule import BspSchedule
 from ..core.serialization import schedule_from_dict, schedule_to_dict
+from ..core.wire import as_mapping
 from ..schedulers.pipeline import StageCosts
 
 __all__ = ["ScheduleResult"]
@@ -186,21 +187,22 @@ class ScheduleResult:
         provenance are available without it.
         """
         try:
+            data = as_mapping(data, "schedule result")
             stages_data = data.get("stages")
+            breakdown = as_mapping(data.get("breakdown", {}), "breakdown")
+            timings = as_mapping(data.get("timings", {}), "timings")
             return cls(
                 scheduler=str(data["scheduler"]),
                 fingerprint=str(data["fingerprint"]),
                 cost=float(data["cost"]),
-                breakdown={
-                    str(k): float(v) for k, v in data.get("breakdown", {}).items()
-                },
+                breakdown={str(k): float(v) for k, v in breakdown.items()},
                 num_supersteps=int(data["num_supersteps"]),
                 stages=(
-                    None if stages_data is None else StageCosts.from_dict(stages_data)
+                    None
+                    if stages_data is None
+                    else StageCosts.from_dict(as_mapping(stages_data, "stages"))
                 ),
-                timings={
-                    str(k): float(v) for k, v in data.get("timings", {}).items()
-                },
+                timings={str(k): float(v) for k, v in timings.items()},
                 cache_hit=bool(data.get("cache_hit", False)),
                 _schedule_dict=dict(data["schedule"]),
                 _dag_resolver=dag_resolver,

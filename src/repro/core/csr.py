@@ -30,7 +30,6 @@ __all__ = [
     "gather_rows",
     "group_min_by_pair",
     "group_min_table",
-    "row_max_excluding",
     "topological_levels",
     "bottom_levels_csr",
     "reachable_mask",
@@ -139,22 +138,6 @@ def group_min_table(
     if rows.size:
         np.minimum.at(table, (rows, cols), values)
     return table
-
-
-def row_max_excluding(values: np.ndarray) -> np.ndarray:
-    """``out[i] = max(values[j] for j != i)`` for a 1-D array.
-
-    Computed from the top-2 entries, so one O(n) pass instead of n masked
-    maxima.  For a single-element array the exclusion is empty and the
-    result is ``-inf``.
-    """
-    if values.size == 1:
-        return np.full(1, -np.inf)
-    top = int(np.argmax(values))
-    rest = np.delete(values, top)
-    out = np.full(values.size, values[top], dtype=np.float64)
-    out[top] = rest.max()
-    return out
 
 
 def topological_levels(

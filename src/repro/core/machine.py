@@ -19,11 +19,13 @@ from processor 1 are ``λ[0][1] = 1``, ``λ[0][2..3] = 3`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import MachineError
+from .wire import as_float, as_int, as_mapping
 
 __all__ = ["BspMachine", "MachineSpec"]
 
@@ -59,10 +61,13 @@ class BspMachine:
     def __post_init__(self) -> None:
         if self.num_procs < 1:
             raise MachineError(f"num_procs must be >= 1, got {self.num_procs}")
-        if self.g < 0:
-            raise MachineError(f"g must be non-negative, got {self.g}")
-        if self.latency < 0:
-            raise MachineError(f"latency must be non-negative, got {self.latency}")
+        # a plain ``< 0`` test lets NaN through
+        if not (math.isfinite(self.g) and self.g >= 0):
+            raise MachineError(f"g must be finite and non-negative, got {self.g}")
+        if not (math.isfinite(self.latency) and self.latency >= 0):
+            raise MachineError(
+                f"latency must be finite and non-negative, got {self.latency}"
+            )
         numa = self.numa
         if numa is None:
             numa = _uniform_numa(self.num_procs)
@@ -73,8 +78,8 @@ class BspMachine:
                     f"numa matrix must be {self.num_procs}x{self.num_procs}, "
                     f"got shape {numa.shape}"
                 )
-            if np.any(numa < 0):
-                raise MachineError("numa multipliers must be non-negative")
+            if not np.all((numa >= 0) & np.isfinite(numa)):
+                raise MachineError("numa multipliers must be finite and non-negative")
             if np.any(np.diag(numa) != 0):
                 raise MachineError("numa matrix diagonal must be zero")
         numa.flags.writeable = False
@@ -228,12 +233,13 @@ class MachineSpec:
     def from_dict(cls, data: dict) -> "MachineSpec":
         """Rebuild a spec from :meth:`to_dict` output."""
         try:
+            data = as_mapping(data, "machine spec")
             delta = data.get("numa_delta")
             return cls(
-                num_procs=int(data["num_procs"]),
-                g=float(data.get("g", 1.0)),
-                latency=float(data.get("latency", 5.0)),
-                numa_delta=None if delta is None else float(delta),
+                num_procs=as_int(data["num_procs"], "num_procs"),
+                g=as_float(data.get("g", 1.0), "g"),
+                latency=as_float(data.get("latency", 5.0), "latency"),
+                numa_delta=None if delta is None else as_float(delta, "numa_delta"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise MachineError(f"malformed machine spec: {exc}") from exc

@@ -26,6 +26,7 @@ from .dag import ComputationalDAG
 from .exceptions import ReproError
 from .machine import BspMachine
 from .schedule import BspSchedule
+from .wire import as_float, as_int
 
 __all__ = [
     "dag_to_dict",
@@ -82,9 +83,9 @@ def machine_from_dict(data: dict[str, Any]) -> BspMachine:
     """Rebuild a machine from :func:`machine_to_dict` output."""
     try:
         return BspMachine(
-            num_procs=int(data["num_procs"]),
-            g=float(data["g"]),
-            latency=float(data["latency"]),
+            num_procs=as_int(data["num_procs"], "num_procs"),
+            g=as_float(data["g"], "g"),
+            latency=as_float(data["latency"], "latency"),
             numa=np.asarray(data["numa"], dtype=np.float64),
         )
     except (KeyError, TypeError, ValueError) as exc:

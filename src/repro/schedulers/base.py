@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from ..core.dag import ComputationalDAG
 from ..core.machine import BspMachine
 from ..core.schedule import BspSchedule
+from ..core.wire import as_int
 
 __all__ = [
     "Budget",
@@ -148,8 +149,10 @@ class Budget(TimeBudget):
         node_limit = data.get("ilp_node_limit")
         return cls(
             seconds=None if seconds is None else float(seconds),
-            max_steps=None if max_steps is None else int(max_steps),
-            ilp_node_limit=None if node_limit is None else int(node_limit),
+            max_steps=None if max_steps is None else as_int(max_steps, "max_steps"),
+            ilp_node_limit=(
+                None if node_limit is None else as_int(node_limit, "ilp_node_limit")
+            ),
         )
 
 

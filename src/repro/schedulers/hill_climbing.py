@@ -9,27 +9,28 @@ implements.
 
 Cost changes are maintained incrementally through :class:`LazyCostTracker`,
 which keeps per-superstep/per-processor work, send and receive volumes under
-the lazy communication schedule.  Candidate evaluation is a **batched,
-read-only neighbourhood pass**: for every node ``v``,
-:meth:`LazyCostTracker.candidate_deltas` computes the exact cost delta of
-all ``3 x P`` candidate ``(superstep, processor)`` moves at once —
+the lazy communication schedule, plus every node's "first superstep that
+needs its value on each processor" table.  Candidate evaluation is a
+**read-only block evaluation**: :meth:`LazyCostTracker.candidate_deltas`
+computes the exact cost delta of all ``3 x P`` candidate ``(superstep,
+processor)`` moves of a whole run of nodes against the current state at
+once —
 
-* validity masks from the predecessor/successor CSR slices,
-* work deltas from the affected row maxima (max-excluding via the row's
-  top-2 entries),
-* send/receive deltas from a per-node transfer table: the "first superstep
-  that needs the value on each processor" minima of ``v`` and of all its
-  predecessors, gathered in one ragged CSR pass
-  (:func:`repro.core.csr.group_min_table`), scattered into per-candidate
-  sparse row diffs and reduced with one tensor ``max``.
+* validity masks from the flattened predecessor/successor CSR slices,
+* work deltas from the affected row maxima,
+* send/receive deltas from the first-need tables of the nodes and of their
+  predecessors, scattered into one tensor over the block's touched traffic
+  rows, reduced with one ``max`` and summed per node.
 
-Only the single accepted move then mutates the tracker through
-:meth:`LazyCostTracker.apply_move` — the seed implementation instead paid
-two full ``apply_move`` calls (probe + inverse rollback) per *rejected*
-candidate, each re-deriving the transfers of ``v`` and all its predecessors
-in Python.  That seed walker is retained verbatim as
+The pass loop :func:`repro.core.kernels.hc_pass` applies the block's
+first improving move through :meth:`LazyCostTracker.apply_move` and resumes
+after it, so every node is scored against exactly the state a node-by-node
+walk would show it.  The seed implementation instead paid two full
+``apply_move`` calls (probe + inverse rollback) per *rejected* candidate,
+each re-deriving the transfers of ``v`` and all its predecessors in Python.
+That seed walker is retained verbatim as
 :class:`repro.schedulers.reference.HillClimbingImproverReference` and the
-batched path is pinned to it **move for move** (identical accepted-move
+block path is pinned to it **move for move** (identical accepted-move
 sequences and final ``(π, τ)``) by the differential tests; on
 integer/dyadic-weight instances — every generator in this repository — the
 two paths are bit-identical, not merely equal in cost.
@@ -40,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import kernels
-from ..core.csr import NO_ENTRY, gather_rows, group_min_by_pair, row_max_excluding
+from ..core.csr import NO_ENTRY, gather_rows, group_min_by_pair
 from ..core.dag import ComputationalDAG
 from ..core.machine import BspMachine
 from ..core.schedule import BspSchedule
@@ -50,6 +51,16 @@ __all__ = ["LazyCostTracker", "HillClimbingImprover"]
 
 _EPS = 1e-9
 _INT = np.int64
+#: candidate steps relative to τ(v), in scan order
+_STEP_OFFSETS = np.array((-1, 0, 1), dtype=_INT)
+#: traffic rows relative to τ(v) that every candidate of v can touch
+_STEP_ROWS = _STEP_OFFSETS - 1
+#: cap on the working cells of one scored block: ``P`` per touched traffic
+#: row and column (a step's candidate tensor, per send/receive side) plus
+#: ``P`` per predecessor entry (a step's scatter lists).  It bounds a
+#: block's memory, so :meth:`LazyCostTracker.candidate_deltas` may score
+#: fewer nodes than asked for (never fewer than one).
+_BLOCK_CELLS = 1 << 16
 
 
 class LazyCostTracker:
@@ -81,8 +92,12 @@ class LazyCostTracker:
         P = machine.num_procs
         S = max(self.num_supersteps, 1)
         self.work = np.zeros((S, P), dtype=np.float64)
-        self.send = np.zeros((S, P), dtype=np.float64)
-        self.recv = np.zeros((S, P), dtype=np.float64)
+        #: send and receive volumes stacked column-wise, one row per
+        #: (side, processor): ``send = traffic[:P].T``, ``recv =
+        #: traffic[P:].T``, so one gather reads both sides of a superstep
+        self.traffic = np.zeros((2 * P, S), dtype=np.float64)
+        self.send = self.traffic[:P].T
+        self.recv = self.traffic[P:].T
         self._work_max = np.zeros(S, dtype=np.float64)
         self._comm_max = np.zeros(S, dtype=np.float64)
         self._need = np.empty(P, dtype=np.int64)  # scratch for _transfers_of
@@ -150,7 +165,7 @@ class LazyCostTracker:
                 np.add.at(self.send, (sw - 1, pv), volumes)
                 np.add.at(self.recv, (sw - 1, q), volumes)
         np.max(self.work, axis=1, out=self._work_max)
-        np.maximum(self.send, self.recv).max(axis=1, out=self._comm_max)
+        self.traffic.max(axis=0, out=self._comm_max)
 
     # ------------------------------------------------------------------ #
     # cost
@@ -165,7 +180,7 @@ class LazyCostTracker:
 
     def _refresh_superstep(self, s: int) -> None:
         self._work_max[s] = self.work[s].max()
-        self._comm_max[s] = np.maximum(self.send[s], self.recv[s]).max()
+        self._comm_max[s] = self.traffic[:, s].max()
 
     # ------------------------------------------------------------------ #
     # moves
@@ -191,278 +206,229 @@ class LazyCostTracker:
                 return False
         return True
 
-    def candidate_validity(self, v: int) -> np.ndarray:
-        """Boolean ``(3, P)`` mask of the valid single-node moves of ``v``.
+    def candidate_deltas(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact cost deltas of the ``3 x P`` candidate moves of a block of nodes.
 
-        Row ``i`` covers superstep ``τ(v) - 1 + i``; the current position is
-        masked out.  Semantically identical to calling :meth:`is_valid_move`
-        for every candidate, but evaluated from the CSR neighbour slices in
-        a handful of vector operations: a predecessor scheduled *after* a
-        candidate step kills the whole step, predecessors/successors *tied*
-        at the step force the single processor they occupy.
-        """
-        P = self.machine.num_procs
-        S = self.num_supersteps
-        s0 = int(self.supersteps[v])
-        preds = self.dag.pred(v)
-        succs = self.dag.succ(v)
-        sp = self.supersteps[preds]
-        pp = self.procs[preds]
-        sw = self.supersteps[succs]
-        pw = self.procs[succs]
-        valid = np.zeros((3, P), dtype=bool)
-        for i, s in enumerate((s0 - 1, s0, s0 + 1)):
-            if not 0 <= s < S:
-                continue
-            forced = -1
-            if preds.size:
-                if (sp > s).any():
-                    continue
-                tied = pp[sp == s]
-                if tied.size:
-                    forced = int(tied[0])
-                    if (tied != forced).any():
-                        continue
-            if succs.size:
-                if (sw < s).any():
-                    continue
-                tied = pw[sw == s]
-                if tied.size:
-                    succ_forced = int(tied[0])
-                    if (tied != succ_forced).any():
-                        continue
-                    if 0 <= forced != succ_forced:
-                        continue
-                    forced = succ_forced
-            if forced >= 0:
-                valid[i, forced] = True
-            else:
-                valid[i, :] = True
-        valid[1, int(self.procs[v])] = False
-        return valid
+        Scores the nodes of the 1-D array ``nodes`` against the current
+        state, read-only.  Returns ``(deltas, valid)``, both of shape
+        ``(K, 3, P)``, for the first ``K`` nodes: ``deltas[k, i, q]`` is the
+        change of the tracked cost (work + g·comm; latency is constant) if
+        ``nodes[k]`` alone moves to ``(superstep τ - 1 + i, processor q)``,
+        and ``valid[k, i, q]`` says whether that move keeps the schedule
+        valid (staying put never does).  Invalid entries are meaningless.
+        ``K`` is the longest prefix, and at least one node, whose working
+        arrays stay within ``_BLOCK_CELLS`` cells.  For a valid candidate the
+        value equals what :meth:`apply_move` would return (bit-identically
+        so under exact — integer/dyadic — weight arithmetic).
 
-    def candidate_deltas(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """Exact cost deltas of all ``3 x P`` candidate moves of ``v`` (read-only).
-
-        Returns ``(deltas, valid)`` where ``deltas[i, q]`` is the change of
-        the tracked cost (work + g·comm; latency is constant) if ``v`` moves
-        to ``(superstep τ(v) - 1 + i, processor q)``.  Entries with
-        ``valid[i, q] == False`` are meaningless.  The tracker state is not
-        modified; for a valid candidate the value equals what
-        :meth:`apply_move` would return (bit-identically so under exact —
-        integer/dyadic — weight arithmetic).
+        Every per-node table is a segment of one flat array: predecessor
+        entries carry their node's block index ``k``, and traffic row ``t``
+        of node ``k`` is keyed ``k * S + t``, so one ``unique`` serves the
+        whole block and ``np.add.reduceat`` sums each node's rows (a node
+        owns at least its rows ``τ - 2 .. τ``, so no segment is empty).
         """
         dag = self.dag
-        machine = self.machine
-        numa = machine.numa
-        P = machine.num_procs
-        S = self.num_supersteps
-        p0 = int(self.procs[v])
-        s0 = int(self.supersteps[v])
-        steps3 = (s0 - 1, s0, s0 + 1)
+        numa = self.machine.numa
+        P = self.machine.num_procs
+        stride = max(self.num_supersteps, 1)
+        nodes = np.asarray(nodes, dtype=_INT)
+        K = nodes.size
+        if K == 0:
+            return np.zeros((0, 3, P)), np.zeros((0, 3, P), dtype=bool)
+        kr = np.arange(K, dtype=_INT)
+        p0 = self.procs[nodes]
+        s0 = self.supersteps[nodes]
 
-        valid = self.candidate_validity(v)
-        deltas = np.zeros((3, P), dtype=np.float64)
-        if not valid.any():
-            return deltas, valid
+        # first superstep needing each predecessor's value on each processor,
+        # v excluded.  v only ever contributes the entry (p0, s0), so the
+        # maintained rows are already v-free everywhere except possibly
+        # column p0 — and there only when v is the *sole* achiever of the
+        # minimum (need == s0 with count 1), in which case that entry is
+        # rescanned from the predecessor's successor row without v.
+        preds, pred_off = gather_rows(dag.pred_indptr, dag.pred_indices, nodes)
+        pk = np.repeat(kr, np.diff(pred_off))  # block index of each entry
+        table = self.need_min[preds]
+        p0k = p0[pk]
+        suspects = np.flatnonzero(
+            (table[np.arange(preds.size), p0k] == s0[pk])
+            & (self.need_cnt[preds, p0k] == 1)
+        )
+        if suspects.size:
+            flat, offsets = gather_rows(dag.succ_indptr, dag.succ_indices, preds[suspects])
+            rows_idx = np.repeat(np.arange(suspects.size, dtype=_INT), np.diff(offsets))
+            owner = pk[suspects][rows_idx]
+            keep = (flat != nodes[owner]) & (self.procs[flat] == p0[owner])
+            col = np.full(suspects.size, NO_ENTRY, dtype=_INT)
+            np.minimum.at(col, rows_idx[keep], self.supersteps[flat[keep]])
+            table[suspects, p0k[suspects]] = col
+
+        # every traffic row a candidate can touch: v's transfer phases, the
+        # predecessors' v-free phases and the phases just below the three
+        # candidate steps.  Phases of *invalid* candidates may fall outside
+        # [0, S); they are clipped — the clipped updates only pollute rows
+        # of candidates the validity mask discards.  ``unique``'s inverse
+        # places every piece on its row, so no row is searched for later.
+        need_v = self.need_min[nodes]
+        tk, tq = np.nonzero(need_v != NO_ENTRY)  # v's transfer targets
+        fe, fq = np.nonzero(table != NO_ENTRY)  # predecessors' other needs
+        phases = np.concatenate(
+            (need_v[tk, tq] - 1, table[fe, fq] - 1, (s0[:, None] + _STEP_ROWS).ravel())
+        )
+        keys, at = np.unique(
+            np.concatenate((tk, pk[fe], np.repeat(kr, 3))) * stride
+            + np.minimum(np.maximum(phases, 0), stride - 1),
+            return_inverse=True,
+        )
+        at_t, at_f, at_s = at[: tk.size], at[tk.size : -3 * K], at[-3 * K :].reshape(K, 3)
+        ends = np.searchsorted(keys, (kr + 1) * stride)  # end of each node's rows
+        # a prefix's working cells: its candidate tensor and scatter lists
+        cells = P * (P * ends + pred_off[1:])
+        fit = max(1, int(np.searchsorted(cells, _BLOCK_CELLS, side="right")))
+        if fit < K:
+            K = fit
+            E = int(pred_off[K])
+            kr, nodes, p0, s0, at_s = kr[:K], nodes[:K], p0[:K], s0[:K], at_s[:K]
+            preds, pk, p0k, table = preds[:E], pk[:E], p0k[:E], table[:E]
+            nt, nf = np.searchsorted(tk, K), np.searchsorted(fe, E)
+            tk, tq, at_t, fe, fq, at_f = tk[:nt], tq[:nt], at_t[:nt], fe[:nf], fq[:nf], at_f[:nf]
+            keys = keys[: ends[K - 1]]
+        R = keys.size
+        rows = keys % stride
+        at_table = np.empty(table.shape, dtype=_INT)  # row of each finite need
+        at_table[fe, fq] = at_f
+
+        valid = self._block_validity(nodes, preds, pk, p0, s0)
 
         # --- work component ------------------------------------------- #
-        w = dag.work(v)
+        # weights are non-negative, so adding w at q never lowers the row
+        # and max(m0, row + w) is the row maximum after the move
+        w = dag.work_weights[nodes][:, None]
         wm = self._work_max
-        removed0 = self.work[s0].copy()
-        removed0[p0] -= w
-        m0 = removed0.max()  # row s0 maximum once v's work is gone
-        for i, s in enumerate(steps3):
-            if not valid[i].any():
-                continue
-            if s == s0:
-                # the row both loses w at p0 and gains w at the candidate q
-                excl = row_max_excluding(removed0)
-                deltas[i] = np.maximum(excl, removed0 + w) - wm[s0]
-            else:
-                row = self.work[s]
-                deltas[i] = (np.maximum(wm[s], row + w) - wm[s]) + (m0 - wm[s0])
+        removed0 = self.work[s0]
+        removed0[kr, p0] -= w[:, 0]
+        m0 = removed0.max(axis=1)
+        deltas = np.empty((K, 3, P))
+        deltas[:, 1] = np.maximum(m0[:, None], removed0 + w) - wm[s0][:, None]
+        for i, s in ((0, np.maximum(s0 - 1, 0)), (2, np.minimum(s0 + 1, stride - 1))):
+            wms = wm[s][:, None]
+            deltas[:, i] = (np.maximum(wms, self.work[s] + w) - wms) + (m0 - wm[s0])[:, None]
 
         # --- communication component ----------------------------------- #
-        preds = dag.pred(v)
-        succs = dag.succ(v)
-        if preds.size == 0 and succs.size == 0:
-            return deltas, valid  # isolated node: work deltas only
-
-        g = machine.g
-        c_v = dag.comm(v)
-        top = max(S - 1, 0)
-
-        # first superstep needing v's value on each processor: exactly
-        # v's row of the incrementally maintained first-need table
-        need_v = self.need_min[v]
-        targets_v = np.flatnonzero(need_v != NO_ENTRY)
-        phases_v = need_v[targets_v] - 1
-
-        # per-predecessor "first need on each processor" table, v excluded.
-        # v only ever contributes the entry (p0, s0), so the maintained rows
-        # are already v-free everywhere except possibly column p0 — and
-        # there only when v is the *sole* achiever of the minimum
-        # (need == s0 with count 1), in which case that entry is rescanned
-        # from the predecessor's successor row without v.
-        d = preds.size
-        if d:
-            table = self.need_min[preds].copy()
-            suspects = np.flatnonzero(
-                (table[:, p0] == s0) & (self.need_cnt[preds, p0] == 1)
-            )
-            if suspects.size:
-                sole = preds[suspects]
-                flat, offsets = gather_rows(dag.succ_indptr, dag.succ_indices, sole)
-                rows_idx = np.repeat(
-                    np.arange(sole.size, dtype=_INT), np.diff(offsets)
-                )
-                keep = (flat != v) & (self.procs[flat] == p0)
-                col = np.full(sole.size, NO_ENTRY, dtype=_INT)
-                np.minimum.at(col, rows_idx[keep], self.supersteps[flat[keep]])
-                table[suspects, p0] = col
-            pred_procs = self.procs[preds]
-            pred_vols = dag.comm_weights[preds][:, None] * numa[pred_procs]  # (d, P)
-        else:
-            table = np.empty((0, P), dtype=_INT)
-            pred_procs = np.empty(0, dtype=_INT)
-            pred_vols = np.empty((0, P), dtype=np.float64)
-
-        foreign = np.flatnonzero(pred_procs != p0)  # preds that transfer to p0
-        old_need_p0 = np.minimum(table[foreign, p0], s0)
-        finite_p0 = foreign[table[foreign, p0] != NO_ENTRY]
-
-        # ---- the two step-only candidates (q == p0, s = s0 ± 1) -------- #
-        # v's own transfers are untouched (same source, same targets, and
-        # their phases depend only on the successors' supersteps); only the
-        # predecessors' transfers *to p0* can move phase.
-        for i, s in ((0, s0 - 1), (2, s0 + 1)):
-            if not valid[i, p0]:
-                continue
-            comm_delta = 0.0
-            if foreign.size:
-                new_need_p0 = np.minimum(table[foreign, p0], s)
-                changed = np.flatnonzero(new_need_p0 != old_need_p0)
-                if changed.size:
-                    u = foreign[changed]
-                    vols = pred_vols[u, p0]
-                    touched = np.unique(
-                        np.concatenate(
-                            (old_need_p0[changed] - 1, new_need_p0[changed] - 1)
-                        )
-                    )
-                    dsend = np.zeros((touched.size, P))
-                    drecv = np.zeros((touched.size, P))
-                    lo = np.searchsorted(touched, old_need_p0[changed] - 1)
-                    ln = np.searchsorted(touched, new_need_p0[changed] - 1)
-                    np.add.at(dsend, (lo, pred_procs[u]), -vols)
-                    np.add.at(drecv, (lo, p0), -vols)
-                    np.add.at(dsend, (ln, pred_procs[u]), vols)
-                    np.add.at(drecv, (ln, p0), vols)
-                    row_max = np.maximum(
-                        self.send[touched] + dsend, self.recv[touched] + drecv
-                    ).max(axis=1)
-                    comm_delta = float((row_max - self._comm_max[touched]).sum())
-            deltas[i, p0] += g * comm_delta
-
-        # ---- the proc-change candidates (q != p0, all three steps) ----- #
-        # Collect every superstep phase any candidate can touch.  Phases of
-        # *invalid* candidates may fall outside [0, S); they are clipped —
-        # the clipped updates only pollute rows of candidates the validity
-        # mask discards (a valid move never produces an out-of-range phase).
-        finite_entries = table[table != NO_ENTRY]
-        pieces = np.concatenate(
-            (
-                phases_v,
-                finite_entries - 1,
-                old_need_p0 - 1,
-                np.array((s0 - 2, s0 - 1, s0), dtype=_INT),
-            )
-        )
-        touched = np.unique(np.minimum(np.maximum(pieces, 0), top))
-        T = touched.size
-
-        def loc(phases: np.ndarray) -> np.ndarray:
-            return np.searchsorted(touched, np.minimum(np.maximum(phases, 0), top))
+        # The traffic rows of the candidates (i, q) of one step i are
+        # scattered into the flat cells of a (send/recv column, target q,
+        # row) tensor: with the columns outermost, every row maximum is one
+        # elementwise maximum over 2P contiguous slabs.  Pairs with a zero
+        # NUMA multiplier (a processor "sending" to itself) add zero volume,
+        # so they are scattered along instead of masked out.
+        c_v = dag.comm_weights[nodes]
+        pp = self.procs[preds]
+        pvol = dag.comm_weights[preds][:, None] * numa[pp]  # (E, P)
+        procs = np.arange(P, dtype=_INT)
 
         # candidate-independent diffs: v's old transfers disappear, the
-        # predecessors' transfers to p0 move to their v-free phase
-        dsend_c = np.zeros((T, P))
-        drecv_c = np.zeros((T, P))
-        out = targets_v[targets_v != p0]
-        if out.size:
-            vols = c_v * numa[p0, out]
-            where = loc(need_v[out] - 1)
-            np.add.at(dsend_c, (where, p0), -vols)
-            np.add.at(drecv_c, (where, out), -vols)
-        if foreign.size:
-            vols = pred_vols[foreign, p0]
-            where = loc(old_need_p0 - 1)
-            np.add.at(dsend_c, (where, pred_procs[foreign]), -vols)
-            np.add.at(drecv_c, (where, p0), -vols)
-        if finite_p0.size:
-            vols = pred_vols[finite_p0, p0]
-            where = loc(table[finite_p0, p0] - 1)
-            np.add.at(dsend_c, (where, pred_procs[finite_p0]), vols)
-            np.add.at(drecv_c, (where, p0), vols)
+        # predecessors' transfers to p0 (they feed v there) move to their
+        # v-free phase
+        fi = np.flatnonzero(pp != p0k)
+        fk = pk[fi]
+        t_p0 = table[fi, p0[fk]]
+        at_p0 = at_table[fi, p0[fk]]
+        finite = t_p0 != NO_ENTRY
+        vol_p0 = pvol[fi, p0[fk]]
+        at_c = np.concatenate((at_t, np.where(t_p0 < s0[fk], at_p0, at_s[fk, 1]), at_p0[finite]))
+        vols = np.concatenate((-c_v[tk] * numa[p0[tk], tq], -vol_p0, vol_p0[finite]))
+        send_col = np.concatenate((p0[tk], pp[fi], pp[fi[finite]]))
+        recv_col = np.concatenate((tq, p0[fk], p0[fk[finite]])) + P
+        base = self.traffic[:, rows] + np.bincount(
+            np.concatenate((send_col * R + at_c, recv_col * R + at_c)),
+            np.concatenate((vols, vols)),
+            2 * P * R,
+        ).reshape(2 * P, R)
 
-        # per-target-processor diffs: v's new transfers from q, and the
-        # predecessors' existing transfers to q disappear (they are re-added
-        # at their new phase in the per-step scatter below)
-        dsend_q = np.zeros((P, T, P))
-        drecv_q = np.zeros((P, T, P))
-        if targets_v.size:
-            qq = np.repeat(np.arange(P, dtype=_INT), targets_v.size)
-            rr = np.tile(targets_v, P)
-            keep = rr != qq
-            qq, rr = qq[keep], rr[keep]
-            vols = c_v * numa[qq, rr]
-            where = np.tile(loc(phases_v), P)[keep]
-            np.add.at(dsend_q, (qq, where, qq), vols)
-            np.add.at(drecv_q, (qq, where, rr), vols)
-        if d:
-            pair_mask = np.arange(P, dtype=_INT)[None, :] != pred_procs[:, None]
-            ui, qi = np.nonzero(pair_mask & (table != NO_ENTRY))
-            if ui.size:
-                vols = pred_vols[ui, qi]
-                where = loc(table[ui, qi] - 1)
-                np.add.at(dsend_q, (qi, where, pred_procs[ui]), -vols)
-                np.add.at(drecv_q, (qi, where, qi), -vols)
-
-        # per-(step, target) diffs: every predecessor now also feeds v on q,
-        # so its transfer to q lands at min(first other need, s) - 1; all
-        # three steps are scattered in one fused call per traffic side
-        dsend_s = np.zeros((3, P, T, P))
-        drecv_s = np.zeros((3, P, T, P))
-        if d:
-            ui, qi = np.nonzero(pair_mask)
-            if ui.size:
-                k = ui.size
-                vols3 = np.tile(pred_vols[ui, qi], 3)
-                where3 = loc(
-                    (
-                        np.minimum(
-                            table[ui, qi][None, :],
-                            np.array(steps3, dtype=_INT)[:, None],
-                        )
-                        - 1
-                    ).ravel()
+        # per-target diffs: v's new transfers from q, and the predecessors'
+        # existing transfers to q disappear (they are re-added at their new
+        # phase in the per-step scatter below)
+        q = procs[:, None]
+        vols = np.concatenate(((c_v[tk] * numa[:, tq]).ravel(), -pvol[fe, fq]))
+        by_target = base[:, None] + np.bincount(
+            np.concatenate(
+                (
+                    (q * (P + 1) * R + at_t).ravel(),
+                    (pp[fe] * P + fq) * R + at_f,
+                    (((P + tq) * P + q) * R + at_t).ravel(),
+                    (fq * (P + 1) + P * P) * R + at_f,
                 )
-                step3 = np.repeat(np.arange(3, dtype=_INT), k)
-                qi3 = np.tile(qi, 3)
-                np.add.at(dsend_s, (step3, qi3, where3, np.tile(pred_procs[ui], 3)), vols3)
-                np.add.at(drecv_s, (step3, qi3, where3, qi3), vols3)
+            ),
+            np.concatenate((vols, vols)),
+            2 * P * P * R,
+        ).reshape(2 * P, P, R)
 
-        base_send = self.send[touched] + dsend_c
-        base_recv = self.recv[touched] + drecv_c
-        new_send = base_send[None, None] + dsend_q[None] + dsend_s
-        new_recv = base_recv[None, None] + drecv_q[None] + drecv_s
-        row_max = np.maximum(new_send, new_recv).max(axis=3)  # (3, P, T)
-        comm_delta = (row_max - self._comm_max[touched][None, None]).sum(axis=2)
-        keep_p0 = deltas[:, p0].copy()  # step-only column computed above
-        deltas += g * comm_delta
-        deltas[:, p0] = keep_p0
+        # per-step diffs: every predecessor now also feeds v on q, so its
+        # transfer to q lands at min(first other need, s) - 1
+        comm = np.empty((3, P, K))
+        comm_max = self._comm_max[rows]
+        starts = np.concatenate(([0], ends[: K - 1]))
+        lead_send = (pp[:, None] * P + procs) * R
+        lead_recv = ((P + procs) * P + procs) * R
+        vols = np.concatenate((pvol.ravel(), pvol.ravel()))
+        for i in range(3):
+            at_i = np.where(table < (s0 - 1 + i)[pk][:, None], at_table, at_s[pk, i][:, None])
+            moved = by_target + np.bincount(
+                np.concatenate(((lead_send + at_i).ravel(), (lead_recv + at_i).ravel())),
+                vols,
+                2 * P * P * R,
+            ).reshape(2 * P, P, R)
+            comm[i] = np.add.reduceat(moved.max(axis=0) - comm_max, starts, axis=1)
+        deltas += self.machine.g * comm.transpose(2, 0, 1)
         return deltas, valid
+
+    def _block_validity(
+        self,
+        nodes: np.ndarray,
+        preds: np.ndarray,
+        pk: np.ndarray,
+        p0: np.ndarray,
+        s0: np.ndarray,
+    ) -> np.ndarray:
+        """Boolean ``(K, 3, P)`` mask of the valid single-node moves of a block.
+
+        Semantically identical to :meth:`is_valid_move` for every candidate
+        (staying put excluded), evaluated from the flattened neighbour
+        slices (``preds`` with their block indices ``pk``): a predecessor
+        scheduled *after* a candidate step (a successor *before* it) kills
+        the whole step, neighbours *tied* at the step force the single
+        processor they occupy — and kill the step when they disagree.
+        """
+        P = self.machine.num_procs
+        K = nodes.size
+        succs, succ_off = gather_rows(self.dag.succ_indptr, self.dag.succ_indices, nodes)
+        sk = np.repeat(np.arange(K, dtype=_INT), np.diff(succ_off))
+        steps = s0[:, None] + _STEP_OFFSETS  # (K, 3)
+        # rel > 0: the neighbour forbids the step; rel == 0: it is tied there
+        rel = np.concatenate(
+            (
+                self.supersteps[preds][:, None] - steps[pk],
+                steps[sk] - self.supersteps[succs][:, None],
+            )
+        )
+        cell = np.concatenate((pk, sk))[:, None] * 3 + np.arange(3, dtype=_INT)
+        open_steps = ((steps >= 0) & (steps < self.num_supersteps)).ravel()
+        open_steps[cell[rel > 0]] = False
+        tied = rel == 0
+        tied_cells = cell[tied]
+        tied_procs = np.broadcast_to(
+            np.concatenate((self.procs[preds], self.procs[succs]))[:, None], rel.shape
+        )[tied]
+        lo = np.full(3 * K, P, dtype=_INT)
+        hi = np.full(3 * K, -1, dtype=_INT)
+        np.minimum.at(lo, tied_cells, tied_procs)
+        np.maximum.at(hi, tied_cells, tied_procs)
+        open_steps &= lo >= hi  # tied neighbours on two processors
+        forced = hi.reshape(K, 3, 1)
+        valid = open_steps.reshape(K, 3, 1) & (
+            (forced < 0) | (forced == np.arange(P, dtype=_INT))
+        )
+        valid[np.arange(K), 1, p0] = False
+        return valid
 
     def apply_move(self, v: int, new_proc: int, new_step: int) -> float:
         """Apply the move and return the resulting change in total cost."""
@@ -578,11 +544,14 @@ class LazyCostTracker:
 class HillClimbingImprover(ScheduleImprover):
     """Greedy first-improvement hill climbing over single-node moves (``HC``).
 
-    Every node's whole ``3 x P`` candidate neighbourhood is evaluated in one
-    read-only batched pass (:meth:`LazyCostTracker.candidate_deltas`); only
-    the accepted move mutates the tracker.  The accepted-move sequence is
+    Each pass is the block walk of :func:`repro.core.kernels.hc_pass`: runs
+    of nodes have their whole ``3 x P`` candidate neighbourhoods scored
+    together, read-only (:meth:`LazyCostTracker.candidate_deltas`), and only
+    the accepted moves mutate the tracker.  The accepted-move sequence is
     identical to the retained probe-and-rollback walker
-    :class:`repro.schedulers.reference.HillClimbingImproverReference`.
+    :class:`repro.schedulers.reference.HillClimbingImproverReference`.  A
+    wall-clock budget is checked before every block, so it may overrun by
+    one block's evaluation.
 
     Parameters
     ----------

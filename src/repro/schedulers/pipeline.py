@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, fields
 from ..core.dag import ComputationalDAG
 from ..core.machine import BspMachine
 from ..core.schedule import BspSchedule
+from ..core.wire import as_mapping
 from .base import (
     Budget,
     Scheduler,
@@ -168,8 +169,9 @@ class StageCosts:
     @classmethod
     def from_dict(cls, data: dict) -> "StageCosts":
         """Rebuild stage costs from :meth:`to_dict` output."""
+        initial = as_mapping(data.get("initial", {}), "initial")
         return cls(
-            initial={str(k): float(v) for k, v in data.get("initial", {}).items()},
+            initial={str(k): float(v) for k, v in initial.items()},
             best_init=float(data["best_init"]),
             after_local_search=float(data["after_local_search"]),
             after_ilp_assignment=float(data["after_ilp_assignment"]),

@@ -26,7 +26,7 @@ from repro.api import (
     SchedulingService,
     dag_fingerprint,
 )
-from repro.core import ConfigurationError
+from repro.core import ConfigurationError, ReproError
 from repro.io import write_hyperdag
 from repro.schedulers import PipelineConfig, available_schedulers
 
@@ -186,8 +186,6 @@ class TestWireFormat:
         assert dag_to_dict(stripped.to_schedule().dag) == dag_dict
 
     def test_dag_ref_without_resolver_raises(self):
-        from repro.core import ReproError
-
         result = SchedulingService(cache_size=0).solve(_request_dict("hdagg"))
         orphan = result.with_dag_ref("nowhere")
         assert orphan.cost == result.cost  # metadata stays available
@@ -203,6 +201,91 @@ class TestWireFormat:
         assert "numa" in data["machine"]
         rebuilt = ScheduleRequest.from_dict(data)
         assert rebuilt.fingerprint() == request.fingerprint()
+
+
+class TestMalformedWire:
+    """Every malformed request/result dict fails with a typed ``ReproError``."""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("budget",), "x"),
+            (("budget",), [1]),
+            (("machine",), []),
+            (("machine",), "P=4"),
+            (("machine", "num_procs"), 1.5),
+            (("machine", "num_procs"), True),
+            (("machine", "g"), float("nan")),
+            (("machine", "latency"), float("inf")),
+            (("seed",), 2.5),
+            (("seed",), True),
+            (("seed",), "7"),
+        ],
+    )
+    def test_request_from_dict(self, path, value):
+        data = _request_dict("hdagg")
+        data["budget"] = Budget(max_steps=3).to_dict()
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ReproError):
+            ScheduleRequest.from_dict(data)
+
+    @pytest.mark.parametrize("field", ["max_steps", "ilp_node_limit"])
+    @pytest.mark.parametrize("value", [1.5, True, "3"])
+    def test_request_budget_counts(self, field, value):
+        data = _request_dict("hdagg")
+        data["budget"] = {field: value}
+        with pytest.raises(ReproError):
+            ScheduleRequest.from_dict(data)
+
+    def test_request_non_mapping_payload(self):
+        with pytest.raises(ReproError, match="mapping"):
+            ScheduleRequest.from_dict(["hdagg"])
+
+    def test_explicit_machine_non_finite(self):
+        data = ScheduleRequest(
+            dag=_dag(),
+            machine=MachineSpec(4, 2, 3, numa_delta=3).build(),
+            scheduler=SchedulerSpec("hdagg"),
+        ).to_dict()
+        data["machine"]["g"] = float("nan")
+        with pytest.raises(ReproError):
+            ScheduleRequest.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("breakdown", None),
+            ("breakdown", [1.0]),
+            ("stages", "x"),
+            ("stages", [1.0]),
+            ("timings", None),
+            ("timings", 5),
+        ],
+    )
+    def test_result_from_dict(self, field, value):
+        payload = json.loads(
+            SchedulingService(cache_size=0).solve(_request_dict("hdagg")).to_json()
+        )
+        payload[field] = value
+        with pytest.raises(ReproError):
+            ScheduleResult.from_dict(payload)
+
+    def test_result_stage_initial_costs(self):
+        result = SchedulingService(cache_size=0).solve(
+            _request_dict("framework", {"config": DETERMINISTIC_CONFIG})
+        )
+        payload = json.loads(result.to_json())
+        payload["stages"]["initial"] = [1.0]
+        with pytest.raises(ReproError):
+            ScheduleResult.from_dict(payload)
+
+    @pytest.mark.parametrize("payload", [None, [], "result"])
+    def test_result_non_mapping_payload(self, payload):
+        with pytest.raises(ReproError):
+            ScheduleResult.from_dict(payload)
 
 
 class TestFingerprint:

@@ -174,18 +174,3 @@ class TestGroupedHelpers:
         empty = np.empty(0, dtype=np.int64)
         table = group_min_table(empty, empty, empty, 3, 2)
         assert (table == NO_ENTRY).all()
-
-    def test_row_max_excluding(self):
-        from repro.core.csr import row_max_excluding
-
-        values = np.array([3.0, 9.0, 5.0, 9.0])
-        out = row_max_excluding(values)
-        expected = [
-            max(np.delete(values, i)) for i in range(values.size)
-        ]
-        assert out.tolist() == expected
-
-    def test_row_max_excluding_single(self):
-        from repro.core.csr import row_max_excluding
-
-        assert row_max_excluding(np.array([4.0])).tolist() == [-np.inf]

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import BspMachine, MachineError
+from repro.core import BspMachine, MachineError, MachineSpec, ReproError
+from repro.core.serialization import machine_from_dict, machine_to_dict
 
 
 class TestUniformMachine:
@@ -37,6 +38,19 @@ class TestUniformMachine:
             BspMachine.uniform(2, g=-1)
         with pytest.raises(MachineError):
             BspMachine.uniform(2, latency=-0.5)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"g": float("nan")},
+            {"g": float("inf")},
+            {"latency": float("nan")},
+            {"latency": float("inf")},
+        ],
+    )
+    def test_rejects_non_finite_parameters(self, params):
+        with pytest.raises(MachineError, match="finite"):
+            BspMachine.uniform(2, **params)
 
     def test_numa_matrix_is_read_only(self):
         machine = BspMachine.uniform(2)
@@ -101,6 +115,11 @@ class TestExplicitNuma:
         with pytest.raises(MachineError):
             BspMachine(num_procs=2, numa=np.array([[1.0, 1], [1, 0]]))
 
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+    def test_rejects_non_finite_multipliers(self, entry):
+        with pytest.raises(MachineError, match="finite"):
+            BspMachine.from_numa_matrix(np.array([[0.0, entry], [1.0, 0.0]]))
+
     def test_matrix_copied_from_input(self):
         numa = np.array([[0.0, 2.0], [3.0, 0.0]])
         machine = BspMachine.from_numa_matrix(numa)
@@ -122,3 +141,50 @@ class TestHelpers:
     def test_describe_mentions_kind(self):
         assert "uniform" in BspMachine.uniform(2).describe()
         assert "NUMA" in BspMachine.numa_hierarchy(4, delta=2).describe()
+
+
+class TestWireNumbers:
+    """Counts must be integral and parameters finite at the dict boundary."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_procs", 1.5),
+            ("num_procs", True),
+            ("num_procs", "4"),
+            ("g", float("nan")),
+            ("g", float("inf")),
+            ("g", True),
+            ("latency", float("nan")),
+            ("numa_delta", float("nan")),
+        ],
+    )
+    def test_spec_from_dict_rejects(self, field, value):
+        data = MachineSpec(4, g=2, latency=3, numa_delta=2).to_dict()
+        data[field] = value
+        with pytest.raises(MachineError):
+            MachineSpec.from_dict(data)
+
+    def test_spec_from_dict_rejects_non_mapping(self):
+        with pytest.raises(MachineError, match="mapping"):
+            MachineSpec.from_dict([4, 1.0, 5.0])
+
+    def test_spec_from_dict_accepts_integral_float(self):
+        spec = MachineSpec.from_dict({"num_procs": 4.0, "g": 2, "latency": 3})
+        assert spec.num_procs == 4 and type(spec.num_procs) is int
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_procs", 1.5),
+            ("num_procs", True),
+            ("g", float("nan")),
+            ("latency", float("inf")),
+            ("numa", [[0.0, float("nan")], [1.0, 0.0]]),
+        ],
+    )
+    def test_machine_from_dict_rejects(self, field, value):
+        data = machine_to_dict(BspMachine.uniform(2, g=2, latency=3))
+        data[field] = value
+        with pytest.raises(ReproError):
+            machine_from_dict(data)

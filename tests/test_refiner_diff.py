@@ -74,38 +74,82 @@ def _assert_pinned(reference, batched, start, rel_tol: float = 0.0):
     return ref_result, vec_result
 
 
+def _assert_block_matches_probe(tracker: LazyCostTracker, nodes: np.ndarray) -> int:
+    """Score ``nodes`` as one block; pin every entry to the mutating probe.
+
+    Every validity bit must equal :meth:`LazyCostTracker.is_valid_move`
+    (staying put excluded) and every valid delta the ``apply_move`` probe,
+    which is rolled back before the next candidate, so the whole block is
+    checked against the one state it was scored on.  Returns how many
+    nodes of the block were scored.
+    """
+    deltas, valid = tracker.candidate_deltas(nodes)
+    scored = deltas.shape[0]
+    assert 1 <= scored <= nodes.size
+    assert deltas.shape == valid.shape == (scored, 3, tracker.machine.num_procs)
+    for k, v in enumerate(nodes[:scored].tolist()):
+        p0 = int(tracker.procs[v])
+        s0 = int(tracker.supersteps[v])
+        for i in range(3):
+            s = s0 - 1 + i
+            for q in range(tracker.machine.num_procs):
+                expected_valid = tracker.is_valid_move(v, q, s) and (q, s) != (p0, s0)
+                assert bool(valid[k, i, q]) == expected_valid, (v, q, s)
+                if not expected_valid:
+                    continue
+                probe = tracker.apply_move(v, q, s)
+                tracker.apply_move(v, p0, s0)
+                assert deltas[k, i, q] == probe, (v, q, s)
+    return scored
+
+
+def _tiny_rcm_cholesky() -> ComputationalDAG:
+    """The paper-scale ``tiny`` RCM Cholesky DAG (60 nodes, in-degree up to 25)."""
+    from repro.dagdb import build_dataset
+
+    (instance,) = [
+        instance
+        for instance in build_dataset("tiny", scale="paper", seed=1)
+        if instance.generator == "cholesky_rcm"
+    ]
+    return instance.dag
+
+
 class TestCandidateDeltas:
     def test_deltas_match_apply_move(self):
-        """Every valid candidate's batched delta equals the mutating probe's."""
+        """Each node alone, the whole range, random sub-blocks: all equal the probe."""
         rng = np.random.default_rng(5)
         for seed in range(6):
             dag = random_dag(22, 0.2, seed=seed)
-            machine = _random_machine(rng)
-            schedule = RoundRobinScheduler().schedule(dag, machine)
-            tracker = LazyCostTracker(dag, machine, schedule.procs, schedule.supersteps)
-            for v in range(dag.num_nodes):
-                deltas, valid = tracker.candidate_deltas(v)
-                s0 = int(tracker.supersteps[v])
-                for i in range(3):
-                    for q in range(machine.num_procs):
-                        s = s0 - 1 + i
-                        expected_valid = tracker.is_valid_move(v, q, s) and (
-                            (q, s) != (int(tracker.procs[v]), s0)
-                        )
-                        assert bool(valid[i, q]) == expected_valid, (seed, v, q, s)
-                        if not expected_valid:
-                            continue
-                        probe = tracker.apply_move(v, q, s)
-                        tracker.apply_move(v, int(schedule.procs[v]), s0)
-                        assert deltas[i, q] == probe, (seed, v, q, s)
+            n = dag.num_nodes
+            for machine in (
+                BspMachine.uniform(
+                    int(rng.integers(1, 7)), g=int(rng.integers(1, 6)), latency=2
+                ),
+                BspMachine.numa_hierarchy(
+                    int(2 ** rng.integers(1, 4)), delta=3, g=2, latency=1
+                ),
+            ):
+                schedule = RoundRobinScheduler().schedule(dag, machine)
+                tracker = LazyCostTracker(
+                    dag, machine, schedule.procs, schedule.supersteps
+                )
+                for v in range(n):
+                    assert _assert_block_matches_probe(tracker, np.array([v])) == 1
+                assert _assert_block_matches_probe(tracker, np.arange(n)) == n
+                for _ in range(4):
+                    lo = int(rng.integers(0, n))
+                    block = np.arange(lo, int(rng.integers(lo + 1, n + 1)))
+                    assert _assert_block_matches_probe(tracker, block) == block.size
 
     def test_validity_mask_matches_is_valid_move(self):
         dag = random_dag(18, 0.25, seed=9)
         machine = BspMachine.uniform(3, g=1, latency=1)
         schedule = RoundRobinScheduler().schedule(dag, machine)
         tracker = LazyCostTracker(dag, machine, schedule.procs, schedule.supersteps)
+        _, valid = tracker.candidate_deltas(np.arange(dag.num_nodes))
+        assert valid.shape == (dag.num_nodes, 3, machine.num_procs)
         for v in range(dag.num_nodes):
-            mask = tracker.candidate_validity(v)
             s0 = int(tracker.supersteps[v])
             p0 = int(tracker.procs[v])
             for i in range(3):
@@ -113,7 +157,37 @@ class TestCandidateDeltas:
                     expected = tracker.is_valid_move(v, q, s0 - 1 + i) and (
                         (q, s0 - 1 + i) != (p0, s0)
                     )
-                    assert bool(mask[i, q]) == expected
+                    assert bool(valid[v, i, q]) == expected
+
+    def test_cell_cap_truncates_block(self, monkeypatch):
+        """P=16 on a high-fan-in DAG: blocks come back short, HC stays pinned."""
+        dag = _tiny_rcm_cholesky()
+        machine = BspMachine.uniform(16, g=1, latency=5)
+        start = RoundRobinScheduler().schedule(dag, machine)
+        tracker = LazyCostTracker(dag, machine, start.procs, start.supersteps)
+        nodes = np.arange(dag.num_nodes)
+        scored = _assert_block_matches_probe(tracker, nodes)
+        assert scored < nodes.size
+        # the rest of the range is scored by the following blocks
+        while scored < nodes.size:
+            scored += _assert_block_matches_probe(tracker, nodes[scored:])
+
+        sizes: list[tuple[int, int]] = []
+        evaluate = LazyCostTracker.candidate_deltas
+
+        def recording(self, block):
+            result = evaluate(self, block)
+            sizes.append((len(block), result[0].shape[0]))
+            return result
+
+        monkeypatch.setattr(LazyCostTracker, "candidate_deltas", recording)
+        reference = HillClimbingImproverReference(max_steps=20, record_moves=True)
+        batched = HillClimbingImprover(max_steps=20, record_moves=True)
+        ref_result, vec_result = _assert_pinned(reference, batched, start)
+        assert len(batched.last_moves) == 20
+        assert any(got < asked for asked, got in sizes)
+        assert np.array_equal(ref_result.procs, vec_result.procs)
+        assert np.array_equal(ref_result.supersteps, vec_result.supersteps)
 
 
 class TestHillClimbingDifferential:
