@@ -62,7 +62,6 @@ from .schedulers import (
     SchedulingPipeline,
     SimulatedAnnealingImprover,
     SourceScheduler,
-    TimeBudget,
     TrivialScheduler,
     available_schedulers,
     create_scheduler,
@@ -105,7 +104,6 @@ __all__ = [
     "SchedulingService",
     "SimulatedAnnealingImprover",
     "SourceScheduler",
-    "TimeBudget",
     "TrivialScheduler",
     "available_schedulers",
     "classical_to_bsp",

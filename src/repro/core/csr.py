@@ -29,7 +29,6 @@ __all__ = [
     "dedupe_edges",
     "gather_rows",
     "group_min_by_pair",
-    "group_min_table",
     "topological_levels",
     "bottom_levels_csr",
     "reachable_mask",
@@ -116,28 +115,6 @@ def group_min_by_pair(
     first = np.ones(u.size, dtype=bool)
     first[1:] = (u[1:] != u[:-1]) | (q[1:] != q[:-1])
     return u[first], q[first], values[first]
-
-
-def group_min_table(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    values: np.ndarray,
-    num_rows: int,
-    num_cols: int,
-) -> np.ndarray:
-    """Dense ``(num_rows, num_cols)`` table of per-cell minima.
-
-    ``table[r, c] = min(values[rows == r and cols == c])`` with empty cells
-    holding :data:`NO_ENTRY`.  This is the batched counterpart of
-    :func:`group_min_by_pair` for small, dense group domains — the
-    hill-climbing refiner uses it to build the "first superstep that needs a
-    value on each processor" table of a node's whole predecessor
-    neighbourhood in one pass.
-    """
-    table = np.full((num_rows, num_cols), NO_ENTRY, dtype=_INT)
-    if rows.size:
-        np.minimum.at(table, (rows, cols), values)
-    return table
 
 
 def topological_levels(

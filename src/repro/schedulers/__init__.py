@@ -1,14 +1,7 @@
 """Scheduling algorithms: baselines, initialisers, local search, ILP and multilevel."""
 
 from .annealing import SimulatedAnnealingImprover
-from .base import (
-    Budget,
-    Scheduler,
-    ScheduleImprover,
-    TimeBudget,
-    best_schedule,
-    budget_limits,
-)
+from .base import Budget, Scheduler, ScheduleImprover, best_schedule
 from .clustering import LinearClusteringScheduler
 from .bsp_greedy import BspGreedyScheduler
 from .cilk import CilkScheduler
@@ -65,12 +58,10 @@ __all__ = [
     "SchedulingPipeline",
     "SourceScheduler",
     "StageCosts",
-    "TimeBudget",
     "TrivialScheduler",
     "WindowIlp",
     "available_schedulers",
     "best_schedule",
-    "budget_limits",
     "coarsen_dag",
     "create_scheduler",
     "estimate_window_variables",

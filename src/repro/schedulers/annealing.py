@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from ..core.schedule import BspSchedule
-from .base import ScheduleImprover, TimeBudget
+from .base import Budget, ScheduleImprover
 from .hill_climbing import LazyCostTracker
 
 __all__ = ["SimulatedAnnealingImprover"]
@@ -64,9 +64,9 @@ class SimulatedAnnealingImprover(ScheduleImprover):
     def improve(
         self,
         schedule: BspSchedule,
-        budget: TimeBudget | None = None,
+        budget: Budget | None = None,
     ) -> BspSchedule:
-        budget = budget or TimeBudget.unlimited()
+        budget = budget or Budget()
         dag = schedule.dag
         machine = schedule.machine
         if dag.num_nodes == 0 or schedule.num_supersteps == 0:

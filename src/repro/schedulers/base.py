@@ -8,21 +8,16 @@ Two kinds of algorithms make up the framework (paper Figure 3):
   equal or lower cost (local search, the ILP improvement methods and the
   communication-schedule optimisers).
 
-Every algorithm accepts an optional budget.  Two regimes exist:
-
-* :class:`TimeBudget` — a cooperative wall-clock allowance; algorithms
-  check it inside their main loops, so runs remain deterministic apart
-  from the point at which they stop.
-* :class:`Budget` — the unified model of the service API: the wall-clock
-  allowance plus the *deterministic* limits (``max_steps`` for the
-  hill-climbing refiners, ``ilp_node_limit`` for the branch-and-bound
-  solver).  A budget with ``seconds=None`` and only deterministic limits
-  makes every algorithm reproducible bit-for-bit regardless of machine
-  load — the regime the batched/parallel entry points rely on.
-
-``Budget`` subclasses ``TimeBudget``, so every ``budget:`` parameter in the
-framework accepts either; algorithms that understand the deterministic
-limits read them via :func:`budget_limits`.
+Every algorithm accepts an optional :class:`Budget`: a cooperative
+wall-clock allowance (``seconds``) plus two work caps, ``max_steps`` for the
+hill-climbing refiners and ``ilp_node_limit`` for the branch-and-bound
+solver.  Algorithms check the clock inside their main loops and read the caps
+straight off the budget.  ``Budget()`` is the unlimited budget.
+:meth:`Budget.fraction` scales the clock alone, so the caps reach every stage
+a scheduler splits its budget into.  A budget with ``seconds=None`` adds no
+clock of its own: when the work caps, not a configured stage clock, stop
+every stage, a run is reproducible bit-for-bit regardless of machine load —
+the regime the batched/parallel entry points rely on.
 """
 
 from __future__ import annotations
@@ -30,106 +25,94 @@ from __future__ import annotations
 import math
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..core.dag import ComputationalDAG
 from ..core.machine import BspMachine
 from ..core.schedule import BspSchedule
-from ..core.wire import as_int
+from ..core.wire import as_float, as_int
 
 __all__ = [
     "Budget",
     "Scheduler",
     "ScheduleImprover",
-    "TimeBudget",
     "best_schedule",
-    "budget_limits",
 ]
 
 
 @dataclass
-class TimeBudget:
-    """A cooperative wall-clock budget.
+class Budget:
+    """A cooperative wall-clock allowance plus deterministic work caps.
 
-    ``TimeBudget(None)`` (or :meth:`unlimited`) never expires.  Algorithms
-    call :meth:`expired` inside their main loops and stop gracefully once the
-    budget is exhausted, always returning the best solution found so far.
+    Parameters
+    ----------
+    seconds:
+        Wall-clock allowance (``None`` = unlimited).  Algorithms call
+        :meth:`expired` inside their main loops and stop gracefully once it
+        is exhausted, always returning the best solution found so far.
+    max_steps:
+        Deterministic cap on *accepted* local-search moves per improver
+        invocation (HC and HCcs honour it).
+    ilp_node_limit:
+        Deterministic cap on branch-and-bound nodes per ILP solve; it
+        overrides the ILP stages' own node limits (see :meth:`ilp_limits`).
+
+    A budget whose only limits are work caps (``seconds is None``) never
+    expires, so runs stopped by the caps are bit-identical regardless of
+    machine load; this is what the service API's ``solve_many`` relies on
+    for parallel == serial replay.
     """
 
     seconds: float | None = None
+    max_steps: int | None = None
+    ilp_node_limit: int | None = None
 
     def __post_init__(self) -> None:
         self._start = time.perf_counter()
 
-    @classmethod
-    def unlimited(cls) -> "TimeBudget":
-        """A budget that never expires."""
-        return cls(None)
-
-    def restart(self) -> None:
-        """Restart the clock (useful when a budget object is reused)."""
-        self._start = time.perf_counter()
+    def started(self) -> "Budget":
+        """A fresh copy with the clock restarted (for deserialized budgets)."""
+        return replace(self)
 
     @property
     def elapsed(self) -> float:
-        """Seconds elapsed since the budget was created or restarted."""
+        """Seconds elapsed since the budget was created."""
         return time.perf_counter() - self._start
 
     @property
     def remaining(self) -> float:
-        """Seconds remaining (``inf`` for an unlimited budget)."""
+        """Seconds remaining (``inf`` without a wall-clock allowance)."""
         if self.seconds is None:
             return math.inf
         return max(0.0, self.seconds - self.elapsed)
 
     def expired(self) -> bool:
-        """Whether the budget is exhausted."""
+        """Whether the wall-clock allowance is exhausted."""
         return self.seconds is not None and self.elapsed >= self.seconds
 
-    def fraction(self, ratio: float) -> "TimeBudget":
-        """A fresh budget worth ``ratio`` of this budget's total allowance."""
-        if self.seconds is None:
-            return TimeBudget(None)
-        return TimeBudget(self.seconds * ratio)
+    def fraction(self, ratio: float) -> "Budget":
+        """A fresh budget with ``ratio`` of this budget's total seconds.
 
+        The work caps pass through unchanged: they bound each invocation,
+        not the sum over the stages a scheduler splits its budget into.
+        """
+        seconds = None if self.seconds is None else self.seconds * ratio
+        return replace(self, seconds=seconds)
 
-@dataclass
-class Budget(TimeBudget):
-    """The unified budget model: wall-clock plus deterministic limits.
+    def ilp_limits(
+        self, time_limit: float | None, node_limit: int | None
+    ) -> tuple[float | None, int | None]:
+        """``(time_limit, node_limit)`` for one MILP solve of an ILP stage.
 
-    Parameters
-    ----------
-    seconds:
-        Cooperative wall-clock allowance (``None`` = unlimited), exactly as
-        in :class:`TimeBudget`.
-    max_steps:
-        Deterministic cap on *accepted* local-search moves per improver
-        invocation (HC and HCcs honour it).
-    ilp_node_limit:
-        Deterministic cap on branch-and-bound nodes per ILP solve (threaded
-        through :class:`~repro.schedulers.ilp.WindowIlp` and the ILP
-        improvers down to the HiGHS backend).
-
-    A budget whose only limits are deterministic (``seconds is None``)
-    yields bit-identical runs regardless of machine load; this is what the
-    service API's ``solve_many`` relies on for parallel == serial replay.
-    """
-
-    max_steps: int | None = None
-    ilp_node_limit: int | None = None
-
-    @property
-    def deterministic(self) -> bool:
-        """Whether the budget is free of wall-clock limits."""
-        return self.seconds is None
-
-    def started(self) -> "Budget":
-        """A fresh copy with the clock restarted (for deserialized budgets)."""
-        return Budget(
-            seconds=self.seconds,
-            max_steps=self.max_steps,
-            ilp_node_limit=self.ilp_node_limit,
-        )
+        ``time_limit`` and ``node_limit`` are the stage's own limits.  The
+        solve gets no more than the remaining seconds, and the budget's node
+        limit, when it has one, replaces the stage's.
+        """
+        if self.seconds is not None:
+            time_limit = min(time_limit or self.remaining, self.remaining)
+        if self.ilp_node_limit is not None:
+            node_limit = self.ilp_node_limit
+        return time_limit, node_limit
 
     def to_dict(self) -> dict:
         """JSON-compatible representation (inverse of :meth:`from_dict`)."""
@@ -143,28 +126,21 @@ class Budget(TimeBudget):
 
     @classmethod
     def from_dict(cls, data: dict) -> "Budget":
-        """Rebuild a budget from :meth:`to_dict` output."""
-        seconds = data.get("seconds")
-        max_steps = data.get("max_steps")
-        node_limit = data.get("ilp_node_limit")
-        return cls(
-            seconds=None if seconds is None else float(seconds),
-            max_steps=None if max_steps is None else as_int(max_steps, "max_steps"),
-            ilp_node_limit=(
-                None if node_limit is None else as_int(node_limit, "ilp_node_limit")
-            ),
-        )
+        """Rebuild a budget from :meth:`to_dict` output.
 
-
-def budget_limits(budget: TimeBudget | None) -> tuple[int | None, int | None]:
-    """The ``(max_steps, ilp_node_limit)`` carried by a budget, if any.
-
-    Plain :class:`TimeBudget` objects (and ``None``) carry no deterministic
-    limits; algorithm code calls this instead of type-sniffing inline.
-    """
-    if isinstance(budget, Budget):
-        return budget.max_steps, budget.ilp_node_limit
-    return None, None
+        ``seconds`` must be a finite number and the caps integers; none of
+        them may be negative.
+        """
+        readers = {"seconds": as_float, "max_steps": as_int, "ilp_node_limit": as_int}
+        limits = {}
+        for name, read in readers.items():
+            value = data.get(name)
+            if value is not None:
+                value = read(value, name)
+                if value < 0:
+                    raise ValueError(f"{name} must be non-negative, got {value!r}")
+            limits[name] = value
+        return cls(**limits)
 
 
 class Scheduler(ABC):
@@ -178,7 +154,7 @@ class Scheduler(ABC):
         self,
         dag: ComputationalDAG,
         machine: BspMachine,
-        budget: TimeBudget | None = None,
+        budget: Budget | None = None,
     ) -> BspSchedule:
         """Return a valid BSP schedule of ``dag`` on ``machine``."""
 
@@ -195,7 +171,7 @@ class ScheduleImprover(ABC):
     def improve(
         self,
         schedule: BspSchedule,
-        budget: TimeBudget | None = None,
+        budget: Budget | None = None,
     ) -> BspSchedule:
         """Return a schedule whose cost is at most that of ``schedule``."""
 

@@ -26,7 +26,7 @@ from ..core.classical import ClassicalSchedule, classical_to_bsp
 from ..core.dag import ComputationalDAG
 from ..core.machine import BspMachine
 from ..core.schedule import BspSchedule
-from .base import Scheduler, TimeBudget
+from .base import Budget, Scheduler
 
 __all__ = ["CilkScheduler"]
 
@@ -132,7 +132,7 @@ class CilkScheduler(Scheduler):
         self,
         dag: ComputationalDAG,
         machine: BspMachine,
-        budget: TimeBudget | None = None,
+        budget: Budget | None = None,
     ) -> BspSchedule:
         classical = self.classical_schedule(dag, machine.num_procs)
         return classical_to_bsp(classical, machine)

@@ -26,7 +26,7 @@ import numpy as np
 from ..core.dag import ComputationalDAG
 from ..core.machine import BspMachine
 from ..core.schedule import BspSchedule
-from .base import Scheduler, TimeBudget
+from .base import Budget, Scheduler
 
 __all__ = ["LinearClusteringScheduler"]
 
@@ -40,7 +40,7 @@ class LinearClusteringScheduler(Scheduler):
         self,
         dag: ComputationalDAG,
         machine: BspMachine,
-        budget: TimeBudget | None = None,
+        budget: Budget | None = None,
     ) -> BspSchedule:
         n = dag.num_nodes
         procs = np.zeros(n, dtype=np.int64)

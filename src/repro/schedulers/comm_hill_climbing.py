@@ -40,7 +40,7 @@ import numpy as np
 from ..core import kernels
 from ..core.comm import CommStep
 from ..core.schedule import BspSchedule
-from .base import ScheduleImprover, TimeBudget, budget_limits
+from .base import Budget, ScheduleImprover
 
 __all__ = ["CommScheduleHillClimbing"]
 
@@ -70,9 +70,9 @@ class CommScheduleHillClimbing(ScheduleImprover):
     def improve(
         self,
         schedule: BspSchedule,
-        budget: TimeBudget | None = None,
+        budget: Budget | None = None,
     ) -> BspSchedule:
-        budget = budget or TimeBudget.unlimited()
+        budget = budget or Budget()
         machine = schedule.machine
         dag = schedule.dag
         moves: list[tuple[int, int]] = []
@@ -130,9 +130,9 @@ class CommScheduleHillClimbing(ScheduleImprover):
             volumes=volumes,
         )
 
-        # a unified Budget's deterministic step cap bounds the accepted
-        # phase moves of this invocation (None = until convergence)
-        max_steps, _ = budget_limits(budget)
+        # the budget's step cap bounds the accepted phase moves of this
+        # invocation (None = until convergence)
+        max_steps = budget.max_steps
         accepted = 0
 
         improved_any = True

@@ -33,7 +33,7 @@ from ..core.csr import gather_rows
 from ..core.dag import ComputationalDAG
 from ..core.machine import BspMachine
 from ..core.schedule import BspSchedule
-from .base import Scheduler, TimeBudget
+from .base import Budget, Scheduler
 
 __all__ = ["HDaggScheduler"]
 
@@ -131,7 +131,7 @@ class HDaggScheduler(Scheduler):
         self,
         dag: ComputationalDAG,
         machine: BspMachine,
-        budget: TimeBudget | None = None,
+        budget: Budget | None = None,
     ) -> BspSchedule:
         n = dag.num_nodes
         procs = np.zeros(n, dtype=np.int64)

@@ -45,7 +45,7 @@ from ..core.csr import NO_ENTRY, gather_rows, group_min_by_pair
 from ..core.dag import ComputationalDAG
 from ..core.machine import BspMachine
 from ..core.schedule import BspSchedule
-from .base import ScheduleImprover, TimeBudget, budget_limits
+from .base import Budget, ScheduleImprover
 
 __all__ = ["LazyCostTracker", "HillClimbingImprover"]
 
@@ -528,16 +528,17 @@ class LazyCostTracker:
         """``(π, τ', num_used)`` with empty supersteps renumbered away.
 
         A superstep survives when it holds computation (appears in ``τ``)
-        or carries traffic (a nonzero send row); this is exactly the set
-        ``BspSchedule.compacted()`` keeps for a lazy-communication schedule
-        with positive transfer volumes, computed from the tracker matrices
-        instead of a materialised ``Γ``.
+        or is the phase of a lazy transfer: ``need_min[u, q] - 1`` for every
+        processor ``q != π(u)`` that needs ``u``.  This is exactly the set
+        ``BspSchedule.compacted()`` keeps, read from the first-need table
+        instead of a materialised ``Γ``.  The traffic rows cannot stand in
+        for it: a zero-volume transfer leaves no trace there, and removing a
+        transfer by subtraction can leave float residue in a row.
         """
         procs, supersteps = self.assignment()
-        busy = np.flatnonzero(
-            (self.work != 0).any(axis=1) | (self.send != 0).any(axis=1)
-        )
-        used = np.union1d(np.unique(supersteps), busy)
+        needs = self.need_min != NO_ENTRY
+        needs[np.arange(procs.size), procs] = False
+        used = np.union1d(supersteps, self.need_min[needs] - 1)
         return procs, np.searchsorted(used, supersteps), used.size
 
 
@@ -586,8 +587,7 @@ class HillClimbingImprover(ScheduleImprover):
     def climb(
         self,
         tracker: LazyCostTracker,
-        budget: TimeBudget | None = None,
-        max_steps: int | None = None,
+        budget: Budget | None = None,
     ) -> int:
         """Run the climbing loop on an existing tracker; return accepted moves.
 
@@ -596,16 +596,11 @@ class HillClimbingImprover(ScheduleImprover):
         bursts at a fixed uncoarsening level instead of rebuilding the
         work/send/receive matrices from scratch per burst.
         """
-        budget = budget or TimeBudget.unlimited()
-        if max_steps is None:
-            max_steps = self.max_steps
-        budget_steps, _ = budget_limits(budget)
-        if budget_steps is not None:
-            # a unified Budget's deterministic step cap bounds this
-            # invocation on top of (never instead of) the configured cap
-            max_steps = (
-                budget_steps if max_steps is None else min(max_steps, budget_steps)
-            )
+        budget = budget or Budget()
+        # the budget's step cap bounds this invocation on top of (never
+        # instead of) the configured cap
+        caps = [cap for cap in (self.max_steps, budget.max_steps) if cap is not None]
+        max_steps = min(caps, default=None)
         moves: list[tuple[int, int, int]] = []
         self.last_moves = moves if self.record_moves else None
         num_nodes = tracker.dag.num_nodes
@@ -636,7 +631,7 @@ class HillClimbingImprover(ScheduleImprover):
         machine: BspMachine,
         procs: np.ndarray,
         supersteps: np.ndarray,
-        budget: TimeBudget | None = None,
+        budget: Budget | None = None,
         tracker: LazyCostTracker | None = None,
     ) -> tuple[LazyCostTracker, int]:
         """Hill-climb directly on assignment arrays, bypassing schedule objects.
@@ -669,9 +664,8 @@ class HillClimbingImprover(ScheduleImprover):
     def improve(
         self,
         schedule: BspSchedule,
-        budget: TimeBudget | None = None,
+        budget: Budget | None = None,
     ) -> BspSchedule:
-        budget = budget or TimeBudget.unlimited()
         dag = schedule.dag
         machine = schedule.machine
         if dag.num_nodes == 0 or schedule.num_supersteps == 0:
@@ -685,21 +679,11 @@ class HillClimbingImprover(ScheduleImprover):
 
         # Finish from the tracker state instead of materialising the lazy
         # communication schedule: supersteps carrying neither computation
-        # nor traffic are compacted away with one ``unique`` pass (exactly
-        # what ``BspSchedule.compacted()`` computes, without building the
-        # ``Γ`` frozenset), the candidate cost falls out of the maintained
-        # row maxima, and re-validation is skipped — every accepted move
-        # passed the validity mask, so the result is valid by construction.
-        zero_volume_transfers = bool((dag.comm_weights <= 0).any()) or bool(
-            (machine.numa + np.eye(machine.num_procs) <= 0).any()
-        )
-        if zero_volume_transfers:
-            # a zero-volume transfer leaves no trace in the traffic matrices
-            # but still occupies ``Γ`` (and keeps its superstep alive during
-            # compaction) — take the exact schedule-object path instead
-            procs, supersteps = tracker.assignment()
-            candidate = BspSchedule(dag, machine, procs, supersteps).compacted()
-            return candidate if candidate.cost() < schedule.cost() - _EPS else schedule
+        # nor communication are compacted away (exactly what
+        # ``BspSchedule.compacted()`` computes, without building the ``Γ``
+        # frozenset), the candidate cost falls out of the maintained row
+        # maxima, and re-validation is skipped — every accepted move passed
+        # the validity mask, so the result is valid by construction.
         procs, compact_steps, num_used = tracker.compacted_assignment()
         candidate_cost = tracker.cost() - machine.latency * (
             tracker.num_supersteps - num_used

@@ -18,7 +18,7 @@ import numpy as np
 
 from ...core.comm import CommStep
 from ...core.schedule import BspSchedule
-from ..base import ScheduleImprover, TimeBudget, budget_limits
+from ..base import Budget, ScheduleImprover
 from .backend import MilpProblem
 
 __all__ = ["IlpCommScheduleImprover"]
@@ -57,18 +57,13 @@ class IlpCommScheduleImprover(ScheduleImprover):
     def improve(
         self,
         schedule: BspSchedule,
-        budget: TimeBudget | None = None,
+        budget: Budget | None = None,
     ) -> BspSchedule:
         windows = schedule.comm_windows()
         if not windows or len(windows) > self.max_transfers:
             return schedule
-        budget = budget or TimeBudget.unlimited()
-        time_limit = self.time_limit
-        if budget.seconds is not None:
-            time_limit = min(time_limit or budget.remaining, budget.remaining)
-        _, node_limit = budget_limits(budget)
-        if node_limit is None:
-            node_limit = self.node_limit
+        budget = budget or Budget()
+        time_limit, node_limit = budget.ilp_limits(self.time_limit, self.node_limit)
 
         machine = schedule.machine
         dag = schedule.dag

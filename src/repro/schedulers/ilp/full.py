@@ -11,7 +11,7 @@ left to ``ILPpart``.
 from __future__ import annotations
 
 from ...core.schedule import BspSchedule
-from ..base import ScheduleImprover, TimeBudget, budget_limits
+from ..base import Budget, ScheduleImprover
 from .window import WindowIlp, estimate_window_variables
 
 __all__ = ["IlpFullImprover"]
@@ -58,17 +58,12 @@ class IlpFullImprover(ScheduleImprover):
     def improve(
         self,
         schedule: BspSchedule,
-        budget: TimeBudget | None = None,
+        budget: Budget | None = None,
     ) -> BspSchedule:
         if schedule.dag.num_nodes == 0 or not self.applicable(schedule):
             return schedule
-        budget = budget or TimeBudget.unlimited()
-        time_limit = self.time_limit
-        if budget.seconds is not None:
-            time_limit = min(time_limit or budget.remaining, budget.remaining)
-        _, node_limit = budget_limits(budget)
-        if node_limit is None:
-            node_limit = self.node_limit
+        budget = budget or Budget()
+        time_limit, node_limit = budget.ilp_limits(self.time_limit, self.node_limit)
 
         window = (0, max(schedule.num_supersteps - 1, 0))
         ilp = WindowIlp(

@@ -21,7 +21,7 @@ from ...core.comm import CommStep
 from ...core.dag import ComputationalDAG
 from ...core.machine import BspMachine
 from ...core.schedule import BspSchedule
-from ..base import Scheduler, TimeBudget, budget_limits
+from ..base import Budget, Scheduler
 from .window import WindowIlp, estimate_window_variables
 
 __all__ = ["IlpInitScheduler"]
@@ -102,15 +102,12 @@ class IlpInitScheduler(Scheduler):
         self,
         dag: ComputationalDAG,
         machine: BspMachine,
-        budget: TimeBudget | None = None,
+        budget: Budget | None = None,
     ) -> BspSchedule:
         n = dag.num_nodes
         if n == 0:
             return BspSchedule(dag, machine, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-        budget = budget or TimeBudget.unlimited()
-        _, node_limit = budget_limits(budget)
-        if node_limit is None:
-            node_limit = self.node_limit
+        budget = budget or Budget()
 
         procs = np.full(n, -1, dtype=np.int64)
         supersteps = np.full(n, -1, dtype=np.int64)
@@ -121,9 +118,9 @@ class IlpInitScheduler(Scheduler):
             window_high = window_low + self.supersteps_per_batch - 1
             solved = False
             if not budget.expired():
-                time_limit = self.time_limit_per_batch
-                if budget.seconds is not None:
-                    time_limit = min(time_limit or budget.remaining, budget.remaining)
+                time_limit, node_limit = budget.ilp_limits(
+                    self.time_limit_per_batch, self.node_limit
+                )
                 context = self._partial_context_comm(dag, procs, supersteps, assigned)
                 ilp = WindowIlp(
                     dag,

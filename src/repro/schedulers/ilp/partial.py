@@ -11,7 +11,7 @@ evaluated cost improves.
 from __future__ import annotations
 
 from ...core.schedule import BspSchedule
-from ..base import ScheduleImprover, TimeBudget, budget_limits
+from ..base import Budget, ScheduleImprover
 from .window import WindowIlp, estimate_window_variables
 
 __all__ = ["IlpPartialImprover"]
@@ -79,14 +79,11 @@ class IlpPartialImprover(ScheduleImprover):
     def improve(
         self,
         schedule: BspSchedule,
-        budget: TimeBudget | None = None,
+        budget: Budget | None = None,
     ) -> BspSchedule:
         if schedule.dag.num_nodes == 0 or schedule.num_supersteps == 0:
             return schedule
-        budget = budget or TimeBudget.unlimited()
-        _, node_limit = budget_limits(budget)
-        if node_limit is None:
-            node_limit = self.node_limit
+        budget = budget or Budget()
         incumbent = schedule
 
         for _ in range(self.max_rounds):
@@ -108,9 +105,9 @@ class IlpPartialImprover(ScheduleImprover):
                 )
                 if estimate > 4 * self.max_variables:
                     continue  # a single superstep can already be too large; skip it
-                time_limit = self.time_limit_per_window
-                if budget.seconds is not None:
-                    time_limit = min(time_limit or budget.remaining, budget.remaining)
+                time_limit, node_limit = budget.ilp_limits(
+                    self.time_limit_per_window, self.node_limit
+                )
                 ilp = WindowIlp(
                     incumbent.dag,
                     incumbent.machine,

@@ -26,7 +26,7 @@ from ..core.classical import ClassicalSchedule, classical_to_bsp
 from ..core.dag import ComputationalDAG
 from ..core.machine import BspMachine
 from ..core.schedule import BspSchedule
-from .base import Scheduler, TimeBudget
+from .base import Budget, Scheduler
 
 __all__ = ["BlEstScheduler", "EtfScheduler"]
 
@@ -120,7 +120,7 @@ class _ListSchedulerBase(Scheduler):
         self,
         dag: ComputationalDAG,
         machine: BspMachine,
-        budget: TimeBudget | None = None,
+        budget: Budget | None = None,
     ) -> BspSchedule:
         classical = self.classical_schedule(dag, machine)
         return classical_to_bsp(classical, machine)

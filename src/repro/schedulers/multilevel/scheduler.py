@@ -21,7 +21,7 @@ from __future__ import annotations
 from ...core.dag import ComputationalDAG
 from ...core.machine import BspMachine
 from ...core.schedule import BspSchedule
-from ..base import Scheduler, ScheduleImprover, TimeBudget, best_schedule
+from ..base import Budget, Scheduler, ScheduleImprover, best_schedule
 from ..comm_hill_climbing import CommScheduleHillClimbing
 from ..hill_climbing import HillClimbingImprover
 from .coarsen import coarsen_dag
@@ -93,17 +93,16 @@ class MultilevelScheduler(Scheduler):
         self,
         dag: ComputationalDAG,
         machine: BspMachine,
-        budget: TimeBudget | None = None,
+        budget: Budget | None = None,
     ) -> BspSchedule:
-        budget = budget or TimeBudget.unlimited()
+        budget = budget or Budget()
         base = self._resolve_base()
         if dag.num_nodes < self.min_nodes:
             return base.schedule(dag, machine, budget)
 
         candidates: list[BspSchedule] = []
-        per_ratio = budget.fraction(1.0 / max(len(self.coarsening_ratios), 1))
         for ratio in self.coarsening_ratios:
-            per_ratio.restart()
+            per_ratio = budget.fraction(1.0 / len(self.coarsening_ratios))
             candidates.append(self._run_one_ratio(dag, machine, base, ratio, per_ratio))
         return best_schedule(*candidates)
 
@@ -114,7 +113,7 @@ class MultilevelScheduler(Scheduler):
         machine: BspMachine,
         base: Scheduler,
         ratio: float,
-        budget: TimeBudget,
+        budget: Budget,
     ) -> BspSchedule:
         target = max(2, int(round(dag.num_nodes * ratio)))
         sequence = coarsen_dag(dag, target_nodes=target)

@@ -22,20 +22,13 @@ around the same base pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from ..core.dag import ComputationalDAG
 from ..core.machine import BspMachine
 from ..core.schedule import BspSchedule
 from ..core.wire import as_mapping
-from .base import (
-    Budget,
-    Scheduler,
-    ScheduleImprover,
-    TimeBudget,
-    best_schedule,
-    budget_limits,
-)
+from .base import Budget, Scheduler, ScheduleImprover, best_schedule
 from .bsp_greedy import BspGreedyScheduler
 from .comm_hill_climbing import CommScheduleHillClimbing
 from .hill_climbing import HillClimbingImprover
@@ -236,7 +229,7 @@ class SchedulingPipeline(Scheduler):
         self,
         dag: ComputationalDAG,
         machine: BspMachine,
-        budget: TimeBudget | None = None,
+        budget: Budget | None = None,
     ) -> BspSchedule:
         return self.schedule_with_stages(dag, machine, budget).schedule
 
@@ -244,20 +237,17 @@ class SchedulingPipeline(Scheduler):
         self,
         dag: ComputationalDAG,
         machine: BspMachine,
-        budget: TimeBudget | None = None,
+        budget: Budget | None = None,
     ) -> PipelineResult:
         """Run the full pipeline and record the cost after each stage."""
         config = self.config
-        budget = budget or TimeBudget.unlimited()
+        budget = budget or Budget()
         stages = StageCosts()
 
-        # a unified outer Budget's deterministic limits propagate into the
-        # per-stage local-search budgets (the ILP stages read them straight
-        # from the outer budget they already receive)
-        outer_steps, outer_nodes = budget_limits(budget)
-
         # --- stage 1 + 2: initialisers, each followed by HC + HCcs -------- #
-        seconds = config.local_search_seconds
+        # the local-search stages run on the configured clock, not the
+        # outer one, and keep the outer budget's work caps
+        local_search = replace(budget, seconds=config.local_search_seconds)
         candidates: list[BspSchedule] = []
         improved_candidates: list[BspSchedule] = []
         for initializer in self._initializers(machine):
@@ -265,18 +255,8 @@ class SchedulingPipeline(Scheduler):
             stages.initial[initializer.name] = initial.cost()
             candidates.append(initial)
             hill_climb, comm_climb = self._local_search()
-            hc_budget = Budget(
-                None if seconds is None else 0.9 * seconds,
-                max_steps=outer_steps,
-                ilp_node_limit=outer_nodes,
-            )
-            improved = hill_climb.improve(initial.with_lazy_comm(), hc_budget)
-            hccs_budget = Budget(
-                None if seconds is None else 0.1 * seconds,
-                max_steps=outer_steps,
-                ilp_node_limit=outer_nodes,
-            )
-            improved_candidates.append(comm_climb.improve(improved, hccs_budget))
+            improved = hill_climb.improve(initial.with_lazy_comm(), local_search.fraction(0.9))
+            improved_candidates.append(comm_climb.improve(improved, local_search.fraction(0.1)))
 
         stages.best_init = min(schedule.cost() for schedule in candidates)
         incumbent = best_schedule(*improved_candidates)
@@ -353,6 +333,6 @@ class MultilevelPipeline(Scheduler):
         self,
         dag: ComputationalDAG,
         machine: BspMachine,
-        budget: TimeBudget | None = None,
+        budget: Budget | None = None,
     ) -> BspSchedule:
         return self._scheduler.schedule(dag, machine, budget)

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..core.comm import CommStep, CommWindow
 from ..core.schedule import BspSchedule
-from .base import ScheduleImprover, TimeBudget
+from .base import Budget, ScheduleImprover
 from .hill_climbing import LazyCostTracker
 
 __all__ = ["HillClimbingImproverReference", "CommScheduleHillClimbingReference"]
@@ -55,9 +55,9 @@ class HillClimbingImproverReference(ScheduleImprover):
     def improve(
         self,
         schedule: BspSchedule,
-        budget: TimeBudget | None = None,
+        budget: Budget | None = None,
     ) -> BspSchedule:
-        budget = budget or TimeBudget.unlimited()
+        budget = budget or Budget()
         dag = schedule.dag
         machine = schedule.machine
         moves: list[tuple[int, int, int]] = []
@@ -122,9 +122,9 @@ class CommScheduleHillClimbingReference(ScheduleImprover):
     def improve(
         self,
         schedule: BspSchedule,
-        budget: TimeBudget | None = None,
+        budget: Budget | None = None,
     ) -> BspSchedule:
-        budget = budget or TimeBudget.unlimited()
+        budget = budget or Budget()
         machine = schedule.machine
         dag = schedule.dag
         moves: list[tuple[int, int]] = []

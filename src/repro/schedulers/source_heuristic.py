@@ -21,7 +21,7 @@ import numpy as np
 from ..core.dag import ComputationalDAG
 from ..core.machine import BspMachine
 from ..core.schedule import BspSchedule
-from .base import Scheduler, TimeBudget
+from .base import Budget, Scheduler
 
 __all__ = ["SourceScheduler"]
 
@@ -55,7 +55,7 @@ class SourceScheduler(Scheduler):
         self,
         dag: ComputationalDAG,
         machine: BspMachine,
-        budget: TimeBudget | None = None,
+        budget: Budget | None = None,
     ) -> BspSchedule:
         n = dag.num_nodes
         num_procs = machine.num_procs

@@ -15,7 +15,7 @@ import numpy as np
 from ..core.dag import ComputationalDAG
 from ..core.machine import BspMachine
 from ..core.schedule import BspSchedule
-from .base import Scheduler, TimeBudget
+from .base import Budget, Scheduler
 
 __all__ = ["TrivialScheduler", "RoundRobinScheduler"]
 
@@ -29,7 +29,7 @@ class TrivialScheduler(Scheduler):
         self,
         dag: ComputationalDAG,
         machine: BspMachine,
-        budget: TimeBudget | None = None,
+        budget: Budget | None = None,
     ) -> BspSchedule:
         return BspSchedule.trivial(dag, machine)
 
@@ -43,7 +43,7 @@ class RoundRobinScheduler(Scheduler):
         self,
         dag: ComputationalDAG,
         machine: BspMachine,
-        budget: TimeBudget | None = None,
+        budget: Budget | None = None,
     ) -> BspSchedule:
         levels = dag.levels()
         procs = np.zeros(dag.num_nodes, dtype=np.int64)

@@ -1,4 +1,4 @@
-"""Unit tests for the scheduler base classes and the TimeBudget helper."""
+"""Unit tests for the scheduler base classes and the Budget model."""
 
 from __future__ import annotations
 
@@ -11,64 +11,72 @@ from repro.schedulers import (
     Budget,
     Scheduler,
     ScheduleImprover,
-    TimeBudget,
     best_schedule,
-    budget_limits,
 )
 from repro.schedulers.trivial import TrivialScheduler
 
 
-class TestTimeBudget:
+class TestBudgetClock:
     def test_unlimited_never_expires(self):
-        budget = TimeBudget.unlimited()
+        budget = Budget()
         assert not budget.expired()
         assert budget.remaining == float("inf")
 
     def test_zero_budget_expires_immediately(self):
-        budget = TimeBudget(0.0)
+        budget = Budget(0.0)
         assert budget.expired()
         assert budget.remaining == 0.0
 
     def test_elapsed_grows(self):
-        budget = TimeBudget(10.0)
+        budget = Budget(10.0)
         first = budget.elapsed
         time.sleep(0.01)
         assert budget.elapsed > first
         assert budget.remaining < 10.0
         assert not budget.expired()
 
-    def test_restart_resets_clock(self):
-        budget = TimeBudget(0.05)
-        time.sleep(0.06)
-        assert budget.expired()
-        budget.restart()
-        assert not budget.expired()
-
     def test_fraction(self):
-        budget = TimeBudget(10.0)
+        budget = Budget(10.0)
         half = budget.fraction(0.5)
         assert half.seconds == pytest.approx(5.0)
-        assert TimeBudget.unlimited().fraction(0.5).seconds is None
+        assert Budget().fraction(0.5).seconds is None
 
 
 class TestUnifiedBudget:
-    def test_budget_is_a_time_budget(self):
+    def test_wall_clock_with_work_caps_expires(self):
         budget = Budget(seconds=0.05, max_steps=4, ilp_node_limit=10)
-        assert isinstance(budget, TimeBudget)
-        assert not budget.deterministic
         time.sleep(0.06)
         assert budget.expired()
 
-    def test_deterministic_budget_never_expires(self):
+    def test_work_caps_alone_never_expire(self):
         budget = Budget(seconds=None, max_steps=2)
-        assert budget.deterministic
         assert not budget.expired()
         assert budget.remaining == float("inf")
 
-    def test_budget_limits_helper(self):
-        assert budget_limits(None) == (None, None)
-        assert budget_limits(TimeBudget(1.0)) == (None, None)
-        assert budget_limits(Budget(max_steps=3, ilp_node_limit=7)) == (3, 7)
+    @pytest.mark.parametrize("seconds", [None, 8.0])
+    def test_fraction_keeps_work_caps(self, seconds):
+        part = Budget(seconds, max_steps=3, ilp_node_limit=7).fraction(0.25)
+        assert (part.max_steps, part.ilp_node_limit) == (3, 7)
+        assert part.seconds == (None if seconds is None else 2.0)
+
+    def test_fraction_restarts_clock(self):
+        budget = Budget(seconds=0.05, max_steps=1)
+        time.sleep(0.06)
+        assert budget.expired()
+        assert not budget.fraction(1.0).expired()
+
+    def test_ilp_limits(self):
+        # no seconds: the stage's own clock; no node limit: the stage's own
+        assert Budget().ilp_limits(10.0, 5) == (10.0, 5)
+        assert Budget(ilp_node_limit=1).ilp_limits(10.0, 5) == (10.0, 1)
+        assert Budget(ilp_node_limit=1).ilp_limits(None, None) == (None, 1)
+        # with seconds: never past the remaining allowance
+        time_limit, _ = Budget(seconds=100.0).ilp_limits(10.0, None)
+        assert time_limit == 10.0
+        time_limit, _ = Budget(seconds=2.0).ilp_limits(10.0, None)
+        assert 0.0 < time_limit <= 2.0
+        time_limit, _ = Budget(seconds=2.0).ilp_limits(None, None)
+        assert 0.0 < time_limit <= 2.0
 
     def test_started_restarts_clock(self):
         budget = Budget(seconds=0.05, max_steps=1)

@@ -150,27 +150,3 @@ class TestCsrPrimitives:
         assert dag.levels().tolist() == [0, 1, 1, 2, 3]
         assert dag.depth() == 4
 
-
-class TestGroupedHelpers:
-    """The PR-4 grouped helpers backing the batched hill-climbing evaluation."""
-
-    def test_group_min_table_matches_bruteforce(self):
-        from repro.core.csr import NO_ENTRY, group_min_table
-
-        rng = np.random.default_rng(3)
-        rows = rng.integers(0, 4, size=30).astype(np.int64)
-        cols = rng.integers(0, 5, size=30).astype(np.int64)
-        values = rng.integers(0, 100, size=30).astype(np.int64)
-        table = group_min_table(rows, cols, values, 4, 5)
-        for r in range(4):
-            for c in range(5):
-                members = values[(rows == r) & (cols == c)]
-                expected = members.min() if members.size else NO_ENTRY
-                assert table[r, c] == expected
-
-    def test_group_min_table_empty(self):
-        from repro.core.csr import NO_ENTRY, group_min_table
-
-        empty = np.empty(0, dtype=np.int64)
-        table = group_min_table(empty, empty, empty, 3, 2)
-        assert (table == NO_ENTRY).all()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import BspMachine, BspSchedule, ComputationalDAG
-from repro.schedulers import BspGreedyScheduler, HillClimbingImprover, LazyCostTracker, TimeBudget
+from repro.schedulers import BspGreedyScheduler, Budget, HillClimbingImprover, LazyCostTracker
 from repro.schedulers.trivial import RoundRobinScheduler
 
 from conftest import assert_valid_schedule, build_diamond_dag, build_fork_join_dag, random_dag
@@ -133,7 +133,7 @@ class TestHillClimbingImprover:
         dag = random_dag(40, 0.1, seed=2)
         start = RoundRobinScheduler().schedule(dag, machine4)
         # an already-expired budget must still return a schedule no worse than the input
-        budget = TimeBudget(0.0)
+        budget = Budget(0.0)
         improved = HillClimbingImprover().improve(start, budget)
         assert improved.cost() <= start.cost()
 

@@ -270,3 +270,45 @@ class TestMultilevelScheduler:
             base_scheduler=BspGreedyScheduler(), coarsening_ratios=(0.3,)
         )
         assert_valid_schedule(scheduler.schedule(dag, machine))
+
+
+class TestMultilevelBudget:
+    def test_work_caps_reach_every_stage(self, monkeypatch):
+        """Budget splits keep the caps: every MILP and HC burst sees them."""
+        from repro.api import Budget, ScheduleRequest, SchedulerSpec, SchedulingService
+        from repro.core.machine import MachineSpec
+        from repro.schedulers import HillClimbingImprover, MilpProblem
+
+        node_limits, step_caps = [], []
+        solve, climb = MilpProblem.solve, HillClimbingImprover.climb
+
+        def recording_solve(self, *args, **kwargs):
+            node_limits.append(kwargs.get("node_limit"))
+            return solve(self, *args, **kwargs)
+
+        def recording_climb(self, tracker, budget=None):
+            step_caps.append(budget.max_steps)
+            return climb(self, tracker, budget)
+
+        monkeypatch.setattr(MilpProblem, "solve", recording_solve)
+        monkeypatch.setattr(HillClimbingImprover, "climb", recording_climb)
+        config = {
+            "use_ilp": True,
+            "use_comm_ilp": True,
+            "local_search_seconds": 2.0,
+            "ilp_full_seconds": 2.0,
+            "ilp_partial_seconds": 1.0,
+            "ilp_comm_seconds": 1.0,
+            "ilp_init_seconds": 1.0,
+        }
+        request = ScheduleRequest(
+            dag=random_dag(36, 0.12, seed=4),
+            machine=MachineSpec(num_procs=2, g=2, latency=3),
+            scheduler=SchedulerSpec("multilevel", {"config": config}),
+            budget=Budget(seconds=None, max_steps=7, ilp_node_limit=1),
+        )
+        result = SchedulingService(cache_size=0).solve(request)
+        assert_valid_schedule(result.to_schedule())
+        assert node_limits and step_caps
+        assert node_limits == [1] * len(node_limits)
+        assert step_caps == [7] * len(step_caps)

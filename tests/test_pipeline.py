@@ -7,13 +7,13 @@ import pytest
 from repro.core import BspMachine
 from repro.schedulers import (
     BspGreedyScheduler,
+    Budget,
     CilkScheduler,
     HDaggScheduler,
     MultilevelPipeline,
     PipelineConfig,
     Scheduler,
     SchedulingPipeline,
-    TimeBudget,
     best_schedule,
 )
 
@@ -144,7 +144,7 @@ class TestBasePipeline:
 
     def test_respects_overall_time_budget(self, spmv_instance):
         machine = BspMachine.uniform(4, g=1, latency=5)
-        budget = TimeBudget(0.0)  # everything already expired
+        budget = Budget(0.0)  # everything already expired
         schedule = SchedulingPipeline(FAST).schedule(spmv_instance, machine, budget)
         assert_valid_schedule(schedule)
 

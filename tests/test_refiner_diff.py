@@ -391,6 +391,30 @@ class TestCompactedAssignment:
             assert np.array_equal(steps, expected.supersteps)
             assert num_used == expected.num_supersteps
 
+    @pytest.mark.parametrize("weights", ["real", "zero_comm"])
+    def test_improve_leaves_no_empty_superstep(self, weights):
+        """HC compacts exactly like the seed walker's ``BspSchedule.compacted()``.
+
+        Real weights leave float residue in the traffic row of an emptied
+        superstep; a zero comm weight gives a transfer that occupies its
+        phase but leaves no traffic at all.  Neither may decide compaction.
+        """
+        machine = BspMachine.uniform(4, g=3, latency=2)
+        # on seed 24 (real) and seeds 4 and 16 (zero comm) the traffic rows
+        # misjudge a superstep of the climbed schedule
+        for seed in range(4, 25, 4):
+            if weights == "real":
+                dag = _real_weight_dag(30, 0.12, seed)
+            else:
+                dag = random_dag(30, 0.12, seed=seed)
+                zero = np.arange(dag.num_nodes) % 3 == 0
+                dag.set_comm_weights(np.where(zero, 0.0, dag.comm_weights))
+            start = RoundRobinScheduler().schedule(dag, machine)
+            out = HillClimbingImprover().improve(start)
+            expected = HillClimbingImproverReference().improve(start)
+            assert out.compacted().num_supersteps == out.num_supersteps, seed
+            assert out.cost() == pytest.approx(expected.cost(), rel=1e-9), seed
+
     def test_multilevel_levels_are_compacted_between_bursts(self):
         """The uncoarsening loop must not accumulate empty supersteps."""
         from repro.schedulers import BspGreedyScheduler, MultilevelScheduler
