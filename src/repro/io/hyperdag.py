@@ -21,11 +21,15 @@ The concrete text format used here is line-oriented and self-describing::
 
 Node indices are 0-based.  :func:`write_hyperdag` and :func:`read_hyperdag`
 round-trip :class:`~repro.core.dag.ComputationalDAG` objects exactly.
+Malformed input raises :class:`~repro.core.exceptions.DagError` naming the
+offending line: counts and node ids must be integers, and weights finite,
+non-negative numbers.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from pathlib import Path
 from typing import TextIO
 
@@ -71,10 +75,27 @@ def read_hyperdag(path: str | Path) -> ComputationalDAG:
         return _read(handle)
 
 
+def _integer(text: str, number: int, line: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise DagError(f"line {number}: {text!r} is not an integer in {line!r}") from None
+
+
+def _weight(text: str, number: int, line: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise DagError(f"line {number}: {text!r} is not a number in {line!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise DagError(f"line {number}: weight {text!r} is not finite and non-negative")
+    return value
+
+
 def _read(handle: TextIO) -> ComputationalDAG:
     name = "hyperdag"
-    lines: list[str] = []
-    for raw in handle:
+    lines: list[tuple[int, str]] = []
+    for number, raw in enumerate(handle, start=1):
         stripped = raw.strip()
         if stripped.startswith("%%"):
             parts = stripped.split(maxsplit=2)
@@ -83,39 +104,47 @@ def _read(handle: TextIO) -> ComputationalDAG:
             continue
         if not stripped or stripped.startswith("%"):
             continue
-        lines.append(stripped)
+        lines.append((number, stripped))
     cursor = 0
 
-    def next_line() -> str:
+    def next_line() -> tuple[int, str]:
         nonlocal cursor
         if cursor >= len(lines):
             raise DagError("unexpected end of hyperDAG file")
-        line = lines[cursor]
         cursor += 1
-        return line
+        return lines[cursor - 1]
 
-    header = next_line().split()
-    if len(header) != 2 or header[0] != "nodes":
-        raise DagError(f"expected 'nodes <n>' header, got {header!r}")
-    num_nodes = int(header[1])
+    def count(keyword: str) -> int:
+        number, line = next_line()
+        parts = line.split()
+        if len(parts) != 2 or parts[0] != keyword:
+            raise DagError(f"line {number}: expected '{keyword} <count>' header, got {line!r}")
+        value = _integer(parts[1], number, line)
+        if value < 0:
+            raise DagError(f"line {number}: negative count in {line!r}")
+        return value
+
+    num_nodes = count("nodes")
     works: list[float] = []
     comms: list[float] = []
     for _ in range(num_nodes):
-        parts = next_line().split()
+        number, line = next_line()
+        parts = line.split()
         if len(parts) != 2:
-            raise DagError(f"expected 'work comm' node line, got {parts!r}")
-        works.append(float(parts[0]))
-        comms.append(float(parts[1]))
+            raise DagError(f"line {number}: expected 'work comm' node line, got {line!r}")
+        works.append(_weight(parts[0], number, line))
+        comms.append(_weight(parts[1], number, line))
     dag = ComputationalDAG(num_nodes, works, comms, name=name)
 
-    header = next_line().split()
-    if len(header) != 2 or header[0] != "hyperedges":
-        raise DagError(f"expected 'hyperedges <h>' header, got {header!r}")
-    num_hyperedges = int(header[1])
+    num_hyperedges = count("hyperedges")
     for _ in range(num_hyperedges):
-        parts = [int(x) for x in next_line().split()]
+        number, line = next_line()
+        parts = [_integer(x, number, line) for x in line.split()]
         if len(parts) < 2:
-            raise DagError("hyperedge line must contain a source and at least one successor")
+            raise DagError(
+                f"line {number}: hyperedge line must contain a source and at least "
+                f"one successor, got {line!r}"
+            )
         source, *succs = parts
         for target in succs:
             dag.add_edge(source, target)

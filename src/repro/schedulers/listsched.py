@@ -8,11 +8,20 @@ of distinct processors (the paper folds NUMA into this single average for
 the baselines, Appendix A.1).
 
 * **BL-EST** repeatedly picks the ready node with the largest *bottom level*
-  (longest outgoing work path) and assigns it to the processor offering the
-  earliest start time (EST).
+  (longest outgoing work path), smaller node id on ties, and assigns it to
+  the processor offering the earliest start time (EST).
 * **ETF** (Earliest Task First) considers every (ready node, processor)
-  pair and schedules the pair with the globally earliest start time,
-  breaking ties towards larger bottom level.
+  pair and schedules the pair with the globally earliest start time; ties
+  go to the larger bottom level, then the smaller node id, then the
+  smaller processor id.
+
+Once a node is ready, all its predecessors have finished, so its
+data-ready time on each of the ``P`` processors never changes again.  Both
+schedulers therefore derive these ``P`` times once, when the node becomes
+ready, and keep them as one row of a ready-aligned block (see
+:class:`_ReadyRows`).  The start time of a pair is the larger of its
+data-ready time and the processor's ready time, so a pick reads the whole
+block with one vectorized maximum.
 
 The classical schedules are converted to BSP with
 :func:`repro.core.classical.classical_to_bsp`.
@@ -31,36 +40,54 @@ from .base import Budget, Scheduler
 __all__ = ["BlEstScheduler", "EtfScheduler"]
 
 
+class _ReadyRows:
+    """The ready nodes and their per-processor data-ready times.
+
+    Row ``i`` of ``rows`` holds the ``P`` data-ready times of ``nodes[i]``;
+    only the first ``size`` rows are live.  A removed row is overwritten by
+    the last live row, so the block stays dense and holds
+    O(max ready × P) floats, not O(n × P).  The capacity doubles when full.
+    """
+
+    def __init__(self, num_procs: int, capacity: int) -> None:
+        capacity = max(capacity, 16)
+        self.nodes = np.zeros(capacity, dtype=np.int64)
+        self.rows = np.zeros((capacity, num_procs), dtype=np.float64)
+        self.size = 0
+
+    def push(self, node: int) -> np.ndarray:
+        """Append ``node`` and return its row, which the caller fills."""
+        if self.size == self.nodes.size:
+            self.nodes = np.concatenate((self.nodes, np.zeros_like(self.nodes)))
+            self.rows = np.concatenate((self.rows, np.zeros_like(self.rows)))
+        self.nodes[self.size] = node
+        self.size += 1
+        return self.rows[self.size - 1]
+
+    def remove(self, index: int) -> None:
+        """Drop row ``index`` by moving the last live row into its slot."""
+        last = self.size - 1
+        if index != last:
+            self.nodes[index] = self.nodes[last]
+            self.rows[index] = self.rows[last]
+        self.size = last
+
+
 class _ListSchedulerBase(Scheduler):
     """Shared machinery of the BL-EST and ETF baselines.
 
-    The inner loops read neighbourhoods as zero-copy CSR slices and compute
-    the data-ready time of a candidate ``(node, proc)`` pair with one
-    vectorized expression over the predecessor slice; the per-predecessor
-    communication delays ``g * c(u) * λ̄`` are precomputed once per run.
+    The data-ready row of a node is computed with one vectorized expression
+    over its predecessor slice when its last predecessor is scheduled: on
+    processor ``q`` the value of predecessor ``u`` arrives at
+    ``finish(u) + g * c(u) * λ̄ * [π(u) != q]``, and the row is the maximum
+    over the predecessors (0 for a source).  Subclasses choose a ready row
+    and a processor in :meth:`_pick`.
     """
 
     def _communication_delays(
         self, dag: ComputationalDAG, machine: BspMachine
     ) -> np.ndarray:
         return machine.g * dag.comm_weights * machine.average_numa_multiplier
-
-    def _earliest_start(
-        self,
-        dag: ComputationalDAG,
-        node: int,
-        proc: int,
-        procs: np.ndarray,
-        finish_times: np.ndarray,
-        proc_ready: np.ndarray,
-        delays: np.ndarray,
-    ) -> float:
-        preds = dag.pred(node)
-        data_ready = 0.0
-        if preds.size:
-            arrivals = finish_times[preds] + delays[preds] * (procs[preds] != proc)
-            data_ready = float(arrivals.max())
-        return max(data_ready, float(proc_ready[proc]))
 
     def classical_schedule(
         self, dag: ComputationalDAG, machine: BspMachine
@@ -74,27 +101,35 @@ class _ListSchedulerBase(Scheduler):
         proc_ready = np.zeros(num_procs, dtype=np.float64)
         bottom_levels = dag.bottom_levels()
         delays = self._communication_delays(dag, machine)
+        proc_ids = np.arange(num_procs)
+        remaining_preds = dag.in_degrees().tolist()
 
-        remaining_preds = dag.in_degrees().copy()
-        ready = set(dag.sources())
-        scheduled: list[int] = []
+        sources = dag.sources()
+        ready = _ReadyRows(num_procs, len(sources))
+        for source in sources:
+            ready.push(source)[:] = 0.0
+        scheduled = 0
 
-        while ready:
-            node, proc, est = self._pick(
-                dag, ready, bottom_levels, procs, finish_times, proc_ready, delays
-            )
-            ready.discard(node)
+        while ready.size:
+            index, proc, est = self._pick(ready, proc_ready, bottom_levels)
+            node = int(ready.nodes[index])
+            ready.remove(index)
+            finish = est + dag.work(node)
             procs[node] = proc
             start_times[node] = est
-            finish_times[node] = est + dag.work(node)
-            proc_ready[proc] = finish_times[node]
-            scheduled.append(node)
+            finish_times[node] = finish
+            proc_ready[proc] = finish
+            scheduled += 1
             for succ in dag.succ(node).tolist():
                 remaining_preds[succ] -= 1
                 if remaining_preds[succ] == 0:
-                    ready.add(succ)
+                    preds = dag.pred(succ)
+                    arrivals = finish_times[preds, None] + delays[preds, None] * (
+                        procs[preds, None] != proc_ids
+                    )
+                    arrivals.max(axis=0, out=ready.push(succ))
 
-        if len(scheduled) != n:
+        if scheduled != n:
             raise RuntimeError("list scheduler failed to schedule every node")
         return ClassicalSchedule(
             dag=dag,
@@ -105,15 +140,9 @@ class _ListSchedulerBase(Scheduler):
         )
 
     def _pick(
-        self,
-        dag: ComputationalDAG,
-        ready: set[int],
-        bottom_levels: np.ndarray,
-        procs: np.ndarray,
-        finish_times: np.ndarray,
-        proc_ready: np.ndarray,
-        delays: np.ndarray,
+        self, ready: _ReadyRows, proc_ready: np.ndarray, bottom_levels: np.ndarray
     ) -> tuple[int, int, float]:
+        """``(ready row index, processor, start time)`` of the next assignment."""
         raise NotImplementedError
 
     def schedule(
@@ -127,40 +156,47 @@ class _ListSchedulerBase(Scheduler):
 
 
 class BlEstScheduler(_ListSchedulerBase):
-    """Bottom-Level priority, Earliest-Start-Time processor selection."""
+    """Bottom-Level priority, Earliest-Start-Time processor selection.
+
+    The node is the ready node of largest bottom level (smaller id on
+    ties).  Its processor comes from a sequential scan of its row that
+    moves to a later processor only when that start time is lower by more
+    than ``1e-12``.
+    """
 
     name = "bl_est"
 
-    def _pick(self, dag, ready, bottom_levels, procs, finish_times, proc_ready, delays):
-        # highest bottom level first; ties broken by node index for determinism
-        node = max(ready, key=lambda v: (bottom_levels[v], -v))
+    def _pick(self, ready, proc_ready, bottom_levels):
+        nodes = ready.nodes[: ready.size]
+        levels = bottom_levels[nodes]
+        tied = np.flatnonzero(levels == levels.max())
+        index = int(tied[nodes[tied].argmin()])
         best_proc = 0
         best_est = float("inf")
-        for proc in range(proc_ready.shape[0]):
-            est = self._earliest_start(
-                dag, node, proc, procs, finish_times, proc_ready, delays
-            )
+        for proc, est in enumerate(np.maximum(ready.rows[index], proc_ready).tolist()):
             if est < best_est - 1e-12:
                 best_est = est
                 best_proc = proc
-        return node, best_proc, best_est
+        return index, best_proc, best_est
 
 
 class EtfScheduler(_ListSchedulerBase):
-    """Earliest Task First: globally earliest (node, processor) start time."""
+    """Earliest Task First: globally earliest (node, processor) start time.
+
+    One minimum over the ready block's start times picks the pair.  Only
+    when several pairs tie exactly does a lexsort order them by
+    (-bottom level, node, processor), so the order is that of the key
+    ``(est, -bottom level, node, processor)``.
+    """
 
     name = "etf"
 
-    def _pick(self, dag, ready, bottom_levels, procs, finish_times, proc_ready, delays):
-        best: tuple[float, float, int, int] | None = None
-        for node in sorted(ready):
-            for proc in range(proc_ready.shape[0]):
-                est = self._earliest_start(
-                    dag, node, proc, procs, finish_times, proc_ready, delays
-                )
-                key = (est, -float(bottom_levels[node]), node, proc)
-                if best is None or key < best:
-                    best = key
-        assert best is not None
-        est, _, node, proc = best
-        return node, proc, est
+    def _pick(self, ready, proc_ready, bottom_levels):
+        est = np.maximum(ready.rows[: ready.size], proc_ready)
+        best = est.min()
+        rows, cols = (est == best).nonzero()
+        tie = 0
+        if rows.size > 1:
+            nodes = ready.nodes[rows]
+            tie = np.lexsort((cols, nodes, -bottom_levels[nodes]))[0]
+        return int(rows[tie]), int(cols[tie]), float(best)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import BspMachine, ComputationalDAG
+from repro.dagdb import build_fft_dag
 from repro.schedulers import (
     BlEstScheduler,
     CilkScheduler,
@@ -22,6 +23,7 @@ from conftest import (
     build_paper_example_dag,
     random_dag,
 )
+from oracles.listsched import bl_est_reference, etf_reference
 
 ALL_BASELINES = [
     TrivialScheduler,
@@ -122,10 +124,25 @@ class TestListSchedulers:
         assert classical.start_times[0] < classical.start_times[1]
 
     def test_etf_picks_globally_earliest_start(self):
+        """Fork-join(4), unit weights, P=2, g=1: every delay is 1 (λ̄ = 1).
+
+        Bottom levels: 3 for the source 0, 2 for 1..4, 1 for the sink 5.
+        - 0: both processors start at 0; the tie goes to p0 (0-1).
+        - 1..4 become ready at 1 on p0 and at 1 + 1 = 2 on p1.  The
+          earliest pair is (1, p0) at 1 (1-2).
+        - Next, all six pairs of 2..4 start at 2; the smallest node and
+          processor win: (2, p0) (2-3).
+        - p0 is now busy until 3, p1 still offers 2: (3, p1) (2-3).
+        - Node 4 starts at 3 on both; the tie goes to p0 (3-4).
+        - Sink 5 on p0: data from 3 on p1 arrives at 3 + 1 = 4, p0 is free
+          at 4, so it starts at 4.  On p1 the data of 4 would arrive at 5.
+        """
         dag = build_fork_join_dag(4)
         machine = BspMachine.uniform(2, g=1)
         classical = EtfScheduler().classical_schedule(dag, machine)
         classical.validate()
+        assert classical.procs.tolist() == [0, 0, 0, 1, 0, 0]
+        assert classical.start_times.tolist() == [0.0, 1.0, 2.0, 2.0, 3.0, 4.0]
 
     def test_est_accounts_for_communication_volume(self):
         """With huge comm weights, both successors of a node stay on its processor."""
@@ -152,3 +169,88 @@ class TestListSchedulers:
         # the communication penalty (10 * avg lambda > 10) far exceeds any
         # waiting time, so node 1 is co-located with node 0
         assert classical.procs[1] == classical.procs[0]
+
+
+ORACLE_PROCS = (1, 2, 3, 4, 8, 16)
+ORACLE_GS = (0, 1, 3, 5)
+
+
+def _oracle_machine(rng, num_procs: int, g: float, numa: bool) -> BspMachine:
+    if not numa:
+        return BspMachine.uniform(num_procs, g=g)
+    if num_procs >= 2 and num_procs & (num_procs - 1) == 0:
+        return BspMachine.numa_hierarchy(num_procs, delta=int(rng.integers(2, 5)), g=g)
+    matrix = rng.integers(1, 5, size=(num_procs, num_procs)).astype(float)
+    np.fill_diagonal(matrix, 0.0)
+    return BspMachine.from_numa_matrix(matrix, g=g)
+
+
+def _oracle_dag(rng, weights: str) -> ComputationalDAG:
+    """A random DAG of 1-39 nodes under one of four weight models.
+
+    ``decimal`` draws tenths, whose sums leave float residue, so start
+    times on different processors often differ only in the last bits;
+    ``zero`` makes about a third of all weights zero.
+    """
+    n = int(rng.integers(1, 40))
+    edge_prob = float(rng.uniform(0.02, 0.4))
+    if weights == "integer":
+        works = rng.integers(1, 6, size=n).astype(float)
+        comms = rng.integers(1, 4, size=n).astype(float)
+    elif weights == "real":
+        works = rng.uniform(0.1, 5.0, size=n)
+        comms = rng.uniform(0.0, 3.0, size=n)
+    elif weights == "decimal":
+        works = rng.integers(1, 10, size=n) / 10
+        comms = rng.integers(0, 10, size=n) / 10
+    else:
+        works = rng.integers(0, 3, size=n).astype(float)
+        comms = rng.integers(0, 3, size=n).astype(float)
+    dag = ComputationalDAG(n, works, comms)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < edge_prob:
+                dag.add_edge(i, j)
+    return dag
+
+
+def assert_list_schedules_match_oracle(dag: ComputationalDAG, machine: BspMachine) -> None:
+    for scheduler, reference in ((EtfScheduler(), etf_reference), (BlEstScheduler(), bl_est_reference)):
+        classical = scheduler.classical_schedule(dag, machine)
+        procs, start_times, finish_times = reference(dag, machine)
+        context = f"{scheduler.name} on n={dag.num_nodes}, P={machine.num_procs}, g={machine.g}"
+        assert classical.procs.tolist() == procs, context
+        assert classical.start_times.tolist() == start_times, context
+        assert classical.finish_times.tolist() == finish_times, context
+
+
+class TestListSchedulerOracle:
+    """ETF and BL-EST equal the plain-loop per-pair walk exactly.
+
+    The schedulers keep one data-ready row per ready node and pick with
+    array reductions; the oracle re-derives every (node, processor) start
+    time at every pick.  Procs, start and finish times must be equal, not
+    close.
+    """
+
+    @pytest.mark.parametrize("numa", [False, True], ids=["uniform", "numa"])
+    @pytest.mark.parametrize("weights", ["integer", "real", "decimal", "zero"])
+    def test_random_dags(self, weights, numa):
+        # 30 seeds per weight model and machine kind: 240 DAGs in all,
+        # each (P, g) pair at least once per model and machine kind
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            dag = _oracle_dag(rng, weights)
+            num_procs = ORACLE_PROCS[seed % len(ORACLE_PROCS)]
+            g = ORACLE_GS[(seed // len(ORACLE_PROCS)) % len(ORACLE_GS)]
+            machine = _oracle_machine(rng, num_procs, g, numa)
+            assert_list_schedules_match_oracle(dag, machine)
+
+    @pytest.mark.parametrize("num_procs", ORACLE_PROCS)
+    def test_tie_heavy_dags(self, num_procs):
+        """Unit weights with g = 0: every pick is decided by the tie-break."""
+        machine = BspMachine.uniform(num_procs, g=0)
+        dags = [build_fork_join_dag(width) for width in (1, 3, 8, 17)]
+        dags += [build_fft_dag(points, weight_model="unit").dag for points in (2, 4, 8, 16)]
+        for dag in dags:
+            assert_list_schedules_match_oracle(dag, machine)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from repro.core import BspMachine, BspSchedule, ComputationalDAG, DagError
+from repro.dagdb import build_fft_dag
 from repro.io import (
     dag_to_dot,
     dumps_hyperdag,
@@ -87,6 +91,52 @@ class TestHyperDagFormat:
         text = "nodes 1\n1 1\nhyperedges 1\n0\n"
         with pytest.raises(DagError):
             loads_hyperdag(text)
+
+    @pytest.mark.parametrize(
+        "text, number",
+        [
+            pytest.param("nodes x\n", 1, id="node_count"),
+            pytest.param("nodes 2.0\n1 1\n1 1\nhyperedges 0\n", 1, id="node_count_float"),
+            pytest.param("nodes 2\n1 1\n1 z\nhyperedges 0\n", 3, id="comm"),
+            pytest.param("nodes 2\n1 1\nz 1\nhyperedges 0\n", 3, id="work"),
+            pytest.param("nodes 2\n1 1\n1 1\nhyperedges x\n", 4, id="hyperedge_count"),
+            pytest.param("nodes 1\n1 1\nhyperedges -1\n", 3, id="negative_hyperedge_count"),
+            pytest.param("nodes 2\n1 1\n1 1\nhyperedges 1\n0 1.0\n", 5, id="edge_id_float"),
+            pytest.param("nodes 2\n1 1\n1 1\nhyperedges 1\nzero 1\n", 5, id="edge_id_word"),
+            pytest.param("nodes 2\nnan 1\n1 1\nhyperedges 0\n", 2, id="nan_work"),
+            pytest.param("nodes 2\n1 1\n1 inf\nhyperedges 0\n", 3, id="inf_comm"),
+            pytest.param("nodes 2\n-inf 1\n1 1\nhyperedges 0\n", 2, id="negative_inf_work"),
+            # comment and blank lines count: the number is the file's line
+            pytest.param("%% HyperDAG t\n% comment\n\nnodes 1\n1 NaN\nhyperedges 0\n", 5, id="after_comments"),
+        ],
+    )
+    def test_malformed_field_names_its_line(self, text, number):
+        """Non-numeric counts, weights and ids and non-finite weights are typed errors."""
+        with pytest.raises(DagError, match=rf"^line {number}: "):
+            loads_hyperdag(text)
+
+    def test_mutated_file_loads_or_raises_dag_error(self):
+        """Seeded 1-3 character edits of an fft(8) file never escape untyped."""
+        text = dumps_hyperdag(build_fft_dag(8).dag)
+        rng = random.Random(0)
+        alphabet = "0123456789 .-+eEnaifxz%\n"
+        for _ in range(1000):
+            chars = list(text)
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(chars))
+                edit = rng.random()
+                if edit < 0.5:
+                    chars[i] = rng.choice(alphabet)
+                elif edit < 0.75:
+                    del chars[i]
+                else:
+                    chars.insert(i, rng.choice(alphabet))
+            try:
+                dag = loads_hyperdag("".join(chars))
+            except DagError:
+                continue
+            weights = dag.work_weights.tolist() + dag.comm_weights.tolist()
+            assert all(math.isfinite(w) for w in weights)
 
 
 class TestDotExport:
