@@ -42,9 +42,10 @@ def get_backend() -> str:
     return "numpy"
 
 
-#: block size an HC pass starts with, and returns to after every accepted move
+#: block size an HC pass returns to after every accepted move
 _HC_BLOCK_MIN = 8
-#: largest block an HC pass asks for (the tracker's cell cap may score fewer)
+#: block size an HC pass starts with, and the largest it asks for (the
+#: tracker's cell cap may score fewer)
 _HC_BLOCK_MAX = 256
 
 
@@ -60,16 +61,18 @@ def hc_pass(tracker, start, stop, max_accept=-1, eps=_EPS, budget=None):
     scored against a state that no longer holds.  So every node is scored
     against exactly the state a node-by-node walk would show it, and the
     accepted moves are those of that walk.  ``b`` starts at
-    ``_HC_BLOCK_MIN``, doubles after a block without a hit (up to
-    ``_HC_BLOCK_MAX``; the tracker's memory cap may score fewer nodes than
-    asked, and the next block doubles what was scored) and falls back to
-    ``_HC_BLOCK_MIN`` after a hit.  Runs between accepted moves are long in
-    converging passes, which is where blocks pay off.
+    ``_HC_BLOCK_MAX``, since a block costs about the same from 1 to 32
+    nodes and most passes, above all the last one of a burst, find few
+    moves.  A hit drops it to ``_HC_BLOCK_MIN``, and each block without a
+    hit doubles it again, up to ``_HC_BLOCK_MAX``.  The tracker's memory
+    cap may score fewer nodes than asked; the next block then doubles
+    what was scored.
 
     Returns ``(accepted, moves)`` where ``moves`` lists the accepted
     ``(node, new_proc, new_step)`` triples in acceptance order.
     ``max_accept < 0`` (or ``None``) means unlimited; a wall-clock
-    ``budget`` is checked before every block.
+    ``budget`` is checked before every block, so it may overrun by one
+    full block.
     """
     if max_accept is None:
         max_accept = -1
@@ -77,7 +80,7 @@ def hc_pass(tracker, start, stop, max_accept=-1, eps=_EPS, budget=None):
     accepted = 0
     moves: list[tuple[int, int, int]] = []
     v = start
-    size = _HC_BLOCK_MIN
+    size = _HC_BLOCK_MAX
     while v < stop:
         if max_accept >= 0 and accepted >= max_accept:
             break

@@ -35,9 +35,10 @@ are derived from ``n``/``m``, so the header fully describes the file.
 
 :func:`read_hdagb` opens the payload with one ``np.memmap`` and returns a
 :class:`MappedDag` whose weight vectors and successor CSR are zero-copy
-views into the mapping — loading is O(header) regardless of size, the
-fingerprint comes straight from the header, and the OS pages payload bytes
-in only when a kernel touches them.  Mapped buffers are read-only; the
+views into the mapping.  A load checks the header and then the payload's
+structure in one O(n + m) pass (row pointer, target range, self-loops,
+weights) without copying a buffer, and the fingerprint comes straight
+from the header.  Mapped buffers are read-only; the
 first mutation transparently copies (see
 ``ComputationalDAG._ensure_writable_weights`` and the capacity-doubling
 edge appends, which always reallocate exactly-sized mapped buffers).
@@ -332,13 +333,36 @@ def _read_header(path: Path) -> tuple:
     return n, m, fingerprint, checksum, payload, end, name
 
 
+def _check_payload(path: Path, n: int, m: int, work, comm, indptr, targets) -> None:
+    """Structural checks of a mapped payload: O(n + m), no sort.
+
+    The row pointer must start at 0, never decrease and end at ``m``;
+    every target must be in range and differ from its source; every
+    weight must be finite and non-negative.  Cycles, and weight flips that
+    stay valid, are left to the checksum (``verify=True``).
+    """
+    if indptr[0] != 0 or indptr[n] != m or (indptr[1:] < indptr[:-1]).any():
+        raise DagError(f"{path}: corrupt hdagb row pointer")
+    sources = np.repeat(np.arange(n, dtype=_INT), np.diff(indptr))
+    try:
+        _check_edge_endpoints(n, sources, targets)
+    except DagError as exc:
+        raise type(exc)(f"{path}: corrupt hdagb targets: {exc}") from exc
+    for what, weights in (("work", work), ("comm", comm)):
+        if not (np.isfinite(weights).all() and (weights >= 0).all()):
+            raise DagError(
+                f"{path}: corrupt hdagb {what} weights (non-finite or negative)"
+            )
+
+
 def read_hdagb(path: str | Path, *, verify: bool = False) -> MappedDag:
     """Load a ``.hdagb`` file as a zero-copy :class:`MappedDag`.
 
     Header, size and section bounds are always validated (so truncation
-    and header corruption fail loudly); ``verify=True`` additionally
-    recomputes the payload checksum — an O(file) streaming read that the
-    default skips to keep loads O(header).
+    and header corruption fail loudly), and so is the payload's structure
+    (row pointer, target range, self-loops, weights; see
+    :func:`_check_payload`), in O(n + m).  ``verify=True`` additionally
+    recomputes the payload checksum, an O(file) streaming read.
     """
     path = Path(path)
     n, m, fingerprint, checksum, payload, end, name = _read_header(path)
@@ -356,6 +380,7 @@ def read_hdagb(path: str | Path, *, verify: bool = False) -> MappedDag:
     comm = np.asarray(mapping[comm_off : comm_off + 8 * n]).view(_F8)
     indptr = np.asarray(mapping[indptr_off : indptr_off + 8 * (n + 1)]).view(_I8)
     targets = np.asarray(mapping[targets_off : targets_off + 8 * m]).view(_I8)
+    _check_payload(path, n, m, work, comm, indptr, targets)
     return MappedDag._from_mapping(
         n, work, comm, indptr, targets, name, fingerprint.hex()
     )

@@ -551,8 +551,9 @@ class HillClimbingImprover(ScheduleImprover):
     the accepted moves mutate the tracker.  The accepted-move sequence is
     identical to the retained probe-and-rollback walker
     :class:`repro.schedulers.reference.HillClimbingImproverReference`.  A
-    wall-clock budget is checked before every block, so it may overrun by
-    one block's evaluation.
+    wall-clock budget is checked before every block, and every pass opens
+    with a full-size block, so a run may overrun its clock by one full
+    block's evaluation.
 
     Parameters
     ----------

@@ -4,7 +4,10 @@ Pipeline (Figure 4 of the paper):
 
 1. **Coarsen** the DAG by repeated acyclicity-preserving edge contractions
    down to a fraction of its original size (the paper evaluates 15% and
-   30% and keeps the better result, which is also the default here).
+   30% and keeps the better result, which is also the default here).  The
+   DAG is coarsened once, to the smallest ratio's target: a larger
+   target's contraction sequence is a prefix of a smaller target's, so
+   every ratio solves on a prefix of that one sequence.
 2. **Solve** the BSP scheduling problem on the coarse DAG with a base
    scheduler (by default the framework pipeline of Figure 3, without the
    final communication-schedule ILP).
@@ -18,16 +21,37 @@ Pipeline (Figure 4 of the paper):
 
 from __future__ import annotations
 
+import math
+
 from ...core.dag import ComputationalDAG
+from ...core.exceptions import ConfigurationError
 from ...core.machine import BspMachine
 from ...core.schedule import BspSchedule
 from ..base import Budget, Scheduler, ScheduleImprover, best_schedule
 from ..comm_hill_climbing import CommScheduleHillClimbing
 from ..hill_climbing import HillClimbingImprover
-from .coarsen import coarsen_dag
+from .coarsen import CoarseningSequence, coarsen_dag
 from .refine import project_arrays, project_to_original, restrict_arrays
 
 __all__ = ["MultilevelScheduler"]
+
+
+def _checked_ratios(ratios: tuple[float, ...]) -> tuple[float, ...]:
+    """``ratios`` when it is a non-empty tuple of finite numbers in ``(0, 1]``."""
+    if not isinstance(ratios, tuple) or not ratios:
+        raise ConfigurationError(
+            f"coarsening_ratios must be a non-empty tuple, got {ratios!r}"
+        )
+    for ratio in ratios:
+        if (
+            isinstance(ratio, bool)
+            or not isinstance(ratio, (int, float))
+            or not (math.isfinite(ratio) and 0 < ratio <= 1)
+        ):
+            raise ConfigurationError(
+                f"coarsening ratios must be finite numbers in (0, 1], got {ratio!r}"
+            )
+    return ratios
 
 
 class MultilevelScheduler(Scheduler):
@@ -40,7 +64,10 @@ class MultilevelScheduler(Scheduler):
         pipeline (constructed lazily to avoid a circular import).
     coarsening_ratios:
         Fractions of the original node count to coarsen to; the best result
-        over all ratios is returned (paper: 0.30 and 0.15).
+        over all ratios is returned (paper: 0.30 and 0.15).  A non-empty
+        tuple of finite ratios in ``(0, 1]``.  The DAG is coarsened once,
+        to the smallest ratio's target, and each ratio solves on the prefix
+        of that contraction sequence that its own target stops at.
     refine_interval:
         Number of uncontraction steps between two refinement bursts (paper: 5).
     refine_max_steps:
@@ -56,6 +83,11 @@ class MultilevelScheduler(Scheduler):
     min_nodes:
         Instances smaller than this are scheduled directly by the base
         scheduler (coarsening a tiny DAG is pointless, as the paper notes).
+
+    A wall-clock budget is checked between stages, between refinement
+    bursts and before every HC block.  Every HC pass opens with a
+    full-size block, so a burst may overrun the clock by one full block's
+    evaluation.  Invalid ratios raise :class:`ConfigurationError`.
     """
 
     name = "multilevel"
@@ -71,7 +103,7 @@ class MultilevelScheduler(Scheduler):
         min_nodes: int = 16,
     ) -> None:
         self.base_scheduler = base_scheduler
-        self.coarsening_ratios = coarsening_ratios
+        self.coarsening_ratios = _checked_ratios(coarsening_ratios)
         self.refine_interval = max(1, refine_interval)
         self.refine_max_steps = refine_max_steps
         self.refine_rounds = max(1, refine_rounds)
@@ -100,23 +132,31 @@ class MultilevelScheduler(Scheduler):
         if dag.num_nodes < self.min_nodes:
             return base.schedule(dag, machine, budget)
 
+        # coarsen_dag reads its target only in the loop condition, and every
+        # contraction removes one node: a larger target's sequence is the
+        # first n - target records of a smaller target's (or all of them
+        # when coarsening stops early)
+        n = dag.num_nodes
+        targets = [max(2, int(round(n * ratio))) for ratio in self.coarsening_ratios]
+        full = coarsen_dag(dag, target_nodes=min(targets))
         candidates: list[BspSchedule] = []
-        for ratio in self.coarsening_ratios:
-            per_ratio = budget.fraction(1.0 / len(self.coarsening_ratios))
-            candidates.append(self._run_one_ratio(dag, machine, base, ratio, per_ratio))
+        for target in targets:
+            sequence = CoarseningSequence(
+                original=dag, records=full.records[: max(0, n - target)]
+            )
+            per_ratio = budget.fraction(1.0 / len(targets))
+            candidates.append(self._run_one_ratio(machine, base, sequence, per_ratio))
         return best_schedule(*candidates)
 
     # ------------------------------------------------------------------ #
     def _run_one_ratio(
         self,
-        dag: ComputationalDAG,
         machine: BspMachine,
         base: Scheduler,
-        ratio: float,
+        sequence: CoarseningSequence,
         budget: Budget,
     ) -> BspSchedule:
-        target = max(2, int(round(dag.num_nodes * ratio)))
-        sequence = coarsen_dag(dag, target_nodes=target)
+        dag = sequence.original
 
         # solve on the fully coarsened DAG
         full_quotient = sequence.quotient()

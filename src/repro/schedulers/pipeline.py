@@ -24,10 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
+import numpy as np
+
 from ..core.dag import ComputationalDAG
+from ..core.exceptions import ConfigurationError
 from ..core.machine import BspMachine
 from ..core.schedule import BspSchedule
-from ..core.wire import as_mapping
+from ..core.wire import as_float, as_mapping
 from .base import Budget, Scheduler, ScheduleImprover, best_schedule
 from .bsp_greedy import BspGreedyScheduler
 from .comm_hill_climbing import CommScheduleHillClimbing
@@ -51,13 +54,47 @@ __all__ = [
 
 _EPS = 1e-9
 
+#: PipelineConfig fields that are on/off switches
+_FLAGS = ("use_ilp", "use_comm_ilp", "use_full_ilp")
+#: PipelineConfig fields in seconds; the fields in neither tuple are counts
+_SECONDS = (
+    "local_search_seconds",
+    "ilp_full_seconds",
+    "ilp_partial_seconds",
+    "ilp_comm_seconds",
+    "ilp_init_seconds",
+)
+#: PipelineConfig fields that may be ``None``: no clock, no cap
+_OPTIONAL = _SECONDS + ("hc_max_steps", "ilp_node_limit")
+
+
+def _is_count(value) -> bool:
+    """A non-negative integer (booleans excluded)."""
+    return (
+        isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
+        and value >= 0
+    )
+
+
+def _is_seconds(value) -> bool:
+    """A finite non-negative number (booleans excluded)."""
+    try:
+        return as_float(value, "seconds") >= 0
+    except (TypeError, ValueError):
+        return False
+
+
 @dataclass
 class PipelineConfig:
     """Tunable knobs of the base pipeline.
 
     The defaults mirror the paper's setup at benchmark-friendly time limits;
     every limit can be raised to the paper's original values for full-scale
-    runs.
+    runs.  Construction raises :class:`ConfigurationError` unless the flags
+    are booleans, the clocks finite non-negative seconds or ``None``, and
+    every other field (caps, passes, thresholds, seed) a non-negative
+    integer, or ``None`` for the two optional caps.
     """
 
     #: apply ``ILPinit`` only when the machine has at most this many processors
@@ -98,6 +135,24 @@ class PipelineConfig:
     ilp_node_limit: int | None = None
     #: random seed forwarded to randomised components
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for spec in fields(self):
+            name, value = spec.name, getattr(self, spec.name)
+            if value is None and name in _OPTIONAL:
+                continue
+            if name in _FLAGS:
+                ok, expected = isinstance(value, bool), "a boolean"
+            elif name in _SECONDS:
+                ok, expected = _is_seconds(value), "finite non-negative seconds"
+            else:
+                ok, expected = _is_count(value), "a non-negative integer"
+            if not ok:
+                if name in _OPTIONAL:
+                    expected += " or None"
+                raise ConfigurationError(
+                    f"PipelineConfig.{name} must be {expected}, got {value!r}"
+                )
 
     def to_dict(self) -> dict:
         """Plain JSON-compatible dict (the declarative wire form)."""

@@ -1,6 +1,7 @@
-"""Seed oracles: plain-loop versions of the program's kernels and schedulers.
+"""Seed oracles: the simplest versions of parts of the program.
 
-Each module re-implements one part of the program the simplest way, with
-Python loops and no vectorized code, so the tests can compare the
-program's results against it exactly.
+Each module re-implements one part of the program the direct way, so the
+tests can compare the program's results against it exactly: plain Python
+loops in place of vectorized kernels (``listsched``), or the
+straightforward orchestration a faster path replaced (``multilevel``).
 """

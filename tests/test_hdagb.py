@@ -25,7 +25,7 @@ import pytest
 from repro.api import MachineSpec, ScheduleRequest, SchedulerSpec, SchedulingService
 from repro.api.request import dag_fingerprint
 from repro.core import ComputationalDAG, save_schedule, load_schedule
-from repro.core.exceptions import ConfigurationError, DagError
+from repro.core.exceptions import ConfigurationError, CycleError, DagError
 from repro.dagdb import (
     SparseMatrixPattern,
     build_fft_dag,
@@ -45,6 +45,7 @@ from repro.io import (
     write_hdagb,
     write_hyperdag,
 )
+from repro.io.hdagb import _layout
 from repro.io.mtx import write_matrix_market_pattern
 
 from conftest import random_dag
@@ -172,11 +173,97 @@ class TestRejection:
         path = tmp_path / "t.hdagb"
         write_hdagb(random_dag(30, 0.1, seed=1), path)
         raw = bytearray(path.read_bytes())
-        raw[-1] ^= 0x01  # flip one payload byte
+        payload = int.from_bytes(raw[96:104], "little")
+        raw[payload] ^= 0x01  # lowest mantissa bit of the first work weight
         path.write_bytes(bytes(raw))
-        read_hdagb(path)  # structural load alone does not checksum
+        read_hdagb(path)  # a weight that stays valid passes the structural load
         with pytest.raises(DagError, match="checksum"):
             read_hdagb(path, verify=True)
+
+    def test_out_of_range_target_caught_without_verify(self, tmp_path):
+        path = tmp_path / "t.hdagb"
+        write_hdagb(random_dag(30, 0.1, seed=1), path)
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0x01  # high byte of the last target: + 2**56
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DagError, match="out of range"):
+            read_hdagb(path)
+
+    @pytest.mark.parametrize(
+        "section, index, value, match",
+        [
+            ("indptr", 0, 1, "row pointer"),
+            ("indptr", 3, 10**12, "row pointer"),
+            ("indptr", -1, 0, "row pointer"),
+            ("targets", 0, -1, "out of range"),
+            ("work", 2, np.nan, "work weights"),
+            ("work", 2, -1.0, "work weights"),
+            ("comm", 2, np.inf, "comm weights"),
+        ],
+    )
+    def test_structural_corruption_is_a_dag_error(
+        self, tmp_path, section, index, value, match
+    ):
+        dag = random_dag(30, 0.1, seed=1)
+        path = tmp_path / "t.hdagb"
+        write_hdagb(dag, path)
+        raw = np.frombuffer(bytearray(path.read_bytes()), dtype=np.uint8)
+        n, m = dag.num_nodes, dag.num_edges
+        _, work, comm, indptr, targets, end = _layout(dag.name.encode(), n, m)
+        sections = {
+            "work": raw[work : work + 8 * n].view("<f8"),
+            "comm": raw[comm : comm + 8 * n].view("<f8"),
+            "indptr": raw[indptr : indptr + 8 * (n + 1)].view("<i8"),
+            "targets": raw[targets:end].view("<i8"),
+        }
+        sections[section][index] = value
+        path.write_bytes(raw.tobytes())
+        with pytest.raises(DagError, match=match):
+            read_hdagb(path)
+
+    def test_self_loop_is_a_cycle_error(self, tmp_path):
+        dag = ComputationalDAG(3)
+        dag.add_edge(0, 1)
+        dag.add_edge(1, 2)
+        path = tmp_path / "t.hdagb"
+        write_hdagb(dag, path)
+        raw = bytearray(path.read_bytes())
+        raw[-8] = 1  # the last edge 1 -> 2 becomes 1 -> 1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CycleError, match="self-loop"):
+            read_hdagb(path)
+
+    def test_bit_flips_load_or_raise_dag_error(self, tmp_path):
+        """400 seeded single-bit flips of an fft(16) file.
+
+        Each flip either makes :func:`read_hdagb` raise a ``DagError`` or
+        loads a DAG whose CSR builds with every target in range.  Flips
+        that keep the structure valid (a weight, the fingerprint, a
+        reordered or cyclic edge) are the checksum's to catch.
+        """
+        clean_path = tmp_path / "fft.hdagb"
+        write_hdagb(build_fft_dag(16, track_roles=False).dag, clean_path)
+        clean = clean_path.read_bytes()
+        rng = np.random.default_rng(400)
+        positions = rng.integers(0, len(clean), size=400)
+        bits = rng.integers(0, 8, size=400)
+        for index, (position, bit) in enumerate(zip(positions.tolist(), bits.tolist())):
+            raw = bytearray(clean)
+            raw[position] ^= 1 << bit
+            path = tmp_path / f"flip{index}.hdagb"
+            path.write_bytes(bytes(raw))
+            try:
+                dag = read_hdagb(path)
+            except DagError:
+                continue
+            n = dag.num_nodes
+            for indptr, indices in (
+                (dag.succ_indptr, dag.succ_indices),
+                (dag.pred_indptr, dag.pred_indices),
+            ):
+                assert indptr[0] == 0 and indptr[-1] == dag.num_edges, index
+                assert (np.diff(indptr) >= 0).all(), index
+                assert ((indices >= 0) & (indices < n)).all(), index
 
     def test_is_hdagb_and_magic_sniffing(self, tmp_path):
         dag = random_dag(20, 0.1, seed=3)

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.api import ScheduleRequest, SchedulerSpec, SchedulingService
 from repro.core import BspMachine, BspSchedule, ComputationalDAG, DagError
-from repro.schedulers import BspGreedyScheduler, MultilevelScheduler
+from repro.core.exceptions import ConfigurationError
+from repro.core.machine import MachineSpec
+from repro.schedulers import (
+    BspGreedyScheduler,
+    MultilevelScheduler,
+    PipelineConfig,
+    SchedulingPipeline,
+)
 from repro.schedulers.multilevel import (
     ContractionRecord,
     coarsen_dag,
@@ -16,7 +26,14 @@ from repro.schedulers.multilevel import (
 )
 
 from conftest import assert_valid_schedule, build_chain_dag, build_diamond_dag, random_dag
-from repro.dagdb import SparseMatrixPattern, build_cg_dag
+from oracles.multilevel import multilevel_reference
+from repro.dagdb import (
+    SparseMatrixPattern,
+    build_cg_dag,
+    build_elimination_dag,
+    build_fft_dag,
+    build_stencil2d_dag,
+)
 
 
 class TestCoarsening:
@@ -88,6 +105,52 @@ class TestCoarsening:
         dag = ComputationalDAG(4)  # no edges at all
         sequence = coarsen_dag(dag, target_nodes=1)
         assert sequence.quotient().dag.num_nodes == 4
+
+
+class TestCoarseningPrefix:
+    """A larger target's contraction sequence is a prefix of a smaller one's.
+
+    The multilevel scheduler coarsens once, to its smallest target, and
+    hands every ratio a prefix of that sequence; these pin the property.
+    """
+
+    @staticmethod
+    def assert_prefix(dag: ComputationalDAG, targets) -> None:
+        n = dag.num_nodes
+        smallest = coarsen_dag(dag, target_nodes=min(targets))
+        for target in targets:
+            alone = coarsen_dag(dag, target_nodes=target)
+            assert alone.records == smallest.records[: max(0, n - target)], target
+
+    def test_random_dags(self):
+        for seed in range(32):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(12, 60))
+            dag = random_dag(n, float(rng.uniform(0.04, 0.3)), seed=500 + seed)
+            targets = sorted({int(t) for t in rng.integers(1, n + 2, size=3)})
+            self.assert_prefix(dag, targets + [max(2, round(0.3 * n)), max(2, round(0.15 * n))])
+
+    @pytest.mark.parametrize(
+        "dag",
+        [
+            build_fft_dag(16, track_roles=False).dag,
+            build_stencil2d_dag(6, 3, track_roles=False).dag,
+            build_elimination_dag(SparseMatrixPattern.banded(150, 4), track_roles=False).dag,
+        ],
+        ids=["fft", "stencil2d", "cholesky"],
+    )
+    def test_structured_dags(self, dag):
+        n = dag.num_nodes
+        self.assert_prefix(dag, [max(2, round(0.3 * n)), max(2, round(0.15 * n)), 2])
+
+    def test_coarsening_that_stops_early(self):
+        # a 6-chain plus 10 isolated nodes: 5 contractions, then no edge left
+        dag = ComputationalDAG(16)
+        for v in range(5):
+            dag.add_edge(v, v + 1)
+        full = coarsen_dag(dag, target_nodes=2)
+        assert full.num_contractions == 5 < dag.num_nodes - 2
+        self.assert_prefix(dag, [16, 12, 11, 10, 8, 2])
 
 
 class TestBucketQueueCoarsening:
@@ -312,3 +375,111 @@ class TestMultilevelBudget:
         assert node_limits and step_caps
         assert node_limits == [1] * len(node_limits)
         assert step_caps == [7] * len(step_caps)
+
+
+def _deterministic_pipeline() -> SchedulingPipeline:
+    return SchedulingPipeline(
+        PipelineConfig(use_ilp=False, use_comm_ilp=False, local_search_seconds=None)
+    )
+
+
+class TestMultilevelOracle:
+    """One shared coarsening gives the per-ratio path's schedules exactly."""
+
+    MACHINES = (
+        BspMachine.uniform(4, g=3, latency=5),
+        BspMachine.numa_hierarchy(8, delta=4, g=2, latency=10),
+    )
+
+    @pytest.mark.parametrize("machine", MACHINES, ids=["uniform", "numa"])
+    def test_matches_per_ratio_coarsening(self, machine):
+        for seed in range(6):
+            rng = np.random.default_rng(700 + seed)
+            dag = random_dag(
+                int(rng.integers(30, 70)), float(rng.uniform(0.05, 0.15)), seed=700 + seed
+            )
+            base = BspGreedyScheduler() if seed % 2 else _deterministic_pipeline()
+            scheduler = MultilevelScheduler(base_scheduler=base, refine_max_steps=20)
+            got = scheduler.schedule(dag, machine)
+            expected = multilevel_reference(scheduler, dag, machine)
+            assert np.array_equal(got.procs, expected.procs), seed
+            assert np.array_equal(got.supersteps, expected.supersteps), seed
+
+    @pytest.mark.parametrize(
+        "ratios", [(0.15, 0.3), (1.0, 0.2), (0.5, 0.3, 0.1), (0.3,)]
+    )
+    def test_matches_for_any_ratio_tuple(self, ratios):
+        dag = random_dag(48, 0.08, seed=33)
+        machine = self.MACHINES[1]
+        scheduler = MultilevelScheduler(
+            base_scheduler=BspGreedyScheduler(), coarsening_ratios=ratios
+        )
+        got = scheduler.schedule(dag, machine)
+        expected = multilevel_reference(scheduler, dag, machine)
+        assert np.array_equal(got.procs, expected.procs)
+        assert np.array_equal(got.supersteps, expected.supersteps)
+
+    def test_coarsens_once_per_solve(self, monkeypatch):
+        from repro.schedulers.multilevel import scheduler as ml_scheduler
+
+        targets = []
+        coarsen = ml_scheduler.coarsen_dag
+
+        def recording(dag, target_nodes, **kwargs):
+            targets.append(target_nodes)
+            return coarsen(dag, target_nodes, **kwargs)
+
+        monkeypatch.setattr(ml_scheduler, "coarsen_dag", recording)
+        dag = random_dag(40, 0.1, seed=9)
+        MultilevelScheduler(base_scheduler=BspGreedyScheduler()).schedule(
+            dag, self.MACHINES[0]
+        )
+        assert targets == [6]  # round(0.15 * 40)
+
+
+_BAD_RATIOS = [(), (math.nan,), (0.0,), (-0.5,), (1.5,), (0.3, math.inf), [0.3]]
+_BAD_CONFIGS = [
+    {"hc_max_passes": "x"},
+    {"hc_max_steps": -5},
+    {"local_search_seconds": math.nan},
+]
+
+
+def _multilevel_request(params: dict) -> dict:
+    request = ScheduleRequest(
+        dag=random_dag(30, 0.1, seed=2),
+        machine=MachineSpec(num_procs=4, g=2, latency=3, numa_delta=2),
+        scheduler=SchedulerSpec("multilevel"),
+    ).to_dict()
+    request["scheduler"]["params"] = params
+    return request
+
+
+class TestMultilevelConfiguration:
+    """Malformed multilevel requests raise ConfigurationError, never solve."""
+
+    @pytest.mark.parametrize("ratios", _BAD_RATIOS, ids=repr)
+    def test_bad_ratios_rejected_directly(self, ratios):
+        with pytest.raises(ConfigurationError, match="coarsening"):
+            MultilevelScheduler(coarsening_ratios=ratios)
+
+    @pytest.mark.parametrize("ratios", _BAD_RATIOS[:-1], ids=repr)
+    def test_bad_ratios_rejected_through_the_service(self, ratios):
+        data = _multilevel_request({"coarsening_ratios": list(ratios)})
+        with pytest.raises(ConfigurationError, match="coarsening"):
+            SchedulingService(cache_size=0).solve(ScheduleRequest.from_dict(data))
+
+    @pytest.mark.parametrize("config", _BAD_CONFIGS, ids=repr)
+    def test_bad_config_rejected_directly(self, config):
+        with pytest.raises(ConfigurationError, match="PipelineConfig"):
+            PipelineConfig(**config)
+
+    @pytest.mark.parametrize("config", _BAD_CONFIGS, ids=repr)
+    def test_bad_config_rejected_through_the_service(self, config):
+        data = _multilevel_request({"config": config})
+        with pytest.raises(ConfigurationError, match="PipelineConfig"):
+            SchedulingService(cache_size=0).solve(ScheduleRequest.from_dict(data))
+
+    def test_valid_ratios_kept(self):
+        scheduler = MultilevelScheduler(coarsening_ratios=(1, 0.5, np.float64(0.1)))
+        assert scheduler.coarsening_ratios == (1, 0.5, 0.1)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.core import BspMachine
+from repro.core.exceptions import ConfigurationError
 from repro.schedulers import (
     BspGreedyScheduler,
     Budget,
@@ -54,6 +58,44 @@ class TestPipelineConfig:
         assert fast.local_search_seconds < default.local_search_seconds
         assert fast.ilp_full_seconds < default.ilp_full_seconds
         assert fast.use_ilp and fast.use_comm_ilp
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("hc_max_passes", "x"),
+            ("hc_max_passes", -1),
+            ("hc_max_passes", 2.0),
+            ("hc_max_passes", None),
+            ("hc_max_steps", -5),
+            ("hccs_max_passes", True),
+            ("ilp_node_limit", 1.5),
+            ("ilp_init_max_procs", -4),
+            ("ilp_full_max_variables", "20000"),
+            ("local_search_seconds", math.nan),
+            ("local_search_seconds", math.inf),
+            ("ilp_full_seconds", -1.0),
+            ("ilp_comm_seconds", "10"),
+            ("use_ilp", 1),
+            ("use_comm_ilp", None),
+            ("seed", 0.5),
+            ("seed", -1),
+        ],
+    )
+    def test_malformed_values_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"PipelineConfig.{field}"):
+            PipelineConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        config = PipelineConfig(
+            hc_max_passes=0,
+            hc_max_steps=0,
+            ilp_node_limit=np.int64(1),
+            local_search_seconds=0,
+            ilp_full_seconds=np.float64(2.5),
+            ilp_comm_seconds=None,
+            seed=3,
+        )
+        assert PipelineConfig.from_dict(config.to_dict()) == config
 
     def test_heuristics_only_factory(self):
         pipeline = SchedulingPipeline.heuristics_only()

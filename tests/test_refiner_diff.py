@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import BspMachine, BspSchedule, ComputationalDAG
+from repro.core import BspMachine, BspSchedule, ComputationalDAG, kernels
+from repro.core.kernels import _HC_BLOCK_MAX
 from repro.schedulers import CommScheduleHillClimbing, HillClimbingImprover
 from repro.schedulers.hill_climbing import LazyCostTracker
 from repro.schedulers.reference import (
@@ -188,6 +189,101 @@ class TestCandidateDeltas:
         assert any(got < asked for asked, got in sizes)
         assert np.array_equal(ref_result.procs, vec_result.procs)
         assert np.array_equal(ref_result.supersteps, vec_result.supersteps)
+
+
+def _record_blocks(monkeypatch) -> list[list[int]]:
+    """Record the node count every ``candidate_deltas`` call asks for.
+
+    One list per HC pass, in call order.
+    """
+    passes: list[list[int]] = []
+    evaluate = LazyCostTracker.candidate_deltas
+    run_pass = kernels.hc_pass
+
+    def recording_deltas(self, block):
+        passes[-1].append(len(block))
+        return evaluate(self, block)
+
+    def recording_pass(*args, **kwargs):
+        passes.append([])
+        return run_pass(*args, **kwargs)
+
+    monkeypatch.setattr(LazyCostTracker, "candidate_deltas", recording_deltas)
+    monkeypatch.setattr(kernels, "hc_pass", recording_pass)
+    return passes
+
+
+class TestBlockWalk:
+    """Every HC pass opens with a full-size block; the moves stay the seed's."""
+
+    def test_every_pass_opens_with_a_full_block(self, monkeypatch):
+        passes = _record_blocks(monkeypatch)
+        for seed, num_nodes in ((0, 300), (1, 40)):
+            passes.clear()
+            dag = random_dag(num_nodes, 4.0 / num_nodes, seed=seed)
+            machine = BspMachine.uniform(4, g=2, latency=3)
+            start = RoundRobinScheduler().schedule(dag, machine)
+            HillClimbingImprover().improve(start)
+            assert len(passes) > 1
+            for blocks in passes:
+                assert blocks[0] == min(_HC_BLOCK_MAX, num_nodes)
+
+    def test_converged_pass_is_one_block(self, monkeypatch):
+        dag = random_dag(60, 0.1, seed=4)
+        machine = BspMachine.numa_hierarchy(4, delta=3, g=2, latency=2)
+        start = RoundRobinScheduler().schedule(dag, machine)
+        tracker = LazyCostTracker(dag, machine, start.procs, start.supersteps)
+        climber = HillClimbingImprover(max_passes=1000)
+        assert climber.climb(tracker) > 0
+        passes = _record_blocks(monkeypatch)
+        assert climber.climb(tracker) == 0
+        assert passes == [[dag.num_nodes]]
+
+    def test_reused_tracker_bursts_match_reference(self, monkeypatch):
+        """Short capped bursts on one reused tracker, as multilevel runs them.
+
+        A reused tracker keeps the superstep count it was built with, also
+        after its last superstep empties, so the reference walks a tracker
+        of that count too.
+        """
+        from repro.schedulers import reference as reference_module
+
+        spans: list[int] = []
+        monkeypatch.setattr(
+            reference_module,
+            "LazyCostTracker",
+            lambda dag, machine, procs, steps, _count: LazyCostTracker(
+                dag, machine, procs, steps, spans[-1]
+            ),
+        )
+        for seed in range(6):
+            rng = np.random.default_rng(900 + seed)
+            dag = random_dag(
+                int(rng.integers(20, 60)), float(rng.uniform(0.05, 0.2)), seed=seed
+            )
+            machine = _random_machine(rng)
+            start = RoundRobinScheduler().schedule(dag, machine)
+            max_steps = int(rng.integers(1, 8))
+            improver = HillClimbingImprover(max_steps=max_steps, record_moves=True)
+            procs, steps = start.procs, start.supersteps
+            tracker = None
+            for _ in range(8):
+                spans.append(
+                    int(steps.max()) + 1 if tracker is None else tracker.num_supersteps
+                )
+                reference = HillClimbingImproverReference(
+                    max_steps=max_steps, record_moves=True
+                )
+                reference.improve(BspSchedule(dag, machine, procs, steps))
+                reused, accepted = improver.refine_assignment(
+                    dag, machine, procs, steps, tracker=tracker
+                )
+                assert tracker is None or reused is tracker
+                assert improver.last_moves == reference.last_moves, seed
+                tracker = reused
+                procs, steps = tracker.procs, tracker.supersteps
+                if accepted == 0:
+                    break
 
 
 class TestHillClimbingDifferential:
