@@ -40,6 +40,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from ..core.exceptions import CycleError
 from ..core.parallel import parallel_map
 from ..core.serialization import dag_to_dict, schedule_to_dict
 from ..schedulers.pipeline import SchedulingPipeline
@@ -72,6 +73,11 @@ def _solve_request(request: ScheduleRequest) -> ScheduleResult:
     fingerprint = request.fingerprint()
     started = time.perf_counter()
     dag = request.resolve_dag()
+    # both the lazy edge-array constructor and the default `.hdagb` load
+    # accept a cycle; some schedulers would loop on one forever.  The
+    # DAG caches the levels this computes, so repeat requests pay nothing.
+    if not dag.is_acyclic():
+        raise CycleError(f"DAG {dag.name!r} contains a directed cycle")
     machine = request.build_machine()
     scheduler = request.scheduler.build(default_seed=request.seed)
     budget = None if request.budget is None else request.budget.started()

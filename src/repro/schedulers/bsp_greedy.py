@@ -16,7 +16,29 @@ the per-processor work stays balanced.  The rules are:
 * tie-breaking between assignable nodes uses a communication-saving score:
   a candidate ``v`` is preferred when its predecessors ``u`` (or their
   direct successors) already live on the target processor, weighted by
-  ``c(u) / outdeg(u)``.
+  ``c(u) / outdeg(u)``.  The highest score wins; ties go to the smaller
+  node id.
+
+The score is kept incrementally, without changing a single float:
+
+* *presence bits* — one ``bytearray(n)`` per processor; bit ``(u, p)`` is
+  set once ``u`` or any successor of ``u`` is assigned to ``p``.
+  Assigning ``x`` to ``p`` sets the bits of ``x`` and of every predecessor
+  of ``x``.  A bit never clears, because BSPg never moves a node;
+* *cached scores* — one ``node -> score`` dict per processor, filled when
+  a pool candidate is first scored for that processor.  A missing score
+  is computed exactly as the definition reads: start at ``0.0`` and walk
+  the candidate's predecessors in CSR order, adding ``c(u) / outdeg(u)``
+  where the bit is set.  Keep that order: float addition is not
+  associative, and a reordered sum can flip a tie;
+* *eviction* — when bit ``(u, p)`` turns on, the cached scores of ``u``'s
+  successors for ``p`` are dropped, and an assigned node's score is
+  dropped for every processor.  The caches therefore hold only ready
+  nodes, O(max ready × P) entries, next to the n × P bytes of bits.
+
+A DAG always has a ready node when a superstep opens with nodes left to
+assign; a graph with a directed cycle does not, and raises
+:class:`~repro.core.exceptions.CycleError` there instead of looping.
 
 Communication steps are not constructed explicitly; the resulting schedule
 uses the lazy communication schedule.
@@ -25,10 +47,13 @@ uses the lazy communication schedule.
 from __future__ import annotations
 
 import heapq
+import math
+from numbers import Real
 
 import numpy as np
 
 from ..core.dag import ComputationalDAG
+from ..core.exceptions import ConfigurationError, CycleError
 from ..core.machine import BspMachine
 from ..core.schedule import BspSchedule
 from .base import Budget, Scheduler
@@ -39,17 +64,34 @@ __all__ = ["BspGreedyScheduler"]
 class BspGreedyScheduler(Scheduler):
     """Greedy BSP-tailored initialisation heuristic (``BSPg``).
 
+    Each processor keeps presence bits (which nodes, or successors of
+    them, it holds) and a cache of exact candidate scores, so a pick
+    rescores only the candidates whose predecessors gained a bit since
+    they were last scored.  Schedules equal those of rescoring the whole
+    pool at every pick.
+
     Parameters
     ----------
     idle_fraction:
         The computation phase of the current superstep is closed once at
         least this fraction of the processors is idle and cannot receive
         further work without communication (the paper uses one half).
+        A finite real number in ``(0, 1]``; anything else raises
+        :class:`~repro.core.exceptions.ConfigurationError`.
     """
 
     name = "bsp_greedy"
 
     def __init__(self, idle_fraction: float = 0.5) -> None:
+        if (
+            isinstance(idle_fraction, bool)
+            or not isinstance(idle_fraction, Real)
+            or not math.isfinite(idle_fraction)
+            or not 0.0 < idle_fraction <= 1.0
+        ):
+            raise ConfigurationError(
+                f"idle_fraction must be a finite real number in (0, 1], got {idle_fraction!r}"
+            )
         self.idle_fraction = idle_fraction
 
     # ------------------------------------------------------------------ #
@@ -61,15 +103,18 @@ class BspGreedyScheduler(Scheduler):
     ) -> BspSchedule:
         n = dag.num_nodes
         num_procs = machine.num_procs
-        procs = np.zeros(n, dtype=np.int64)
-        supersteps = np.zeros(n, dtype=np.int64)
-        if n == 0:
-            return BspSchedule(dag, machine, procs, supersteps)
-
-        assigned = np.zeros(n, dtype=bool)
-        finished = np.zeros(n, dtype=bool)
-        remaining_preds = dag.in_degrees()
-        outdeg = np.maximum(dag.out_degrees(), 1)
+        # flat Python copies: list indexing beats numpy scalar reads here
+        pred_ptr = dag.pred_indptr.tolist()
+        pred_idx = dag.pred_indices.tolist()
+        succ_ptr = dag.succ_indptr.tolist()
+        succ_idx = dag.succ_indices.tolist()
+        work = dag.work_weights.tolist()
+        weight = (dag.comm_weights / np.maximum(dag.out_degrees(), 1)).tolist()
+        remaining_preds = dag.in_degrees().tolist()
+        procs = [-1] * n
+        supersteps = [0] * n
+        near = [bytearray(n) for _ in range(num_procs)]
+        scores: list[dict[int, float]] = [{} for _ in range(num_procs)]
 
         ready: set[int] = set(dag.sources())
         ready_all: set[int] = set(ready)
@@ -86,32 +131,53 @@ class BspGreedyScheduler(Scheduler):
 
         def choose_node(proc: int) -> int | None:
             """Pick the best assignable node for ``proc`` (Appendix A.2 score)."""
-            pool = ready_proc[proc] if ready_proc[proc] else ready_all
-            if not pool:
-                return None
+            pool = ready_proc[proc] or ready_all
+            cache = scores[proc]
+            bits = near[proc]
             best_node = None
             best_score = -1.0
             for v in pool:
-                score = 0.0
-                for u in dag.pred(v).tolist():
-                    on_proc = assigned[u] and procs[u] == proc
-                    if not on_proc:
-                        on_proc = any(
-                            assigned[w] and procs[w] == proc
-                            for w in dag.succ(u).tolist()
-                        )
-                    if on_proc:
-                        score += dag.comm(u) / outdeg[u]
-                if score > best_score or (score == best_score and (best_node is None or v < best_node)):
+                score = cache.get(v)
+                if score is None:
+                    score = 0.0
+                    for u in pred_idx[pred_ptr[v] : pred_ptr[v + 1]]:
+                        if bits[u]:
+                            score += weight[u]
+                    cache[v] = score
+                if score > best_score or (
+                    score == best_score and (best_node is None or v < best_node)
+                ):
                     best_score = score
                     best_node = v
             return best_node
 
-        def assignable(proc: int) -> bool:
-            return free[proc] and bool(ready_proc[proc] or ready_all)
+        def assign(node: int, proc: int) -> None:
+            ready.discard(node)
+            ready_all.discard(node)
+            for pool in ready_proc:
+                pool.discard(node)
+            for cache in scores:
+                cache.pop(node, None)
+            procs[node] = proc
+            supersteps[node] = superstep
+            bits = near[proc]
+            cache = scores[proc]
+            # `node` gains its bit too; its successors are not ready yet,
+            # so none of them can hold a cached score to drop
+            bits[node] = 1
+            for u in pred_idx[pred_ptr[node] : pred_ptr[node + 1]]:
+                if not bits[u]:
+                    bits[u] = 1
+                    for v in succ_idx[succ_ptr[u] : succ_ptr[u + 1]]:
+                        cache.pop(v, None)
 
         while unassigned > 0:
             if end_step and not finish_events:
+                if not ready:
+                    raise CycleError(
+                        f"{unassigned} node(s) can never become ready: "
+                        "the graph contains a directed cycle"
+                    )
                 # open the next superstep: everything that is ready becomes
                 # available to every processor
                 for pool in ready_proc:
@@ -134,18 +200,18 @@ class BspGreedyScheduler(Scheduler):
                 _, node = heapq.heappop(finish_events)
                 if node < 0:
                     continue
-                finished[node] = True
-                free[int(procs[node])] = True
-                for succ in dag.succ(node).tolist():
+                proc = procs[node]
+                free[proc] = True
+                for succ in succ_idx[succ_ptr[node] : succ_ptr[node + 1]]:
                     remaining_preds[succ] -= 1
                     if remaining_preds[succ] == 0:
                         ready.add(succ)
                         # can `succ` still be computed inside this superstep
-                        # on the finishing node's processor?
-                        proc = int(procs[node])
+                        # on the finishing node's processor?  (every
+                        # predecessor has finished, so it is assigned)
                         if all(
-                            (assigned[u] and (procs[u] == proc or supersteps[u] < superstep))
-                            for u in dag.pred(succ).tolist()
+                            procs[u] == proc or supersteps[u] < superstep
+                            for u in pred_idx[pred_ptr[succ] : pred_ptr[succ + 1]]
                         ):
                             ready_proc[proc].add(succ)
 
@@ -154,21 +220,15 @@ class BspGreedyScheduler(Scheduler):
                 while progress:
                     progress = False
                     for proc in range(num_procs):
-                        if not assignable(proc):
+                        if not (free[proc] and (ready_proc[proc] or ready_all)):
                             continue
                         node = choose_node(proc)
                         if node is None:
                             continue
-                        ready.discard(node)
-                        ready_all.discard(node)
-                        for pool in ready_proc:
-                            pool.discard(node)
-                        procs[node] = proc
-                        supersteps[node] = superstep
-                        assigned[node] = True
+                        assign(node, proc)
                         unassigned -= 1
                         free[proc] = False
-                        heapq.heappush(finish_events, (time_now + dag.work(node), node))
+                        heapq.heappush(finish_events, (time_now + work[node], node))
                         progress = True
 
             idle_procs = sum(
@@ -177,4 +237,9 @@ class BspGreedyScheduler(Scheduler):
             if not ready_all and idle_procs >= idle_threshold:
                 end_step = True
 
-        return BspSchedule(dag, machine, procs, supersteps)
+        return BspSchedule(
+            dag,
+            machine,
+            np.array(procs, dtype=np.int64),
+            np.array(supersteps, dtype=np.int64),
+        )

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -55,6 +58,67 @@ def random_dag(num_nodes: int, edge_prob: float, seed: int) -> ComputationalDAG:
             if rng.random() < edge_prob:
                 dag.add_edge(i, j)
     return dag
+
+
+#: processor counts and g values the differential oracle tests cycle through
+ORACLE_PROCS = (1, 2, 3, 4, 8, 16)
+ORACLE_GS = (0, 1, 3, 5)
+
+
+def oracle_machine(rng, num_procs: int, g: float, numa: bool) -> BspMachine:
+    """A uniform machine, or a NUMA one: a hierarchy for powers of two, else a random matrix."""
+    if not numa:
+        return BspMachine.uniform(num_procs, g=g)
+    if num_procs >= 2 and num_procs & (num_procs - 1) == 0:
+        return BspMachine.numa_hierarchy(num_procs, delta=int(rng.integers(2, 5)), g=g)
+    matrix = rng.integers(1, 5, size=(num_procs, num_procs)).astype(float)
+    np.fill_diagonal(matrix, 0.0)
+    return BspMachine.from_numa_matrix(matrix, g=g)
+
+
+def oracle_dag(rng, weights: str) -> ComputationalDAG:
+    """A random DAG of 1-39 nodes under one of four weight models.
+
+    ``decimal`` draws tenths, whose sums leave float residue, so start
+    times on different processors often differ only in the last bits;
+    ``zero`` makes about a third of all weights zero.
+    """
+    n = int(rng.integers(1, 40))
+    edge_prob = float(rng.uniform(0.02, 0.4))
+    if weights == "integer":
+        works = rng.integers(1, 6, size=n).astype(float)
+        comms = rng.integers(1, 4, size=n).astype(float)
+    elif weights == "real":
+        works = rng.uniform(0.1, 5.0, size=n)
+        comms = rng.uniform(0.0, 3.0, size=n)
+    elif weights == "decimal":
+        works = rng.integers(1, 10, size=n) / 10
+        comms = rng.integers(0, 10, size=n) / 10
+    else:
+        works = rng.integers(0, 3, size=n).astype(float)
+        comms = rng.integers(0, 3, size=n).astype(float)
+    dag = ComputationalDAG(n, works, comms)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < edge_prob:
+                dag.add_edge(i, j)
+    return dag
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Raise ``TimeoutError`` in the block after ``seconds``, so a hang fails the test."""
+
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def assert_valid_schedule(schedule: BspSchedule) -> None:

@@ -26,11 +26,11 @@ from repro.api import (
     SchedulingService,
     dag_fingerprint,
 )
-from repro.core import ConfigurationError, ReproError
-from repro.io import write_hyperdag
+from repro.core import ComputationalDAG, ConfigurationError, CycleError, ReproError
+from repro.io import read_hdagb, write_hdagb, write_hyperdag
 from repro.schedulers import PipelineConfig, available_schedulers
 
-from conftest import random_dag
+from conftest import random_dag, time_limit
 
 #: small per-stage limits so the ILP-bearing schedulers stay fast in tests
 FAST_CONFIG = {
@@ -133,6 +133,34 @@ class TestSolveAllRegistrySchedulers:
         if name == "framework":
             assert result.stages is not None
             assert result.stages.final == pytest.approx(result.cost)
+
+
+def _cyclic_dag() -> ComputationalDAG:
+    """0 -> 1 -> 2 -> 0 is a cycle, 3 -> 4 is not; edge arrays check cycles lazily."""
+    return ComputationalDAG.from_edge_arrays(5, [0, 1, 2, 3], [1, 2, 0, 4], name="cyclic")
+
+
+class TestCyclicInput:
+    """A cyclic graph is refused with ``CycleError`` before any scheduler runs.
+
+    Both routes below load a cycle without complaint, and on one some
+    schedulers would loop forever and others would return a schedule.
+    """
+
+    @pytest.mark.parametrize("route", ["from_edge_arrays", "read_hdagb"])
+    @pytest.mark.parametrize("name", available_schedulers())
+    def test_every_registry_scheduler_raises_cycle_error(self, name, route, tmp_path):
+        dag = _cyclic_dag()
+        if route == "read_hdagb":
+            path = tmp_path / "cyclic.hdagb"
+            write_hdagb(dag, path)
+            dag = read_hdagb(path)
+        request = ScheduleRequest(
+            dag=dag, machine=MachineSpec(num_procs=4, g=1, latency=2),
+            scheduler=SchedulerSpec(name),
+        )
+        with time_limit(10), pytest.raises(CycleError):
+            SchedulingService(cache_size=0).solve(request)
 
 
 class TestWireFormat:

@@ -16,11 +16,15 @@ from repro.schedulers import (
 )
 
 from conftest import (
+    ORACLE_GS,
+    ORACLE_PROCS,
     assert_valid_schedule,
     build_chain_dag,
     build_diamond_dag,
     build_fork_join_dag,
     build_paper_example_dag,
+    oracle_dag,
+    oracle_machine,
     random_dag,
 )
 from oracles.listsched import bl_est_reference, etf_reference
@@ -171,49 +175,6 @@ class TestListSchedulers:
         assert classical.procs[1] == classical.procs[0]
 
 
-ORACLE_PROCS = (1, 2, 3, 4, 8, 16)
-ORACLE_GS = (0, 1, 3, 5)
-
-
-def _oracle_machine(rng, num_procs: int, g: float, numa: bool) -> BspMachine:
-    if not numa:
-        return BspMachine.uniform(num_procs, g=g)
-    if num_procs >= 2 and num_procs & (num_procs - 1) == 0:
-        return BspMachine.numa_hierarchy(num_procs, delta=int(rng.integers(2, 5)), g=g)
-    matrix = rng.integers(1, 5, size=(num_procs, num_procs)).astype(float)
-    np.fill_diagonal(matrix, 0.0)
-    return BspMachine.from_numa_matrix(matrix, g=g)
-
-
-def _oracle_dag(rng, weights: str) -> ComputationalDAG:
-    """A random DAG of 1-39 nodes under one of four weight models.
-
-    ``decimal`` draws tenths, whose sums leave float residue, so start
-    times on different processors often differ only in the last bits;
-    ``zero`` makes about a third of all weights zero.
-    """
-    n = int(rng.integers(1, 40))
-    edge_prob = float(rng.uniform(0.02, 0.4))
-    if weights == "integer":
-        works = rng.integers(1, 6, size=n).astype(float)
-        comms = rng.integers(1, 4, size=n).astype(float)
-    elif weights == "real":
-        works = rng.uniform(0.1, 5.0, size=n)
-        comms = rng.uniform(0.0, 3.0, size=n)
-    elif weights == "decimal":
-        works = rng.integers(1, 10, size=n) / 10
-        comms = rng.integers(0, 10, size=n) / 10
-    else:
-        works = rng.integers(0, 3, size=n).astype(float)
-        comms = rng.integers(0, 3, size=n).astype(float)
-    dag = ComputationalDAG(n, works, comms)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < edge_prob:
-                dag.add_edge(i, j)
-    return dag
-
-
 def assert_list_schedules_match_oracle(dag: ComputationalDAG, machine: BspMachine) -> None:
     for scheduler, reference in ((EtfScheduler(), etf_reference), (BlEstScheduler(), bl_est_reference)):
         classical = scheduler.classical_schedule(dag, machine)
@@ -240,10 +201,10 @@ class TestListSchedulerOracle:
         # each (P, g) pair at least once per model and machine kind
         for seed in range(30):
             rng = np.random.default_rng(seed)
-            dag = _oracle_dag(rng, weights)
+            dag = oracle_dag(rng, weights)
             num_procs = ORACLE_PROCS[seed % len(ORACLE_PROCS)]
             g = ORACLE_GS[(seed // len(ORACLE_PROCS)) % len(ORACLE_GS)]
-            machine = _oracle_machine(rng, num_procs, g, numa)
+            machine = oracle_machine(rng, num_procs, g, numa)
             assert_list_schedules_match_oracle(dag, machine)
 
     @pytest.mark.parametrize("num_procs", ORACLE_PROCS)

@@ -2,20 +2,35 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core import BspMachine, ComputationalDAG
+from repro.api import ScheduleRequest, SchedulerSpec, SchedulingService
+from repro.core import BspMachine, ComputationalDAG, ConfigurationError, CycleError
 from repro.schedulers import BspGreedyScheduler, CilkScheduler, SourceScheduler
 
 from conftest import (
+    ORACLE_GS,
+    ORACLE_PROCS,
     assert_valid_schedule,
     build_chain_dag,
     build_diamond_dag,
     build_fork_join_dag,
     build_paper_example_dag,
+    oracle_dag,
+    oracle_machine,
     random_dag,
+    time_limit,
 )
-from repro.dagdb import SparseMatrixPattern, build_cg_dag, build_spmv_dag
+from oracles.bsp_greedy import bsp_greedy_reference
+from repro.dagdb import (
+    SparseMatrixPattern,
+    build_cg_dag,
+    build_elimination_dag,
+    build_fft_dag,
+    build_spmv_dag,
+    build_stencil2d_dag,
+)
 
 
 HEURISTICS = [BspGreedyScheduler, SourceScheduler]
@@ -82,10 +97,10 @@ class TestBspGreedy:
         assert max(breakdown.work_per_superstep) <= 14
 
     def test_idle_fraction_parameter(self, spmv_dag, machine4):
-        eager_close = BspGreedyScheduler(idle_fraction=0.25).schedule(spmv_dag, machine4)
-        late_close = BspGreedyScheduler(idle_fraction=1.0).schedule(spmv_dag, machine4)
-        assert_valid_schedule(eager_close)
-        assert_valid_schedule(late_close)
+        # any finite real number in (0, 1] is accepted, the ablation's 0.25-1.0 included
+        for idle_fraction in (0.25, 0.5, 0.75, 1.0, 1, np.float64(0.5)):
+            schedule = BspGreedyScheduler(idle_fraction=idle_fraction).schedule(spmv_dag, machine4)
+            assert_valid_schedule(schedule)
 
     def test_beats_cilk_on_communication_heavy_instance(self):
         """BSPg is communication-aware, Cilk is not (paper §7.1 tendency)."""
@@ -94,6 +109,91 @@ class TestBspGreedy:
         bspg = BspGreedyScheduler().schedule(dag, machine)
         cilk = CilkScheduler(seed=0).schedule(dag, machine)
         assert bspg.cost() <= cilk.cost()
+
+    def test_cyclic_graph_raises_cycle_error(self):
+        """A cycle leaves nodes that never become ready; BSPg must not loop on them."""
+        # 0 -> 1 -> 2 -> 0 is a cycle; 3 -> 4 is schedulable
+        dag = ComputationalDAG.from_edge_arrays(5, [0, 1, 2, 3], [1, 2, 0, 4])
+        for num_procs in (1, 4):
+            with time_limit(10), pytest.raises(CycleError):
+                BspGreedyScheduler().schedule(dag, BspMachine.uniform(num_procs))
+
+
+#: values of ``idle_fraction`` that are not a finite real number in (0, 1]
+BAD_IDLE_FRACTIONS = [
+    float("nan"), float("inf"), float("-inf"), "x", None, True, 0.0, -1.0, 2.0,
+]
+
+
+class TestBspGreedyConfiguration:
+    @pytest.mark.parametrize("value", BAD_IDLE_FRACTIONS, ids=repr)
+    def test_bad_idle_fraction_raises_configuration_error(self, value):
+        with pytest.raises(ConfigurationError, match="idle_fraction"):
+            BspGreedyScheduler(idle_fraction=value)
+
+    @pytest.mark.parametrize("value", BAD_IDLE_FRACTIONS, ids=repr)
+    def test_bad_idle_fraction_through_the_service(self, value):
+        request = ScheduleRequest(
+            dag=build_diamond_dag(),
+            machine=BspMachine.uniform(4),
+            scheduler=SchedulerSpec("bsp_greedy", {"idle_fraction": value}),
+        )
+        with pytest.raises(ConfigurationError, match="idle_fraction"):
+            SchedulingService(cache_size=0).solve(request)
+
+
+def assert_bsp_greedy_matches_oracle(
+    dag: ComputationalDAG, machine: BspMachine, idle_fraction: float = 0.5
+) -> None:
+    schedule = BspGreedyScheduler(idle_fraction=idle_fraction).schedule(dag, machine)
+    procs, supersteps = bsp_greedy_reference(dag, machine, idle_fraction)
+    context = (
+        f"n={dag.num_nodes}, P={machine.num_procs}, g={machine.g}, "
+        f"idle_fraction={idle_fraction}"
+    )
+    assert schedule.procs.tolist() == procs, context
+    assert schedule.supersteps.tolist() == supersteps, context
+
+
+class TestBspGreedyOracle:
+    """BSPg equals the per-candidate oracle exactly.
+
+    The scheduler keeps per-processor presence bits and cached scores; the
+    oracle rescans every pool candidate's predecessors and their successors
+    at every pick.  ``procs`` and ``supersteps`` must be equal.
+    """
+
+    @pytest.mark.parametrize("numa", [False, True], ids=["uniform", "numa"])
+    @pytest.mark.parametrize("weights", ["integer", "real", "decimal", "zero"])
+    def test_random_dags(self, weights, numa):
+        # 30 seeds per weight model and machine kind: 240 DAGs in all, each
+        # at every idle fraction, each P at least 5 times per model and kind
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            dag = oracle_dag(rng, weights)
+            num_procs = ORACLE_PROCS[seed % len(ORACLE_PROCS)]
+            g = ORACLE_GS[(seed // len(ORACLE_PROCS)) % len(ORACLE_GS)]
+            machine = oracle_machine(rng, num_procs, g, numa)
+            for idle_fraction in (0.25, 0.5, 1.0):
+                assert_bsp_greedy_matches_oracle(dag, machine, idle_fraction)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: build_fft_dag(128, track_roles=False).dag, id="fft(128)"),
+            pytest.param(
+                lambda: build_stencil2d_dag(8, 5, track_roles=False).dag, id="stencil2d(8,5)"
+            ),
+            pytest.param(
+                lambda: build_elimination_dag(
+                    SparseMatrixPattern.banded(200, 8), track_roles=False
+                ).dag,
+                id="banded_cholesky(200,8)",
+            ),
+        ],
+    )
+    def test_structured_dags_on_eight_processors(self, build):
+        assert_bsp_greedy_matches_oracle(build(), BspMachine.uniform(8, g=3, latency=5))
 
 
 class TestSource:
