@@ -86,7 +86,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .api import MachineSpec, ScheduleRequest, SchedulerSpec, SchedulingService
-from .core import ComputationalDAG, ConfigurationError
+from .core import ComputationalDAG, ConfigurationError, ReproError
 from .dagdb import (
     COARSE_GENERATORS,
     FINE_GENERATORS,
@@ -743,7 +743,10 @@ def _command_web(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """Run one CLI command and return its exit code.
+
+    Typed errors propagate; :func:`run` turns them into one-line messages.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     commands = {
@@ -759,5 +762,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     return commands[args.command](args)
 
 
+def run(argv: Sequence[str] | None = None) -> int:
+    """Console entry point: :func:`main`, with typed errors as one line.
+
+    A :class:`ReproError` (malformed input, a cyclic graph, a bad
+    configuration) prints ``error: <Type>: <message>`` to stderr and exits
+    with status 2 instead of a traceback.  :func:`main` itself keeps raising,
+    for programmatic callers.
+    """
+    try:
+        return main(argv)
+    except ReproError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":  # pragma: no cover - exercised via python -m repro
-    sys.exit(main())
+    sys.exit(run())

@@ -49,11 +49,11 @@ _HC_BLOCK_MIN = 8
 _HC_BLOCK_MAX = 256
 
 
-def hc_pass(tracker, start, stop, max_accept=-1, eps=_EPS, budget=None):
+def hc_pass(tracker, start, stop, max_accept=-1, eps=_EPS, budget=None, *, skip=None):
     """One HC refinement pass over nodes ``[start, stop)`` of a tracker.
 
-    A speculative block walk: the nodes ``[v, v + b)`` are scored together
-    by one read-only ``tracker.candidate_deltas`` call against the current
+    A speculative block walk: a block of ``b`` nodes is scored together by
+    one read-only ``tracker.candidate_deltas`` call against the current
     state, and the first hit — the first node's first improving candidate
     in the scan order (steps ``τ - 1, τ, τ + 1`` major, processors minor) —
     is applied through ``tracker.apply_move``.  The walk then resumes at
@@ -68,6 +68,14 @@ def hc_pass(tracker, start, stop, max_accept=-1, eps=_EPS, budget=None):
     cap may score fewer nodes than asked; the next block then doubles
     what was scored.
 
+    ``skip`` is an optional boolean mask over the tracker's nodes that
+    marks nodes known to have no improving move in the current state (the
+    multilevel scheduler hands a converged level's verdict to the next
+    level this way).  Until the first accepted move the walk scores only
+    the unmasked nodes.  That move changes the state, so the mask is
+    dropped and the walk goes on over every node after it.  The accepted
+    moves are thus those of the walk without a mask.
+
     Returns ``(accepted, moves)`` where ``moves`` lists the accepted
     ``(node, new_proc, new_step)`` triples in acceptance order.
     ``max_accept < 0`` (or ``None``) means unlimited; a wall-clock
@@ -79,29 +87,32 @@ def hc_pass(tracker, start, stop, max_accept=-1, eps=_EPS, budget=None):
     P = tracker.machine.num_procs
     accepted = 0
     moves: list[tuple[int, int, int]] = []
-    v = start
+    nodes = np.arange(start, stop)
+    todo = nodes if skip is None else nodes[~skip[start:stop]]
+    i = 0
     size = _HC_BLOCK_MAX
-    while v < stop:
+    while i < todo.size:
         if max_accept >= 0 and accepted >= max_accept:
             break
         if budget is not None and budget.expired():
             break
-        deltas, valid = tracker.candidate_deltas(np.arange(v, min(v + size, stop)))
+        block = todo[i : i + size]
+        deltas, valid = tracker.candidate_deltas(block)
         hit = (valid & (deltas < -eps)).ravel()
         first = int(np.argmax(hit))
         if not hit[first]:
             scored = deltas.shape[0]
-            v += scored
+            i += scored
             size = min(2 * scored, _HC_BLOCK_MAX)
             continue
         k, flat = divmod(first, 3 * P)
         step_offset, new_proc = divmod(flat, P)
-        node = v + k
+        node = int(block[k])
         new_step = int(tracker.supersteps[node]) - 1 + step_offset
         tracker.apply_move(node, new_proc, new_step)
         accepted += 1
         moves.append((node, new_proc, new_step))
-        v = node + 1
+        todo, i = nodes, node + 1 - start
         size = _HC_BLOCK_MIN
     return accepted, moves
 

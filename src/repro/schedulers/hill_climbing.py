@@ -47,7 +47,19 @@ from ..core.machine import BspMachine
 from ..core.schedule import BspSchedule
 from .base import Budget, ScheduleImprover
 
-__all__ = ["LazyCostTracker", "HillClimbingImprover"]
+__all__ = [
+    "CLOCK",
+    "CONVERGED",
+    "PASS_CAP",
+    "STEP_CAP",
+    "LazyCostTracker",
+    "HillClimbingImprover",
+]
+
+#: why a climb stopped (:attr:`HillClimbingImprover.last_stop`): a full pass
+#: accepted no move, the accepted-move cap or the pass cap was reached, or
+#: the wall clock ran out
+CONVERGED, STEP_CAP, PASS_CAP, CLOCK = "converged", "step_cap", "pass_cap", "clock"
 
 _EPS = 1e-9
 _INT = np.int64
@@ -568,6 +580,10 @@ class HillClimbingImprover(ScheduleImprover):
         last run are kept in :attr:`last_moves` (differential tests and
         benchmarks use this to pin the vectorized and reference paths
         together).
+
+    Every run records in :attr:`last_stop` why its climb stopped:
+    :data:`CONVERGED` (a full pass accepted no move), :data:`STEP_CAP`,
+    :data:`PASS_CAP` or :data:`CLOCK`.
     """
 
     name = "hill_climbing"
@@ -583,19 +599,28 @@ class HillClimbingImprover(ScheduleImprover):
         self.record_moves = record_moves
         #: accepted moves ``(node, new_proc, new_step)`` of the last run
         self.last_moves: list[tuple[int, int, int]] | None = None
+        #: why the last run stopped (``None`` before the first run)
+        self.last_stop: str | None = None
 
     # ------------------------------------------------------------------ #
     def climb(
         self,
         tracker: LazyCostTracker,
         budget: Budget | None = None,
+        *,
+        skip: np.ndarray | None = None,
     ) -> int:
         """Run the climbing loop on an existing tracker; return accepted moves.
 
         The tracker is mutated in place, which is what lets callers (the
         multilevel refinement phase) reuse one tracker across several short
         bursts at a fixed uncoarsening level instead of rebuilding the
-        work/send/receive matrices from scratch per burst.
+        work/send/receive matrices anew for every burst.  ``skip`` is
+        handed to the first pass (see :func:`repro.core.kernels.hc_pass`):
+        it marks nodes known to have no improving move in the tracker's
+        current state.  Sets :attr:`last_stop`.  A pass that accepts nothing
+        counts as converged only when the clock has not run out, since the
+        clock may have cut that pass short.
         """
         budget = budget or Budget()
         # the budget's step cap bounds this invocation on top of (never
@@ -606,24 +631,32 @@ class HillClimbingImprover(ScheduleImprover):
         self.last_moves = moves if self.record_moves else None
         num_nodes = tracker.dag.num_nodes
         accepted = 0
-        improved_any = True
         passes = 0
-        while improved_any and passes < self.max_passes and not budget.expired():
-            improved_any = False
+        while True:
+            if passes >= self.max_passes:
+                stop = PASS_CAP
+                break
+            if budget.expired():
+                stop = CLOCK
+                break
             passes += 1
             # one kernel pass over all nodes fuses candidate evaluation
             # and acceptance
             cap = None if max_steps is None else max_steps - accepted
             got, pass_moves = kernels.hc_pass(
-                tracker, 0, num_nodes, cap, _EPS, budget=budget
+                tracker, 0, num_nodes, cap, _EPS, budget=budget, skip=skip
             )
+            skip = None
             accepted += got
-            if got:
-                improved_any = True
-                if self.record_moves:
-                    moves.extend(pass_moves)
+            if self.record_moves:
+                moves.extend(pass_moves)
             if max_steps is not None and accepted >= max_steps:
+                stop = STEP_CAP
                 break
+            if not got:
+                stop = CLOCK if budget.expired() else CONVERGED
+                break
+        self.last_stop = stop
         return accepted
 
     def refine_assignment(
@@ -634,20 +667,31 @@ class HillClimbingImprover(ScheduleImprover):
         supersteps: np.ndarray,
         budget: Budget | None = None,
         tracker: LazyCostTracker | None = None,
+        hand_off: tuple[LazyCostTracker, np.ndarray] | None = None,
     ) -> tuple[LazyCostTracker, int]:
         """Hill-climb directly on assignment arrays, bypassing schedule objects.
 
         Builds the tracker once and runs :meth:`climb` on it; returns the
-        tracker plus the number of accepted moves (zero means the burst
-        converged).  A passed-in ``tracker`` is reused only when it belongs
-        to the same ``(dag, machine)`` *and* its internal ``(π, τ)`` equals
-        the given arrays — on any mismatch a fresh tracker is built from the
-        arrays, so a caller-side assignment edit is never silently
-        discarded.  This is the multilevel refinement entry point: per-level
-        bursts need neither schedule validation nor compaction, so the
-        per-burst overhead is one tracker build — and zero when the caller
-        passes the previous burst's tracker back in (with that tracker's own
-        arrays).
+        tracker plus the number of accepted moves (:attr:`last_stop` says
+        why the burst stopped).  A passed-in ``tracker`` is reused only when
+        it belongs to the same ``(dag, machine)`` *and* its internal
+        ``(π, τ)`` equals the given arrays — on any mismatch a fresh tracker
+        is built from the arrays, so a caller-side assignment edit is never
+        silently discarded.  This is the multilevel refinement entry point:
+        per-level bursts need neither schedule validation nor compaction, so
+        the per-burst overhead is one tracker build — and zero when the
+        caller passes the previous burst's tracker back in (with that
+        tracker's own arrays).
+
+        ``hand_off = (previous, skip)`` carries the verdict of an earlier
+        climb that converged on the tracker ``previous``: ``skip`` marks the
+        nodes of ``dag`` whose candidate scores equal those of a node of
+        ``previous`` as long as the two trackers' ``work`` and ``traffic``
+        arrays are equal.  The first pass then skips those nodes until its
+        first accepted move.  The arrays are compared here, bitwise; when
+        they differ (a split moved a lazy transfer to another phase, float
+        residue, another superstep count) the hand-off is ignored, so it can
+        only save scoring, never change a move.
         """
         reusable = (
             tracker is not None
@@ -658,7 +702,16 @@ class HillClimbingImprover(ScheduleImprover):
         )
         if not reusable:
             tracker = LazyCostTracker(dag, machine, procs, supersteps)
-        accepted = self.climb(tracker, budget)
+        skip = None
+        if hand_off is not None:
+            previous, unchanged = hand_off
+            if (
+                previous.machine is machine
+                and np.array_equal(previous.work, tracker.work)
+                and np.array_equal(previous.traffic, tracker.traffic)
+            ):
+                skip = unchanged
+        accepted = self.climb(tracker, budget, skip=skip)
         return tracker, accepted
 
     # ------------------------------------------------------------------ #
@@ -671,6 +724,7 @@ class HillClimbingImprover(ScheduleImprover):
         machine = schedule.machine
         if dag.num_nodes == 0 or schedule.num_supersteps == 0:
             self.last_moves = [] if self.record_moves else None
+            self.last_stop = CONVERGED
             return schedule
 
         tracker = LazyCostTracker(

@@ -7,7 +7,13 @@ from .coarsen import (
     coarsen_dag,
     coarsen_dag_reference,
 )
-from .refine import project_arrays, project_to_original, restrict_arrays, restrict_to_quotient
+from .refine import (
+    project_arrays,
+    project_to_original,
+    restrict_arrays,
+    restrict_to_quotient,
+    unchanged_nodes,
+)
 from .scheduler import MultilevelScheduler
 
 __all__ = [
@@ -21,4 +27,5 @@ __all__ = [
     "project_to_original",
     "restrict_arrays",
     "restrict_to_quotient",
+    "unchanged_nodes",
 ]

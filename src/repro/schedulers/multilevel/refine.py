@@ -14,6 +14,9 @@ schedule validation nor an intermediate :class:`BspSchedule` object — the
 cluster-constant projection of a valid coarse schedule is valid by
 construction, and the burst's :class:`~repro.schedulers.hill_climbing.LazyCostTracker`
 is reused across bursts at a fixed level instead of being rebuilt.
+:func:`unchanged_nodes` finds the nodes whose hill-climbing scores an
+uncoarsening step cannot change, so that a converged level can hand its
+verdict to the next one.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ __all__ = [
     "project_to_original",
     "restrict_arrays",
     "restrict_to_quotient",
+    "unchanged_nodes",
 ]
 
 
@@ -83,3 +87,29 @@ def restrict_to_quotient(
     """Schedule of the quotient DAG induced by a cluster-constant original assignment."""
     coarse_procs, coarse_steps = restrict_arrays(quotient, procs, supersteps)
     return BspSchedule(quotient.dag, machine, coarse_procs, coarse_steps)
+
+
+def unchanged_nodes(coarse: QuotientDag, fine: QuotientDag) -> np.ndarray:
+    """Boolean mask of the nodes of ``fine`` that an uncoarsening step left alone.
+
+    ``fine`` must undo some of ``coarse``'s contractions, so every cluster
+    of ``fine`` lies inside one of ``coarse``.  A node of ``fine`` is
+    unchanged when its cluster kept all its members and no predecessor's
+    cluster split.  Such a node has the same weights and the same
+    predecessors, in the same order (a quotient keeps the original edge
+    order, and undoing contractions keeps the order of the
+    representatives), as its cluster in ``coarse``.  When the assignment
+    is constant on ``coarse``'s clusters (a split cluster's halves sit on
+    its processor and superstep), its successors and its predecessors'
+    other successors also sit on the same (processor, superstep) pairs as
+    before.  So its hill-climbing scores are those of its cluster, as long
+    as the two levels' work and traffic rows agree.
+    """
+    coarse_sizes = np.bincount(coarse.orig_to_coarse)
+    fine_sizes = np.bincount(fine.orig_to_coarse)
+    reps = np.asarray(fine.coarse_to_rep, dtype=np.int64)
+    unchanged = fine_sizes == coarse_sizes[coarse.orig_to_coarse[reps]]
+    src, dst = fine.dag.edge_arrays()
+    split = ~unchanged  # this node is one part of a split cluster
+    unchanged[dst[split[src]]] = False
+    return unchanged

@@ -14,7 +14,10 @@ Pipeline (Figure 4 of the paper):
 3. **Uncoarsen and refine**: undo the contractions a few at a time; after
    every batch of uncontractions, refine the projected schedule with a short
    burst of hill climbing on the current (partially uncoarsened) quotient
-   DAG.
+   DAG.  When a level's burst converged, the next level's first pass
+   scores only the nodes the uncoarsening step can have changed
+   (:func:`~repro.schedulers.multilevel.refine.unchanged_nodes`); the
+   accepted moves are those of a full scan.
 4. After full uncoarsening, re-optimise the communication schedule on the
    original DAG (``HCcs`` and, when enabled, ``ILPcs``).
 """
@@ -29,9 +32,9 @@ from ...core.machine import BspMachine
 from ...core.schedule import BspSchedule
 from ..base import Budget, Scheduler, ScheduleImprover, best_schedule
 from ..comm_hill_climbing import CommScheduleHillClimbing
-from ..hill_climbing import HillClimbingImprover
+from ..hill_climbing import CONVERGED, HillClimbingImprover
 from .coarsen import CoarseningSequence, coarsen_dag
-from .refine import project_arrays, project_to_original, restrict_arrays
+from .refine import project_arrays, project_to_original, restrict_arrays, unchanged_nodes
 
 __all__ = ["MultilevelScheduler"]
 
@@ -74,9 +77,11 @@ class MultilevelScheduler(Scheduler):
         Maximum number of accepted hill-climbing moves per refinement burst
         (paper: 100).
     refine_rounds:
-        Number of hill-climbing bursts run at every uncoarsening level.  The
-        paper runs one; additional rounds reuse the level's cost tracker, so
-        they cost only the extra accepted moves, not a tracker rebuild.
+        Maximum number of hill-climbing bursts run at every uncoarsening
+        level.  The paper runs one; additional rounds reuse the level's cost
+        tracker, so they cost only the extra accepted moves, not a tracker
+        rebuild.  A level stops after a burst that converged (or accepted
+        nothing), since another round would only re-scan.
     comm_improvers:
         Improvers applied to the fully uncoarsened schedule (default:
         ``HCcs``; the pipeline variant also appends ``ILPcs``).
@@ -170,15 +175,24 @@ class MultilevelScheduler(Scheduler):
         # built once and reused across all bursts of that level.  After the
         # bursts, supersteps emptied by the moves are compacted away (the
         # seed path compacted per level too — without it, the ±1-superstep
-        # move neighbourhood cannot bridge the gaps at later levels).
+        # move neighbourhood cannot bridge the gaps at later levels).  A
+        # level whose last burst converged and whose compaction dropped no
+        # superstep hands its verdict on: the next level's first pass skips
+        # the nodes the uncoarsening step left alone.
         refiner = HillClimbingImprover(max_steps=self.refine_max_steps)
         total = sequence.num_contractions
         level = total - self.refine_interval
+        converged = None  # (quotient, tracker) of the last converged level
         while level > 0:
             if budget.expired():
                 break
             quotient = sequence.quotient(level)
             coarse_procs, coarse_steps = restrict_arrays(quotient, procs, supersteps)
+            hand_off = None
+            if converged is not None:
+                previous_quotient, previous = converged
+                hand_off = (previous, unchanged_nodes(previous_quotient, quotient))
+            converged = None
             tracker = None
             for _ in range(self.refine_rounds):
                 if budget.expired():
@@ -190,11 +204,15 @@ class MultilevelScheduler(Scheduler):
                     coarse_steps if tracker is None else tracker.supersteps,
                     budget=budget.fraction(0.1),
                     tracker=tracker,
+                    hand_off=hand_off,
                 )
-                if accepted == 0:
-                    break  # converged: further rounds would only re-scan
+                hand_off = None
+                if accepted == 0 or refiner.last_stop == CONVERGED:
+                    break  # further rounds would only re-scan
             if tracker is not None:
-                coarse_procs, coarse_steps, _ = tracker.compacted_assignment()
+                coarse_procs, coarse_steps, used = tracker.compacted_assignment()
+                if refiner.last_stop == CONVERGED and used == tracker.num_supersteps:
+                    converged = (quotient, tracker)
             procs, supersteps = project_arrays(quotient, coarse_procs, coarse_steps)
             level -= self.refine_interval
 

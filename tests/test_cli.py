@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import ScheduleResult
 from repro.cli import build_parser, main
-from repro.core import load_schedule
-from repro.io import read_hyperdag, write_hyperdag
+from repro.core import ComputationalDAG, load_schedule
+from repro.io import read_hyperdag, write_hdagb, write_hyperdag
 
 from conftest import random_dag
 
@@ -213,3 +218,44 @@ class TestQueueWorkflow:
         assert "f1" in out and "1 terminal failure(s)" in out
         assert main(["queue", "--root", str(root), "retry"]) == 0
         assert "requeued 1" in capsys.readouterr().out
+
+
+def _run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -m repro ARGS`` in a fresh interpreter importing this checkout."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+
+
+class TestTypedErrors:
+    """A typed error reaches the shell as one line and exit status 2."""
+
+    def test_cyclic_hdagb(self, tmp_path):
+        path = tmp_path / "cyclic.hdagb"
+        # 0 -> 1 -> 2 -> 0 is a cycle; edge arrays check acyclicity lazily
+        write_hdagb(ComputationalDAG.from_edge_arrays(5, [0, 1, 2, 3], [1, 2, 0, 4]), path)
+        done = _run_cli("schedule", str(path), "--scheduler", "framework", "--procs", "4")
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: CycleError: ")
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stdout == ""
+
+    def test_malformed_hdag(self, tmp_path):
+        path = tmp_path / "bad.hdag"
+        path.write_text("%% HyperDAG bad\nnodes 2\n1 1\n1 x\nhyperedges 0\n")
+        done = _run_cli("schedule", str(path), "--scheduler", "cilk")
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: DagError: line 4: ")
+        assert len(done.stderr.splitlines()) == 1
+
+    def test_main_still_raises(self, tmp_path):
+        path = tmp_path / "bad.hdag"
+        path.write_text("nodes two\n")
+        with pytest.raises(repro.core.DagError):
+            main(["schedule", str(path)])

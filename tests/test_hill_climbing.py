@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import BspMachine, BspSchedule, ComputationalDAG
 from repro.schedulers import BspGreedyScheduler, Budget, HillClimbingImprover, LazyCostTracker
+from repro.schedulers.hill_climbing import CLOCK, CONVERGED, PASS_CAP, STEP_CAP
 from repro.schedulers.trivial import RoundRobinScheduler
 
 from conftest import assert_valid_schedule, build_diamond_dag, build_fork_join_dag, random_dag
@@ -150,3 +151,52 @@ class TestHillClimbingImprover:
         single = RoundRobinScheduler().schedule(ComputationalDAG(1), machine4)
         improved = HillClimbingImprover().improve(single)
         assert improved.cost() <= single.cost()
+
+
+class TestStopReason:
+    """``last_stop`` says why the last climb stopped."""
+
+    @pytest.fixture
+    def start(self, machine4):
+        return RoundRobinScheduler().schedule(random_dag(30, 0.15, seed=1), machine4)
+
+    def test_converged(self, start):
+        improver = HillClimbingImprover(record_moves=True)
+        improver.improve(start)
+        assert improver.last_moves
+        assert improver.last_stop == CONVERGED
+
+    @pytest.mark.parametrize("improver, budget", [
+        (HillClimbingImprover(max_steps=3), None),
+        (HillClimbingImprover(), Budget(max_steps=3)),
+        (HillClimbingImprover(max_steps=0), None),
+    ], ids=["improver_cap", "budget_cap", "zero_cap"])
+    def test_step_cap(self, start, improver, budget):
+        improver.improve(start, budget)
+        assert improver.last_stop == STEP_CAP
+
+    @pytest.mark.parametrize("max_passes", [0, 1])
+    def test_pass_cap(self, start, max_passes):
+        improver = HillClimbingImprover(max_passes=max_passes)
+        improver.improve(start)
+        assert improver.last_stop == PASS_CAP
+
+    def test_clock_before_the_first_pass(self, start):
+        improver = HillClimbingImprover()
+        improver.improve(start, Budget(0.0))
+        assert improver.last_stop == CLOCK
+
+    def test_clock_cutting_a_pass_short_is_not_convergence(self, start):
+        """A pass the clock stopped before its first block accepts nothing."""
+        budget = Budget()
+        answers = iter([False, True])
+        budget.expired = lambda: next(answers, True)
+        improver = HillClimbingImprover()
+        tracker = LazyCostTracker(start.dag, start.machine, start.procs, start.supersteps)
+        assert improver.climb(tracker, budget) == 0
+        assert improver.last_stop == CLOCK
+
+    def test_empty_dag_is_converged(self, machine4):
+        improver = HillClimbingImprover(max_passes=0)
+        improver.improve(RoundRobinScheduler().schedule(ComputationalDAG(0), machine4))
+        assert improver.last_stop == CONVERGED

@@ -8,15 +8,18 @@ import numpy as np
 import pytest
 
 from repro.api import ScheduleRequest, SchedulerSpec, SchedulingService
-from repro.core import BspMachine, BspSchedule, ComputationalDAG, DagError
+from repro.core import BspMachine, BspSchedule, ComputationalDAG, DagError, kernels
 from repro.core.exceptions import ConfigurationError
 from repro.core.machine import MachineSpec
 from repro.schedulers import (
     BspGreedyScheduler,
+    HillClimbingImprover,
+    LazyCostTracker,
     MultilevelScheduler,
     PipelineConfig,
     SchedulingPipeline,
 )
+from repro.schedulers.hill_climbing import CONVERGED
 from repro.schedulers.multilevel import (
     ContractionRecord,
     coarsen_dag,
@@ -349,9 +352,9 @@ class TestMultilevelBudget:
             node_limits.append(kwargs.get("node_limit"))
             return solve(self, *args, **kwargs)
 
-        def recording_climb(self, tracker, budget=None):
+        def recording_climb(self, tracker, budget=None, **kwargs):
             step_caps.append(budget.max_steps)
-            return climb(self, tracker, budget)
+            return climb(self, tracker, budget, **kwargs)
 
         monkeypatch.setattr(MilpProblem, "solve", recording_solve)
         monkeypatch.setattr(HillClimbingImprover, "climb", recording_climb)
@@ -435,6 +438,131 @@ class TestMultilevelOracle:
             dag, self.MACHINES[0]
         )
         assert targets == [6]  # round(0.15 * 40)
+
+
+def _weighted_dag(rng: np.random.Generator, weights: str) -> ComputationalDAG:
+    """A random DAG of 40-90 nodes with integer, dyadic or real weights."""
+    n = int(rng.integers(40, 91))
+    if weights == "integer":
+        work, comm = rng.integers(1, 6, n).astype(float), rng.integers(1, 4, n).astype(float)
+    elif weights == "dyadic":
+        work, comm = rng.integers(1, 41, n) / 8, rng.integers(0, 25, n) / 8
+    else:
+        work, comm = rng.uniform(0.1, 5.0, n), rng.uniform(0.0, 3.0, n)
+    src, dst = np.nonzero(np.triu(rng.random((n, n)) < rng.uniform(0.03, 0.1), 1))
+    return ComputationalDAG.from_edge_arrays(n, src, dst, work, comm)
+
+
+class TestLevelHandOff:
+    """A converged level's verdict saves scoring but never changes a move."""
+
+    MACHINES = {
+        "uniform": lambda rng: BspMachine.uniform(
+            int(rng.choice([2, 4, 8])), g=int(rng.integers(1, 6)), latency=int(rng.integers(1, 20))
+        ),
+        "numa": lambda rng: BspMachine.numa_hierarchy(
+            int(rng.choice([4, 8])),
+            delta=int(rng.integers(2, 5)),
+            g=int(rng.integers(1, 6)),
+            latency=int(rng.integers(1, 20)),
+        ),
+    }
+
+    @pytest.mark.parametrize("machine_kind", ["uniform", "numa"])
+    @pytest.mark.parametrize("weights", ["integer", "dyadic", "real"])
+    def test_masked_bursts_accept_the_full_scan_moves(self, monkeypatch, weights, machine_kind):
+        """Every burst given a hand-off is replayed from its start without one."""
+        refine = HillClimbingImprover.refine_assignment
+        run_pass = kernels.hc_pass
+        counts = {"hand_offs": 0, "masked_passes": 0}
+
+        def replayed(self, dag, machine, procs, supersteps, budget=None, tracker=None,
+                     hand_off=None):
+            if hand_off is None:
+                return refine(self, dag, machine, procs, supersteps, budget, tracker)
+            counts["hand_offs"] += 1
+            full = HillClimbingImprover(self.max_passes, self.max_steps, record_moves=True)
+            full_tracker, _ = full.refine_assignment(dag, machine, procs, supersteps, budget)
+            self.record_moves = True
+            try:
+                result = refine(self, dag, machine, procs, supersteps, budget, tracker, hand_off)
+            finally:
+                self.record_moves = False
+            assert self.last_moves == full.last_moves
+            assert self.last_stop == full.last_stop
+            assert np.array_equal(result[0].supersteps, full_tracker.supersteps)
+            return result
+
+        def counting(*args, skip=None, **kwargs):
+            counts["masked_passes"] += skip is not None
+            return run_pass(*args, skip=skip, **kwargs)
+
+        monkeypatch.setattr(HillClimbingImprover, "refine_assignment", replayed)
+        monkeypatch.setattr(kernels, "hc_pass", counting)
+        for seed in range(4):
+            rng = np.random.default_rng(3100 + seed)
+            dag = _weighted_dag(rng, weights)
+            machine = self.MACHINES[machine_kind](rng)
+            base = BspGreedyScheduler() if seed % 2 else _deterministic_pipeline()
+            scheduler = MultilevelScheduler(
+                base_scheduler=base,
+                refine_max_steps=int(rng.choice([2, 5, 100])),
+                refine_rounds=int(rng.choice([1, 2])),
+            )
+            assert_valid_schedule(scheduler.schedule(dag, machine))
+        assert counts["hand_offs"] > 0
+        assert counts["masked_passes"] > 0
+
+    def test_hand_off_needs_equal_work_and_traffic(self):
+        """A verdict from another state is ignored; from an equal one it is used."""
+        dag = random_dag(40, 0.1, seed=5)
+        machine = BspMachine.numa_hierarchy(4, delta=3, g=2, latency=5)
+        start = BspGreedyScheduler().schedule(dag, machine)
+        procs, steps = start.procs, start.supersteps
+        full = HillClimbingImprover(record_moves=True)
+        full.refine_assignment(dag, machine, procs, steps)
+        assert full.last_moves
+        everything = np.ones(dag.num_nodes, dtype=bool)
+        for rows in ("work", "traffic"):
+            previous = LazyCostTracker(dag, machine, procs, steps)
+            getattr(previous, rows)[0, 0] += 1.0
+            improver = HillClimbingImprover(record_moves=True)
+            improver.refine_assignment(dag, machine, procs, steps, hand_off=(previous, everything))
+            assert improver.last_moves == full.last_moves, rows
+        # equal rows: the (here false) verdict is taken on trust
+        previous = LazyCostTracker(dag, machine, procs, steps)
+        improver = HillClimbingImprover(record_moves=True)
+        improver.refine_assignment(dag, machine, procs, steps, hand_off=(previous, everything))
+        assert improver.last_moves == []
+        assert improver.last_stop == CONVERGED
+
+    def test_converged_burst_ends_the_level(self, monkeypatch):
+        """A second round runs only after a burst stopped at its step cap."""
+        passes = []
+        run_pass = kernels.hc_pass
+
+        def counting(*args, **kwargs):
+            passes.append(1)
+            return run_pass(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "hc_pass", counting)
+        dag = random_dag(80, 0.06, seed=21)
+        machine = BspMachine.numa_hierarchy(4, delta=3, g=3, latency=5)
+        for max_steps, more in ((100, False), (2, True)):
+            counts, schedules = [], []
+            for rounds in (1, 2):
+                passes.clear()
+                scheduler = MultilevelScheduler(
+                    base_scheduler=BspGreedyScheduler(),
+                    refine_max_steps=max_steps,
+                    refine_rounds=rounds,
+                )
+                schedules.append(scheduler.schedule(dag, machine))
+                counts.append(len(passes))
+            assert (counts[1] > counts[0]) == more, (max_steps, counts)
+            if not more:
+                assert np.array_equal(schedules[0].procs, schedules[1].procs)
+                assert np.array_equal(schedules[0].supersteps, schedules[1].supersteps)
 
 
 _BAD_RATIOS = [(), (math.nan,), (0.0,), (-0.5,), (1.5,), (0.3, math.inf), [0.3]]

@@ -6,7 +6,9 @@ These cover the load-bearing invariants of the framework:
 * the incremental cost tracker agrees with the from-scratch cost evaluation;
 * improvers never increase the cost;
 * coarsening preserves acyclicity and total weights at every level;
-* the hyperDAG file format round-trips exactly.
+* the hyperDAG file format round-trips exactly;
+* every registry scheduler's reported cost is the cost the paper's
+  definition gives its schedule (:mod:`oracles.cost`).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import Budget, ScheduleRequest, SchedulerSpec, SchedulingService
 from repro.core import BspMachine, BspSchedule, ComputationalDAG
 from repro.io import dumps_hyperdag, loads_hyperdag
 from repro.schedulers import (
@@ -26,12 +29,15 @@ from repro.schedulers import (
     HDaggScheduler,
     HillClimbingImprover,
     LazyCostTracker,
+    PipelineConfig,
     SourceScheduler,
+    available_schedulers,
 )
 from repro.schedulers.multilevel import coarsen_dag
 from repro.schedulers.trivial import RoundRobinScheduler
 
 from conftest import assert_valid_schedule
+from oracles.cost import definition_cost, lazy_gamma, violations
 
 
 # ---------------------------------------------------------------------- #
@@ -199,3 +205,61 @@ def test_hyperdag_roundtrip(dag):
     assert {(e.source, e.target) for e in back.edges()} == {
         (e.source, e.target) for e in dag.edges()
     }
+
+
+# ---------------------------------------------------------------------- #
+# reported costs against the paper's definition
+# ---------------------------------------------------------------------- #
+_CLOCKLESS_CONFIG = PipelineConfig(
+    ilp_node_limit=1,
+    ilp_full_max_variables=200,
+    ilp_partial_max_variables=150,
+    ilp_init_max_variables=100,
+    local_search_seconds=None,
+    ilp_full_seconds=None,
+    ilp_partial_seconds=None,
+    ilp_comm_seconds=None,
+    ilp_init_seconds=None,
+)
+#: every scheduler's own clocks off, so each example is a fixed amount of
+#: work; the variable caps keep each HiGHS root solve small
+_CLOCKLESS_PARAMS = {
+    "framework": {"config": _CLOCKLESS_CONFIG},
+    "framework_heuristics": {"local_search_seconds": None},
+    "ilp_init": {"max_variables": 100, "time_limit_per_batch": None, "node_limit": 1},
+    "multilevel": {"config": _CLOCKLESS_CONFIG},
+}
+
+
+@pytest.mark.parametrize("name", available_schedulers())
+@settings(COMMON_SETTINGS, max_examples=3)
+@given(dag=dags(), machine=machines())
+def test_reported_cost_is_the_definition_cost(name, dag, machine):
+    request = ScheduleRequest(
+        dag,
+        machine,
+        SchedulerSpec(name, _CLOCKLESS_PARAMS.get(name, {})),
+        Budget(ilp_node_limit=1),
+    )
+    result = SchedulingService(cache_size=0).solve(request)
+    payload = result.schedule_dict()
+    procs, steps = payload["procs"], payload["supersteps"]
+    edges = list(zip(*(ends.tolist() for ends in dag.edge_arrays())))
+    if "comm_schedule" in payload:
+        gamma = [tuple(step) for step in payload["comm_schedule"]]
+    else:
+        gamma = lazy_gamma(edges, procs, steps)
+    assert violations(machine.num_procs, edges, procs, steps, gamma) == []
+    assert result.to_schedule().violations() == []
+    cost = definition_cost(
+        dag.work_weights.tolist(),
+        dag.comm_weights.tolist(),
+        machine.numa.tolist(),
+        float(machine.g),
+        float(machine.latency),
+        procs,
+        steps,
+        gamma,
+    )
+    assert result.cost == pytest.approx(cost, rel=1e-9, abs=1e-9)
+    assert payload["cost"] == pytest.approx(cost, rel=1e-9, abs=1e-9)

@@ -239,6 +239,52 @@ class TestBlockWalk:
         assert climber.climb(tracker) == 0
         assert passes == [[dag.num_nodes]]
 
+    def test_skip_mask_holds_until_the_first_move(self, monkeypatch):
+        """Only unmasked nodes are scored until a move; then every node is."""
+        dag = random_dag(300, 4.0 / 300, seed=12)
+        machine = BspMachine.uniform(4, g=2, latency=3)
+        start = HillClimbingImprover().improve(RoundRobinScheduler().schedule(dag, machine))
+        tracker = LazyCostTracker(dag, machine, start.procs, start.supersteps)
+        # a worsening move in the middle of a converged state
+        for node in range(150, dag.num_nodes):
+            deltas, valid = tracker.candidate_deltas(np.array([node]))
+            worse = np.argwhere(valid[0] & (deltas[0] > 0))
+            if worse.size:
+                step, proc = (int(x) for x in worse[0])
+                tracker.apply_move(node, proc, int(tracker.supersteps[node]) - 1 + step)
+                break
+        state = tracker.assignment()
+
+        scored: list[list[int]] = []
+        evaluate = LazyCostTracker.candidate_deltas
+
+        def recording(self, block):
+            result = evaluate(self, block)
+            scored.append(np.asarray(block)[: result[0].shape[0]].tolist())
+            return result
+
+        monkeypatch.setattr(LazyCostTracker, "candidate_deltas", recording)
+        full = kernels.hc_pass(LazyCostTracker(dag, machine, *state), 0, dag.num_nodes)[1]
+        full_blocks = list(scored)
+        first = full[0][0]
+        # no node before the first move has an improving move: mask every
+        # third node, also after it
+        skip = np.arange(dag.num_nodes) % 3 == 0
+        skip[first] = False
+        assert skip[:first].any()
+        scored.clear()
+        masked = kernels.hc_pass(
+            LazyCostTracker(dag, machine, *state), 0, dag.num_nodes, skip=skip
+        )[1]
+        assert masked == full
+        hit = next(i for i, block in enumerate(scored) if first in block)
+        before = [node for block in scored[: hit + 1] for node in block]
+        assert before == np.flatnonzero(~skip)[: len(before)].tolist()
+        full_hit = next(i for i, block in enumerate(full_blocks) if first in block)
+        after = scored[hit + 1 :]
+        assert after and after == full_blocks[full_hit + 1 :]
+        assert skip[[node for block in after for node in block]].any()
+
     def test_reused_tracker_bursts_match_reference(self, monkeypatch):
         """Short capped bursts on one reused tracker, as multilevel runs them.
 
