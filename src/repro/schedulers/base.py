@@ -106,10 +106,12 @@ class Budget:
 
         ``time_limit`` and ``node_limit`` are the stage's own limits.  The
         solve gets no more than the remaining seconds, and the budget's node
-        limit, when it has one, replaces the stage's.
+        limit, when it has one, replaces the stage's.  A stage limit of
+        ``0.0`` is a clock of its own, not "no clock".
         """
         if self.seconds is not None:
-            time_limit = min(time_limit or self.remaining, self.remaining)
+            remaining = self.remaining
+            time_limit = remaining if time_limit is None else min(time_limit, remaining)
         if self.ilp_node_limit is not None:
             node_limit = self.ilp_node_limit
         return time_limit, node_limit

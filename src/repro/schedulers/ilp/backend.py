@@ -9,10 +9,14 @@ solver API.  See DESIGN.md for the substitution rationale.
 added one by one (binary or continuous, with objective coefficients), linear
 constraints are stored as sparse triples, and :meth:`solve` assembles the
 sparse constraint matrix and calls HiGHS with a time limit.
+:meth:`MilpProblem.key` digests everything HiGHS would receive, so that a
+caller can reuse the result of an identical model it solved before.
 """
 
 from __future__ import annotations
 
+import hashlib
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +25,27 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ...core.exceptions import SolverError
 
-__all__ = ["MilpProblem", "MilpSolution"]
+__all__ = [
+    "INFEASIBLE",
+    "NODE_LIMIT",
+    "OPTIMAL",
+    "OTHER",
+    "TIME_LIMIT",
+    "MilpProblem",
+    "MilpSolution",
+]
+
+#: why a MILP solve stopped (:attr:`MilpSolution.stop`): proven optimal,
+#: branch-and-bound node limit, wall-clock limit, proven infeasible, or any
+#: other HiGHS outcome
+OPTIMAL, NODE_LIMIT, TIME_LIMIT, INFEASIBLE, OTHER = (
+    "optimal", "node_limit", "time_limit", "infeasible", "other"
+)
+
+#: scipy appends HiGHS's own model status to every message
+_HIGHS_MODEL_STATUS = re.compile(r"\(HiGHS Status (\d+):")
+_HIGHS_INFEASIBLE = 8
+_HIGHS_SOLUTION_LIMIT = 16
 
 
 @dataclass
@@ -37,6 +61,31 @@ class MilpSolution:
     def feasible(self) -> bool:
         """Whether a feasible (not necessarily optimal) solution was found."""
         return self.values is not None and self.values.size > 0
+
+    @property
+    def stop(self) -> str:
+        """Why the solve stopped: :data:`OPTIMAL`, :data:`NODE_LIMIT`,
+        :data:`TIME_LIMIT`, :data:`INFEASIBLE` or :data:`OTHER`.
+
+        Read from scipy's ``status`` and the HiGHS model status its
+        ``message`` names.  scipy 1.17 reports a node-limit stop (HiGHS
+        model status 16, "Solution limit reached") as status 4, not as the
+        status 1 of a time limit; no iteration limit is ever set, so status
+        1 is always the clock.  Only a :data:`TIME_LIMIT` result depends on
+        the clock: every other outcome is a function of the model and the
+        work limits alone.
+        """
+        if self.status == 0:
+            return OPTIMAL
+        if self.status == 1:
+            return TIME_LIMIT
+        match = _HIGHS_MODEL_STATUS.search(self.message)
+        model_status = int(match.group(1)) if match else None
+        if self.status == 2 and model_status == _HIGHS_INFEASIBLE:
+            return INFEASIBLE
+        if self.status == 4 and model_status == _HIGHS_SOLUTION_LIMIT:
+            return NODE_LIMIT
+        return OTHER
 
     def value(self, index: int) -> float:
         """Value of variable ``index``."""
@@ -189,6 +238,34 @@ class MilpProblem:
         self.add_constraint(coefficients, value, value)
 
     # ------------------------------------------------------------------ #
+    def key(self, node_limit: int | None = None, mip_rel_gap: float = 0.0) -> bytes:
+        """Digest of everything :meth:`solve` hands HiGHS, minus the clock.
+
+        Covers the objective, the variable bounds, the integrality flags,
+        the constraint triples and the row bounds, each prefixed with its
+        length, plus the work limits as :meth:`solve` passes them.  The
+        model name and the time limit are left out.  HiGHS is
+        deterministic on identical input, so two models with equal keys
+        solved without hitting a time limit give the same solution.
+        """
+        hasher = hashlib.sha256(b"repro-milp-v1")
+        for values, dtype in (
+            (self._objective, np.float64),
+            (self._lower, np.float64),
+            (self._upper, np.float64),
+            (self._integrality, np.int64),
+            (self._rows, np.int64),
+            (self._cols, np.int64),
+            (self._vals, np.float64),
+            (self._row_lower, np.float64),
+            (self._row_upper, np.float64),
+        ):
+            hasher.update(np.int64(len(values)).tobytes())
+            hasher.update(np.asarray(values, dtype=dtype).tobytes())
+        limits = _options(None, mip_rel_gap, node_limit)
+        hasher.update(repr(sorted(limits.items())).encode())
+        return hasher.digest()
+
     def solve(
         self,
         time_limit: float | None = None,
@@ -217,19 +294,12 @@ class MilpProblem:
             constraints = LinearConstraint(
                 matrix, np.asarray(self._row_lower), np.asarray(self._row_upper)
             )
-        options: dict[str, float | bool] = {"disp": False}
-        if time_limit is not None:
-            options["time_limit"] = max(float(time_limit), 0.05)
-        if mip_rel_gap:
-            options["mip_rel_gap"] = float(mip_rel_gap)
-        if node_limit is not None:
-            options["node_limit"] = max(int(node_limit), 1)
         result = milp(
             c=c,
             constraints=constraints,
             integrality=integrality,
             bounds=bounds,
-            options=options,
+            options=_options(time_limit, mip_rel_gap, node_limit),
         )
         values = result.x if result.x is not None else np.zeros(0)
         objective = float(result.fun) if result.fun is not None else float("inf")
@@ -239,3 +309,17 @@ class MilpProblem:
             status=int(result.status),
             message=str(result.message),
         )
+
+
+def _options(
+    time_limit: float | None, mip_rel_gap: float, node_limit: int | None
+) -> dict[str, float | bool]:
+    """The HiGHS options of one :meth:`MilpProblem.solve` call."""
+    options: dict[str, float | bool] = {"disp": False}
+    if time_limit is not None:
+        options["time_limit"] = max(float(time_limit), 0.05)
+    if mip_rel_gap:
+        options["mip_rel_gap"] = float(mip_rel_gap)
+    if node_limit is not None:
+        options["node_limit"] = max(int(node_limit), 1)
+    return options

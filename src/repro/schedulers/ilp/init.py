@@ -11,6 +11,11 @@ Should an individual batch ILP fail (time-out without a feasible point), the
 batch falls back to placing all of its nodes on one processor in the first
 superstep of its window — always valid because every predecessor lives in an
 earlier superstep and intra-batch edges stay on the same processor.
+
+Every batch model is built in window-local coordinates, so on iterative and
+banded DAGs many batches build the very same model.  One
+:meth:`IlpInitScheduler.schedule` call solves each distinct model once (see
+:meth:`WindowIlp.solve`'s ``memo``).
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from ...core.dag import ComputationalDAG
 from ...core.machine import BspMachine
 from ...core.schedule import BspSchedule
 from ..base import Budget, Scheduler
+from .backend import MilpSolution
 from .window import WindowIlp, estimate_window_variables
 
 __all__ = ["IlpInitScheduler"]
@@ -42,6 +48,13 @@ class IlpInitScheduler(Scheduler):
         Deterministic branch-and-bound node cap per batch solve; a
         :class:`~repro.schedulers.Budget` with ``ilp_node_limit`` overrides
         it per invocation.
+
+    Each :meth:`schedule` call keeps its own memo of solved batch models,
+    keyed by :meth:`~repro.schedulers.ilp.MilpProblem.key`: a batch whose
+    model equals an earlier batch's reuses that solution instead of calling
+    HiGHS again.  HiGHS is deterministic on identical input, so the
+    schedule is the same as without the memo.  A solve stopped by its time
+    limit is not kept, and the memo is dropped when the call returns.
     """
 
     name = "ilp_init"
@@ -83,7 +96,15 @@ class IlpInitScheduler(Scheduler):
         supersteps: np.ndarray,
         assigned: np.ndarray,
     ) -> list[CommStep]:
-        """Lazy transfers among already-assigned nodes (seeds boundary presence)."""
+        """Context steps among already-assigned nodes (seeds boundary presence).
+
+        One step per cross-processor edge ``u -> w``, sending ``u`` in the
+        superstep before ``w``'s; a value needed by several successors on
+        one processor gets several steps, so these are not the lazy
+        transfers.  Every assigned node lies in an earlier batch, so all
+        steps fall before the window and only mark where a boundary value
+        is present.
+        """
         steps: list[CommStep] = []
         for u in dag.nodes():
             if not assigned[u]:
@@ -112,6 +133,7 @@ class IlpInitScheduler(Scheduler):
         procs = np.full(n, -1, dtype=np.int64)
         supersteps = np.full(n, -1, dtype=np.int64)
         assigned = np.zeros(n, dtype=bool)
+        memo: dict[bytes, MilpSolution] = {}
 
         for batch_index, batch in enumerate(self._batches(dag, machine.num_procs)):
             window_low = batch_index * self.supersteps_per_batch
@@ -131,7 +153,9 @@ class IlpInitScheduler(Scheduler):
                     window=(window_low, window_high),
                     context_comm=context,
                 )
-                result = ilp.solve(time_limit=time_limit, node_limit=node_limit)
+                result = ilp.solve(
+                    time_limit=time_limit, node_limit=node_limit, memo=memo
+                )
                 if result.feasible:
                     for v in batch:
                         procs[v] = result.procs[v]

@@ -5,13 +5,16 @@ built from back to front; each interval is grown until the estimated ILP
 size ``|V0| · |S0| · P²`` exceeds a threshold (4 000 in the paper).  The
 nodes of every interval are then re-optimised by one window ILP, keeping the
 rest of the schedule fixed, and the result is accepted only when the exact
-evaluated cost improves.
+evaluated cost improves.  Windows are modelled in window-local coordinates,
+so one :meth:`IlpPartialImprover.improve` call solves each distinct window
+model once (see :meth:`WindowIlp.solve`'s ``memo``).
 """
 
 from __future__ import annotations
 
 from ...core.schedule import BspSchedule
 from ..base import Budget, ScheduleImprover
+from .backend import MilpSolution
 from .window import WindowIlp, estimate_window_variables
 
 __all__ = ["IlpPartialImprover"]
@@ -34,6 +37,14 @@ class IlpPartialImprover(ScheduleImprover):
         Deterministic branch-and-bound node cap per interval solve; a
         :class:`~repro.schedulers.Budget` with ``ilp_node_limit`` overrides
         it per invocation.
+
+    Each :meth:`improve` call keeps its own memo of solved window models,
+    keyed by :meth:`~repro.schedulers.ilp.MilpProblem.key`, across all of
+    its rounds: a window whose model equals an earlier one's reuses that
+    solution instead of calling HiGHS again, which leaves the result
+    unchanged because HiGHS is deterministic on identical input.  A solve
+    stopped by its time limit is not kept, and the memo is dropped when the
+    call returns.
     """
 
     name = "ilp_partial"
@@ -85,6 +96,7 @@ class IlpPartialImprover(ScheduleImprover):
             return schedule
         budget = budget or Budget()
         incumbent = schedule
+        memo: dict[bytes, MilpSolution] = {}
 
         for _ in range(self.max_rounds):
             if budget.expired():
@@ -117,7 +129,9 @@ class IlpPartialImprover(ScheduleImprover):
                     window=(low, high),
                     context_comm=incumbent.comm_schedule,
                 )
-                result = ilp.solve(time_limit=time_limit, node_limit=node_limit)
+                result = ilp.solve(
+                    time_limit=time_limit, node_limit=node_limit, memo=memo
+                )
                 if not result.feasible:
                     continue
                 procs = incumbent.procs.copy()

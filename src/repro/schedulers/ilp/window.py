@@ -56,7 +56,7 @@ from ...core.csr import gather_rows
 from ...core.dag import ComputationalDAG
 from ...core.exceptions import SolverError
 from ...core.machine import BspMachine
-from .backend import MilpProblem
+from .backend import TIME_LIMIT, MilpProblem, MilpSolution
 
 __all__ = ["WindowIlp", "WindowIlpResult", "estimate_window_variables"]
 
@@ -417,20 +417,39 @@ class WindowIlp:
         return problem, comp_idx
 
     def solve(
-        self, time_limit: float | None = None, node_limit: int | None = None
+        self,
+        time_limit: float | None = None,
+        node_limit: int | None = None,
+        memo: dict[bytes, MilpSolution] | None = None,
     ) -> WindowIlpResult:
         """Build the batched model and run the backend.
 
         ``node_limit`` is the deterministic branch-and-bound cap (see
         :meth:`MilpProblem.solve`); the ILP improvers thread it through from
         :class:`repro.schedulers.Budget.ilp_node_limit`.
+
+        ``memo`` maps :meth:`MilpProblem.key` to the solution of a model
+        already solved.  The model is in window-local coordinates, so two
+        windows with the same local structure build the same model: on a
+        hit the stored solution is reused and HiGHS is not called.  Every
+        new solution is stored except a :data:`~.backend.TIME_LIMIT` stop,
+        which depends on the clock.  The ILP stages pass one memo per
+        stage call and never keep it longer.
         """
         s_lo, s_hi = self.window
         W = s_hi - s_lo + 1
         P = self.machine.num_procs
         nr = len(self.reassign)
         problem, comp_idx = self.build_model()
-        solution = problem.solve(time_limit=time_limit, node_limit=node_limit)
+        if memo is None:
+            solution = problem.solve(time_limit=time_limit, node_limit=node_limit)
+        else:
+            key = problem.key(node_limit)
+            solution = memo.get(key)
+            if solution is None:
+                solution = problem.solve(time_limit=time_limit, node_limit=node_limit)
+                if solution.stop != TIME_LIMIT:
+                    memo[key] = solution
         if not solution.feasible:
             return WindowIlpResult(False, {}, {}, float("inf"), solution.message)
 

@@ -121,6 +121,16 @@ def time_limit(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
+def first_ilp_init_model(dag: ComputationalDAG, machine: BspMachine, max_variables: int = 200):
+    """The MILP of ILPinit's first batch: nothing assigned yet, no context."""
+    from repro.schedulers import IlpInitScheduler, WindowIlp
+
+    batch = IlpInitScheduler(max_variables=max_variables)._batches(dag, machine.num_procs)[0]
+    unassigned = np.full(dag.num_nodes, -1)
+    ilp = WindowIlp(dag, machine, unassigned, unassigned, reassign=batch, window=(0, 2))
+    return ilp.build_model()[0]
+
+
 def assert_valid_schedule(schedule: BspSchedule) -> None:
     """Assert the schedule satisfies every BSP validity condition."""
     violations = schedule.violations()

@@ -48,6 +48,20 @@ DETERMINISTIC_CONFIG = {
     "local_search_seconds": None,
 }
 
+#: every ILP stage on, every clock off: node limit 1 bounds each HiGHS solve
+#: and small variable thresholds keep its models small
+DETERMINISTIC_ILP_CONFIG = {
+    "ilp_node_limit": 1,
+    "ilp_full_max_variables": 200,
+    "ilp_partial_max_variables": 150,
+    "ilp_init_max_variables": 100,
+    "local_search_seconds": None,
+    "ilp_full_seconds": None,
+    "ilp_partial_seconds": None,
+    "ilp_comm_seconds": None,
+    "ilp_init_seconds": None,
+}
+
 
 def _dag(n=14, seed=3):
     return random_dag(n, 0.25, seed=seed)
@@ -448,25 +462,32 @@ class TestCache:
 
 
 class TestSolveMany:
-    def _requests(self, scheduler="framework"):
+    def _requests(self, scheduler="framework", config=DETERMINISTIC_CONFIG):
         dag = _dag(16, seed=4)
+        # P <= 4 on every machine, so the ILP pipeline also runs ILPinit
         specs = [MachineSpec(p, g, 2) for p in (2, 4) for g in (1, 3)]
         return [
             ScheduleRequest(
                 dag=dag,
                 machine=spec,
-                scheduler=SchedulerSpec(
-                    scheduler, {"config": DETERMINISTIC_CONFIG}
-                ),
+                scheduler=SchedulerSpec(scheduler, {"config": config}),
                 budget=Budget(seconds=None, max_steps=50),
                 seed=7,
             )
             for spec in specs
         ]
 
-    @pytest.mark.parametrize("scheduler", ["framework", "multilevel"])
-    def test_parallel_bit_identical_to_serial(self, scheduler):
-        requests = self._requests(scheduler)
+    @pytest.mark.parametrize(
+        "scheduler, config",
+        [
+            ("framework", DETERMINISTIC_CONFIG),
+            ("multilevel", DETERMINISTIC_CONFIG),
+            ("framework", DETERMINISTIC_ILP_CONFIG),
+        ],
+        ids=["framework", "multilevel", "framework-ilp"],
+    )
+    def test_parallel_bit_identical_to_serial(self, scheduler, config):
+        requests = self._requests(scheduler, config)
         serial = SchedulingService(cache_size=0).solve_many(requests, workers=1)
         parallel = SchedulingService(cache_size=0).solve_many(requests, workers=4)
         assert len(serial) == len(parallel) == 4

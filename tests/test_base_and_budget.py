@@ -78,6 +78,12 @@ class TestUnifiedBudget:
         time_limit, _ = Budget(seconds=2.0).ilp_limits(None, None)
         assert 0.0 < time_limit <= 2.0
 
+    def test_ilp_limits_zero_second_stage_clock(self):
+        # 0.0 is a stage clock of its own, not "no clock": with or without
+        # an outer allowance the solve gets 0 s, never the whole outer clock
+        assert Budget().ilp_limits(0.0, None) == (0.0, None)
+        assert Budget(seconds=60.0).ilp_limits(0.0, None) == (0.0, None)
+
     def test_started_restarts_clock(self):
         budget = Budget(seconds=0.05, max_steps=1)
         time.sleep(0.06)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import MachineSpec, ScheduleRequest, SchedulerSpec, SchedulingService
 from repro.core import BspMachine, BspSchedule, ComputationalDAG, SolverError
 from repro.schedulers import (
     BspGreedyScheduler,
@@ -12,13 +13,30 @@ from repro.schedulers import (
     IlpFullImprover,
     IlpInitScheduler,
     IlpPartialImprover,
+    MilpProblem,
+    PipelineConfig,
+    SchedulingPipeline,
     WindowIlp,
     estimate_window_variables,
 )
+from repro.schedulers.ilp import backend
 from repro.schedulers.trivial import RoundRobinScheduler
 
-from conftest import assert_valid_schedule, build_chain_dag, build_diamond_dag
-from repro.dagdb import SparseMatrixPattern, build_spmv_dag
+from conftest import (
+    assert_valid_schedule,
+    build_chain_dag,
+    build_diamond_dag,
+    first_ilp_init_model,
+)
+from repro.dagdb import (
+    SparseMatrixPattern,
+    build_cg_coarse,
+    build_elimination_dag,
+    build_fft_dag,
+    build_kmeans_coarse,
+    build_pagerank_coarse,
+    build_spmv_dag,
+)
 
 TIME_LIMIT = 10.0
 #: branch-and-bound cap for the tests that would otherwise run HiGHS to the
@@ -205,7 +223,7 @@ class TestIlpInit:
             def __init__(self, *args, **kwargs):
                 pass
 
-            def solve(self, time_limit=None, node_limit=None):
+            def solve(self, time_limit=None, node_limit=None, memo=None):
                 from repro.schedulers.ilp.window import WindowIlpResult
 
                 return WindowIlpResult(False, {}, {}, float("inf"), "forced failure")
@@ -287,3 +305,126 @@ class TestWindowModelDifferential:
             assert abs(matrix_b - matrix_r).sum() == 0
             checked += 1
         assert checked >= 4  # enough non-degenerate windows exercised
+
+
+#: the ILP workload of the end-to-end suite: every clock off, node limit 1,
+#: small variable thresholds, on P=4 so that ILPinit runs
+_MEMO_CONFIG = PipelineConfig(
+    ilp_node_limit=1,
+    ilp_full_max_variables=600,
+    ilp_partial_max_variables=300,
+    ilp_init_max_variables=200,
+    local_search_seconds=None,
+    ilp_full_seconds=None,
+    ilp_partial_seconds=None,
+    ilp_comm_seconds=None,
+    ilp_init_seconds=None,
+)
+_MEMO_MACHINE = BspMachine.uniform(4, g=3, latency=5)
+
+
+def _memo_instances():
+    """name -> (DAG, HiGHS calls without the memo, HiGHS calls with it)."""
+    return {
+        "fft2": (build_fft_dag(2, track_roles=False).dag, 2, 2),
+        "fft16": (build_fft_dag(16, track_roles=False).dag, 24, 13),
+        "pagerank8": (build_pagerank_coarse(8), 18, 15),
+        "kmeans3": (build_kmeans_coarse(3), 14, 13),
+        "cg_coarse3": (build_cg_coarse(3), 13, 9),
+        "cholesky40": (
+            build_elimination_dag(SparseMatrixPattern.banded(40, 3), track_roles=False).dag,
+            16,
+            6,
+        ),
+    }
+
+
+@pytest.fixture
+def highs_calls(monkeypatch):
+    """Every real HiGHS solve, as the list of solved models."""
+    calls = []
+    solve = MilpProblem.solve
+
+    def counting(problem, *args, **kwargs):
+        calls.append(problem)
+        return solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(MilpProblem, "solve", counting)
+    return calls
+
+
+class TestWindowMemo:
+    """ILPinit and ILPpart solve each distinct window model once per call."""
+
+    @staticmethod
+    def _chain_window():
+        dag = build_chain_dag(2, work=1.0, comm=5.0)
+        machine = BspMachine.uniform(2, g=3, latency=2)
+        start = BspSchedule(dag, machine, [0, 1], [0, 1])
+        return WindowIlp(
+            dag, machine, start.procs, start.supersteps,
+            reassign=[0, 1], window=(0, 1), context_comm=start.comm_schedule,
+        )
+
+    def test_optimal_result_is_reused(self, highs_calls):
+        memo = {}
+        first = self._chain_window().solve(memo=memo)
+        second = self._chain_window().solve(memo=memo)
+        assert len(highs_calls) == 1 and len(memo) == 1
+        assert (first.procs, first.supersteps) == (second.procs, second.supersteps)
+        assert first.objective == second.objective
+
+    def test_time_limit_stop_is_solved_again(self, highs_calls, monkeypatch):
+        solve = backend.milp
+
+        def clock_stop(**kwargs):
+            result = solve(**kwargs)
+            result.status = 1
+            result.message = "Time limit reached. (HiGHS Status 13: Time limit reached)"
+            return result
+
+        monkeypatch.setattr(backend, "milp", clock_stop)
+        memo = {}
+        first = self._chain_window().solve(time_limit=5.0, memo=memo)
+        second = self._chain_window().solve(time_limit=5.0, memo=memo)
+        assert len(highs_calls) == 2 and not memo
+        assert first.feasible and second.feasible
+
+    @pytest.mark.slow
+    def test_memo_matches_forced_miss_on_the_ilp_suite(self, highs_calls, monkeypatch):
+        """Same (pi, tau, Gamma) and stage costs as when every lookup misses."""
+        pipeline = SchedulingPipeline(_MEMO_CONFIG)
+        for name, (dag, misses, solves) in _memo_instances().items():
+            highs_calls.clear()
+            with monkeypatch.context() as patch:
+                # a fresh key object per model: no lookup ever hits
+                patch.setattr(MilpProblem, "key", lambda *args, **kwargs: object())
+                reference = pipeline.schedule_with_stages(dag, _MEMO_MACHINE)
+            assert len(highs_calls) == misses, name
+            highs_calls.clear()
+            result = pipeline.schedule_with_stages(dag, _MEMO_MACHINE)
+            assert len(highs_calls) == solves, name
+            assert np.array_equal(result.schedule.procs, reference.schedule.procs), name
+            assert np.array_equal(
+                result.schedule.supersteps, reference.schedule.supersteps
+            ), name
+            assert result.schedule.comm_schedule == reference.schedule.comm_schedule, name
+            assert result.stages.to_dict() == reference.stages.to_dict(), name
+
+    @pytest.mark.slow
+    def test_memo_never_outlives_a_stage_call(self, highs_calls):
+        """kmeans(3) and fft(16) share their first ILPinit model, yet a service
+        that solved kmeans(3) first still solves fft(16) with 13 HiGHS calls."""
+        instances = _memo_instances()
+        kmeans, fft = instances["kmeans3"][0], instances["fft16"][0]
+        assert (
+            first_ilp_init_model(kmeans, _MEMO_MACHINE).key(1)
+            == first_ilp_init_model(fft, _MEMO_MACHINE).key(1)
+        )
+        service = SchedulingService()
+        spec = SchedulerSpec("framework", {"config": _MEMO_CONFIG})
+        machine = MachineSpec(4, g=3, latency=5)
+        service.solve(ScheduleRequest(dag=kmeans, machine=machine, scheduler=spec))
+        highs_calls.clear()
+        service.solve(ScheduleRequest(dag=fft, machine=machine, scheduler=spec))
+        assert len(highs_calls) == 13
