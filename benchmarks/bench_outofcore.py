@@ -13,9 +13,9 @@ Two measurements, one per leg of the out-of-core DAG pipeline:
   peaks are recorded.
 * **load** — wall time of opening a 10^5-node instance from the ``.hdag``
   text format (full parse) vs the memory-mapped ``.hdagb`` binary
-  (header plus an O(n + m) structural check; arrays are zero-copy
-  views).  This is the latency every worker pays per task when a
-  dispatcher fans a stored instance out.
+  (header, an O(n + m) structural check and the payload checksum;
+  arrays are zero-copy views).  This is the latency every solve of a
+  file-reference request pays before it starts.
 
 Results (timings, peaks and speedups) are printed, persisted under
 ``benchmarks/results/bench_outofcore.json`` and mirrored into the stable

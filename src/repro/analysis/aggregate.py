@@ -74,11 +74,12 @@ def geometric_mean(values: Iterable[float]) -> float:
 def dedup_trials(trials: Iterable[TrialRecord]) -> list[TrialRecord]:
     """One record per fingerprint (the latest), in deterministic order.
 
-    Worker fleets may legitimately record the same fingerprint more than
-    once (a crash between persisting and completing is recomputed, and
-    content-addressing makes that benign); for aggregation a request is
-    one trial.  The result is sorted by (family, dag, scheduler,
-    fingerprint), independent of append order.
+    Processes sharing one store may legitimately record the same
+    fingerprint more than once (two runs that solve the same request
+    concurrently both append a trial, and content-addressing makes that
+    benign); for aggregation a request is one trial.  The result is
+    sorted by (family, dag, scheduler, fingerprint), independent of
+    append order.
     """
     latest: dict[str, TrialRecord] = {}
     for record in trials:

@@ -18,10 +18,9 @@ over the whole grid, which makes tables **resumable artifacts**: pass
 request persists content-addressed on disk — re-running the same grid
 skips everything already stored (``service.cache_info()['misses']`` counts
 the actual scheduler invocations) and reproduces the records, and hence
-the rendered tables, byte-for-byte.  :func:`enqueue_grid` instead submits
-the same batch to the durable work queue, to be drained by a
-``repro serve-worker`` fleet before the driver assembles the records at
-zero compute cost.
+the rendered tables, byte-for-byte.  ``workers=N`` fans the batch's
+misses out over a process pool on this host; results reach the store when
+the batch returns, so a killed run loses only its in-flight batch.
 
 All sizes default to the scaled-down ``"bench"`` datasets so the complete
 harness runs in seconds; passing ``scale="paper"`` restores the original
@@ -49,7 +48,6 @@ __all__ = [
     "InstanceRecord",
     "ExperimentRunner",
     "run_grid",
-    "enqueue_grid",
     "no_numa_machine_grid",
     "numa_machine_grid",
     "run_no_numa_grid",
@@ -204,11 +202,10 @@ class ExperimentRunner:
     ) -> list[tuple[str, ScheduleRequest]]:
         """The keyed request batch for one instance/machine point.
 
-        This is the *definition* of a grid point: every driver — the serial
-        :meth:`run_instance`, the pool-parallel :func:`run_grid` batch and
-        the durable-queue :func:`enqueue_grid` — expands points through this
-        one method, so they all solve (and fingerprint) exactly the same
-        requests.
+        This is the *definition* of a grid point: both drivers — the serial
+        :meth:`run_instance` and the pool-parallel :func:`run_grid` batch —
+        expand points through this one method, so they solve (and
+        fingerprint) exactly the same requests.
         """
         keyed = [
             ("cilk", self._request(instance, spec, "cilk")),
@@ -367,49 +364,6 @@ def run_grid(
             )
         )
     return records
-
-
-def enqueue_grid(
-    runner: "ExperimentRunner",
-    instances: Iterable[DatasetInstance],
-    specs: Iterable[MachineSpec],
-    root: str | Path,
-) -> list[str]:
-    """Submit the whole ``instances × specs`` grid to a durable work queue.
-
-    Exactly the requests :func:`run_grid` would solve are enqueued under
-    ``root`` (a combined store/queue directory): each distinct DAG is
-    written once to the content-addressed ``dags/`` directory and the
-    queued request wire dicts reference it by path, so the queue stays
-    small no matter how many machine points share an instance.  Requests
-    whose fingerprint is already stored are not enqueued again.
-
-    A ``repro serve-worker --root ROOT`` fleet (any number of processes,
-    on any hosts sharing the filesystem) drains the queue into the store;
-    afterwards re-running the driver with ``store=root`` assembles the
-    records with zero scheduler invocations.  Returns the fingerprints of
-    the newly enqueued requests.
-    """
-    from ..store import ResultStore, WorkQueue
-
-    store = ResultStore(root)
-    queue = WorkQueue(root)
-    enqueued: list[str] = []
-    for _, _, keyed in _grid_batches(runner, instances, specs):
-        for _, request in keyed:
-            fingerprint = request.fingerprint()
-            if store.contains(fingerprint):
-                continue
-            dag_path = store.put_dag(request.resolve_dag())
-            wire = replace(
-                request,
-                dag=str(dag_path),
-                _resolved_dag=None,
-                _fingerprint=fingerprint,
-            ).to_dict()
-            if queue.submit(fingerprint, wire):
-                enqueued.append(fingerprint)
-    return enqueued
 
 
 # ---------------------------------------------------------------------- #

@@ -35,7 +35,7 @@ from .aggregate import (
 from .benchdata import collect_backends, collect_trajectory
 from .htmlgen import bar_chart, line_chart, page, section, table
 
-__all__ = ["Report", "build_report", "render_html", "render_family_html"]
+__all__ = ["Report", "build_report", "render_html"]
 
 
 @dataclass
@@ -314,14 +314,3 @@ def render_html(report: Report, title: str = "repro experiment report") -> str:
         generated_from=_provenance(report),
     )
 
-
-def render_family_html(report: Report, family: str) -> str | None:
-    """A single family's profile page, or ``None`` if the family is unknown."""
-    for profile in report.families:
-        if profile.family == family:
-            return page(
-                f"family {family}",
-                section(f"Cost profile: {family}", _family_fragment(profile)),
-                generated_from=_provenance(report),
-            )
-    return None

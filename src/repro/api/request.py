@@ -7,7 +7,7 @@ A :class:`ScheduleRequest` bundles everything one ``solve`` needs:
   a path reference to a DAG file in any on-disk format: hyperDAG text,
   memory-mapped ``.hdagb`` binary (loaded zero-copy, fingerprint read from
   the header), or ``.json`` stored ``dag_to_dict`` payloads — the
-  content-addressed store's ``dags/`` entries — so queued requests can
+  content-addressed store's ``dags/`` entries — so a request can
   reference a shared DAG instead of embedding it;
 * the machine — a declarative :class:`~repro.core.machine.MachineSpec` or a
   fully materialised :class:`~repro.core.machine.BspMachine`;
@@ -90,7 +90,8 @@ class ScheduleRequest:
         The declarative scheduler recipe.
     budget:
         Optional unified budget; the service restarts its clock at solve
-        time, so a request can sit in a queue without consuming it.
+        time, so a request can be built ahead of its solve without
+        consuming it.
     seed:
         Default seed injected into seed-accepting schedulers whose spec
         does not pin one.
@@ -167,8 +168,8 @@ class ScheduleRequest:
         """JSON-compatible wire form (inverse of :meth:`from_dict`).
 
         File references stay references (``dag_ref``); in-memory and inline
-        DAGs are embedded (``dag``), so a request shipped to another worker
-        or machine is self-contained.
+        DAGs are embedded (``dag``), so a request written to a file or
+        shipped to another process is self-contained.
         """
         data: dict[str, Any] = {}
         if isinstance(self.dag, (str, Path)):

@@ -151,10 +151,10 @@ class SchedulingService:
         Optional persistent tier: a :class:`repro.store.ResultStore` or a
         store root path.  In-memory misses consult it before computing,
         and every computed result is persisted to it — so the cache is
-        shared across processes, worker fleets and CI runs, and a warm
-        store answers whole replayed workloads with zero scheduler
-        invocations.  ``cache_size=0`` with a store still uses (and
-        fills) the persistent tier.
+        shared across processes and CI runs, and a warm store answers
+        whole replayed workloads with zero scheduler invocations.
+        ``cache_size=0`` with a store still uses (and fills) the
+        persistent tier.
     """
 
     def __init__(self, cache_size: int | None = 256, store=None) -> None:
@@ -277,6 +277,10 @@ class SchedulingService:
         travel back DAG-free (re-embedded on this side) — a whole machine
         grid over one instance ships it O(workers) times instead of
         O(requests) times in each direction.
+
+        Misses reach the persistent store only after the whole batch
+        returns, so a batch killed mid-run loses all of its in-flight
+        misses; results stored by earlier calls are kept.
         """
         coerced = [_coerce_request(request) for request in requests]
         fingerprints = [request.fingerprint() for request in coerced]

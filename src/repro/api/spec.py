@@ -5,7 +5,7 @@ A :class:`SchedulerSpec` is the serializable counterpart of a constructed
 parameters.  Specs are validated against the factory signature at
 construction time (not at build time), so a malformed request fails fast at
 the service boundary, and they round-trip losslessly through plain dicts —
-the property the queued/cached/sharded execution model relies on.
+the property the cached, pool-parallel execution model relies on.
 
 Rich parameter values are normalised to the wire form on ``to_dict`` and
 re-hydrated on ``build``:

@@ -1,6 +1,6 @@
 """Command-line interface for the scheduling framework.
 
-Three subcommands cover the common workflows:
+Five subcommands cover the common workflows:
 
 ``generate``
     Create a computational DAG with one of the database generators and write
@@ -29,26 +29,12 @@ Three subcommands cover the common workflows:
         python -m repro compare cg.hdag --procs 4 --g 5 \\
             --schedulers cilk hdagg framework
 
-``queue``
-    Inspect and manage a durable work queue (:mod:`repro.store`): show
-    status, submit a request JSON file, expire abandoned leases, list
-    terminal failures, requeue them, or garbage-collect the store::
-
-        python -m repro queue --root ./results status
-
 ``store``
     Maintain a content-addressed result store; currently one subcommand,
-    ``gc`` (also reachable as ``queue gc``), which removes dangling
-    results, orphaned DAG payloads and stale write temporaries::
+    ``gc``, which removes dangling results, orphaned DAG payloads and stale
+    write temporaries::
 
         python -m repro store --root ./results gc
-
-``serve-worker``
-    Drain a durable work queue into its content-addressed result store —
-    run any number of these (concurrently, on any hosts sharing the
-    filesystem) to form a worker fleet; killed workers lose nothing::
-
-        python -m repro serve-worker --root ./results --workers 4
 
 ``report``
     Render the deterministic HTML experiment report (per-family cost
@@ -59,16 +45,7 @@ Three subcommands cover the common workflows:
         python -m repro report --store ./results --out report.html
 
     ``--fail-on-regression`` exits non-zero when any BENCH metric
-    drifted beyond tolerance — the CI gate.  ``--serve`` starts the
-    dashboard server on the same report instead of (or after) writing
-    the file.
-
-``web serve``
-    The dashboard server on its own (:mod:`repro.web.server`): serves
-    ``/report`` (rebuilt per request), ``/families/<name>`` and
-    ``/healthz`` over stdlib ``wsgiref``::
-
-        python -m repro web serve --store ./results --port 8000
+    drifted beyond tolerance — the CI gate.
 
 Both scheduling commands run through :class:`repro.api.SchedulingService`:
 the argparse namespace becomes a declarative :class:`ScheduleRequest` and
@@ -184,196 +161,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument("--seed", type=int, default=0, help="seed for randomised schedulers")
 
-    queue = subparsers.add_parser(
-        "queue", help="inspect and manage a durable work queue"
-    )
-    queue.add_argument(
-        "--root", required=True, help="store root (results, DAGs and queue live under it)"
-    )
-    queue_sub = queue.add_subparsers(dest="queue_command", required=True)
-    queue_sub.add_parser("status", help="entry counts per state and store size")
-    queue_submit = queue_sub.add_parser(
-        "submit", help="enqueue a ScheduleRequest JSON file"
-    )
-    queue_submit.add_argument("request", help="request JSON file (ScheduleRequest.to_json)")
-    queue_expire = queue_sub.add_parser(
-        "expire", help="requeue leases abandoned by dead workers"
-    )
-    queue_expire.add_argument(
-        "--lease-seconds",
-        type=float,
-        default=300.0,
-        help="lease duration assumed for entries without a lease stamp",
-    )
-    queue_expire.add_argument(
-        "--max-attempts",
-        type=int,
-        default=3,
-        help="attempts before an expired entry fails terminally",
-    )
-    queue_sub.add_parser("failures", help="list terminal failures")
-    queue_sub.add_parser("retry", help="requeue every terminal failure")
-    _add_gc_arguments(
-        queue_sub.add_parser(
-            "gc", help="garbage-collect the store this queue lives in"
-        )
-    )
-
     store_cmd = subparsers.add_parser(
         "store", help="maintain a content-addressed result store"
     )
     store_cmd.add_argument(
-        "--root", required=True, help="store root (results, DAGs and queue live under it)"
+        "--root", required=True, help="store root (results and DAGs live under it)"
     )
     store_sub = store_cmd.add_subparsers(dest="store_command", required=True)
-    _add_gc_arguments(
-        store_sub.add_parser(
-            "gc",
-            help=(
-                "remove dangling results, orphaned DAG payloads and stale "
-                "write temporaries"
-            ),
-        )
-    )
-
-    serve = subparsers.add_parser(
-        "serve-worker",
-        help="drain a durable work queue into its result store",
-    )
-    serve.add_argument(
-        "--root", required=True, help="store root (results, DAGs and queue live under it)"
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="pool width per batch (default: the REPRO_WORKERS environment knob)",
-    )
-    serve.add_argument(
-        "--lease-seconds",
-        type=float,
-        default=300.0,
-        help="lease duration per claimed batch",
-    )
-    serve.add_argument(
-        "--max-attempts",
-        type=int,
-        default=3,
-        help="lease attempts before an entry fails terminally",
-    )
-    serve.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="entries claimed per cycle (default: 4 x the worker count)",
-    )
-    serve.add_argument(
-        "--poll-seconds",
-        type=float,
-        default=1.0,
-        help="sleep between idle cycles while other workers hold leases",
-    )
-    serve.add_argument(
-        "--max-batches",
-        type=int,
-        default=None,
-        help="stop after this many lease cycles (default: run until empty)",
-    )
-    serve.add_argument(
-        "--once",
-        action="store_true",
-        help="run a single expire/lease/solve/settle cycle and exit",
-    )
-
-    report = subparsers.add_parser(
-        "report",
-        help="render the HTML experiment report from a store and BENCH history",
-    )
-    _add_report_source_arguments(report)
-    report.add_argument(
-        "--out",
-        default="report.html",
-        help="output HTML path (default: report.html)",
-    )
-    report.add_argument(
-        "--serve",
-        action="store_true",
-        help="serve the dashboard for this store instead of exiting",
-    )
-    _add_serve_arguments(report)
-    report.add_argument(
-        "--fail-on-regression",
-        action="store_true",
+    gc = store_sub.add_parser(
+        "gc",
         help=(
-            "exit non-zero when any BENCH metric drifted beyond tolerance "
-            "(the CI gate; the report is still written first)"
+            "remove dangling results, orphaned DAG payloads and stale "
+            "write temporaries"
         ),
     )
-
-    web = subparsers.add_parser(
-        "web", help="the report dashboard server (stdlib wsgiref)"
-    )
-    web_sub = web.add_subparsers(dest="web_command", required=True)
-    web_serve = web_sub.add_parser(
-        "serve", help="serve /report, /families/<name> and /healthz"
-    )
-    _add_report_source_arguments(web_serve)
-    _add_serve_arguments(web_serve)
-    return parser
-
-
-def _add_report_source_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--store",
-        default=None,
-        help=(
-            "result store directory whose trial tables feed the report "
-            "(omit for a BENCH-only report)"
-        ),
-    )
-    parser.add_argument(
-        "--bench-root",
-        default=".",
-        help=(
-            "directory holding the BENCH_*.json history "
-            "(default: the current directory; 'none' disables the "
-            "trajectory and regression sections)"
-        ),
-    )
-    parser.add_argument(
-        "--speedup-tolerance",
-        type=float,
-        default=0.5,
-        help=(
-            "relative drop in a kernel speedup row that raises a "
-            "regression flag (generous by default: timings are noisy)"
-        ),
-    )
-    parser.add_argument(
-        "--cost-tolerance",
-        type=float,
-        default=0.05,
-        help=(
-            "relative rise in a benchmark final_cost row that raises a "
-            "regression flag (tight by default: costs are deterministic)"
-        ),
-    )
-
-
-def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--host", default="127.0.0.1", help="dashboard bind address"
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=8000,
-        help="dashboard port (0 picks an ephemeral port)",
-    )
-
-
-def _add_gc_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+    gc.add_argument(
         "--tmp-grace-seconds",
         type=float,
         default=3600.0,
@@ -382,7 +184,7 @@ def _add_gc_arguments(parser: argparse.ArgumentParser) -> None:
             "in-flight writes of live processes)"
         ),
     )
-    parser.add_argument(
+    gc.add_argument(
         "--prune-trials",
         action="store_true",
         help=(
@@ -391,6 +193,60 @@ def _add_gc_arguments(parser: argparse.ArgumentParser) -> None:
             "touched without this flag)"
         ),
     )
+
+    report = subparsers.add_parser(
+        "report",
+        help="render the HTML experiment report from a store and BENCH history",
+    )
+    report.add_argument(
+        "--store",
+        default=None,
+        help=(
+            "result store directory whose trial tables feed the report "
+            "(omit for a BENCH-only report)"
+        ),
+    )
+    report.add_argument(
+        "--bench-root",
+        default=".",
+        help=(
+            "directory holding the BENCH_*.json history "
+            "(default: the current directory; 'none' disables the "
+            "trajectory and regression sections)"
+        ),
+    )
+    report.add_argument(
+        "--speedup-tolerance",
+        type=float,
+        default=0.5,
+        help=(
+            "relative drop in a kernel speedup row that raises a "
+            "regression flag (generous by default: timings are noisy)"
+        ),
+    )
+    report.add_argument(
+        "--cost-tolerance",
+        type=float,
+        default=0.05,
+        help=(
+            "relative rise in a benchmark final_cost row that raises a "
+            "regression flag (tight by default: costs are deterministic)"
+        ),
+    )
+    report.add_argument(
+        "--out",
+        default="report.html",
+        help="output HTML path (default: report.html)",
+    )
+    report.add_argument(
+        "--fail-on-regression",
+        action="store_true",
+        help=(
+            "exit non-zero when any BENCH metric drifted beyond tolerance "
+            "(the CI gate; the report is still written first)"
+        ),
+    )
+    return parser
 
 
 def _add_store_argument(parser: argparse.ArgumentParser) -> None:
@@ -590,53 +446,10 @@ def _command_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_queue(args: argparse.Namespace) -> int:
-    from .store import ResultStore, WorkQueue
-
-    queue = WorkQueue(args.root)
-    if args.queue_command == "status":
-        stats = queue.stats()
-        store = ResultStore(args.root)
-        print(f"store:   {len(store)} result(s) under {store.root}")
-        print(f"pending: {stats['pending']}")
-        print(f"leased:  {stats['leased']}")
-        print(f"failed:  {stats['failed']}")
-        return 0
-    if args.queue_command == "submit":
-        request = ScheduleRequest.from_json(
-            Path(args.request).read_text(encoding="utf-8")
-        )
-        fingerprint = request.fingerprint()
-        if ResultStore(args.root).contains(fingerprint):
-            print(f"{fingerprint} already stored; not enqueued")
-            return 0
-        if queue.submit(fingerprint, request.to_dict()):
-            print(f"enqueued {fingerprint}")
-            return 0
-        print(f"{fingerprint} already queued or terminally failed; not enqueued")
-        return 1
-    if args.queue_command == "expire":
-        requeued, failed = queue.expire_leases(
-            max_attempts=args.max_attempts, lease_seconds=args.lease_seconds
-        )
-        print(f"requeued {len(requeued)}, terminally failed {len(failed)}")
-        return 0
-    if args.queue_command == "failures":
-        failures = queue.failures()
-        for fingerprint, error in failures.items():
-            print(f"{fingerprint}: {error}")
-        print(f"{len(failures)} terminal failure(s)")
-        return 0
-    if args.queue_command == "gc":
-        return _run_store_gc(args)
-    retried = queue.retry_failed()  # "retry"
-    print(f"requeued {len(retried)} failed entries")
-    return 0
-
-
-def _run_store_gc(args: argparse.Namespace) -> int:
+def _command_store(args: argparse.Namespace) -> int:
     from .store import ResultStore
 
+    # "gc" is the only store subcommand
     report = ResultStore(args.root).gc(
         tmp_grace_seconds=args.tmp_grace_seconds,
         prune_trials=args.prune_trials,
@@ -656,70 +469,14 @@ def _run_store_gc(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_store(args: argparse.Namespace) -> int:
-    return _run_store_gc(args)  # "gc" is the only store subcommand
-
-
-def _command_serve_worker(args: argparse.Namespace) -> int:
-    from .store import Dispatcher
-
-    dispatcher = Dispatcher(
-        args.root,
-        workers=args.workers,
-        lease_seconds=args.lease_seconds,
-        max_attempts=args.max_attempts,
-        batch_size=args.batch_size,
-    )
-    if args.once:
-        report = dispatcher.run_once()
-    else:
-        report = dispatcher.drain(
-            poll_seconds=args.poll_seconds, max_batches=args.max_batches
-        )
-    print(
-        f"worker {dispatcher.owner}: {len(report.completed)} completed, "
-        f"{len(report.skipped)} already stored, {len(report.failed)} failed, "
-        f"{len(report.requeued)} requeued over {report.batches} batch(es)"
-    )
-    for fingerprint, error in sorted(report.failed.items()):
-        print(f"  failed {fingerprint}: {error}", file=sys.stderr)
-    return 1 if report.failed else 0
-
-
-def _bench_root_from_args(args: argparse.Namespace) -> str | None:
-    return None if args.bench_root.lower() == "none" else args.bench_root
-
-
-def _serve_dashboard(args: argparse.Namespace) -> int:
-    from .web import make_app, serve
-
-    app = make_app(
-        args.store,
-        _bench_root_from_args(args),
-        speedup_tolerance=args.speedup_tolerance,
-        cost_tolerance=args.cost_tolerance,
-    )
-    server = serve(app, host=args.host, port=args.port)
-    print(
-        f"dashboard on http://{args.host}:{server.server_port}/report "
-        "(ctrl-c to stop)"
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        pass
-    finally:
-        server.server_close()
-    return 0
-
-
 def _command_report(args: argparse.Namespace) -> int:
     from .analysis.report import build_report, render_html
     from .store.fsio import atomic_write_text
 
+    bench_root = None if args.bench_root.lower() == "none" else args.bench_root
     report = build_report(
         args.store,
-        _bench_root_from_args(args),
+        bench_root,
         speedup_tolerance=args.speedup_tolerance,
         cost_tolerance=args.cost_tolerance,
     )
@@ -731,15 +488,9 @@ def _command_report(args: argparse.Namespace) -> int:
     )
     for flag in report.flags:
         print(f"  REGRESSION {flag.describe()}", file=sys.stderr)
-    if args.serve:
-        return _serve_dashboard(args)
     if args.fail_on_regression and report.has_regressions:
         return 1
     return 0
-
-
-def _command_web(args: argparse.Namespace) -> int:
-    return _serve_dashboard(args)  # "serve" is the only web subcommand
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -753,11 +504,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "generate": _command_generate,
         "schedule": _command_schedule,
         "compare": _command_compare,
-        "queue": _command_queue,
         "store": _command_store,
-        "serve-worker": _command_serve_worker,
         "report": _command_report,
-        "web": _command_web,
     }
     return commands[args.command](args)
 

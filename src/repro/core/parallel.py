@@ -12,12 +12,8 @@ distribute independent tasks over a process pool with the same guarantees:
   failing,
 * a crashed worker (:class:`BrokenProcessPool`) keeps every completed
   result and recomputes only the unfinished tasks serially,
-* a genuine task error cancels the remaining tasks and propagates promptly
-  — unless the caller opts into per-task error capture
-  (``return_errors=True``), in which case each failed task yields a
-  :class:`TaskError` in its result slot and the rest of the batch runs to
-  completion (what the work-queue dispatcher needs: one poisoned request
-  must not wedge a leased batch).
+* a genuine task error cancels the remaining tasks and propagates
+  promptly.
 
 :func:`parallel_map` is the single implementation of that contract; the
 ``handler`` must be a module-level function (picklable by reference) taking
@@ -31,23 +27,12 @@ import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
-__all__ = ["TaskError", "default_workers", "parallel_map"]
+__all__ = ["default_workers", "parallel_map"]
 
 _Task = TypeVar("_Task")
 _Result = TypeVar("_Result")
-
-
-@dataclass
-class TaskError:
-    """A captured per-task failure (``parallel_map(..., return_errors=True)``)."""
-
-    error: Exception
-
-    def __str__(self) -> str:
-        return f"{type(self.error).__name__}: {self.error}"
 
 
 def default_workers() -> int:
@@ -85,34 +70,20 @@ def parallel_map(
     payload,
     tasks: Sequence[_Task],
     workers: int | None = None,
-    return_errors: bool = False,
 ) -> list[_Result]:
     """Apply ``handler(payload, task)`` to every task, optionally in parallel.
 
     ``workers=None`` reads the ``REPRO_WORKERS`` environment variable
     (default 1 = serial).  Results are returned in task order regardless of
     ``workers``; see the module docstring for the degradation contract.
-
-    ``return_errors=True`` turns per-task exceptions (including a task that
-    fails pickling) into :class:`TaskError` result entries instead of
-    cancelling the batch; infrastructure failures (a broken pool) are still
-    handled by the serial-recompute contract, not reported as task errors.
     """
     tasks = list(tasks)
     if workers is None:
         workers = default_workers()
 
-    def call(task: _Task) -> _Result:
-        if not return_errors:
-            return handler(payload, task)
-        try:
-            return handler(payload, task)
-        except Exception as exc:
-            return TaskError(exc)  # type: ignore[return-value]
-
     def serial(indices: Sequence[int] | None = None) -> list[_Result]:
         picked = range(len(tasks)) if indices is None else indices
-        return [call(tasks[index]) for index in picked]
+        return [handler(payload, tasks[index]) for index in picked]
 
     if workers <= 1 or len(tasks) <= 1:
         return serial()
@@ -158,11 +129,7 @@ def parallel_map(
         except BrokenProcessPool as exc:
             # crashed/killed worker: keep harvesting what did complete
             broken = exc
-        except BaseException as exc:
-            if return_errors and isinstance(exc, Exception):
-                results[index] = TaskError(exc)
-                done[index] = True
-                continue
+        except BaseException:
             # a genuine task error — including a task that fails pickling —
             # cancels the remaining tasks and propagates promptly instead of
             # sitting through the whole batch

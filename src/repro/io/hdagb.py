@@ -35,11 +35,11 @@ are derived from ``n``/``m``, so the header fully describes the file.
 
 :func:`read_hdagb` opens the payload with one ``np.memmap`` and returns a
 :class:`MappedDag` whose weight vectors and successor CSR are zero-copy
-views into the mapping.  A load checks the header and then the payload's
+views into the mapping.  A load checks the header, then the payload's
 structure in one O(n + m) pass (row pointer, target range, self-loops,
-weights) without copying a buffer, and the fingerprint comes straight
-from the header.  Mapped buffers are read-only; the
-first mutation transparently copies (see
+weights) without copying a buffer, then the payload checksum; the
+fingerprint comes straight from the header.  Mapped buffers are
+read-only; the first mutation transparently copies (see
 ``ComputationalDAG._ensure_writable_weights`` and the capacity-doubling
 edge appends, which always reallocate exactly-sized mapped buffers).
 
@@ -338,8 +338,9 @@ def _check_payload(path: Path, n: int, m: int, work, comm, indptr, targets) -> N
 
     The row pointer must start at 0, never decrease and end at ``m``;
     every target must be in range and differ from its source; every
-    weight must be finite and non-negative.  Cycles, and weight flips that
-    stay valid, are left to the checksum (``verify=True``).
+    weight must be finite and non-negative.  Weight flips that stay
+    valid are left to the payload checksum; cycles are left to the
+    consumer (the scheduling service checks acyclicity before a solve).
     """
     if indptr[0] != 0 or indptr[n] != m or (indptr[1:] < indptr[:-1]).any():
         raise DagError(f"{path}: corrupt hdagb row pointer")
@@ -355,24 +356,19 @@ def _check_payload(path: Path, n: int, m: int, work, comm, indptr, targets) -> N
             )
 
 
-def read_hdagb(path: str | Path, *, verify: bool = False) -> MappedDag:
+def read_hdagb(path: str | Path) -> MappedDag:
     """Load a ``.hdagb`` file as a zero-copy :class:`MappedDag`.
 
-    Header, size and section bounds are always validated (so truncation
-    and header corruption fail loudly), and so is the payload's structure
-    (row pointer, target range, self-loops, weights; see
-    :func:`_check_payload`), in O(n + m).  ``verify=True`` additionally
-    recomputes the payload checksum, an O(file) streaming read.
+    Every load validates the header, size and section bounds (so
+    truncation and header corruption fail loudly), then the payload's
+    structure (row pointer, target range, self-loops, weights; see
+    :func:`_check_payload`) in O(n + m), then the payload checksum in one
+    O(file) streaming read, so a flipped payload byte never loads.  The
+    header's content fingerprint is trusted, not recomputed.
     """
     path = Path(path)
     n, m, fingerprint, checksum, payload, end, name = _read_header(path)
     mapping = np.memmap(path, dtype=np.uint8, mode="r")
-    if verify:
-        hasher = hashlib.sha256()
-        for pos in range(payload, end, _CHUNK_BYTES):
-            hasher.update(mapping[pos : min(pos + _CHUNK_BYTES, end)])
-        if hasher.digest() != checksum:
-            raise DagError(f"{path}: hdagb payload checksum mismatch")
     _payload, work_off, comm_off, indptr_off, targets_off, _end = _layout(
         name.encode("utf-8"), n, m
     )
@@ -381,6 +377,11 @@ def read_hdagb(path: str | Path, *, verify: bool = False) -> MappedDag:
     indptr = np.asarray(mapping[indptr_off : indptr_off + 8 * (n + 1)]).view(_I8)
     targets = np.asarray(mapping[targets_off : targets_off + 8 * m]).view(_I8)
     _check_payload(path, n, m, work, comm, indptr, targets)
+    hasher = hashlib.sha256()
+    for pos in range(payload, end, _CHUNK_BYTES):
+        hasher.update(mapping[pos : min(pos + _CHUNK_BYTES, end)])
+    if hasher.digest() != checksum:
+        raise DagError(f"{path}: hdagb payload checksum mismatch")
     return MappedDag._from_mapping(
         n, work, comm, indptr, targets, name, fingerprint.hex()
     )

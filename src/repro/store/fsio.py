@@ -1,20 +1,15 @@
-"""Crash-safe filesystem primitives shared by the store and the queue.
+"""Crash-safe filesystem primitives of the result store.
 
 Every durable artifact in :mod:`repro.store` is one JSON file, and every
 write follows the same two rules:
 
 * **atomic publish** — content is written to a temporary sibling and
-  ``os.replace``-d into place, so a reader (or a concurrent worker) never
+  ``os.replace``-d into place, so a reader (or a concurrent writer) never
   observes a half-written file and a crash mid-write leaves at most a
   stale ``*.tmp`` orphan, never a corrupt published file;
 * **tolerant reads** — a file that is missing, truncated, or not valid
   JSON reads as *absent* (``None``) rather than raising, so one corrupt
   entry costs a recompute instead of wedging the store.
-
-The queue's mutual-exclusion primitive is :func:`claim_rename`: on POSIX a
-``rename`` within one filesystem is atomic, so when several dispatchers
-race to claim the same pending entry exactly one rename succeeds and the
-losers observe ``FileNotFoundError``.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ from typing import Any
 __all__ = [
     "atomic_write_json",
     "atomic_write_text",
-    "claim_rename",
     "read_json_tolerant",
 ]
 
@@ -66,17 +60,3 @@ def read_json_tolerant(path: Path) -> Any | None:
     except ValueError:
         return None
 
-
-def claim_rename(source: Path, target: Path) -> bool:
-    """Atomically move ``source`` to ``target``; ``False`` if someone else won.
-
-    The rename either transfers the whole file or fails — there is no
-    partial state — so a set of racing claimants ends with exactly one
-    owner of ``target``.
-    """
-    target.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        os.rename(source, target)
-    except FileNotFoundError:
-        return False
-    return True

@@ -1,12 +1,12 @@
 """Content-addressed on-disk result store.
 
 The store is a plain directory tree shared by every process that points at
-it (CLI runs, experiment harnesses, worker fleets, CI jobs)::
+it (CLI runs, experiment harnesses and their process pools, CI jobs)::
 
     <root>/
       results/<request-fingerprint>.json   one ScheduleResult per solved request
       dags/<dag-fingerprint>.json          deduplicated DAG payloads (dag_to_dict)
-      queue/...                            the durable work queue (see queue.py)
+      trials.jsonl, experiments.jsonl      trial/experiment metadata (trials.py)
 
 * **Content-addressed**: a result file is named by the fingerprint of the
   :class:`~repro.api.ScheduleRequest` that produced it (DAG content +
@@ -33,9 +33,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..api.result import ScheduleResult
-from ..core.dag import ComputationalDAG
 from ..core.exceptions import ReproError
-from ..core.serialization import dag_to_dict
 from .fsio import atomic_write_json, read_json_tolerant
 
 if TYPE_CHECKING:
@@ -157,20 +155,6 @@ class ResultStore:
         """The on-disk location of one DAG payload."""
         return self.dags_dir / f"{ref}.json"
 
-    def put_dag(self, dag: ComputationalDAG | dict) -> Path:
-        """Store a DAG payload (deduplicated) and return its file path.
-
-        Used by the queue submission path: a request can then carry a
-        ``dag_ref`` to this file instead of embedding the DAG, so a grid of
-        requests over one instance stores and ships it once.
-        """
-        dag_dict = dag if isinstance(dag, dict) else dag_to_dict(dag)
-        ref = dag_dict_fingerprint(dag_dict)
-        path = self.dag_path(ref)
-        if not path.exists():
-            atomic_write_json(path, dag_dict)
-        return path
-
     def load_dag_dict(self, ref: str) -> dict:
         """Resolve a ``dag_ref`` to its stored wire dict (raises if absent)."""
         payload = read_json_tolerant(self.dag_path(ref))
@@ -202,10 +186,7 @@ class ResultStore:
           reproduce its schedule, so it is dropped and the next solve
           recomputes it;
         * **orphaned DAG payloads** — ``dags/`` entries referenced by no
-          result *and no queue entry* (queued requests may carry a
-          ``dag_ref`` path into ``dags/``, so a payload whose results were
-          never written — or were gc'd — but whose request is still
-          pending must survive);
+          result (e.g. left behind when their results were gc'd);
         * **stale temporaries** — ``.{name}.{uuid}.tmp`` siblings orphaned
           by writers that died between creating the temporary and the
           atomic rename (see :mod:`repro.store.fsio`).  Only temporaries
@@ -224,9 +205,9 @@ class ResultStore:
         direction.
 
         The clock is injectable (epoch seconds, default :func:`time.time`)
-        for deterministic grace-period tests.  Results with inline DAGs,
-        corrupt-but-present entries (``put`` overwrites those) and queue
-        state are never removed.
+        for deterministic grace-period tests.  Results with inline DAGs and
+        corrupt-but-present entries (``put`` overwrites those) are never
+        removed.
         """
         now = float((clock if clock is not None else time.time)())
         removed_results: list[str] = []
@@ -245,24 +226,6 @@ class ResultStore:
             except OSError:
                 continue
             removed_results.append(fingerprint)
-        # queued requests keep their payloads alive: collect dag_refs out of
-        # every queue state (pending, leased and failed entries alike —
-        # failures may be retried)
-        queue_base = self.root / "queue"
-        for state in ("pending", "leased", "failed"):
-            directory = queue_base / state
-            if not directory.is_dir():
-                continue
-            for path in directory.glob("*.json"):
-                entry = read_json_tolerant(path)
-                request = entry.get("request") if isinstance(entry, dict) else None
-                ref = request.get("dag_ref") if isinstance(request, dict) else None
-                if ref is None:
-                    continue
-                referenced.add(str(ref))
-                name = Path(str(ref)).name
-                if name.endswith(".json"):
-                    referenced.add(name[: -len(".json")])
         removed_dags: list[str] = []
         if self.dags_dir.is_dir():
             for path in sorted(self.dags_dir.glob("*.json")):

@@ -10,16 +10,15 @@ module adds the fuzzbench-style metadata tables on top:
   without opening result payloads — scheduler name, instance family and
   size, machine point, budget, seed, cost breakdown and wall-clock
   timings.  Emitted by :class:`~repro.api.SchedulingService` whenever a
-  store-backed solve misses every cache tier (so dispatcher worker fleets
-  and ``solve_many`` grids populate the table as a side effect of
-  computing).
+  store-backed solve misses every cache tier (so ``solve`` calls and
+  ``solve_many`` grids populate the table as a side effect of computing).
 * :class:`ExperimentRecord` — one row per named batch: an experiment name
   plus the fingerprints of the trials it comprises, so a report can group
   "the Table-1 grid" separately from ad-hoc CLI solves.
 * :class:`TrialLog` — the storage layer: two **append-only JSONL** files
   next to ``results/`` (``trials.jsonl`` and ``experiments.jsonl``).
   Appends are single ``O_APPEND`` writes of one newline-terminated line,
-  so concurrent workers interleave whole records rather than bytes;
+  so concurrent writers interleave whole records rather than bytes;
   readers skip unparseable lines (a torn write costs one record, never
   the table).  :meth:`TrialLog.compact` rewrites the files atomically —
   used by :meth:`ResultStore.gc(prune_trials=True)
@@ -210,11 +209,12 @@ class TrialLog:
     """Append-only JSONL tables under a store root (crash- and race-safe).
 
     One record per line.  Appends open with ``O_APPEND`` and write the
-    whole line in a single call, so concurrent appenders (worker fleets)
-    interleave records, not bytes; a torn line from a dying writer is
-    skipped on read.  The files are *data*, shared with the store's other
-    artifacts: :meth:`compact` is the only operation that rewrites them,
-    and it publishes atomically (tmp sibling + rename).
+    whole line in a single call, so concurrent appenders (several
+    processes sharing one store) interleave records, not bytes; a torn
+    line from a dying writer is skipped on read.  The files are *data*,
+    shared with the store's other artifacts: :meth:`compact` is the only
+    operation that rewrites them, and it publishes atomically (tmp sibling
+    + rename).
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -312,8 +312,9 @@ class TrialLog:
         ``keep(fingerprint)`` decides trial survival; experiment records
         survive with their fingerprint lists filtered (an experiment whose
         every trial was dropped is dropped too).  Duplicate trial rows for
-        one fingerprint (a worker recomputing after a crash) are collapsed
-        to the most recent.  Both files are republished atomically.
+        one fingerprint (two processes that solved the same request
+        concurrently) are collapsed to the most recent.  Both files are
+        republished atomically.
         Returns ``{"dropped_trials": n, "dropped_experiments": m}``.
         """
         from .fsio import atomic_write_text

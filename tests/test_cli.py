@@ -15,6 +15,7 @@ from repro.api import ScheduleResult
 from repro.cli import build_parser, main
 from repro.core import ComputationalDAG, load_schedule
 from repro.io import read_hyperdag, write_hdagb, write_hyperdag
+from repro.store import ResultStore
 
 from conftest import random_dag
 
@@ -49,6 +50,31 @@ class TestParser:
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["schedule", "x.hdag", "--scheduler", "nope"])
+
+    def test_help_lists_the_five_commands(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--help"])
+        assert "{generate,schedule,compare,store,report}" in capsys.readouterr().out
+
+    def test_store_gc_arguments(self):
+        args = build_parser().parse_args(["store", "--root", "r", "gc"])
+        assert (args.command, args.store_command, args.root) == ("store", "gc", "r")
+        assert args.tmp_grace_seconds == 3600.0 and args.prune_trials is False
+        args = build_parser().parse_args(
+            ["store", "--root", "r", "gc", "--tmp-grace-seconds", "5", "--prune-trials"]
+        )
+        assert args.tmp_grace_seconds == 5.0 and args.prune_trials is True
+        for argv in (["store", "gc"], ["store", "--root", "r"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+
+    def test_report_defaults(self):
+        args = build_parser().parse_args(["report"])
+        assert args.store is None
+        assert args.bench_root == "."
+        assert args.out == "report.html"
+        assert (args.speedup_tolerance, args.cost_tolerance) == (0.5, 0.05)
+        assert args.fail_on_regression is False
 
 
 class TestGenerate:
@@ -144,7 +170,7 @@ class TestPersistentStore:
         # identical cost line, just flagged as replayed
         assert second.startswith(first.rstrip("\n"))
 
-    def test_compare_fills_store(self, hyperdag_file, tmp_path, capsys):
+    def test_compare_fills_store(self, hyperdag_file, tmp_path):
         store = tmp_path / "store"
         code = main(
             [
@@ -154,70 +180,7 @@ class TestPersistentStore:
             ]
         )
         assert code == 0
-        capsys.readouterr()
-        assert main(["queue", "--root", str(store), "status"]) == 0
-        out = capsys.readouterr().out
-        assert "2 result(s)" in out
-
-
-class TestQueueWorkflow:
-    def test_submit_serve_and_status(self, hyperdag_file, tmp_path, capsys):
-        from repro.api import MachineSpec, ScheduleRequest, SchedulerSpec
-
-        root = tmp_path / "root"
-        request = ScheduleRequest(
-            dag=str(hyperdag_file),
-            machine=MachineSpec(4, 1.0, 5.0),
-            scheduler=SchedulerSpec("cilk"),
-            seed=0,
-        )
-        request_file = tmp_path / "request.json"
-        request_file.write_text(request.to_json(indent=2))
-
-        assert main(["queue", "--root", str(root), "submit", str(request_file)]) == 0
-        assert "enqueued" in capsys.readouterr().out
-        # double submission is reported and rejected
-        assert main(["queue", "--root", str(root), "submit", str(request_file)]) == 1
-        capsys.readouterr()
-
-        assert main(["queue", "--root", str(root), "status"]) == 0
-        assert "pending: 1" in capsys.readouterr().out
-
-        assert main(["serve-worker", "--root", str(root), "--workers", "1"]) == 0
-        assert "1 completed" in capsys.readouterr().out
-
-        assert main(["queue", "--root", str(root), "status"]) == 0
-        out = capsys.readouterr().out
-        assert "pending: 0" in out
-        assert "1 result(s)" in out
-
-        # the drained result now answers a plain schedule run from disk
-        assert (
-            main(
-                [
-                    "schedule", str(hyperdag_file),
-                    "--scheduler", "cilk",
-                    "--store", str(root),
-                ]
-            )
-            == 0
-        )
-        assert "[from store]" in capsys.readouterr().out
-
-    def test_failures_and_retry(self, tmp_path, capsys):
-        from repro.store import WorkQueue
-
-        root = tmp_path / "root"
-        queue = WorkQueue(root)
-        queue.submit("f1", {"broken": True})
-        # a failed entry is reported via the exit code
-        assert main(["serve-worker", "--root", str(root), "--once"]) == 1
-        capsys.readouterr()
-        assert main(["queue", "--root", str(root), "failures"]) == 0
-        out = capsys.readouterr().out
-        assert "f1" in out and "1 terminal failure(s)" in out
-        assert main(["queue", "--root", str(root), "retry"]) == 0
-        assert "requeued 1" in capsys.readouterr().out
+        assert len(ResultStore(store)) == 2
 
 
 def _run_cli(*args: str) -> subprocess.CompletedProcess:

@@ -11,8 +11,7 @@ Covers the binary format end to end:
 * streaming-writer output bit-identical to writing the in-memory builder's
   DAG, across every streamable generator family and weight model,
 * the acceptance surfaces: ``load_dag`` dispatch, ``ScheduleRequest`` file
-  references, ``load_schedule`` dag_ref paths, the CLI, and the curated
-  SuiteSparse recipe.
+  references, ``load_schedule`` dag_ref paths and the CLI.
 """
 
 from __future__ import annotations
@@ -28,12 +27,11 @@ from repro.core import ComputationalDAG, save_schedule, load_schedule
 from repro.core.exceptions import ConfigurationError, CycleError, DagError
 from repro.dagdb import (
     SparseMatrixPattern,
+    build_amd_elimination_dag,
+    build_elimination_dag,
     build_fft_dag,
     build_rcm_elimination_dag,
     build_stencil_dag,
-    build_suitesparse_elimination,
-    find_suitesparse_matrix,
-    load_suitesparse_pattern,
     stream_generate,
 )
 from repro.io import (
@@ -42,11 +40,12 @@ from repro.io import (
     is_hdagb,
     load_dag,
     read_hdagb,
+    read_matrix_market_pattern,
     write_hdagb,
     write_hyperdag,
+    write_matrix_market_pattern,
 )
 from repro.io.hdagb import _layout
-from repro.io.mtx import write_matrix_market_pattern
 
 from conftest import random_dag
 
@@ -151,6 +150,13 @@ class TestRejection:
         with pytest.raises(DagError):
             read_hdagb(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "t.hdagb"
+        write_hdagb(random_dag(30, 0.1, seed=1), path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(DagError, match="corrupt or truncated"):
+            read_hdagb(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "t.hdagb"
         write_hdagb(random_dag(30, 0.1, seed=1), path)
@@ -176,9 +182,81 @@ class TestRejection:
         payload = int.from_bytes(raw[96:104], "little")
         raw[payload] ^= 0x01  # lowest mantissa bit of the first work weight
         path.write_bytes(bytes(raw))
-        read_hdagb(path)  # a weight that stays valid passes the structural load
+        # the weight stays valid, so only the checksum can catch the flip
         with pytest.raises(DagError, match="checksum"):
-            read_hdagb(path, verify=True)
+            read_hdagb(path)
+        with pytest.raises(DagError, match="checksum"):
+            load_dag(path)
+
+    @staticmethod
+    def _sections(raw, dag):
+        """Writable typed views of the four payload sections of ``raw``."""
+        n, m = dag.num_nodes, dag.num_edges
+        _, work, comm, indptr, targets, end = _layout(dag.name.encode(), n, m)
+        return {
+            "work": raw[work : work + 8 * n].view("<f8"),
+            "comm": raw[comm : comm + 8 * n].view("<f8"),
+            "indptr": raw[indptr : indptr + 8 * (n + 1)].view("<i8"),
+            "targets": raw[targets:end].view("<i8"),
+        }
+
+    @pytest.mark.parametrize(
+        "edit", ["comm_mantissa", "work_value", "reordered_row", "section_padding"]
+    )
+    def test_valid_looking_payload_edit_fails_the_checksum(self, tmp_path, edit):
+        """Edits the structural check cannot see are the checksum's to catch."""
+        dag = random_dag(30, 0.1, seed=1)
+        path = tmp_path / "t.hdagb"
+        write_hdagb(dag, path)
+        raw = np.frombuffer(bytearray(path.read_bytes()), dtype=np.uint8)
+        sections = self._sections(raw, dag)
+        if edit == "comm_mantissa":
+            sections["comm"][0] = np.nextafter(sections["comm"][0], np.inf)
+        elif edit == "work_value":
+            sections["work"][1] = sections["work"][1] + 2.5
+        elif edit == "reordered_row":
+            indptr, targets = sections["indptr"], sections["targets"]
+            row = next(r for r in range(30) if indptr[r + 1] - indptr[r] >= 2)
+            first = int(indptr[row])
+            targets[[first, first + 1]] = targets[[first + 1, first]]
+        else:
+            # 30 work weights end 16 bytes short of the aligned comm section
+            _, work, comm, *_ = _layout(dag.name.encode(), 30, dag.num_edges)
+            assert work + 8 * 30 < comm and raw[work + 8 * 30] == 0
+            raw[work + 8 * 30] = 0x5A
+        assert raw.tobytes() != path.read_bytes()
+        path.write_bytes(raw.tobytes())
+        with pytest.raises(DagError, match="checksum mismatch"):
+            read_hdagb(path)
+
+    def test_checksum_mismatch_reaches_the_service(self, tmp_path):
+        path = tmp_path / "t.hdagb"
+        write_hdagb(random_dag(30, 0.1, seed=1), path)
+        raw = bytearray(path.read_bytes())
+        raw[int.from_bytes(raw[96:104], "little")] ^= 0x01
+        path.write_bytes(bytes(raw))
+        request = ScheduleRequest(
+            dag=str(path),
+            machine=MachineSpec(num_procs=2),
+            scheduler=SchedulerSpec("cilk"),
+        )
+        with pytest.raises(DagError, match="checksum"):
+            SchedulingService().solve(request)
+
+    def test_checksum_mismatch_is_one_cli_line(self, tmp_path, capsys):
+        from repro.cli import run
+
+        path = tmp_path / "t.hdagb"
+        write_hdagb(random_dag(30, 0.1, seed=1), path)
+        raw = bytearray(path.read_bytes())
+        raw[int.from_bytes(raw[96:104], "little")] ^= 0x01
+        path.write_bytes(bytes(raw))
+        assert run(["schedule", str(path), "--scheduler", "cilk"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: DagError: ")
+        assert "checksum mismatch" in captured.err
+        assert len(captured.err.splitlines()) == 1
 
     def test_out_of_range_target_caught_without_verify(self, tmp_path):
         path = tmp_path / "t.hdagb"
@@ -208,15 +286,7 @@ class TestRejection:
         path = tmp_path / "t.hdagb"
         write_hdagb(dag, path)
         raw = np.frombuffer(bytearray(path.read_bytes()), dtype=np.uint8)
-        n, m = dag.num_nodes, dag.num_edges
-        _, work, comm, indptr, targets, end = _layout(dag.name.encode(), n, m)
-        sections = {
-            "work": raw[work : work + 8 * n].view("<f8"),
-            "comm": raw[comm : comm + 8 * n].view("<f8"),
-            "indptr": raw[indptr : indptr + 8 * (n + 1)].view("<i8"),
-            "targets": raw[targets:end].view("<i8"),
-        }
-        sections[section][index] = value
+        self._sections(raw, dag)[section][index] = value
         path.write_bytes(raw.tobytes())
         with pytest.raises(DagError, match=match):
             read_hdagb(path)
@@ -237,13 +307,17 @@ class TestRejection:
         """400 seeded single-bit flips of an fft(16) file.
 
         Each flip either makes :func:`read_hdagb` raise a ``DagError`` or
-        loads a DAG whose CSR builds with every target in range.  Flips
-        that keep the structure valid (a weight, the fingerprint, a
-        reordered or cyclic edge) are the checksum's to catch.
+        loads a DAG whose CSR builds with every target in range.  No flip
+        at or past the payload offset loads: the checksum catches the ones
+        that keep the structure valid (a weight, a reordered or cyclic
+        edge).  Header fields the reader trusts (the fingerprint, flags,
+        reserved bytes, the name and, within its padding, the name
+        length) are not covered by the checksum.
         """
         clean_path = tmp_path / "fft.hdagb"
         write_hdagb(build_fft_dag(16, track_roles=False).dag, clean_path)
         clean = clean_path.read_bytes()
+        payload = int.from_bytes(clean[96:104], "little")
         rng = np.random.default_rng(400)
         positions = rng.integers(0, len(clean), size=400)
         bits = rng.integers(0, 8, size=400)
@@ -256,6 +330,7 @@ class TestRejection:
                 dag = read_hdagb(path)
             except DagError:
                 continue
+            assert position < payload, index
             n = dag.num_nodes
             for indptr, indices in (
                 (dag.succ_indptr, dag.succ_indices),
@@ -385,6 +460,28 @@ class TestStreamGenerate:
         write_hdagb(build_rcm_elimination_dag(pattern).dag, tmp_path / "m.hdagb")
         assert (tmp_path / "s.hdagb").read_bytes() == (tmp_path / "m.hdagb").read_bytes()
 
+    @pytest.mark.parametrize(
+        "generator,builder",
+        [
+            ("cholesky", build_elimination_dag),
+            ("cholesky_rcm", build_rcm_elimination_dag),
+            ("cholesky_amd", build_amd_elimination_dag),
+        ],
+    )
+    def test_mtx_file_to_streamed_elimination_dag(self, tmp_path, generator, builder):
+        """A Matrix Market pattern on disk streams to the in-memory bytes."""
+        pattern = SparseMatrixPattern.random(60, 0.1, seed=5, ensure_diagonal=True)
+        write_matrix_market_pattern(pattern, tmp_path / "matrix.mtx")
+        loaded = read_matrix_market_pattern(tmp_path / "matrix.mtx")
+        assert loaded.size == 60
+        fingerprint = stream_generate(tmp_path / "s.hdagb", generator, pattern=loaded)
+        reference = builder(pattern).dag
+        write_hdagb(reference, tmp_path / "m.hdagb")
+        assert (tmp_path / "s.hdagb").read_bytes() == (tmp_path / "m.hdagb").read_bytes()
+        assert fingerprint == dag_fingerprint(reference)
+        streamed = read_hdagb(tmp_path / "s.hdagb")  # passes the checksum
+        assert streamed.num_edges == reference.num_edges
+
     @pytest.mark.parametrize("model", ["paper", "indegree", "unit"])
     def test_weight_models_match_in_memory(self, tmp_path, model):
         from repro.dagdb import apply_weight_model
@@ -448,34 +545,6 @@ class TestAcceptanceSurfaces:
         schedule = SchedulingService().solve(request).to_schedule()
         save_schedule(schedule, tmp_path / "s.json")
         load_schedule(tmp_path / "s.json").validate()
-
-
-class TestSuiteSparseRecipe:
-    def test_recipe_lookup_and_urls(self):
-        entry = find_suitesparse_matrix("bcsstk17")
-        assert entry.group == "HB"
-        assert find_suitesparse_matrix("HB/bcsstk17") is entry
-        from repro.dagdb.suitesparse import matrix_url
-
-        assert matrix_url(entry).endswith("/MM/HB/bcsstk17.tar.gz")
-        with pytest.raises(ConfigurationError, match="unknown"):
-            find_suitesparse_matrix("no_such_matrix")
-
-    def test_local_file_to_streamed_elimination_dag(self, tmp_path):
-        # a synthetic stand-in laid out like an extracted SuiteSparse tarball
-        pattern = SparseMatrixPattern.random(60, 0.1, seed=5, ensure_diagonal=True)
-        matrix_dir = tmp_path / "bcsstk17"
-        matrix_dir.mkdir()
-        write_matrix_market_pattern(pattern, matrix_dir / "bcsstk17.mtx")
-        loaded = load_suitesparse_pattern(tmp_path, "bcsstk17")
-        assert loaded.size == 60
-        fingerprint = build_suitesparse_elimination(
-            tmp_path, "bcsstk17", ordering="rcm", out=tmp_path / "s.hdagb"
-        )
-        reference = build_suitesparse_elimination(tmp_path, "bcsstk17", ordering="rcm")
-        write_hdagb(reference.dag, tmp_path / "m.hdagb")
-        assert (tmp_path / "s.hdagb").read_bytes() == (tmp_path / "m.hdagb").read_bytes()
-        assert fingerprint == dag_fingerprint(reference.dag)
 
 
 class TestCli:

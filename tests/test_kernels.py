@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import BspMachine, kernels
-from repro.core.parallel import TaskError, parallel_map
+from repro.core.parallel import parallel_map
 from repro.schedulers import CommScheduleHillClimbing, HillClimbingImprover
 from repro.schedulers.multilevel.coarsen import _FlatGraph
 from repro.schedulers.reference import (
@@ -325,6 +325,12 @@ def _explode(payload, task):
     return task
 
 
+def _explode_late(payload, task):
+    if task >= 2:
+        raise ValueError(f"boom {task}")
+    return task
+
+
 @pytest.mark.filterwarnings("error::UserWarning")
 class TestProcessPoolMap:
     """``parallel_map``'s contract on a real two-worker process pool.
@@ -343,11 +349,19 @@ class TestProcessPoolMap:
         with pytest.raises(ValueError, match="boom"):
             parallel_map(_explode, None, [0, 1, 2, 3], workers=2)
 
-    def test_return_errors_fills_failing_slot(self):
-        got = parallel_map(
-            _explode, None, [0, 1, 2, 3, 4], workers=2, return_errors=True
-        )
-        assert got[:2] == [0, 1] and got[3:] == [3, 4]
-        assert isinstance(got[2], TaskError)
-        assert isinstance(got[2].error, ValueError)
-        assert str(got[2]) == "ValueError: boom"
+    def test_first_failure_in_task_order_is_raised(self):
+        """Results are harvested in task order, so the raised error is too."""
+        with pytest.raises(ValueError, match="^boom 2$"):
+            parallel_map(_explode_late, None, [0, 1, 2, 3, 4, 5], workers=2)
+
+
+class TestSerialMap:
+    """``workers=1`` and batches of at most one task never start a pool."""
+
+    def test_task_error_propagates(self):
+        with pytest.raises(ValueError, match="boom"):
+            parallel_map(_explode, None, [0, 1, 2, 3], workers=1)
+
+    def test_trivial_batches_run_in_this_process(self):
+        assert parallel_map(_square, 1, [], workers=2) == []
+        assert parallel_map(_square, 1, [3], workers=2) == [(10, os.getpid())]

@@ -9,9 +9,10 @@ Covers the three layers and the CLI gate:
   tolerance does not, and "previous" is gap-tolerant per row,
 * the HTML renderer — the golden property (two independently built stores
   holding the same trials render byte-identical HTML), the empty-store
-  page, family pages, flags reaching the page,
-* the ``repro report`` CLI — writes the file, and ``--fail-on-regression``
-  exits non-zero exactly when a flag fired.
+  page, one section per family, flags reaching the page,
+* the ``repro report`` CLI — writes exactly the rendered bytes, rewrites
+  the file as the store fills, and ``--fail-on-regression`` exits non-zero
+  exactly when a flag fired.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.analysis.aggregate import (
     regression_flags,
     trajectory_summary,
 )
-from repro.analysis.report import build_report, render_family_html, render_html
+from repro.analysis.report import build_report, render_html
 from repro.api import (
     MachineSpec,
     ScheduleRequest,
@@ -296,12 +297,39 @@ class TestHtmlReport:
         assert "no trials yet" in html
         assert html.startswith("<!DOCTYPE html>")
 
-    def test_family_page_and_unknown_family(self, tmp_path):
+    def test_every_family_gets_its_own_section(self, tmp_path):
         _populate_store(tmp_path)
-        report = build_report(tmp_path)
-        page = render_family_html(report, "erdos")
-        assert page is not None and "erdos" in page
-        assert render_family_html(report, "absent") is None
+        dag = random_dag(24, 0.2, seed=7)
+        dag.name = "grid_7"
+        SchedulingService(store=ResultStore(tmp_path)).solve_many(
+            [
+                ScheduleRequest(
+                    dag=dag,
+                    machine=MachineSpec(4, 1.0, 5.0),
+                    scheduler=SchedulerSpec(scheduler),
+                    seed=0,
+                )
+                for scheduler in ("cilk", "etf")
+            ],
+            workers=1,
+        )
+        report = build_report(tmp_path, bench_root=None)
+        assert [profile.family for profile in report.families] == ["erdos", "grid"]
+        html = render_html(report)
+        assert html.index("<h3>erdos</h3>") < html.index("<h3>grid</h3>")
+        assert "6 trials over 2 instances, 16&#8211;16 nodes" in html
+        assert "2 trials over 1 instances, 24&#8211;24 nodes" in html
+        assert "no trials yet" not in html
+
+    def test_bench_only_report_without_a_store(self, tmp_path):
+        _write_record(tmp_path, 1, {"kern": {"speedup": 2.0}})
+        _write_record(tmp_path, 2, {"kern": {"speedup": 2.1}})
+        report = build_report(None, bench_root=tmp_path)
+        assert (report.num_trials, report.families, report.flags) == (0, [], [])
+        assert len(report.trajectory) == 2
+        html = render_html(report)
+        assert "no trials yet" in html
+        assert "Kernel speedup trajectory" in html and "<svg" in html
 
     def test_flags_reach_the_page(self, tmp_path):
         _write_record(tmp_path, 1, {"kern": {"speedup": 10.0}})
@@ -331,6 +359,51 @@ class TestReportCli:
         assert code == 0
         assert out.read_text(encoding="utf-8").startswith("<!DOCTYPE html>")
         assert "6 trial(s)" in capsys.readouterr().out
+
+    def test_empty_store_writes_the_no_trials_page(self, tmp_path, capsys):
+        out = tmp_path / "report.html"
+        argv = ["report", "--store", str(tmp_path / "store"), "--bench-root",
+                "none", "--out", str(out)]
+        assert main(argv) == 0
+        html = out.read_text(encoding="utf-8")
+        assert html.startswith("<!DOCTYPE html>")
+        assert "no trials yet" in html
+        assert "0 trial(s), 0 families" in capsys.readouterr().out
+
+    def test_written_file_is_the_rendered_report(self, tmp_path):
+        store = tmp_path / "store"
+        _populate_store(store)
+        _write_record(tmp_path, 1, {"kern": {"speedup": 2.0}})
+        out = tmp_path / "report.html"
+        argv = ["report", "--store", str(store), "--bench-root", str(tmp_path),
+                "--out", str(out)]
+        assert main(argv) == 0
+        expected = render_html(build_report(store, bench_root=tmp_path))
+        assert out.read_bytes() == expected.encode("utf-8")
+
+    def test_rewritten_as_the_store_fills(self, tmp_path):
+        """Each run re-reads the store: new trials appear on the next run."""
+        store, out = tmp_path / "store", tmp_path / "site" / "report.html"
+        argv = ["report", "--store", str(store), "--bench-root", "none",
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert "no trials yet" in out.read_text(encoding="utf-8")
+        _populate_store(store)
+        assert main(argv) == 0
+        html = out.read_text(encoding="utf-8")
+        assert "no trials yet" not in html
+        assert "erdos" in html and "bsp_greedy" in html
+        assert [path.name for path in out.parent.iterdir()] == ["report.html"]
+
+    def test_default_out_is_report_html_in_the_working_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["report", "--bench-root", "none"]) == 0
+        assert (tmp_path / "report.html").read_text(encoding="utf-8").startswith(
+            "<!DOCTYPE html>"
+        )
+        assert "report written to report.html" in capsys.readouterr().out
 
     def test_fail_on_regression_exits_nonzero_on_injected_drift(
         self, tmp_path, capsys

@@ -1,26 +1,28 @@
 """Tests for the persistent scheduling service (repro.store).
 
-Covers the three layers of the subsystem and their crash-recovery
-guarantees:
+Covers the layers of the subsystem and their crash-recovery guarantees:
 
-* the filesystem primitives (atomic publish, tolerant reads, atomic claim),
+* the filesystem primitives (atomic publish, tolerant reads, concurrent
+  writers of one path),
 * the content-addressed result store (round trips, DAG deduplication,
   corrupt entries reading as missing and being recomputed),
-* the durable work queue + dispatcher (lease expiry after simulated worker
-  death, terminal failures, a killed-and-restarted fleet completing a
-  queued grid with no lost or duplicated results),
 * resumable experiments (a warm store answers a whole re-run with zero
-  scheduler invocations and byte-identical tables).
+  scheduler invocations and byte-identical tables; a partial store,
+  serial or pool-parallel, computes exactly the missing points; a grid
+  restarted over a crashed run's debris loses and duplicates nothing; a
+  failing request propagates without harming what is stored),
+* garbage collection and the trial/experiment metadata tables.
 """
 
 from __future__ import annotations
 
-import time
+import os
+import threading
 from dataclasses import replace
 
 import pytest
 
-from repro.analysis.experiments import ExperimentRunner, enqueue_grid, run_grid
+from repro.analysis.experiments import ExperimentRunner, run_grid
 from repro.analysis.tables import table1_no_numa_improvements
 from repro.api import (
     MachineSpec,
@@ -28,14 +30,14 @@ from repro.api import (
     SchedulerSpec,
     SchedulingService,
 )
-from repro.core import load_schedule
-from repro.core.exceptions import ReproError
+from repro.core import ComputationalDAG, load_schedule
+from repro.core.exceptions import CycleError, ReproError
 from repro.dagdb import build_dataset
 from repro.schedulers.pipeline import PipelineConfig
-from repro.store import Dispatcher, ResultStore, WorkQueue, dag_dict_fingerprint
-from repro.store.fsio import atomic_write_json, claim_rename, read_json_tolerant
+from repro.store import ResultStore, dag_dict_fingerprint
+from repro.store.fsio import atomic_write_json, read_json_tolerant
 
-from conftest import build_diamond_dag, random_dag
+from conftest import random_dag
 
 #: budget-free: every scheduler is deterministic, replays are bit-identical
 BUDGET_FREE = PipelineConfig(
@@ -53,7 +55,7 @@ def make_request(seed=0, scheduler="cilk", dag=None, procs=4, g=1.0):
 
 
 class FakeClock:
-    """Injectable epoch-seconds source for deterministic lease expiry."""
+    """Injectable epoch-seconds source for deterministic grace periods."""
 
     def __init__(self, now=1000.0):
         self.now = float(now)
@@ -80,15 +82,47 @@ class TestFsio:
         truncated = tmp_path / "truncated.json"
         truncated.write_text('{"x": [1, 2')
         assert read_json_tolerant(truncated) is None
+        undecodable = tmp_path / "undecodable.json"
+        undecodable.write_bytes(b'{"x": "\xff\xfe"}')
+        assert read_json_tolerant(undecodable) is None
 
-    def test_claim_rename_exactly_one_winner(self, tmp_path):
-        source = tmp_path / "pending" / "entry.json"
-        atomic_write_json(source, {"fingerprint": "f"})
-        target = tmp_path / "leased" / "entry.json"
-        assert claim_rename(source, target) is True
-        # the losing racer observes the source gone and backs off
-        assert claim_rename(source, tmp_path / "leased2" / "entry.json") is False
-        assert read_json_tolerant(target) == {"fingerprint": "f"}
+    def test_equal_payloads_publish_equal_bytes(self, tmp_path):
+        """Keys are sorted, so insertion order never changes a file."""
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        atomic_write_json(first, {"b": 2, "a": [1, {"d": 4, "c": 3}]})
+        atomic_write_json(second, {"a": [1, {"c": 3, "d": 4}], "b": 2})
+        assert first.read_bytes() == second.read_bytes()
+        assert first.read_text() == '{"a": [1, {"c": 3, "d": 4}], "b": 2}\n'
+
+    def test_failed_publish_leaves_no_temporary(self, tmp_path):
+        target = tmp_path / "entry.json"
+        target.mkdir()  # the rename onto a directory fails after the tmp write
+        with pytest.raises(OSError):
+            atomic_write_json(target, {"x": 1})
+        assert [path.name for path in tmp_path.iterdir()] == ["entry.json"]
+        assert target.is_dir()
+
+    def test_concurrent_writers_leave_one_whole_file(self, tmp_path):
+        """Racing writers of one path: the survivor is one complete payload."""
+        path = tmp_path / "results" / "entry.json"
+        payloads = [
+            {"writer": writer, "round": rounds, "pad": "x" * 4096}
+            for writer in range(4)
+            for rounds in range(25)
+        ]
+
+        def write(writer):
+            for payload in payloads[writer * 25 : (writer + 1) * 25]:
+                atomic_write_json(path, payload)
+                assert read_json_tolerant(path) in payloads
+
+        threads = [threading.Thread(target=write, args=(w,)) for w in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert read_json_tolerant(path) in payloads
+        assert [p.name for p in path.parent.iterdir()] == ["entry.json"]
 
 
 # ---------------------------------------------------------------------- #
@@ -117,6 +151,39 @@ class TestResultStore:
         stats = ResultStore(tmp_path).stats()
         assert stats == {"results": 3, "dags": 1, "trials": 3}
 
+    def test_dag_payload_is_named_by_its_content(self, tmp_path):
+        """``put`` writes the DAG payload under its own content hash."""
+        dag = random_dag(16, 0.25, seed=3)
+        store = ResultStore(tmp_path)
+        service = SchedulingService(cache_size=0)
+        for scheduler in ("cilk", "hdagg"):
+            request = make_request(dag=dag, scheduler=scheduler)
+            assert store.put(request.fingerprint(), service.solve(request)) is True
+        [payload] = store.dags_dir.glob("*.json")
+        ref = payload.stem
+        assert dag_dict_fingerprint(store.load_dag_dict(ref)) == ref
+        for fingerprint in store.fingerprints():
+            stored = read_json_tolerant(store.result_path(fingerprint))
+            assert stored["schedule"]["dag_ref"] == ref
+            assert "dag" not in stored["schedule"]
+
+    def test_stored_answer_drops_the_cache_hit_flag(self, tmp_path):
+        request = make_request()
+        result = SchedulingService(cache_size=0).solve(request)
+        store = ResultStore(tmp_path)
+        store.put(request.fingerprint(), replace(result, cache_hit=True))
+        loaded = store.get(request.fingerprint())
+        assert loaded.cache_hit is False
+        assert loaded.canonical_dict() == result.canonical_dict()
+
+    def test_reads_of_an_absent_root_create_nothing(self, tmp_path):
+        root = tmp_path / "absent"
+        store = ResultStore(root)
+        assert store.fingerprints() == [] and len(store) == 0
+        assert store.stats() == {"results": 0, "dags": 0, "trials": 0}
+        assert store.gc()["removed_results"] == []
+        assert not root.exists()
+
     def test_put_same_fingerprint_idempotent(self, tmp_path):
         request = make_request()
         result = SchedulingService(cache_size=0).solve(request)
@@ -140,16 +207,6 @@ class TestResultStore:
         store = ResultStore(tmp_path)
         with pytest.raises(ReproError, match="dag_ref"):
             store.load_dag_dict("deadbeef")
-
-    def test_put_dag_deduplicates(self, tmp_path):
-        store = ResultStore(tmp_path)
-        dag = build_diamond_dag()
-        path1 = store.put_dag(dag)
-        path2 = store.put_dag(dag)
-        assert path1 == path2
-        assert store.stats()["dags"] == 1
-        ref = path1.stem
-        assert dag_dict_fingerprint(store.load_dag_dict(ref)) == ref
 
     def test_load_schedule_reads_store_entries(self, tmp_path):
         """The back-compat loader resolves dag_ref files sitting in a store."""
@@ -210,6 +267,53 @@ class TestServiceStoreTier:
         assert info["store_hits"] == 2
         assert [r.cache_hit for r in results] == [True, True, False, False]
 
+    def test_pool_parallel_batch_persists_every_miss(self, tmp_path):
+        requests = [
+            make_request(seed=seed, scheduler=scheduler)
+            for seed in range(2)
+            for scheduler in ("cilk", "bsp_greedy")
+        ]
+        computed = SchedulingService(cache_size=0, store=tmp_path).solve_many(
+            requests, workers=2
+        )
+        assert ResultStore(tmp_path).fingerprints() == sorted(
+            request.fingerprint() for request in requests
+        )
+        replay = SchedulingService(cache_size=0, store=tmp_path)
+        replayed = replay.solve_many(requests, workers=2)
+        assert replay.cache_info()["misses"] == 0
+        assert [r.canonical_dict() for r in replayed] == [
+            r.canonical_dict() for r in computed
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_request_propagates_and_spares_the_store(
+        self, tmp_path, workers
+    ):
+        """A request that cannot be solved fails its batch, not the store."""
+        requests = [make_request(seed=s) for s in range(4)]
+        SchedulingService(cache_size=0, store=tmp_path).solve_many(
+            requests[:2], workers=1
+        )
+        # 0 -> 1 -> 2 -> 0: edge arrays check acyclicity lazily, the solve does
+        cyclic = ComputationalDAG.from_edge_arrays(5, [0, 1, 2, 3], [1, 2, 0, 4])
+        poisoned = make_request(dag=cyclic)
+        with pytest.raises(CycleError):
+            SchedulingService(cache_size=0, store=tmp_path).solve_many(
+                requests + [poisoned], workers=workers
+            )
+        store = ResultStore(tmp_path)
+        assert not store.contains(poisoned.fingerprint())
+        assert all(store.contains(r.fingerprint()) for r in requests[:2])
+
+        # without the poisoned request the batch completes
+        rerun = SchedulingService(cache_size=0, store=tmp_path)
+        rerun.solve_many(requests, workers=workers)
+        info = rerun.cache_info()
+        assert info["store_hits"] >= 2
+        assert info["store_hits"] + info["misses"] == len(requests)
+        assert store.fingerprints() == sorted(r.fingerprint() for r in requests)
+
     def test_corrupt_store_entry_recomputed(self, tmp_path):
         request = make_request()
         service = SchedulingService(cache_size=0, store=tmp_path)
@@ -223,178 +327,6 @@ class TestServiceStoreTier:
         assert replayed.canonical_dict() == computed.canonical_dict()
         # and the recompute repaired the entry on disk
         assert ResultStore(tmp_path).contains(request.fingerprint())
-
-
-# ---------------------------------------------------------------------- #
-# durable work queue
-# ---------------------------------------------------------------------- #
-class TestWorkQueue:
-    def test_submit_deduplicates(self, tmp_path):
-        queue = WorkQueue(tmp_path)
-        wire = make_request().to_dict()
-        assert queue.submit("f1", wire) is True
-        assert queue.submit("f1", wire) is False
-        assert queue.stats() == {"pending": 1, "leased": 0, "failed": 0}
-
-    def test_lease_partitions_between_workers(self, tmp_path):
-        queue = WorkQueue(tmp_path)
-        wire = make_request().to_dict()
-        for i in range(4):
-            queue.submit(f"f{i}", wire)
-        a = queue.lease("worker-a", limit=2)
-        b = queue.lease("worker-b")
-        assert len(a) == 2 and len(b) == 2
-        assert {t.fingerprint for t in a} | {t.fingerprint for t in b} == {
-            "f0", "f1", "f2", "f3"
-        }
-        assert queue.lease("worker-c") == []  # nothing left to claim
-
-    def test_lease_expiry_after_simulated_worker_death(self, tmp_path):
-        clock = FakeClock()
-        queue = WorkQueue(tmp_path, clock=clock)
-        queue.submit("f1", make_request().to_dict())
-        [task] = queue.lease("doomed-worker", lease_seconds=300)
-        assert task.attempts == 1
-        # the worker dies; nothing renews the lease
-        clock.advance(301)
-        requeued, failed = queue.expire_leases(max_attempts=3, lease_seconds=300)
-        assert requeued == ["f1"] and failed == []
-        # the entry is claimable again, with its attempt counter preserved
-        [retry] = queue.lease("successor-worker", lease_seconds=300)
-        assert retry.attempts == 2
-        assert retry.request == task.request
-
-    def test_live_lease_not_expired(self, tmp_path):
-        clock = FakeClock()
-        queue = WorkQueue(tmp_path, clock=clock)
-        queue.submit("f1", make_request().to_dict())
-        queue.lease("alive-worker", lease_seconds=300)
-        clock.advance(200)
-        assert queue.expire_leases(lease_seconds=300) == ([], [])
-        assert queue.renew("f1", "alive-worker", lease_seconds=300) is True
-        clock.advance(200)  # 400s total, but renewed at 200s
-        assert queue.expire_leases(lease_seconds=300) == ([], [])
-
-    def test_renew_rejects_non_owner(self, tmp_path):
-        queue = WorkQueue(tmp_path)
-        queue.submit("f1", make_request().to_dict())
-        queue.lease("worker-a")
-        assert queue.renew("f1", "worker-b") is False
-
-    def test_terminal_failure_after_max_attempts(self, tmp_path):
-        clock = FakeClock()
-        queue = WorkQueue(tmp_path, clock=clock)
-        queue.submit("f1", make_request().to_dict())
-        for _ in range(3):
-            queue.lease("crashy-worker", lease_seconds=10)
-            clock.advance(11)
-            queue.expire_leases(max_attempts=3, lease_seconds=10)
-        assert queue.pending() == [] and queue.leased() == []
-        failures = queue.failures()
-        assert list(failures) == ["f1"]
-        assert "presumed dead" in failures["f1"]
-        # terminal failures can be requeued explicitly
-        assert queue.retry_failed() == ["f1"]
-        assert queue.stats() == {"pending": 1, "leased": 0, "failed": 0}
-
-    def test_complete_drops_entry(self, tmp_path):
-        queue = WorkQueue(tmp_path)
-        queue.submit("f1", make_request().to_dict())
-        queue.lease("worker-a")
-        queue.complete("f1")
-        assert queue.stats() == {"pending": 0, "leased": 0, "failed": 0}
-
-
-# ---------------------------------------------------------------------- #
-# dispatcher + worker fleet
-# ---------------------------------------------------------------------- #
-class TestDispatcher:
-    def _enqueue(self, root, seeds=(0, 1, 2)):
-        store = ResultStore(root)
-        queue = WorkQueue(root)
-        fingerprints = []
-        for seed in seeds:
-            request = make_request(seed=seed)
-            fingerprint = request.fingerprint()
-            dag_path = store.put_dag(request.resolve_dag())
-            wire = replace(
-                request, dag=str(dag_path), _resolved_dag=None, _fingerprint=fingerprint
-            ).to_dict()
-            queue.submit(fingerprint, wire)
-            fingerprints.append(fingerprint)
-        return fingerprints
-
-    def test_drain_completes_queue_into_store(self, tmp_path):
-        fingerprints = self._enqueue(tmp_path)
-        report = Dispatcher(tmp_path, workers=1).drain()
-        assert sorted(report.completed) == sorted(fingerprints)
-        assert report.failed == {}
-        store = ResultStore(tmp_path)
-        assert store.fingerprints() == sorted(fingerprints)
-        assert WorkQueue(tmp_path).stats() == {"pending": 0, "leased": 0, "failed": 0}
-
-    def test_killed_fleet_restart_loses_and_duplicates_nothing(self, tmp_path):
-        """A worker dies mid-batch; a restarted fleet finishes the grid.
-
-        The dead worker is simulated at the two dangerous points: after
-        persisting a result but before completing its queue entry, and
-        before persisting anything.  The restarted dispatcher must complete
-        every fingerprint exactly once — the persisted one without
-        recomputation.
-        """
-        clock = FakeClock()
-        fingerprints = self._enqueue(tmp_path)
-        queue = WorkQueue(tmp_path, clock=clock)
-        store = ResultStore(tmp_path)
-
-        # the doomed worker leases the whole grid ...
-        tasks = queue.lease("doomed-worker", lease_seconds=300)
-        assert len(tasks) == len(fingerprints)
-        # ... persists exactly one result, then crashes (entries stay leased)
-        done = tasks[0]
-        result = SchedulingService(cache_size=0).solve(
-            ScheduleRequest.from_dict(done.request)
-        )
-        store.put(done.fingerprint, result)
-        clock.advance(301)  # the fleet is restarted after the leases expired
-
-        restarted = Dispatcher(tmp_path, workers=1, lease_seconds=300, clock=clock)
-        report = restarted.drain()
-        # nothing lost: every fingerprint ended in the store exactly once
-        assert store.fingerprints() == sorted(fingerprints)
-        assert sorted(report.requeued) == sorted(fingerprints)
-        # nothing duplicated: the persisted result was completed, not re-run
-        assert report.skipped == [done.fingerprint]
-        assert sorted(report.completed) == sorted(
-            f for f in fingerprints if f != done.fingerprint
-        )
-        assert report.failed == {}
-        assert queue.stats() == {"pending": 0, "leased": 0, "failed": 0}
-
-    def test_poisoned_request_fails_terminally_without_wedging(self, tmp_path):
-        good = make_request(seed=0)
-        queue = WorkQueue(tmp_path)
-        queue.submit(good.fingerprint(), good.to_dict())
-        bad_wire = make_request(seed=1).to_dict()
-        bad_wire["scheduler"] = {"name": "no_such_scheduler", "params": {}}
-        queue.submit("bad-entry", bad_wire)
-
-        report = Dispatcher(tmp_path, workers=1).drain(max_batches=4)
-        assert report.completed == [good.fingerprint()]
-        assert set(report.failed) == {"bad-entry"}
-        failures = WorkQueue(tmp_path).failures()
-        assert "bad-entry" in failures
-        assert ResultStore(tmp_path).fingerprints() == [good.fingerprint()]
-
-    def test_run_once_skips_already_stored(self, tmp_path):
-        [fingerprint] = self._enqueue(tmp_path, seeds=(5,))
-        request = ScheduleRequest.from_dict(WorkQueue(tmp_path).request_dict(fingerprint))
-        ResultStore(tmp_path).put(
-            fingerprint, SchedulingService(cache_size=0).solve(request)
-        )
-        report = Dispatcher(tmp_path, workers=1).run_once()
-        assert report.skipped == [fingerprint]
-        assert report.completed == []
 
 
 # ---------------------------------------------------------------------- #
@@ -424,155 +356,145 @@ class TestResumableExperiments:
         _, warm_text = table1_no_numa_improvements(warm)
         assert warm_text.encode() == cold_text.encode()
 
-    def test_partial_store_resumes_only_the_missing_points(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_partial_store_resumes_only_the_missing_points(self, tmp_path, workers):
         runner, instances, specs = self._grid(tmp_path)
-        run_grid(runner, instances, specs[:1])
+        run_grid(runner, instances, specs[:1], workers=workers)
         first = runner.service.cache_info()["misses"]
 
         resumed_runner, _, _ = self._grid(tmp_path)
-        run_grid(resumed_runner, instances, specs)
+        resumed = run_grid(resumed_runner, instances, specs, workers=workers)
         info = resumed_runner.service.cache_info()
         assert info["store_hits"] == first
         assert info["misses"] == first  # the second machine point only
 
-    def test_enqueue_grid_then_fleet_then_assembly(self, tmp_path):
+        # the resumed records are exactly what a store-less serial run yields
+        direct = run_grid(ExperimentRunner(config=BUDGET_FREE), instances, specs, workers=1)
+        assert resumed == direct
+
+    @staticmethod
+    def _requests(runner, instances, specs):
+        """Every request of the grid, in run_grid's serial order."""
+        return [
+            request
+            for instance in instances
+            for spec in specs
+            for _, request in runner.instance_requests(instance, spec)
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scattered_stored_requests_are_skipped(self, tmp_path, workers):
+        """Any stored subset is skipped, not just whole instances or machines."""
         runner, instances, specs = self._grid(tmp_path)
-        fingerprints = enqueue_grid(runner, instances, specs, tmp_path)
-        assert len(fingerprints) == len(set(fingerprints))
-        # one shared DAG payload per instance, not per request
-        assert ResultStore(tmp_path).stats()["dags"] == len(instances)
-        # re-enqueueing is a no-op (still pending)
-        assert enqueue_grid(runner, instances, specs, tmp_path) == []
+        requests = self._requests(runner, instances, specs)
+        stored = requests[::2]
+        SchedulingService(cache_size=0, store=tmp_path).solve_many(stored, workers=1)
 
-        report = Dispatcher(tmp_path, workers=1).drain()
-        assert sorted(report.completed) == sorted(fingerprints)
+        records = run_grid(runner, instances, specs, workers=workers)
+        info = runner.service.cache_info()
+        assert info["store_hits"] == len(stored)
+        assert info["misses"] == len(requests) - len(stored)
+        assert ResultStore(tmp_path).fingerprints() == sorted(
+            request.fingerprint() for request in requests
+        )
+        direct = run_grid(ExperimentRunner(config=BUDGET_FREE), instances, specs, workers=1)
+        assert records == direct
 
-        assembly_runner, _, _ = self._grid(tmp_path)
-        records = run_grid(assembly_runner, instances, specs)
-        assert assembly_runner.service.cache_info()["misses"] == 0
-        direct_runner = ExperimentRunner(config=BUDGET_FREE)
-        direct = run_grid(direct_runner, instances, specs)
-        assert [r.costs for r in records] == [r.costs for r in direct]
+    def test_restart_over_crash_debris_loses_and_duplicates_nothing(self, tmp_path):
+        """A grid restarted over what a crashed run left behind.
 
-    def test_enqueue_skips_already_stored(self, tmp_path):
+        The debris: the results of an earlier finished call, one of them
+        truncated mid-write (as by a writer predating the atomic rename),
+        and a write temporary orphaned between its creation and the
+        rename.  The restart computes exactly the missing and unreadable
+        requests; afterwards every fingerprint is stored once, and a gc
+        clears the temporary and the torn entry's second trial row.
+        """
         runner, instances, specs = self._grid(tmp_path)
-        run_grid(runner, instances, specs[:1])  # store the first point
-        fingerprints = enqueue_grid(runner, instances, specs, tmp_path)
-        stored = set(ResultStore(tmp_path).fingerprints())
-        assert stored.isdisjoint(fingerprints)
-        assert len(fingerprints) > 0
+        run_grid(runner, instances[:1], specs, workers=1)
+        store = ResultStore(tmp_path)
+        kept = store.fingerprints()
+        torn = store.result_path(kept[0])
+        torn.write_text(torn.read_text()[:40])
+        orphan = store.results_dir / f".{kept[1]}.json.deadbeef.tmp"
+        orphan.write_text("partial")
 
+        restarted, _, _ = self._grid(tmp_path)
+        records = run_grid(restarted, instances, specs, workers=2)
+        requests = self._requests(restarted, instances, specs)
+        info = restarted.service.cache_info()
+        assert info["store_hits"] == len(kept) - 1
+        assert info["misses"] == len(requests) - len(kept) + 1
+        fingerprints = sorted(request.fingerprint() for request in requests)
+        assert store.fingerprints() == fingerprints
+        assert all(store.contains(fingerprint) for fingerprint in fingerprints)
+        direct = run_grid(ExperimentRunner(config=BUDGET_FREE), instances, specs, workers=1)
+        assert records == direct
 
-# ---------------------------------------------------------------------- #
-# lease heartbeat
-# ---------------------------------------------------------------------- #
-class TestLeaseHeartbeat:
-    def _leased_queue(self, tmp_path, clock, lease_seconds=100.0):
-        queue = WorkQueue(tmp_path, clock=clock)
-        queue.submit("fp", {"x": 1})
-        tasks = queue.lease("w1", lease_seconds=lease_seconds)
-        assert [t.fingerprint for t in tasks] == ["fp"]
-        return queue
+        # the torn entry was solved twice, everything else once
+        trials = [trial.fingerprint for trial in store.trials.trials()]
+        assert sorted(set(trials)) == fingerprints
+        assert len(trials) == len(fingerprints) + 1
+        report = store.gc(tmp_grace_seconds=0.0, prune_trials=True)
+        assert report["removed_tmp"] == [f"results/{orphan.name}"]
+        assert report["removed_results"] == [] and report["dropped_trials"] == 1
+        assert sorted(t.fingerprint for t in store.trials.trials()) == fingerprints
 
-    def test_renewal_keeps_long_solve_leased(self, tmp_path):
-        from repro.store import LeaseHeartbeat
+    def test_run_instance_answers_from_a_grid_store(self, tmp_path):
+        """The serial per-point driver asks exactly the grid's requests."""
+        runner, instances, specs = self._grid(tmp_path)
+        records = run_grid(runner, instances, specs, workers=2)
+        replay, _, _ = self._grid(tmp_path)
+        replayed = [
+            replay.run_instance(instance, spec)
+            for instance in instances
+            for spec in specs
+        ]
+        assert replay.service.cache_info()["misses"] == 0
+        assert replayed == records
 
-        clock = FakeClock()
-        queue = self._leased_queue(tmp_path, clock)
-        heartbeat = LeaseHeartbeat(
-            queue, "fp", "w1", lease_seconds=100.0, interval=30.0, clock=clock
-        )
-        # a solve running well past the original deadline, beating as it goes
-        for _ in range(6):
-            clock.advance(40.0)
-            assert heartbeat.maybe_beat()
-        requeued, failed = queue.expire_leases(lease_seconds=100.0)
-        assert requeued == [] and failed == []
-        assert heartbeat.renewals == 6
-        assert queue.leased() == ["fp"]
+    def test_grid_stores_each_instance_dag_once(self, tmp_path):
+        runner, instances, specs = self._grid(tmp_path)
+        run_grid(runner, instances, specs, workers=2)
+        requests = self._requests(runner, instances, specs)
+        assert runner.service.cache_info()["misses"] == len(requests)
+        assert ResultStore(tmp_path).stats() == {
+            "results": len(requests),
+            "dags": len(instances),
+            "trials": len(requests),
+        }
 
-    def test_interval_gates_renewals(self, tmp_path):
-        from repro.store import LeaseHeartbeat
+    def test_resumed_experiment_record_names_the_whole_grid(self, tmp_path):
+        """Store hits belong to the named batch too; trials stay unique."""
+        runner, instances, specs = self._grid(tmp_path)
+        run_grid(runner, instances, specs[:1])
+        resumed, _, _ = self._grid(tmp_path)
+        run_grid(resumed, instances, specs, workers=2, experiment="resumed")
+        store = ResultStore(tmp_path)
+        [record] = store.trials.experiments()
+        assert record.name == "resumed"
+        assert record.metadata == {
+            "points": len(instances) * len(specs),
+            "requests": len(self._requests(resumed, instances, specs)),
+        }
+        assert sorted(record.fingerprints) == store.fingerprints()
+        trials = [trial.fingerprint for trial in store.trials.trials()]
+        assert sorted(trials) == sorted(set(trials)) == store.fingerprints()
 
-        clock = FakeClock()
-        queue = self._leased_queue(tmp_path, clock)
-        heartbeat = LeaseHeartbeat(
-            queue, "fp", "w1", lease_seconds=100.0, interval=30.0, clock=clock
-        )
-        clock.advance(10.0)
-        assert heartbeat.maybe_beat() and heartbeat.renewals == 0  # too soon
-        clock.advance(25.0)
-        assert heartbeat.maybe_beat() and heartbeat.renewals == 1
+    def test_pool_parallel_warm_rerun_matches_a_store_less_run(self, tmp_path):
+        runner, instances, specs = self._grid(tmp_path)
+        run_grid(runner, instances, specs, workers=2)
+        warm, _, _ = self._grid(tmp_path)
+        records = run_grid(warm, instances, specs, workers=2)
+        info = warm.service.cache_info()
+        assert info["misses"] == 0
+        assert info["store_hits"] == runner.service.cache_info()["misses"]
 
-    def test_without_heartbeat_the_lease_expires(self, tmp_path):
-        clock = FakeClock()
-        queue = self._leased_queue(tmp_path, clock)
-        clock.advance(150.0)
-        requeued, _ = queue.expire_leases(lease_seconds=100.0)
-        assert requeued == ["fp"]
-
-    def test_lost_lease_detected_and_renewals_stop(self, tmp_path):
-        from repro.store import LeaseHeartbeat
-
-        clock = FakeClock()
-        queue = self._leased_queue(tmp_path, clock)
-        # the worker goes silent; another dispatcher expires and re-claims
-        clock.advance(150.0)
-        queue.expire_leases(lease_seconds=100.0)
-        queue.lease("w2", lease_seconds=100.0)
-        heartbeat = LeaseHeartbeat(
-            queue, "fp", "w1", lease_seconds=100.0, interval=1.0, clock=clock
-        )
-        clock.advance(5.0)
-        assert not heartbeat.maybe_beat()
-        assert heartbeat.lost and heartbeat.renewals == 0
-        clock.advance(5.0)
-        assert not heartbeat.maybe_beat()  # stays lost, no further attempts
-
-    def test_threaded_mode_renews_in_real_time(self, tmp_path):
-        from repro.store import LeaseHeartbeat
-
-        queue = WorkQueue(tmp_path)
-        queue.submit("fp", {"x": 1})
-        queue.lease("w1", lease_seconds=60.0)
-        with LeaseHeartbeat(
-            queue, "fp", "w1", lease_seconds=60.0, interval=0.02
-        ) as heartbeat:
-            deadline = time.time() + 5.0
-            while heartbeat.renewals == 0 and time.time() < deadline:
-                time.sleep(0.01)
-        assert heartbeat.renewals >= 1 and not heartbeat.lost
-
-    def test_dispatcher_long_solve_is_not_requeued(self, tmp_path, monkeypatch):
-        """A solve longer than the lease completes exactly once under heartbeat."""
-        import repro.store.dispatcher as dispatcher_mod
-
-        request = make_request(scheduler="cilk")
-        queue = WorkQueue(tmp_path)
-        queue.submit(request.fingerprint(), request.to_dict())
-
-        original = dispatcher_mod._worker_service
-
-        class SlowService:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def solve(self, req):
-                time.sleep(0.3)  # several lease periods long
-                return self._inner.solve(req)
-
-        monkeypatch.setattr(
-            dispatcher_mod,
-            "_worker_service",
-            lambda root: SlowService(original(root)),
-        )
-        dispatcher = Dispatcher(tmp_path, workers=1, lease_seconds=0.1)
-        report = dispatcher.run_once()
-        assert report.completed == [request.fingerprint()]
-        # the heartbeat kept the lease: nothing left to expire or requeue
-        requeued, failed = queue.expire_leases(lease_seconds=0.1)
-        assert requeued == [] and failed == []
-        assert queue.stats() == {"pending": 0, "leased": 0, "failed": 0}
+        direct = run_grid(ExperimentRunner(config=BUDGET_FREE), instances, specs, workers=1)
+        assert records == direct
+        _, warm_text = table1_no_numa_improvements(records)
+        _, direct_text = table1_no_numa_improvements(direct)
+        assert warm_text.encode() == direct_text.encode()
 
 
 # ---------------------------------------------------------------------- #
@@ -605,24 +527,21 @@ class TestStoreGc:
         assert report["removed_results"] == [fingerprint]
         assert not store.result_path(fingerprint).exists()
 
+    def _orphan(self, store):
+        """A DAG payload no result references."""
+        orphan = store.dag_path(dag_dict_fingerprint({"orphan": True}))
+        atomic_write_json(orphan, {"orphan": True})
+        return orphan
+
     def test_orphaned_dag_payload_removed(self, tmp_path):
         store, fingerprint = self._stored(tmp_path)
-        orphan = store.put_dag({"orphan": True})
+        orphan = self._orphan(store)
         report = store.gc()
         assert report["removed_dags"] == [orphan.stem]
         assert not orphan.exists()
         assert store.contains(fingerprint)  # live entry and its DAG survive
 
-    def test_queued_request_keeps_its_dag_payload(self, tmp_path):
-        store = ResultStore(tmp_path)
-        path = store.put_dag({"queued": True})
-        WorkQueue(tmp_path).submit("fp", {"dag_ref": str(path), "machine": {}})
-        assert store.gc()["removed_dags"] == []
-        assert path.exists()
-
     def test_tmp_grace_period(self, tmp_path):
-        import os
-
         store, _ = self._stored(tmp_path)
         clock = FakeClock(now=10_000.0)
         stale = store.results_dir / ".a.json.deadbeef.tmp"
@@ -638,11 +557,65 @@ class TestStoreGc:
         from repro.cli import main
 
         store, _ = self._stored(tmp_path)
-        orphan = store.put_dag({"orphan": True})
+        orphan = self._orphan(store)
         assert main(["store", "--root", str(tmp_path), "gc"]) == 0
         assert not orphan.exists()
         assert "1 orphaned DAG payload" in capsys.readouterr().out
-        assert main(["queue", "--root", str(tmp_path), "gc"]) == 0
+
+    def test_cli_gc_tmp_grace_seconds(self, tmp_path, capsys):
+        from repro.cli import main
+
+        store, _ = self._stored(tmp_path)
+        stale = store.results_dir / ".x.json.deadbeef.tmp"
+        stale.write_text("partial")
+        ten_seconds_ago = stale.stat().st_mtime - 10.0
+        os.utime(stale, (ten_seconds_ago, ten_seconds_ago))
+        assert main(["store", "--root", str(tmp_path), "gc"]) == 0
+        assert stale.exists()  # younger than the default hour
+        assert "0 stale temporaries" in capsys.readouterr().out
+        argv = ["store", "--root", str(tmp_path), "gc", "--tmp-grace-seconds", "5"]
+        assert main(argv) == 0
+        assert not stale.exists()
+        assert "1 stale temporary" in capsys.readouterr().out
+
+    def test_shared_dag_payload_outlives_all_but_its_last_result(self, tmp_path):
+        dag = random_dag(16, 0.25, seed=3)
+        requests = [make_request(dag=dag, scheduler=s) for s in ("cilk", "hdagg")]
+        SchedulingService(cache_size=0, store=tmp_path).solve_many(
+            requests, workers=1
+        )
+        store = ResultStore(tmp_path)
+        [payload] = store.dags_dir.glob("*.json")
+        store.result_path(requests[0].fingerprint()).unlink()
+        assert store.gc()["removed_dags"] == []
+        assert payload.exists() and store.contains(requests[1].fingerprint())
+        store.result_path(requests[1].fingerprint()).unlink()
+        assert store.gc()["removed_dags"] == [payload.stem]
+        assert not payload.exists()
+
+    def test_result_with_inline_dag_is_kept(self, tmp_path):
+        request = make_request()
+        result = SchedulingService(cache_size=0).solve(request)
+        store = ResultStore(tmp_path)
+        # a hand-copied wire payload: the DAG inline, no dag_ref to resolve
+        atomic_write_json(store.result_path(request.fingerprint()), result.to_dict())
+        report = store.gc()
+        assert report["removed_results"] == [] and report["removed_dags"] == []
+        loaded = store.get(request.fingerprint())
+        assert loaded.canonical_dict() == result.canonical_dict()
+
+    def test_corrupt_entry_is_left_for_the_next_solve_to_repair(self, tmp_path):
+        store, fingerprint = self._stored(tmp_path)
+        ref = read_json_tolerant(store.result_path(fingerprint))["schedule"]["dag_ref"]
+        store.result_path(fingerprint).write_text("{ not json")
+        report = store.gc()
+        assert report["removed_results"] == []
+        assert store.result_path(fingerprint).exists()
+        # an unreadable entry references nothing, so its payload is orphaned
+        assert report["removed_dags"] == [ref]
+        service = SchedulingService(cache_size=0, store=tmp_path)
+        assert service.solve(make_request()).cache_hit is False
+        assert store.contains(fingerprint) and store.dag_path(ref).is_file()
 
     def test_gc_then_resolve_recomputes(self, tmp_path):
         """A gc'd dangling entry is simply recomputed by the next solve."""
@@ -704,18 +677,6 @@ class TestTrialRecords:
             r.fingerprint() for r in requests
         }
 
-    def test_dispatcher_fleet_populates_the_table(self, tmp_path):
-        store = ResultStore(tmp_path)
-        queue = WorkQueue(tmp_path)
-        for request in self._requests():
-            queue.submit(request.fingerprint(), request.to_dict())
-        Dispatcher(tmp_path, workers=1).drain()
-        assert len(store.trials) == 2
-        assert {t.scheduler for t in store.trials.trials()} == {
-            "cilk",
-            "bsp_greedy",
-        }
-
     def test_torn_line_skipped_not_fatal(self, tmp_path):
         service = SchedulingService(cache_size=0, store=tmp_path)
         service.solve(self._requests()[0])
@@ -742,6 +703,19 @@ class TestTrialRecords:
             specs,
         )
         assert len(ResultStore(tmp_path).trials.experiments()) == 1
+
+    def test_pool_parallel_grid_populates_the_table(self, tmp_path):
+        runner = ExperimentRunner(config=BUDGET_FREE, store=tmp_path)
+        instances = build_dataset("tiny", scale="bench", include_coarse=False)[:2]
+        run_grid(runner, instances, [MachineSpec(4, 1, 5)], workers=2)
+        store = ResultStore(tmp_path)
+        trials = store.trials.trials()
+        assert len(trials) == runner.service.cache_info()["misses"] == 6
+        assert {t.scheduler for t in trials} == {"cilk", "hdagg", "framework"}
+        assert sorted(t.fingerprint for t in trials) == store.fingerprints()
+        assert {t.dag_name for t in trials} == {i.dag.name for i in instances}
+        for trial in trials:
+            assert trial.cost == store.get(trial.fingerprint).cost
 
     def test_stats_count_trials(self, tmp_path):
         SchedulingService(cache_size=0, store=tmp_path).solve_many(
