@@ -19,8 +19,9 @@ request persists content-addressed on disk — re-running the same grid
 skips everything already stored (``service.cache_info()['misses']`` counts
 the actual scheduler invocations) and reproduces the records, and hence
 the rendered tables, byte-for-byte.  ``workers=N`` fans the batch's
-misses out over a process pool on this host; results reach the store when
-the batch returns, so a killed run loses only its in-flight batch.
+misses out over a process pool on this host; each result reaches the store
+as soon as it is harvested, in request order, so a killed run loses only
+the misses not yet harvested.
 
 All sizes default to the scaled-down ``"bench"`` datasets so the complete
 harness runs in seconds; passing ``scale="paper"`` restores the original

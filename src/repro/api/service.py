@@ -39,6 +39,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 from ..core.exceptions import CycleError
 from ..core.parallel import parallel_map
@@ -278,9 +279,12 @@ class SchedulingService:
         grid over one instance ships it O(workers) times instead of
         O(requests) times in each direction.
 
-        Misses reach the persistent store only after the whole batch
-        returns, so a batch killed mid-run loses all of its in-flight
-        misses; results stored by earlier calls are kept.
+        Each miss is cached, stored and recorded as soon as it is
+        harvested, in request order on the serial and the pool path alike,
+        so the store and ``trials.jsonl`` fill in the same order at any
+        worker count.  A batch that is killed or fails keeps every miss
+        harvested before that point; on the pool path, a miss that
+        finished behind an unfinished one is not harvested yet.
         """
         coerced = [_coerce_request(request) for request in requests]
         fingerprints = [request.fingerprint() for request in coerced]
@@ -298,21 +302,28 @@ class SchedulingService:
             else:
                 unique_misses[fingerprint] = index
         if unique_misses:
-            misses = [coerced[i] for i in unique_misses.values()]
-            solved = self._solve_misses_process(misses, workers)
-            by_fingerprint = dict(zip(unique_misses, solved))
-            for fingerprint, result in by_fingerprint.items():
-                self._cache_put(fingerprint, result)
-                self._record_trial(coerced[unique_misses[fingerprint]], result)
-                results[unique_misses[fingerprint]] = result
+            miss_indices = list(unique_misses.values())
+
+            def keep(position: int, result: ScheduleResult) -> None:
+                index = miss_indices[position]
+                self._cache_put(fingerprints[index], result)
+                self._record_trial(coerced[index], result)
+                results[index] = result
+
+            self._solve_misses_process([coerced[i] for i in miss_indices], workers, keep)
             for index, fingerprint in duplicate_of.items():
-                results[index] = replace(by_fingerprint[fingerprint], cache_hit=True)
+                results[index] = replace(
+                    results[unique_misses[fingerprint]], cache_hit=True
+                )
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------ #
     def _solve_misses_process(
-        self, misses: list[ScheduleRequest], workers: int | None
-    ) -> list[ScheduleResult]:
+        self,
+        misses: list[ScheduleRequest],
+        workers: int | None,
+        keep: Callable[[int, ScheduleResult], None],
+    ) -> None:
         """Pool-solve the cache misses with DAG-sharing (see :meth:`solve_many`).
 
         In-memory/inline DAGs are deduplicated into a ``{fingerprint: dag}``
@@ -321,7 +332,8 @@ class SchedulingService:
         File-reference requests stay references — each worker reads the
         file itself.  Returned dag_ref payloads are re-embedded here, so
         callers observe the same self-contained results a serial run
-        produces.
+        produces.  ``keep(index, result)`` receives each restored result
+        in task order as soon as it is harvested.
         """
         shared: dict[str, object] = {}
         tasks: list[ScheduleRequest] = []
@@ -340,18 +352,19 @@ class SchedulingService:
                     _fingerprint=request.fingerprint(),
                 )
             )
-        solved = parallel_map(_solve_task, shared, tasks, workers)
         embedded_dags: dict[str, dict] = {}
-        for index, result in enumerate(solved):
+
+        def restore(index: int, result: ScheduleResult) -> None:
             payload = result.schedule_dict()
             ref = payload.get("dag_ref")
-            if ref is None or ref not in shared:
-                continue
-            if ref not in embedded_dags:
-                embedded_dags[ref] = dag_to_dict(shared[ref])
-            # rebuild in schedule_to_dict key order so the payload is
-            # indistinguishable from a serially produced one
-            restored = {"dag": embedded_dags[ref]}
-            restored.update((k, v) for k, v in payload.items() if k != "dag_ref")
-            solved[index] = replace(result, _schedule_dict=restored)
-        return solved
+            if ref is not None and ref in shared:
+                if ref not in embedded_dags:
+                    embedded_dags[ref] = dag_to_dict(shared[ref])
+                # rebuild in schedule_to_dict key order so the payload is
+                # indistinguishable from a serially produced one
+                restored = {"dag": embedded_dags[ref]}
+                restored.update((k, v) for k, v in payload.items() if k != "dag_ref")
+                result = replace(result, _schedule_dict=restored)
+            keep(index, result)
+
+        parallel_map(_solve_task, shared, tasks, workers, on_result=restore)

@@ -10,14 +10,18 @@ distribute independent tasks over a process pool with the same guarantees:
 * an unusable pool (no ``fork``/``spawn``, unpicklable payload, sandboxed
   interpreter) degrades to serial execution with a warning instead of
   failing,
-* a crashed worker (:class:`BrokenProcessPool`) keeps every completed
-  result and recomputes only the unfinished tasks serially,
+* a crashed worker (``BrokenProcessPool``) keeps every completed result
+  and recomputes only the unfinished tasks serially,
 * a genuine task error cancels the remaining tasks and propagates
-  promptly.
+  promptly,
+* an ``on_result`` callback sees each result as it is harvested, in task
+  order on every path, so a caller can persist results before the batch
+  ends.
 
 :func:`parallel_map` is the single implementation of that contract; the
 ``handler`` must be a module-level function (picklable by reference) taking
-``(payload, task)``.
+``(payload, task)``.  The process-pool machinery is imported only when a
+pool is actually started.
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ from __future__ import annotations
 import os
 import pickle
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Sequence, TypeVar
 
 __all__ = ["default_workers", "parallel_map"]
@@ -70,20 +72,30 @@ def parallel_map(
     payload,
     tasks: Sequence[_Task],
     workers: int | None = None,
+    on_result: Callable[[int, _Result], None] | None = None,
 ) -> list[_Result]:
     """Apply ``handler(payload, task)`` to every task, optionally in parallel.
 
     ``workers=None`` reads the ``REPRO_WORKERS`` environment variable
     (default 1 = serial).  Results are returned in task order regardless of
-    ``workers``; see the module docstring for the degradation contract.
+    ``workers``, and ``on_result(index, result)`` is called for each one in
+    that same order as soon as it is available; see the module docstring
+    for the degradation contract.
     """
     tasks = list(tasks)
     if workers is None:
         workers = default_workers()
+    results: list[_Result] = []
 
-    def serial(indices: Sequence[int] | None = None) -> list[_Result]:
-        picked = range(len(tasks)) if indices is None else indices
-        return [handler(payload, tasks[index]) for index in picked]
+    def keep(result: _Result) -> None:
+        if on_result is not None:
+            on_result(len(results), result)
+        results.append(result)
+
+    def serial() -> list[_Result]:
+        for task in tasks:
+            keep(handler(payload, task))
+        return results
 
     if workers <= 1 or len(tasks) <= 1:
         return serial()
@@ -103,6 +115,8 @@ def parallel_map(
         return serial()
 
     try:
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(
             max_workers=min(workers, len(tasks)),
             initializer=_init_pool_worker,
@@ -114,37 +128,28 @@ def parallel_map(
             stacklevel=2,
         )
         return serial()
+    # a genuine task error (including a task that fails pickling) or an
+    # error raised by on_result cancels the remaining tasks and propagates
+    # promptly instead of sitting through the whole batch
     try:
         futures = [pool.submit(_run_pool_task, task) for task in tasks]
-    except BaseException:
+        broken = False
+        for task, future in zip(tasks, futures):
+            try:
+                result = future.result()
+            except BrokenProcessPool as exc:
+                # a crashed or killed worker fails every unfinished task;
+                # the completed results are kept, and each unfinished task
+                # is recomputed here in its turn, so order never changes
+                if not broken:
+                    warnings.warn(
+                        f"process pool failed ({exc!r}); recomputing the "
+                        f"unfinished tasks serially",
+                        stacklevel=2,
+                    )
+                    broken = True
+                result = handler(payload, task)
+            keep(result)
+    finally:
         pool.shutdown(cancel_futures=True)
-        raise
-    results: list[_Result | None] = [None] * len(tasks)
-    done = [False] * len(tasks)
-    broken: BrokenProcessPool | None = None
-    for index, future in enumerate(futures):
-        try:
-            results[index] = future.result()
-            done[index] = True
-        except BrokenProcessPool as exc:
-            # crashed/killed worker: keep harvesting what did complete
-            broken = exc
-        except BaseException:
-            # a genuine task error — including a task that fails pickling —
-            # cancels the remaining tasks and propagates promptly instead of
-            # sitting through the whole batch
-            pool.shutdown(cancel_futures=True)
-            raise
-    pool.shutdown(cancel_futures=True)
-    if broken is not None:
-        # recompute only the tasks that never finished; completed parallel
-        # results are kept rather than thrown away
-        missing = [index for index, ok in enumerate(done) if not ok]
-        warnings.warn(
-            f"process pool failed ({broken!r}); recomputing "
-            f"{len(missing)} unfinished task(s) serially",
-            stacklevel=2,
-        )
-        for index, result in zip(missing, serial(missing)):
-            results[index] = result
-    return results  # type: ignore[return-value]
+    return results

@@ -11,7 +11,7 @@ offset    size    field
 0         8       magic ``b"\\x89HDAGB\\r\\n"`` (high bit + CRLF catch
                   text-mode and 7-bit corruption, PNG style)
 8         4       format version (uint32, currently 1)
-12        4       flags (uint32, reserved)
+12        4       flags (uint32, reserved: must be 0)
 16        8       number of nodes ``n`` (int64)
 24        8       number of edges ``m`` (int64)
 32        32      DAG content fingerprint (raw sha256 — the digest
@@ -21,7 +21,7 @@ offset    size    field
 96        8       payload offset (int64, 64-byte aligned)
 104       8       file size (int64)
 112       4       name length in bytes (uint32)
-116       4       reserved padding
+116       4       reserved padding (zero)
 120       ...     DAG name (utf-8), zero-padded to ``payload_offset``
 ========  ======  =====================================================
 
@@ -35,13 +35,15 @@ are derived from ``n``/``m``, so the header fully describes the file.
 
 :func:`read_hdagb` opens the payload with one ``np.memmap`` and returns a
 :class:`MappedDag` whose weight vectors and successor CSR are zero-copy
-views into the mapping.  A load checks the header, then the payload's
-structure in one O(n + m) pass (row pointer, target range, self-loops,
-weights) without copying a buffer, then the payload checksum; the
-fingerprint comes straight from the header.  Mapped buffers are
-read-only; the first mutation transparently copies (see
-``ComputationalDAG._ensure_writable_weights`` and the capacity-doubling
-edge appends, which always reallocate exactly-sized mapped buffers).
+views into the mapping.  A load checks the header (including that the
+flags, the reserved padding and the name's padding are zero, as every
+writer leaves them), then the payload's structure in one O(n + m) pass
+(row pointer, target range, self-loops, weights) without copying a
+buffer, then the payload checksum; the fingerprint comes straight from
+the header.  Mapped buffers are read-only; the first mutation
+transparently copies (see ``ComputationalDAG._ensure_writable_weights``
+and the capacity-doubling edge appends, which always reallocate
+exactly-sized mapped buffers).
 
 :class:`StreamingDagWriter` is the out-of-core construction path: it
 accepts the same block-emitting API as :class:`~repro.core.dag.DagBuilder`
@@ -297,7 +299,7 @@ def _read_header(path: Path) -> tuple:
             (
                 magic,
                 version,
-                _flags,
+                flags,
                 n,
                 m,
                 fingerprint,
@@ -313,11 +315,18 @@ def _read_header(path: Path) -> tuple:
                     f"{path}: unsupported hdagb version {version} "
                     f"(this reader handles version {HDAGB_VERSION})"
                 )
-            name_bytes = handle.read(name_len)
+            # the name and its zero padding up to the aligned payload
+            name_field = handle.read(_align(_HEADER.size + name_len) - _HEADER.size)
     except OSError as exc:
         raise DagError(f"{path}: cannot read hdagb file: {exc}") from exc
+    name_bytes = name_field[:name_len]
     if len(name_bytes) < name_len:
         raise DagError(f"{path}: truncated hdagb name field")
+    # the writers zero these bytes, and no checksum covers them
+    if flags != 0:
+        raise DagError(f"{path}: unsupported hdagb flags {flags:#x}")
+    if any(raw[_HEADER.size - 4 :]) or any(name_field[name_len:]):
+        raise DagError(f"{path}: corrupt hdagb header (non-zero padding)")
     if n < 0 or m < 0:
         raise DagError(f"{path}: corrupt hdagb header (n={n}, m={m})")
     expect_payload, *_rest, expect_end = _layout(name_bytes, n, m)

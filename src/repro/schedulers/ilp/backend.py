@@ -11,6 +11,11 @@ constraints are stored as sparse triples, and :meth:`solve` assembles the
 sparse constraint matrix and calls HiGHS with a time limit.
 :meth:`MilpProblem.key` digests everything HiGHS would receive, so that a
 caller can reuse the result of an identical model it solved before.
+
+Only :meth:`MilpProblem.solve` and :func:`milp` import ``scipy.optimize``
+and ``scipy.sparse``, so a process that never solves a MILP (the
+heuristic pipeline, multilevel without ILP, the baselines) never loads
+them; the first solve of a process pays for loading them instead.
 """
 
 from __future__ import annotations
@@ -20,8 +25,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
+import scipy  # noqa: F401  (the hard dependency fails here, not at the first solve)
 
 from ...core.exceptions import SolverError
 
@@ -282,12 +286,15 @@ class MilpProblem:
         """
         if self.num_variables == 0:
             return MilpSolution(np.zeros(0), 0.0, 0, "empty model")
+        from scipy.optimize import Bounds, LinearConstraint
+        from scipy.sparse import csr_matrix
+
         c = np.asarray(self._objective, dtype=np.float64)
         bounds = Bounds(np.asarray(self._lower), np.asarray(self._upper))
         integrality = np.asarray(self._integrality, dtype=np.int64)
         constraints = None
         if self.num_constraints:
-            matrix = sparse.csr_matrix(
+            matrix = csr_matrix(
                 (self._vals, (self._rows, self._cols)),
                 shape=(self.num_constraints, self.num_variables),
             )
@@ -309,6 +316,17 @@ class MilpProblem:
             status=int(result.status),
             message=str(result.message),
         )
+
+
+def milp(**kwargs):
+    """``scipy.optimize.milp(**kwargs)``, imported at the first call.
+
+    :meth:`MilpProblem.solve` calls HiGHS through this module-level name
+    only, so a test can patch the solver call in one place.
+    """
+    from scipy.optimize import milp as highs_milp
+
+    return highs_milp(**kwargs)
 
 
 def _options(

@@ -175,6 +175,26 @@ class TestRejection:
         with pytest.raises(DagError, match="version"):
             read_hdagb(path)
 
+    @pytest.mark.parametrize(
+        "offset, message",
+        [
+            (12, "flags"),  # flags, u32 at offset 12
+            (117, "padding"),  # reserved padding after the name length
+            (125, "padding"),  # between the 4-byte name and the payload
+        ],
+    )
+    def test_nonzero_reserved_header_byte(self, tmp_path, offset, message):
+        path = tmp_path / "t.hdagb"
+        dag = random_dag(30, 0.1, seed=1)
+        dag.name = "name"
+        write_hdagb(dag, path)
+        raw = bytearray(path.read_bytes())
+        assert int.from_bytes(raw[96:104], "little") == 128 and raw[offset] == 0
+        raw[offset] = 1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DagError, match=message):
+            read_hdagb(path)
+
     def test_checksum_flip_caught_by_verify(self, tmp_path):
         path = tmp_path / "t.hdagb"
         write_hdagb(random_dag(30, 0.1, seed=1), path)
@@ -310,14 +330,16 @@ class TestRejection:
         loads a DAG whose CSR builds with every target in range.  No flip
         at or past the payload offset loads: the checksum catches the ones
         that keep the structure valid (a weight, a reordered or cyclic
-        edge).  Header fields the reader trusts (the fingerprint, flags,
-        reserved bytes, the name and, within its padding, the name
-        length) are not covered by the checksum.
+        edge).  Nor does a flip of the flags, the reserved padding or the
+        name's padding, which must be zero.  Only the header fields no
+        check covers load flipped: the fingerprint, the name, and a name
+        length that grows into the name's zero padding.
         """
         clean_path = tmp_path / "fft.hdagb"
         write_hdagb(build_fft_dag(16, track_roles=False).dag, clean_path)
         clean = clean_path.read_bytes()
-        payload = int.from_bytes(clean[96:104], "little")
+        name_end = 120 + int.from_bytes(clean[112:116], "little")
+        unchecked = (range(32, 64), range(112, 116), range(120, name_end))
         rng = np.random.default_rng(400)
         positions = rng.integers(0, len(clean), size=400)
         bits = rng.integers(0, 8, size=400)
@@ -330,7 +352,7 @@ class TestRejection:
                 dag = read_hdagb(path)
             except DagError:
                 continue
-            assert position < payload, index
+            assert any(position in field for field in unchecked), (index, position)
             n = dag.num_nodes
             for indptr, indices in (
                 (dag.succ_indptr, dag.succ_indices),

@@ -331,6 +331,13 @@ def _explode_late(payload, task):
     return task
 
 
+def _die_in_worker(parent_pid, task):
+    """Task 3 kills any pool worker that runs it; the parent computes it."""
+    if task == 3 and os.getpid() != parent_pid:
+        os._exit(1)
+    return task * task
+
+
 @pytest.mark.filterwarnings("error::UserWarning")
 class TestProcessPoolMap:
     """``parallel_map``'s contract on a real two-worker process pool.
@@ -341,9 +348,14 @@ class TestProcessPoolMap:
 
     def test_results_in_task_order(self):
         tasks = list(range(12))
-        got = parallel_map(_square, 10, tasks, workers=2)
+        seen = []
+        got = parallel_map(
+            _square, 10, tasks, workers=2,
+            on_result=lambda index, result: seen.append((index, result)),
+        )
         assert [value for value, _ in got] == [10 + task * task for task in tasks]
         assert os.getpid() not in {pid for _, pid in got}
+        assert seen == list(enumerate(got))
 
     def test_task_error_propagates(self):
         with pytest.raises(ValueError, match="boom"):
@@ -353,6 +365,25 @@ class TestProcessPoolMap:
         """Results are harvested in task order, so the raised error is too."""
         with pytest.raises(ValueError, match="^boom 2$"):
             parallel_map(_explode_late, None, [0, 1, 2, 3, 4, 5], workers=2)
+
+    def test_on_result_sees_the_results_before_a_failure(self):
+        seen = []
+        with pytest.raises(ValueError, match="^boom 2$"):
+            parallel_map(
+                _explode_late, None, [0, 1, 2, 3, 4, 5], workers=2,
+                on_result=lambda index, result: seen.append(index),
+            )
+        assert seen == [0, 1]
+
+    def test_crashed_worker_is_recomputed_in_task_order(self):
+        seen = []
+        with pytest.warns(UserWarning, match="process pool failed"):
+            got = parallel_map(
+                _die_in_worker, os.getpid(), list(range(8)), workers=2,
+                on_result=lambda index, result: seen.append((index, result)),
+            )
+        assert got == [task * task for task in range(8)]
+        assert seen == list(enumerate(got))
 
 
 class TestSerialMap:

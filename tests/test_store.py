@@ -290,7 +290,11 @@ class TestServiceStoreTier:
     def test_failing_request_propagates_and_spares_the_store(
         self, tmp_path, workers
     ):
-        """A request that cannot be solved fails its batch, not the store."""
+        """A request that cannot be solved fails its batch, not the store.
+
+        The misses solved before the poisoned one in request order are
+        stored as they are harvested, so the failed batch keeps them.
+        """
         requests = [make_request(seed=s) for s in range(4)]
         SchedulingService(cache_size=0, store=tmp_path).solve_many(
             requests[:2], workers=1
@@ -305,13 +309,14 @@ class TestServiceStoreTier:
         store = ResultStore(tmp_path)
         assert not store.contains(poisoned.fingerprint())
         assert all(store.contains(r.fingerprint()) for r in requests[:2])
+        assert all(store.contains(r.fingerprint()) for r in requests[2:4])
 
-        # without the poisoned request the batch completes
+        # without the poisoned request the batch completes from the store
         rerun = SchedulingService(cache_size=0, store=tmp_path)
         rerun.solve_many(requests, workers=workers)
         info = rerun.cache_info()
-        assert info["store_hits"] >= 2
-        assert info["store_hits"] + info["misses"] == len(requests)
+        assert info["store_hits"] == len(requests)
+        assert info["misses"] == 0
         assert store.fingerprints() == sorted(r.fingerprint() for r in requests)
 
     def test_corrupt_store_entry_recomputed(self, tmp_path):
@@ -676,6 +681,16 @@ class TestTrialRecords:
         assert {t.fingerprint for t in trials} == {
             r.fingerprint() for r in requests
         }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trials_follow_request_order(self, tmp_path, workers):
+        """Misses are recorded as they are harvested, in request order."""
+        requests = self._requests(seeds=(0, 1))
+        SchedulingService(cache_size=0, store=tmp_path).solve_many(
+            requests, workers=workers
+        )
+        trials = ResultStore(tmp_path).trials.trials()
+        assert [t.fingerprint for t in trials] == [r.fingerprint() for r in requests]
 
     def test_torn_line_skipped_not_fatal(self, tmp_path):
         service = SchedulingService(cache_size=0, store=tmp_path)
