@@ -10,14 +10,15 @@ offset    size    field
 ========  ======  =====================================================
 0         8       magic ``b"\\x89HDAGB\\r\\n"`` (high bit + CRLF catch
                   text-mode and 7-bit corruption, PNG style)
-8         4       format version (uint32, currently 1)
+8         4       format version (uint32, currently 2)
 12        4       flags (uint32, reserved: must be 0)
 16        8       number of nodes ``n`` (int64)
 24        8       number of edges ``m`` (int64)
 32        32      DAG content fingerprint (raw sha256 — the digest
                   :func:`repro.api.request.dag_fingerprint` computes)
-64        32      payload checksum (sha256 of bytes
-                  ``[payload_offset, file_size)``)
+64        32      checksum (sha256 of bytes ``[payload_offset,
+                  file_size)``, then of the 32 fingerprint bytes,
+                  then of the name's bytes)
 96        8       payload offset (int64, 64-byte aligned)
 104       8       file size (int64)
 112       4       name length in bytes (uint32)
@@ -39,11 +40,14 @@ views into the mapping.  A load checks the header (including that the
 flags, the reserved padding and the name's padding are zero, as every
 writer leaves them), then the payload's structure in one O(n + m) pass
 (row pointer, target range, self-loops, weights) without copying a
-buffer, then the payload checksum; the fingerprint comes straight from
-the header.  Mapped buffers are read-only; the first mutation
-transparently copies (see ``ComputationalDAG._ensure_writable_weights``
-and the capacity-doubling edge appends, which always reallocate
-exactly-sized mapped buffers).
+buffer, then the checksum.  The fingerprint comes straight from the
+header, not recomputed; the checksum covers it and the name (version 2),
+so a flipped header fingerprint or name fails the load instead of
+changing a request's cache key.  Version-1 files, whose checksum covered
+the payload only, are refused as an unsupported version.  Mapped buffers
+are read-only; the first mutation transparently copies (see
+``ComputationalDAG._ensure_writable_weights`` and the capacity-doubling
+edge appends, which always reallocate exactly-sized mapped buffers).
 
 :class:`StreamingDagWriter` is the out-of-core construction path: it
 accepts the same block-emitting API as :class:`~repro.core.dag.DagBuilder`
@@ -83,7 +87,7 @@ __all__ = [
 ]
 
 HDAGB_MAGIC = b"\x89HDAGB\r\n"
-HDAGB_VERSION = 1
+HDAGB_VERSION = 2
 
 _INT = np.int64
 _F8 = np.dtype("<f8")
@@ -108,6 +112,17 @@ def _layout(name_bytes: bytes, n: int, m: int) -> tuple[int, int, int, int, int,
     indptr = _align(comm + 8 * n)
     targets = _align(indptr + 8 * (n + 1))
     return payload, work, comm, indptr, targets, targets + 8 * m
+
+
+def _checksum_digest(hasher, fingerprint: bytes, name_bytes: bytes) -> bytes:
+    """Finish a payload hash over the header fields the checksum also covers.
+
+    No structural check can vouch for the raw fingerprint or the name, so
+    they are hashed after the payload.
+    """
+    hasher.update(fingerprint)
+    hasher.update(name_bytes)
+    return hasher.digest()
 
 
 def _fingerprint_prefix(n: int) -> "hashlib._Hash":
@@ -275,7 +290,7 @@ def write_hdagb(dag: ComputationalDAG, path: str | Path) -> str:
                     n,
                     m,
                     bytes.fromhex(fingerprint),
-                    checksum.digest(),
+                    _checksum_digest(checksum, bytes.fromhex(fingerprint), name_bytes),
                     payload,
                     end,
                     len(name_bytes),
@@ -371,15 +386,17 @@ def read_hdagb(path: str | Path) -> MappedDag:
     Every load validates the header, size and section bounds (so
     truncation and header corruption fail loudly), then the payload's
     structure (row pointer, target range, self-loops, weights; see
-    :func:`_check_payload`) in O(n + m), then the payload checksum in one
-    O(file) streaming read, so a flipped payload byte never loads.  The
-    header's content fingerprint is trusted, not recomputed.
+    :func:`_check_payload`) in O(n + m), then the checksum in one O(file)
+    streaming read, so a flipped payload byte never loads.  The header's
+    content fingerprint is not recomputed, but the checksum covers it and
+    the name, so neither loads flipped either.
     """
     path = Path(path)
     n, m, fingerprint, checksum, payload, end, name = _read_header(path)
+    name_bytes = name.encode("utf-8")
     mapping = np.memmap(path, dtype=np.uint8, mode="r")
     _payload, work_off, comm_off, indptr_off, targets_off, _end = _layout(
-        name.encode("utf-8"), n, m
+        name_bytes, n, m
     )
     work = np.asarray(mapping[work_off : work_off + 8 * n]).view(_F8)
     comm = np.asarray(mapping[comm_off : comm_off + 8 * n]).view(_F8)
@@ -389,8 +406,8 @@ def read_hdagb(path: str | Path) -> MappedDag:
     hasher = hashlib.sha256()
     for pos in range(payload, end, _CHUNK_BYTES):
         hasher.update(mapping[pos : min(pos + _CHUNK_BYTES, end)])
-    if hasher.digest() != checksum:
-        raise DagError(f"{path}: hdagb payload checksum mismatch")
+    if _checksum_digest(hasher, fingerprint, name_bytes) != checksum:
+        raise DagError(f"{path}: hdagb checksum mismatch (payload, fingerprint or name)")
     return MappedDag._from_mapping(
         n, work, comm, indptr, targets, name, fingerprint.hex()
     )
@@ -733,7 +750,7 @@ class StreamingDagWriter:
                         n,
                         m,
                         bytes.fromhex(fingerprint),
-                        checksum.digest(),
+                        _checksum_digest(checksum, bytes.fromhex(fingerprint), name_bytes),
                         payload,
                         end,
                         len(name_bytes),

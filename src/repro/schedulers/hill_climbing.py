@@ -19,8 +19,10 @@ once —
 * validity masks from the flattened predecessor/successor CSR slices,
 * work deltas from the affected row maxima,
 * send/receive deltas from the first-need tables of the nodes and of their
-  predecessors, scattered into one tensor over the block's touched traffic
-  rows, reduced with one ``max`` and summed per node.
+  predecessors, decomposed over the block's touched traffic rows: a row a
+  move only raises takes the larger of its maximum and the raised columns,
+  only a row a predecessor's transfer leaves takes a full maximum, and the
+  rows' changes are summed per node.
 
 The pass loop :func:`repro.core.kernels.hc_pass` applies the block's
 first improving move through :meth:`LazyCostTracker.apply_move` and resumes
@@ -67,11 +69,13 @@ _INT = np.int64
 _STEP_OFFSETS = np.array((-1, 0, 1), dtype=_INT)
 #: traffic rows relative to τ(v) that every candidate of v can touch
 _STEP_ROWS = _STEP_OFFSETS - 1
-#: cap on the working cells of one scored block: ``P`` per touched traffic
-#: row and column (a step's candidate tensor, per send/receive side) plus
-#: ``P`` per predecessor entry (a step's scatter lists).  It bounds a
-#: block's memory, so :meth:`LazyCostTracker.candidate_deltas` may score
-#: fewer nodes than asked for (never fewer than one).
+#: cap on the working cells of one scored block, counted over its largest
+#: arrays: ``2P`` per touched traffic row (its send and receive columns),
+#: ``3P`` per predecessor entry (its volume to each target at each step),
+#: ``3P²`` per node (each step's sends by processor and target) and ``2P``
+#: per row a predecessor's transfer can leave.  It bounds a block's memory,
+#: so :meth:`LazyCostTracker.candidate_deltas` may score fewer nodes than
+#: asked for (never fewer than one).
 _BLOCK_CELLS = 1 << 16
 
 
@@ -238,6 +242,17 @@ class LazyCostTracker:
         of node ``k`` is keyed ``k * S + t``, so one ``unique`` serves the
         whole block and ``np.add.reduceat`` sums each node's rows (a node
         owns at least its rows ``τ - 2 .. τ``, so no segment is empty).
+
+        The communication delta is decomposed per traffic row.  With ``v``
+        removed, row ``r`` has maximum ``B[r]``; a candidate ``(s, q)``
+        then changes three kinds of row: (a) ``v``'s transfer rows, where
+        send column ``q`` and the targets' receive columns rise; (b) row
+        ``s - 1``, where every predecessor whose ``v``-free need on ``q``
+        is later than ``s`` (or absent) now sends to ``q``; (c) such a
+        predecessor's later row, which its transfer to ``q`` leaves.  (a)
+        and (b) only raise columns, so their new maximum is that of
+        ``B[r]`` and the raised columns; only the few (c) rows take a full
+        ``2P``-column maximum, once per (row, target) for all three steps.
         """
         dag = self.dag
         numa = self.machine.numa
@@ -293,8 +308,13 @@ class LazyCostTracker:
         )
         at_t, at_f, at_s = at[: tk.size], at[tk.size : -3 * K], at[-3 * K :].reshape(K, 3)
         ends = np.searchsorted(keys, (kr + 1) * stride)  # end of each node's rows
-        # a prefix's working cells: its candidate tensor and scatter lists
-        cells = P * (P * ends + pred_off[1:])
+        # a prefix's working cells: those of its largest arrays (see
+        # ``_BLOCK_CELLS``); a predecessor's need leaves at most one row
+        cells = P * (
+            2 * ends
+            + 3 * (pred_off[1:] + P * (kr + 1))
+            + 2 * np.searchsorted(fe, pred_off[1:])
+        )
         fit = max(1, int(np.searchsorted(cells, _BLOCK_CELLS, side="right")))
         if fit < K:
             K = fit
@@ -326,71 +346,103 @@ class LazyCostTracker:
             deltas[:, i] = (np.maximum(wms, self.work[s] + w) - wms) + (m0 - wm[s0])[:, None]
 
         # --- communication component ----------------------------------- #
-        # The traffic rows of the candidates (i, q) of one step i are
-        # scattered into the flat cells of a (send/recv column, target q,
-        # row) tensor: with the columns outermost, every row maximum is one
-        # elementwise maximum over 2P contiguous slabs.  Pairs with a zero
-        # NUMA multiplier (a processor "sending" to itself) add zero volume,
-        # so they are scattered along instead of masked out.
+        # ``base`` holds the touched traffic rows with v removed, one line
+        # of send then receive columns per row: v's old transfers
+        # disappear, and the predecessors' transfers to p0 (they feed v
+        # there) move to their v-free phase.  Pairs with a zero NUMA
+        # multiplier (a processor "sending" to itself) add zero volume, so
+        # they are scattered along instead of masked out.
         c_v = dag.comm_weights[nodes]
         pp = self.procs[preds]
         pvol = dag.comm_weights[preds][:, None] * numa[pp]  # (E, P)
         procs = np.arange(P, dtype=_INT)
-
-        # candidate-independent diffs: v's old transfers disappear, the
-        # predecessors' transfers to p0 (they feed v there) move to their
-        # v-free phase
         fi = np.flatnonzero(pp != p0k)
         fk = pk[fi]
         t_p0 = table[fi, p0[fk]]
         at_p0 = at_table[fi, p0[fk]]
         finite = t_p0 != NO_ENTRY
         vol_p0 = pvol[fi, p0[fk]]
-        at_c = np.concatenate((at_t, np.where(t_p0 < s0[fk], at_p0, at_s[fk, 1]), at_p0[finite]))
-        vols = np.concatenate((-c_v[tk] * numa[p0[tk], tq], -vol_p0, vol_p0[finite]))
+        at_c = 2 * P * np.concatenate(
+            (at_t, np.where(t_p0 < s0[fk], at_p0, at_s[fk, 1]), at_p0[finite])
+        )
+        c_t = c_v[tk]
+        vols = np.concatenate((-c_t * numa[p0[tk], tq], -vol_p0, vol_p0[finite]))
         send_col = np.concatenate((p0[tk], pp[fi], pp[fi[finite]]))
         recv_col = np.concatenate((tq, p0[fk], p0[fk[finite]])) + P
-        base = self.traffic[:, rows] + np.bincount(
-            np.concatenate((send_col * R + at_c, recv_col * R + at_c)),
+        base = self.traffic.T[rows] + np.bincount(
+            np.concatenate((at_c + send_col, at_c + recv_col)),
             np.concatenate((vols, vols)),
             2 * P * R,
-        ).reshape(2 * P, R)
+        ).reshape(R, 2 * P)
 
-        # per-target diffs: v's new transfers from q, and the predecessors'
-        # existing transfers to q disappear (they are re-added at their new
-        # phase in the per-step scatter below)
-        q = procs[:, None]
-        vols = np.concatenate(((c_v[tk] * numa[:, tq]).ravel(), -pvol[fe, fq]))
-        by_target = base[:, None] + np.bincount(
-            np.concatenate(
-                (
-                    (q * (P + 1) * R + at_t).ravel(),
-                    (pp[fe] * P + fq) * R + at_f,
-                    (((P + tq) * P + q) * R + at_t).ravel(),
-                    (fq * (P + 1) + P * P) * R + at_f,
-                )
-            ),
-            np.concatenate((vols, vols)),
-            2 * P * P * R,
-        ).reshape(2 * P, P, R)
-
-        # per-step diffs: every predecessor now also feeds v on q, so its
-        # transfer to q lands at min(first other need, s) - 1
-        comm = np.empty((3, P, K))
-        comm_max = self._comm_max[rows]
+        # (a) v's transfers, now sent from q: on each of their rows send
+        # column q rises by their summed volume, and each target t's
+        # receive column by c(v)·λ(q, t).  Only columns rise, so
+        # ``lift[r, q]``, row r's maximum with v re-added on q (and the
+        # predecessors still at their v-free phases), is the larger of
+        # the row's maximum and its raised columns.  It does not depend on
+        # the step, and on rows without a transfer of v it is that maximum.
+        raise_t = c_t[:, None] * numa[:, tq].T  # (transfer, q)
+        send_a = np.bincount(
+            (at_t[:, None] * P + procs).ravel(), raise_t.ravel(), R * P
+        ).reshape(R, P)
+        lift = np.maximum(base.max(axis=1)[:, None], base[:, :P] + send_a)
+        np.maximum.at(lift, at_t, base[at_t, P + tq][:, None] + raise_t)
         starts = np.concatenate(([0], ends[: K - 1]))
-        lead_send = (pp[:, None] * P + procs) * R
-        lead_recv = ((P + procs) * P + procs) * R
-        vols = np.concatenate((pvol.ravel(), pvol.ravel()))
-        for i in range(3):
-            at_i = np.where(table < (s0 - 1 + i)[pk][:, None], at_table, at_s[pk, i][:, None])
-            moved = by_target + np.bincount(
-                np.concatenate(((lead_send + at_i).ravel(), (lead_recv + at_i).ravel())),
-                vols,
-                2 * P * P * R,
-            ).reshape(2 * P, P, R)
-            comm[i] = np.add.reduceat(moved.max(axis=0) - comm_max, starts, axis=1)
-        deltas += self.machine.g * comm.transpose(2, 0, 1)
+        comm = np.add.reduceat(lift - self._comm_max[rows][:, None], starts)[:, None]
+
+        # (b) row s - 1: every predecessor whose v-free need on q is later
+        # than s, or absent, now sends to q there.  That raises its
+        # processor's send column (summed per processor) and receive
+        # column q (summed over all of them), never a column (a) raises
+        # (λ(q, q) = 0).  The sending processor is the outermost axis of
+        # ``sends``, so both reductions over it are elementwise.
+        steps = s0[:, None] + _STEP_OFFSETS  # (K, 3)
+        moved = np.where(table[:, None] > steps[pk][:, :, None], pvol[:, None], 0.0)
+        sends = np.bincount(
+            (((pp * K + pk) * (3 * P))[:, None] + np.arange(3 * P)).ravel(),
+            moved.ravel(),
+            P * K * 3 * P,
+        ).reshape(P, K, 3, P)  # (sending processor, node, step, q)
+        row_b = base[at_s]  # (K, 3, 2P)
+        lift_b = lift[at_s]
+        raised = np.maximum(
+            np.maximum(lift_b, (row_b[..., :P].transpose(2, 0, 1)[..., None] + sends).max(axis=0)),
+            row_b[..., P:] + sends.sum(axis=0),
+        )
+        comm = comm + (raised - lift_b)
+
+        # (c) the row t - 1 of each predecessor moved in (b) that has a
+        # v-free need t on q: its transfer leaves, lowering its processor's
+        # send column and receive column q, so that row alone needs a full
+        # maximum.  Every predecessor on one (row, q) pair shares t, so the
+        # pair's row is built once, with v's (a) raises.  It counts for the
+        # steps s < t, whose (b) row s - 1 comes before it among the node's
+        # rows (sorted by phase), so each step's share is a difference of
+        # running sums over the block's rows.
+        if fe.size:
+            pair = at_f * P + fq
+            present = np.zeros(R * P, dtype=bool)
+            present[pair] = True
+            pairs = np.flatnonzero(present)
+            gr, gq = np.divmod(pairs, P)
+            sent = np.zeros((R, P))  # c(v) at the (row, target) of its transfers
+            sent[at_t, tq] = c_t
+            full = base[gr]
+            full[:, P:] += sent[gr] * numa[gq]
+            at_g = 2 * P * np.arange(pairs.size)
+            at_e = 2 * P * np.searchsorted(pairs, pair)
+            vol = -pvol[fe, fq]
+            full += np.bincount(
+                np.concatenate((at_g + gq, at_e + pp[fe], at_e + P + fq)),
+                np.concatenate((send_a.ravel()[pairs], vol, vol)),
+                pairs.size * 2 * P,
+            ).reshape(-1, 2 * P)
+            change = np.zeros((R + 1) * P)  # a zero row, then one per row
+            change[P + pairs] = full.max(axis=1) - lift.ravel()[pairs]
+            before = np.cumsum(change.reshape(R + 1, P), axis=0)  # rows < r
+            comm += before[ends[:K], None] - before[at_s + 1]
+        deltas += self.machine.g * comm
         return deltas, valid
 
     def _block_validity(

@@ -431,10 +431,23 @@ class _BucketQueue:
     per-bucket live counts keep the lightest-third cutoff exact, so one
     contraction costs O((deg(u) + deg(v)) · log) bookkeeping instead of the
     seed's full O(m log m) rescan-and-sort.
+
+    With ``final_rejections`` (an exact acyclicity check), an entry the
+    check rejects leaves its heap for good but stays counted in ``live``:
+    a second ``u -> v`` path survives every contraction that merges
+    neither ``u`` nor ``v`` (its inner nodes may merge, but never into
+    ``u`` or ``v``), and one that merges ``u`` or ``v`` strands the entry
+    anyway.  So the edge is never probed again at the same endpoint
+    versions, and the cutoff still counts it, as the seed's full edge
+    list does.  A budgeted check's "no" may be a budget stop, so without
+    the flag a rejected entry goes back into its bucket.
     """
 
-    def __init__(self, graph: "_MutableGraph | _FlatGraph") -> None:
+    def __init__(
+        self, graph: "_MutableGraph | _FlatGraph", final_rejections: bool = False
+    ) -> None:
         self.graph = graph
+        self.final_rejections = final_rejections
         self.version: dict[int, int] = dict.fromkeys(graph.node_ids(), 0)
         self.buckets: dict[float, list[tuple]] = {}
         self.live: dict[float, int] = {}
@@ -501,7 +514,7 @@ class _BucketQueue:
             if top is not None:
                 merge.append((top, key))
         heapq.heapify(merge)
-        popped: list[tuple] = []  # live entries pulled out, restored on exit
+        popped: list[tuple] = []  # rejected entries to restore on exit
         chosen: tuple | None = None
         while merge:
             entry, key = heapq.heappop(merge)
@@ -510,7 +523,8 @@ class _BucketQueue:
             if is_contractable(u, v):
                 chosen = (u, v)  # consumed by the upcoming contraction
                 break
-            popped.append((entry, key))
+            if not self.final_rejections:
+                popped.append((entry, key))
             refill = self._live_top(key)
             if refill is not None:
                 heapq.heappush(merge, (refill, key))
@@ -602,7 +616,7 @@ def coarsen_dag(
     use_order = method == "pk" or (method == "auto" and search_budget is None)
     sequence = CoarseningSequence(original=dag)
     graph = _FlatGraph(dag, use_order=use_order)
-    queue = _BucketQueue(graph)
+    queue = _BucketQueue(graph, final_rejections=search_budget is None)
 
     def check(u: int, v: int) -> bool:
         return graph.is_contractable(u, v, search_budget)

@@ -259,6 +259,52 @@ class TestPearceKellyCoarsening:
         for level in range(0, sequence.num_contractions + 1, 5):
             assert sequence.quotient(level).dag.is_acyclic()
 
+    def test_rejected_edge_is_never_probed_again(self, monkeypatch):
+        """An exact rejection is final until a contraction merges an endpoint.
+
+        Every ``pk_order`` probe is logged with the number of contractions
+        each endpoint has absorbed so far; no (edge, endpoint versions)
+        pair may be probed twice.  The records stay those of a queue that
+        re-probes every rejected edge: a DFS budget no probe can exhaust
+        keeps the verdicts exact but restores rejected entries.
+        """
+        from repro.schedulers.multilevel import coarsen as coarsen_module
+
+        events: list[tuple[str, int, int, int]] = []
+        probe = kernels.pk_order
+        contract = coarsen_module._FlatGraph.contract
+
+        def recording_probe(graph, mode, u, v):
+            found = probe(graph, mode, u, v)
+            if mode == 0:
+                events.append(("probe", u, v, found))
+            return found
+
+        def recording_contract(graph, u, v):
+            events.append(("merge", u, v, 0))
+            return contract(graph, u, v)
+
+        monkeypatch.setattr(kernels, "pk_order", recording_probe)
+        monkeypatch.setattr(coarsen_module._FlatGraph, "contract", recording_contract)
+        rejected = 0
+        for seed in range(4):
+            dag = random_dag(60, 0.15, seed=500 + seed)
+            events.clear()
+            pk = coarsen_dag(dag, target_nodes=8)
+            merges = dict.fromkeys(range(dag.num_nodes), 0)
+            probed: set[tuple[int, int, int, int]] = set()
+            for kind, u, v, found in events:
+                if kind == "merge":
+                    merges[u] += 1
+                    continue
+                key = (u, v, merges[u], merges[v])
+                assert key not in probed, (seed, key)
+                probed.add(key)
+                rejected += found != 0
+            reprobing = coarsen_dag(dag, target_nodes=8, search_budget=2 * dag.num_nodes)
+            assert pk.records == reprobing.records
+        assert rejected > 0
+
 
 class TestProjection:
     def test_project_and_restrict_roundtrip(self):

@@ -17,7 +17,12 @@ import pytest
 
 from repro.core import BspMachine, BspSchedule, ComputationalDAG, kernels
 from repro.core.kernels import _HC_BLOCK_MAX
-from repro.schedulers import CommScheduleHillClimbing, HillClimbingImprover
+from repro.schedulers import (
+    BspGreedyScheduler,
+    CommScheduleHillClimbing,
+    HillClimbingImprover,
+    SourceScheduler,
+)
 from repro.schedulers.hill_climbing import LazyCostTracker
 from repro.schedulers.reference import (
     CommScheduleHillClimbingReference,
@@ -142,6 +147,57 @@ class TestCandidateDeltas:
                     lo = int(rng.integers(0, n))
                     block = np.arange(lo, int(rng.integers(lo + 1, n + 1)))
                     assert _assert_block_matches_probe(tracker, block) == block.size
+
+    @pytest.mark.parametrize(
+        "machine",
+        [
+            BspMachine.uniform(16, g=2, latency=5),
+            BspMachine.numa_hierarchy(16, delta=4, g=1, latency=5),
+        ],
+        ids=["uniform16", "numa16"],
+    )
+    def test_sixteen_processors_from_heuristic_starts(self, machine):
+        """BSPg and Source starts, and the states a step-capped climb leaves.
+
+        Both starts of the high-fan-in RCM Cholesky DAG are already local
+        optima at P=16; the random DAG's climbs accept moves.
+        """
+        climbed = 0
+        for dag in (_tiny_rcm_cholesky(), random_dag(36, 0.12, seed=31)):
+            nodes = np.arange(dag.num_nodes)
+            for initializer in (BspGreedyScheduler(), SourceScheduler()):
+                start = initializer.schedule(dag, machine)
+                tracker = LazyCostTracker(dag, machine, start.procs, start.supersteps)
+                for climb in (False, True):
+                    if climb:
+                        moves = HillClimbingImprover(max_steps=12).climb(tracker)
+                        climbed += moves
+                        if not moves:
+                            break
+                    scored = 0
+                    while scored < nodes.size:
+                        scored += _assert_block_matches_probe(tracker, nodes[scored:])
+        assert climbed > 0
+
+    def test_predecessor_leaving_a_later_row(self):
+        """A predecessor's transfer to q moves up from a later row.
+
+        u (node 0, processor 0) feeds v (node 1) and w (node 2, processor 1,
+        superstep 3), so u's value goes to processor 1 in phase 2.  Moving v
+        to processor 1 at superstep 1 or 2 pulls that transfer up to phase
+        s - 1 and lowers phase 2, where v's own transfer to its successor x
+        (node 4, processor 0, superstep 3) now lands.
+        """
+        dag = ComputationalDAG(5, [1.0] * 5, [2.0, 1.0, 1.0, 1.0, 1.0])
+        for u, v in ((0, 1), (0, 2), (1, 4)):
+            dag.add_edge(u, v)
+        machine = BspMachine.uniform(2, g=1, latency=0)
+        tracker = LazyCostTracker(dag, machine, [0, 0, 1, 0, 0], [0, 1, 3, 2, 3])
+        assert _assert_block_matches_probe(tracker, np.arange(5)) == 5
+        deltas, valid = tracker.candidate_deltas(np.array([1]))
+        # phase 0 gains u's transfer (+2); phase 2 drops from u's 2 to v's 1
+        assert valid[0, 1, 1] and deltas[0, 1, 1] == 1.0
+        assert valid[0, 2, 1] and deltas[0, 2, 1] == 0.0
 
     def test_validity_mask_matches_is_valid_move(self):
         dag = random_dag(18, 0.25, seed=9)
