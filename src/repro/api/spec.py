@@ -19,6 +19,7 @@ re-hydrated on ``build``:
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -41,19 +42,24 @@ def _factory(name: str):
         ) from exc
 
 
-def _accepted_parameters(factory) -> tuple[set[str] | None, set[str]]:
-    """``(accepted, seedable)`` parameter names; ``accepted=None`` = **kwargs."""
-    signature = inspect.signature(factory)
-    names: set[str] = set()
-    for parameter in signature.parameters.values():
+@functools.cache
+def _accepted_parameters(factory) -> tuple[frozenset[str] | None, frozenset[str]]:
+    """``(accepted, seedable)`` parameter names; ``accepted=None`` = **kwargs.
+
+    Computed once per factory: every request's ``build`` asks for the
+    seedable names, and only registry factories reach here, so the memo
+    holds at most one entry per registry name.
+    """
+    names: list[str] = []
+    for parameter in inspect.signature(factory).parameters.values():
         if parameter.kind is inspect.Parameter.VAR_KEYWORD:
-            return None, names
+            return None, frozenset(names)
         if parameter.kind in (
             inspect.Parameter.POSITIONAL_OR_KEYWORD,
             inspect.Parameter.KEYWORD_ONLY,
         ):
-            names.add(parameter.name)
-    return names, names
+            names.append(parameter.name)
+    return frozenset(names), frozenset(names)
 
 
 @dataclass(frozen=True)

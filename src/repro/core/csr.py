@@ -71,16 +71,15 @@ def gather_rows(
     ``values[offsets[k]:offsets[k + 1]]``.
     """
     nodes = np.asarray(nodes, dtype=_INT)
-    counts = indptr[nodes + 1] - indptr[nodes]
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
     offsets = np.zeros(nodes.size + 1, dtype=_INT)
-    np.cumsum(counts, out=offsets[1:])
+    np.add.accumulate(counts, out=offsets[1:])
     total = int(offsets[-1])
     if total == 0:
         return np.empty(0, dtype=indices.dtype), offsets
     # classic ragged gather: per-element position = row start + intra-row rank
-    positions = np.repeat(indptr[nodes] - offsets[:-1], counts) + np.arange(
-        total, dtype=_INT
-    )
+    positions = (starts - offsets[:-1]).repeat(counts) + np.arange(total, dtype=_INT)
     return indices[positions], offsets
 
 

@@ -116,35 +116,11 @@ class LazyCostTracker:
         self.recv = self.traffic[P:].T
         self._work_max = np.zeros(S, dtype=np.float64)
         self._comm_max = np.zeros(S, dtype=np.float64)
-        self._need = np.empty(P, dtype=np.int64)  # scratch for _transfers_of
         self._build()
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    _NO_NEED = np.iinfo(np.int64).max
-
-    def _transfers_of(self, v: int) -> list[tuple[int, int, int, float]]:
-        """Lazy transfers of node ``v``: list of ``(phase, source, target, volume)``."""
-        dag = self.dag
-        succ = dag.succ(v)
-        if succ.size == 0:
-            return []
-        pv = int(self.procs[v])
-        qs = self.procs[succ]
-        foreign = qs != pv
-        if not foreign.any():
-            return []
-        need = self._need
-        need.fill(self._NO_NEED)
-        np.minimum.at(need, qs[foreign], self.supersteps[succ[foreign]])
-        comm_v = dag.comm(v)
-        numa_row = self.machine.numa[pv]
-        return [
-            (int(need[q]) - 1, pv, q, comm_v * float(numa_row[q]))
-            for q in np.flatnonzero(need != self._NO_NEED).tolist()
-        ]
-
     def _build(self) -> None:
         """One grouped pass over the edge arrays fills work/send/recv.
 
@@ -194,10 +170,6 @@ class LazyCostTracker:
             + self.machine.latency * self.num_supersteps
         )
 
-    def _refresh_superstep(self, s: int) -> None:
-        self._work_max[s] = self.work[s].max()
-        self._comm_max[s] = self.traffic[:, s].max()
-
     # ------------------------------------------------------------------ #
     # moves
     # ------------------------------------------------------------------ #
@@ -239,8 +211,8 @@ class LazyCostTracker:
 
         Every per-node table is a segment of one flat array: predecessor
         entries carry their node's block index ``k``, and traffic row ``t``
-        of node ``k`` is keyed ``k * S + t``, so one ``unique`` serves the
-        whole block and ``np.add.reduceat`` sums each node's rows (a node
+        of node ``k`` is keyed ``k * S + t``, so one sort of the keys serves
+        the whole block and ``np.add.reduceat`` sums each node's rows (a node
         owns at least its rows ``τ - 2 .. τ``, so no segment is empty).
 
         The communication delta is decomposed per traffic row.  With ``v``
@@ -273,16 +245,15 @@ class LazyCostTracker:
         # minimum (need == s0 with count 1), in which case that entry is
         # rescanned from the predecessor's successor row without v.
         preds, pred_off = gather_rows(dag.pred_indptr, dag.pred_indices, nodes)
-        pk = np.repeat(kr, np.diff(pred_off))  # block index of each entry
+        pk = kr.repeat(pred_off[1:] - pred_off[:-1])  # block index of each entry
         table = self.need_min[preds]
         p0k = p0[pk]
-        suspects = np.flatnonzero(
-            (table[np.arange(preds.size), p0k] == s0[pk])
-            & (self.need_cnt[preds, p0k] == 1)
-        )
+        suspects = (
+            (self.need_min[preds, p0k] == s0[pk]) & (self.need_cnt[preds, p0k] == 1)
+        ).nonzero()[0]
         if suspects.size:
             flat, offsets = gather_rows(dag.succ_indptr, dag.succ_indices, preds[suspects])
-            rows_idx = np.repeat(np.arange(suspects.size, dtype=_INT), np.diff(offsets))
+            rows_idx = np.arange(suspects.size, dtype=_INT).repeat(offsets[1:] - offsets[:-1])
             owner = pk[suspects][rows_idx]
             keep = (flat != nodes[owner]) & (self.procs[flat] == p0[owner])
             col = np.full(suspects.size, NO_ENTRY, dtype=_INT)
@@ -293,57 +264,66 @@ class LazyCostTracker:
         # predecessors' v-free phases and the phases just below the three
         # candidate steps.  Phases of *invalid* candidates may fall outside
         # [0, S); they are clipped — the clipped updates only pollute rows
-        # of candidates the validity mask discards.  ``unique``'s inverse
-        # places every piece on its row, so no row is searched for later.
+        # of candidates the validity mask discards.  Each piece's position
+        # among the sorted distinct keys places it on its row, so no row is
+        # searched for later.
         need_v = self.need_min[nodes]
-        tk, tq = np.nonzero(need_v != NO_ENTRY)  # v's transfer targets
-        fe, fq = np.nonzero(table != NO_ENTRY)  # predecessors' other needs
+        tk, tq = (need_v != NO_ENTRY).nonzero()  # v's transfer targets
+        fe, fq = (table != NO_ENTRY).nonzero()  # predecessors' other needs
         phases = np.concatenate(
             (need_v[tk, tq] - 1, table[fe, fq] - 1, (s0[:, None] + _STEP_ROWS).ravel())
         )
-        keys, at = np.unique(
-            np.concatenate((tk, pk[fe], np.repeat(kr, 3))) * stride
-            + np.minimum(np.maximum(phases, 0), stride - 1),
-            return_inverse=True,
-        )
+        np.maximum(phases, 0, out=phases)
+        np.minimum(phases, stride - 1, out=phases)
+        phases += np.concatenate((tk, pk[fe], kr.repeat(3))) * stride
+        keys = phases.copy()
+        keys.sort()
+        distinct = np.empty(keys.size, dtype=bool)
+        distinct[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        keys = keys[distinct]
+        at = keys.searchsorted(phases)
         at_t, at_f, at_s = at[: tk.size], at[tk.size : -3 * K], at[-3 * K :].reshape(K, 3)
-        ends = np.searchsorted(keys, (kr + 1) * stride)  # end of each node's rows
+        ends = keys.searchsorted((kr + 1) * stride)  # end of each node's rows
         # a prefix's working cells: those of its largest arrays (see
         # ``_BLOCK_CELLS``); a predecessor's need leaves at most one row
         cells = P * (
-            2 * ends
-            + 3 * (pred_off[1:] + P * (kr + 1))
-            + 2 * np.searchsorted(fe, pred_off[1:])
+            2 * ends + 3 * (pred_off[1:] + P * (kr + 1)) + 2 * fe.searchsorted(pred_off[1:])
         )
-        fit = max(1, int(np.searchsorted(cells, _BLOCK_CELLS, side="right")))
+        fit = max(1, int(cells.searchsorted(_BLOCK_CELLS, side="right")))
         if fit < K:
             K = fit
             E = int(pred_off[K])
             kr, nodes, p0, s0, at_s = kr[:K], nodes[:K], p0[:K], s0[:K], at_s[:K]
             preds, pk, p0k, table = preds[:E], pk[:E], p0k[:E], table[:E]
-            nt, nf = np.searchsorted(tk, K), np.searchsorted(fe, E)
+            nt, nf = tk.searchsorted(K), fe.searchsorted(E)
             tk, tq, at_t, fe, fq, at_f = tk[:nt], tq[:nt], at_t[:nt], fe[:nf], fq[:nf], at_f[:nf]
             keys = keys[: ends[K - 1]]
         R = keys.size
         rows = keys % stride
         at_table = np.empty(table.shape, dtype=_INT)  # row of each finite need
         at_table[fe, fq] = at_f
+        steps = s0[:, None] + _STEP_OFFSETS  # (K, 3)
 
-        valid = self._block_validity(nodes, preds, pk, p0, s0)
+        valid = self._block_validity(nodes, preds, pk, p0, steps)
 
         # --- work component ------------------------------------------- #
         # weights are non-negative, so adding w at q never lowers the row
-        # and max(m0, row + w) is the row maximum after the move
+        # and max(m0, row + w) is the row maximum after the move.  Steps
+        # τ - 1 and τ + 1 are scored together, clipped like the phases.
         w = dag.work_weights[nodes][:, None]
         wm = self._work_max
         removed0 = self.work[s0]
         removed0[kr, p0] -= w[:, 0]
-        m0 = removed0.max(axis=1)
+        m0 = np.maximum.reduce(removed0, axis=1)
         deltas = np.empty((K, 3, P))
         deltas[:, 1] = np.maximum(m0[:, None], removed0 + w) - wm[s0][:, None]
-        for i, s in ((0, np.maximum(s0 - 1, 0)), (2, np.minimum(s0 + 1, stride - 1))):
-            wms = wm[s][:, None]
-            deltas[:, i] = (np.maximum(wms, self.work[s] + w) - wms) + (m0 - wm[s0])[:, None]
+        sides = np.maximum(steps[:, ::2], 0)
+        np.minimum(sides, stride - 1, out=sides)
+        wms = wm[sides][:, :, None]
+        deltas[:, ::2] = (np.maximum(wms, self.work[sides] + w[:, :, None]) - wms) + (
+            m0 - wm[s0]
+        )[:, None, None]
 
         # --- communication component ----------------------------------- #
         # ``base`` holds the touched traffic rows with v removed, one line
@@ -356,19 +336,20 @@ class LazyCostTracker:
         pp = self.procs[preds]
         pvol = dag.comm_weights[preds][:, None] * numa[pp]  # (E, P)
         procs = np.arange(P, dtype=_INT)
-        fi = np.flatnonzero(pp != p0k)
+        fi = (pp != p0k).nonzero()[0]
         fk = pk[fi]
-        t_p0 = table[fi, p0[fk]]
-        at_p0 = at_table[fi, p0[fk]]
+        p0f = p0k[fi]
+        t_p0 = table[fi, p0f]
+        at_p0 = at_table[fi, p0f]
         finite = t_p0 != NO_ENTRY
-        vol_p0 = pvol[fi, p0[fk]]
+        vol_p0 = pvol[fi, p0f]
         at_c = 2 * P * np.concatenate(
             (at_t, np.where(t_p0 < s0[fk], at_p0, at_s[fk, 1]), at_p0[finite])
         )
         c_t = c_v[tk]
         vols = np.concatenate((-c_t * numa[p0[tk], tq], -vol_p0, vol_p0[finite]))
         send_col = np.concatenate((p0[tk], pp[fi], pp[fi[finite]]))
-        recv_col = np.concatenate((tq, p0[fk], p0[fk[finite]])) + P
+        recv_col = np.concatenate((tq, p0f, p0f[finite])) + P
         base = self.traffic.T[rows] + np.bincount(
             np.concatenate((at_c + send_col, at_c + recv_col)),
             np.concatenate((vols, vols)),
@@ -386,7 +367,7 @@ class LazyCostTracker:
         send_a = np.bincount(
             (at_t[:, None] * P + procs).ravel(), raise_t.ravel(), R * P
         ).reshape(R, P)
-        lift = np.maximum(base.max(axis=1)[:, None], base[:, :P] + send_a)
+        lift = np.maximum(np.maximum.reduce(base, axis=1)[:, None], base[:, :P] + send_a)
         np.maximum.at(lift, at_t, base[at_t, P + tq][:, None] + raise_t)
         starts = np.concatenate(([0], ends[: K - 1]))
         comm = np.add.reduceat(lift - self._comm_max[rows][:, None], starts)[:, None]
@@ -397,7 +378,6 @@ class LazyCostTracker:
         # column q (summed over all of them), never a column (a) raises
         # (λ(q, q) = 0).  The sending processor is the outermost axis of
         # ``sends``, so both reductions over it are elementwise.
-        steps = s0[:, None] + _STEP_OFFSETS  # (K, 3)
         moved = np.where(table[:, None] > steps[pk][:, :, None], pvol[:, None], 0.0)
         sends = np.bincount(
             (((pp * K + pk) * (3 * P))[:, None] + np.arange(3 * P)).ravel(),
@@ -407,8 +387,11 @@ class LazyCostTracker:
         row_b = base[at_s]  # (K, 3, 2P)
         lift_b = lift[at_s]
         raised = np.maximum(
-            np.maximum(lift_b, (row_b[..., :P].transpose(2, 0, 1)[..., None] + sends).max(axis=0)),
-            row_b[..., P:] + sends.sum(axis=0),
+            np.maximum(
+                lift_b,
+                np.maximum.reduce(row_b[..., :P].transpose(2, 0, 1)[..., None] + sends, axis=0),
+            ),
+            row_b[..., P:] + np.add.reduce(sends, axis=0),
         )
         comm = comm + (raised - lift_b)
 
@@ -424,14 +407,14 @@ class LazyCostTracker:
             pair = at_f * P + fq
             present = np.zeros(R * P, dtype=bool)
             present[pair] = True
-            pairs = np.flatnonzero(present)
+            pairs = present.nonzero()[0]
             gr, gq = np.divmod(pairs, P)
             sent = np.zeros((R, P))  # c(v) at the (row, target) of its transfers
             sent[at_t, tq] = c_t
             full = base[gr]
             full[:, P:] += sent[gr] * numa[gq]
             at_g = 2 * P * np.arange(pairs.size)
-            at_e = 2 * P * np.searchsorted(pairs, pair)
+            at_e = 2 * P * pairs.searchsorted(pair)
             vol = -pvol[fe, fq]
             full += np.bincount(
                 np.concatenate((at_g + gq, at_e + pp[fe], at_e + P + fq)),
@@ -439,8 +422,8 @@ class LazyCostTracker:
                 pairs.size * 2 * P,
             ).reshape(-1, 2 * P)
             change = np.zeros((R + 1) * P)  # a zero row, then one per row
-            change[P + pairs] = full.max(axis=1) - lift.ravel()[pairs]
-            before = np.cumsum(change.reshape(R + 1, P), axis=0)  # rows < r
+            change[P + pairs] = np.maximum.reduce(full, axis=1) - lift.ravel()[pairs]
+            before = np.add.accumulate(change.reshape(R + 1, P), axis=0)  # rows < r
             comm += before[ends[:K], None] - before[at_s + 1]
         deltas += self.machine.g * comm
         return deltas, valid
@@ -451,22 +434,22 @@ class LazyCostTracker:
         preds: np.ndarray,
         pk: np.ndarray,
         p0: np.ndarray,
-        s0: np.ndarray,
+        steps: np.ndarray,
     ) -> np.ndarray:
         """Boolean ``(K, 3, P)`` mask of the valid single-node moves of a block.
 
         Semantically identical to :meth:`is_valid_move` for every candidate
         (staying put excluded), evaluated from the flattened neighbour
-        slices (``preds`` with their block indices ``pk``): a predecessor
-        scheduled *after* a candidate step (a successor *before* it) kills
-        the whole step, neighbours *tied* at the step force the single
-        processor they occupy — and kill the step when they disagree.
+        slices (``preds`` with their block indices ``pk``) and the ``(K,
+        3)`` candidate ``steps``: a predecessor scheduled *after* a
+        candidate step (a successor *before* it) kills the whole step,
+        neighbours *tied* at the step force the single processor they
+        occupy — and kill the step when they disagree.
         """
         P = self.machine.num_procs
         K = nodes.size
         succs, succ_off = gather_rows(self.dag.succ_indptr, self.dag.succ_indices, nodes)
-        sk = np.repeat(np.arange(K, dtype=_INT), np.diff(succ_off))
-        steps = s0[:, None] + _STEP_OFFSETS  # (K, 3)
+        sk = np.arange(K, dtype=_INT).repeat(succ_off[1:] - succ_off[:-1])
         # rel > 0: the neighbour forbids the step; rel == 0: it is tied there
         rel = np.concatenate(
             (
@@ -477,11 +460,9 @@ class LazyCostTracker:
         cell = np.concatenate((pk, sk))[:, None] * 3 + np.arange(3, dtype=_INT)
         open_steps = ((steps >= 0) & (steps < self.num_supersteps)).ravel()
         open_steps[cell[rel > 0]] = False
-        tied = rel == 0
-        tied_cells = cell[tied]
-        tied_procs = np.broadcast_to(
-            np.concatenate((self.procs[preds], self.procs[succs]))[:, None], rel.shape
-        )[tied]
+        tied, tied_step = (rel == 0).nonzero()
+        tied_cells = cell[tied, tied_step]
+        tied_procs = np.concatenate((self.procs[preds], self.procs[succs]))[tied]
         lo = np.full(3 * K, P, dtype=_INT)
         hi = np.full(3 * K, -1, dtype=_INT)
         np.minimum.at(lo, tied_cells, tied_procs)
@@ -495,69 +476,75 @@ class LazyCostTracker:
         return valid
 
     def apply_move(self, v: int, new_proc: int, new_step: int) -> float:
-        """Apply the move and return the resulting change in total cost."""
-        dag = self.dag
+        """Apply the move and return the resulting change in total cost.
+
+        Only the lazy transfers of ``v`` and of its predecessors can change.
+        They are read from the first-need rows before and after
+        :meth:`_update_need`, the old ones subtracted and the new ones added
+        in (node, target) order, so every traffic cell sees the same float
+        updates as a node-by-node walk over the transfers.  Then the work
+        and traffic maxima of the touched supersteps are refreshed.
+        """
         old_proc = int(self.procs[v])
         old_step = int(self.supersteps[v])
         if (old_proc, old_step) == (new_proc, new_step):
             return 0.0
-
-        touched: set[int] = {old_step, new_step}
-
-        affected = [v, *dag.pred(v).tolist()]
-        old_transfers = {u: self._transfers_of(u) for u in affected}
-
-        before = (
-            self._work_max.sum()
-            + self.machine.g * self._comm_max.sum()
-        )
-
-        # work
-        work_v = dag.work(v)
+        g = self.machine.g
+        before = self._work_max.sum() + g * self._comm_max.sum()
+        preds = self.dag.pred(v)
+        affected = np.concatenate(((v,), preds))
+        old_rows, old_phases, old_volumes = self._transfer_cells(affected)
+        work_v = self.dag.work(v)
         self.work[old_step, old_proc] -= work_v
         self.work[new_step, new_proc] += work_v
-
-        # remove old transfer volumes of v and its predecessors
-        for u in affected:
-            for phase, source, target, volume in old_transfers[u]:
-                self.send[phase, source] -= volume
-                self.recv[phase, target] -= volume
-                touched.add(phase)
-
-        # reassign and add back the recomputed transfers
         self.procs[v] = new_proc
         self.supersteps[v] = new_step
-        self._update_need(v, old_proc, old_step, new_proc, new_step)
-        for u in affected:
-            for phase, source, target, volume in self._transfers_of(u):
-                self.send[phase, source] += volume
-                self.recv[phase, target] += volume
-                touched.add(phase)
+        self._update_need(preds, old_proc, old_step, new_proc, new_step)
+        new_rows, new_phases, new_volumes = self._transfer_cells(affected)
+        np.subtract.at(self.traffic, (old_rows, old_phases), old_volumes)
+        np.add.at(self.traffic, (new_rows, new_phases), new_volumes)
+        touched = np.concatenate(((old_step, new_step), old_phases, new_phases))
+        self._work_max[touched] = np.maximum.reduce(self.work[touched], axis=1)
+        self._comm_max[touched] = np.maximum.reduce(self.traffic[:, touched], axis=0)
+        return float(self._work_max.sum() + g * self._comm_max.sum() - before)
 
-        for s in touched:
-            if 0 <= s < self.num_supersteps:
-                self._refresh_superstep(s)
+    def _transfer_cells(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Traffic cells ``(rows, phases, volumes)`` of the lazy transfers of ``nodes``.
 
-        after = (
-            self._work_max.sum()
-            + self.machine.g * self._comm_max.sum()
+        Node ``u`` sends ``c(u)·λ(π(u), q)`` to every processor ``q ≠
+        π(u)`` that needs it, in phase ``need_min[u, q] - 1``.  Every
+        transfer is listed on its send row ``π(u)``, then all again on
+        their receive rows ``P + q``, each time in (node, target) order.
+        """
+        need = self.need_min[nodes]
+        sources = self.procs[nodes]
+        sends = need != NO_ENTRY
+        sends[np.arange(nodes.size), sources] = False
+        at, targets = sends.nonzero()
+        phases = need[at, targets] - 1
+        sources = sources[at]
+        volumes = self.dag.comm_weights[nodes[at]] * self.machine.numa[sources, targets]
+        return (
+            np.concatenate((sources, targets + self.machine.num_procs)),
+            np.concatenate((phases, phases)),
+            np.concatenate((volumes, volumes)),
         )
-        return float(after - before)
 
     def _update_need(
-        self, v: int, old_proc: int, old_step: int, new_proc: int, new_step: int
+        self, preds: np.ndarray, old_proc: int, old_step: int, new_proc: int, new_step: int
     ) -> None:
-        """Maintain the first-need (min, count) rows of ``v``'s predecessors.
+        """Maintain the first-need (min, count) rows of ``v``'s predecessors ``preds``.
 
         Must run after ``procs[v]``/``supersteps[v]`` have been reassigned.
         ``v``'s contribution moves from ``(old_proc, old_step)`` to
         ``(new_proc, new_step)``: the addition is applied first (against the
         pre-addition minima), then the removal — a predecessor whose achiever
-        count drops to zero gets its column rescanned from its successor row
-        (rare: it requires ``v`` to have been the sole achiever).  ``v``'s own
-        row is untouched — its successors did not move.
+        count drops to zero gets its column rescanned from its successor row.
+        That happens whenever ``v`` was the sole achiever, which is common:
+        ``v`` is often a predecessor's only successor at its old (processor,
+        superstep).  ``v``'s own row is untouched — its successors did not
+        move.
         """
-        preds = self.dag.pred(v)
         if preds.size == 0:
             return
         nm = self.need_min[preds, new_proc]
@@ -571,7 +558,7 @@ class LazyCostTracker:
         dead = dec[self.need_cnt[dec, old_proc] == 0]
         if dead.size:
             flat, offsets = gather_rows(self.dag.succ_indptr, self.dag.succ_indices, dead)
-            rows_idx = np.repeat(np.arange(dead.size, dtype=_INT), np.diff(offsets))
+            rows_idx = np.arange(dead.size, dtype=_INT).repeat(offsets[1:] - offsets[:-1])
             keep = self.procs[flat] == old_proc
             col = np.full(dead.size, NO_ENTRY, dtype=_INT)
             cnt = np.zeros(dead.size, dtype=_INT)

@@ -9,12 +9,14 @@ deterministic-budget requests.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -125,6 +127,34 @@ class TestSchedulerSpec:
         pinned = SchedulerSpec("cilk", {"seed": 7}).build(default_seed=42)
         assert pinned.seed == 7
         SchedulerSpec("hdagg").build(default_seed=42)  # must not blow up
+
+    def test_factory_signatures_are_read_once(self, monkeypatch):
+        """Repeated specs and builds read each factory's signature once."""
+        from repro.api import spec as spec_module
+        from repro.schedulers import SCHEDULER_FACTORIES
+
+        spec_module._accepted_parameters.cache_clear()
+        read: list[object] = []
+        signature = inspect.signature
+
+        def counting(obj, *args, **kwargs):
+            read.append(obj)
+            return signature(obj, *args, **kwargs)
+
+        monkeypatch.setattr(inspect, "signature", counting)
+        params = {"framework_heuristics": {"local_search_seconds": None}}
+        dag = random_dag(20, 0.2, seed=3)
+        machine = MachineSpec(num_procs=3, g=2, latency=1).build()
+        for name in ("cilk", "etf", "hdagg", "bsp_greedy", "framework_heuristics"):
+            spec = SchedulerSpec(name, params.get(name, {}))
+            built = [spec.build(default_seed=5) for _ in range(3)]
+            assert len({type(scheduler) for scheduler in built}) == 1
+            assert len({getattr(scheduler, "seed", None) for scheduler in built}) == 1
+            schedules = [scheduler.schedule(dag, machine) for scheduler in built]
+            for schedule in schedules[1:]:
+                assert np.array_equal(schedule.procs, schedules[0].procs)
+                assert np.array_equal(schedule.supersteps, schedules[0].supersteps)
+            assert read.count(SCHEDULER_FACTORIES[name]) == 1, name
 
 
 class TestSolveAllRegistrySchedulers:

@@ -62,6 +62,54 @@ class TestLazyCostTracker:
             moves_checked += 1
         assert moves_checked > 20
 
+    @pytest.mark.parametrize(
+        "machine",
+        [
+            BspMachine.uniform(3, g=2, latency=1),
+            BspMachine.numa_hierarchy(4, delta=3, g=2, latency=1),
+        ],
+        ids=["uniform", "numa"],
+    )
+    def test_state_after_every_move_equals_a_fresh_build(self, machine):
+        """Work, traffic, their row maxima and the first-need tables, bit for bit.
+
+        Integer weights keep every traffic sum exact, so a maintained
+        tracker must hold the very bytes of one built from its ``(π, τ)``.
+        Some moves leave a predecessor with no successor on the moved
+        node's old processor, so its first-need column is rescanned empty.
+        """
+        names = ("work", "traffic", "_work_max", "_comm_max", "need_min", "need_cnt")
+        rng = np.random.default_rng(7)
+        moves = emptied = 0
+        for seed in range(3):
+            dag = random_dag(24, 0.15, seed=60 + seed)
+            schedule = RoundRobinScheduler().schedule(dag, machine)
+            tracker = LazyCostTracker(dag, machine, schedule.procs, schedule.supersteps)
+            for _ in range(300):
+                v = int(rng.integers(dag.num_nodes))
+                old_proc, old_step = int(tracker.procs[v]), int(tracker.supersteps[v])
+                new_proc = int(rng.integers(machine.num_procs))
+                new_step = old_step + int(rng.integers(-1, 2))
+                if (new_proc, new_step) == (old_proc, old_step) or not tracker.is_valid_move(
+                    v, new_proc, new_step
+                ):
+                    continue
+                emptied += new_proc != old_proc and any(
+                    np.count_nonzero(tracker.procs[dag.succ(u)] == old_proc) == 1
+                    for u in dag.pred(v).tolist()
+                )
+                tracker.apply_move(v, new_proc, new_step)
+                moves += 1
+                fresh = LazyCostTracker(
+                    dag, machine, tracker.procs, tracker.supersteps, tracker.num_supersteps
+                )
+                for name in names:
+                    kept, built = getattr(tracker, name), getattr(fresh, name)
+                    assert kept.dtype == built.dtype and kept.shape == built.shape, name
+                    assert kept.tobytes() == built.tobytes(), (name, moves)
+        assert moves >= 100
+        assert emptied > 0
+
     def test_inverse_move_restores_cost(self):
         machine = BspMachine.uniform(2, g=1, latency=2)
         dag = build_fork_join_dag(6)

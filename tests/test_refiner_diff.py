@@ -199,6 +199,59 @@ class TestCandidateDeltas:
         assert valid[0, 1, 1] and deltas[0, 1, 1] == 1.0
         assert valid[0, 2, 1] and deltas[0, 2, 1] == 0.0
 
+    def test_non_contiguous_blocks_match_apply_move(self):
+        """Strided blocks and the blocks a skip mask leaves, on climbed states."""
+        rng = np.random.default_rng(17)
+        for seed in range(4):
+            dag = random_dag(24, 0.2, seed=40 + seed)
+            n = dag.num_nodes
+            for machine in (
+                BspMachine.uniform(int(rng.integers(2, 6)), g=2, latency=1),
+                BspMachine.numa_hierarchy(4, delta=3, g=1, latency=2),
+            ):
+                start = RoundRobinScheduler().schedule(dag, machine)
+                tracker = LazyCostTracker(dag, machine, start.procs, start.supersteps)
+                HillClimbingImprover(max_steps=3).climb(tracker)
+                for step in (2, 3, 5):
+                    block = np.arange(int(rng.integers(0, step)), n, step)
+                    assert _assert_block_matches_probe(tracker, block) == block.size
+                for _ in range(3):
+                    block = np.flatnonzero(rng.random(n) < 0.6)
+                    assert _assert_block_matches_probe(tracker, block) == block.size
+
+    def test_shared_predecessor_rescans_a_repeated_unsorted_list(self):
+        """Predecessors whose need only one block node achieves, in any order.
+
+        Nodes 2 and 3 sit on processor 0 and share predecessor 0, whose need
+        there only node 2 achieves; node 4 is 0's sole achiever on processor
+        1, and node 2 lists its predecessors as ``[1, 0]``.  So the entries
+        whose need the block rescans have the predecessor list ``[1, 0, 0]``
+        — repeated and unsorted — for the contiguous block and for the
+        block without node 3.
+        """
+        dag = ComputationalDAG(
+            8, [1.0, 2.0, 3.0, 1.0, 2.0, 1.0, 2.0, 1.0], [2.0, 1.0, 3.0, 1.0, 2.0, 1.0, 1.0, 2.0]
+        )
+        for u, v in ((1, 2), (0, 2), (0, 3), (0, 4), (0, 5), (2, 6), (3, 7), (4, 7), (1, 6)):
+            dag.add_edge(u, v)
+        procs = [0, 1, 0, 0, 1, 1, 1, 0]
+        steps = [0, 0, 1, 2, 1, 3, 2, 3]
+        for machine in (
+            BspMachine.uniform(3, g=2, latency=1),
+            BspMachine.numa_hierarchy(4, delta=2, g=1, latency=1),
+        ):
+            tracker = LazyCostTracker(dag, machine, procs, steps)
+            for block in (np.array([2, 3, 4]), np.array([2, 4])):
+                rescanned = [
+                    u
+                    for v in block.tolist()
+                    for u in dag.pred(v).tolist()
+                    if tracker.need_min[u, procs[v]] == steps[v]
+                    and tracker.need_cnt[u, procs[v]] == 1
+                ]
+                assert rescanned == [1, 0, 0]
+                assert _assert_block_matches_probe(tracker, block) == block.size
+
     def test_validity_mask_matches_is_valid_move(self):
         dag = random_dag(18, 0.25, seed=9)
         machine = BspMachine.uniform(3, g=1, latency=1)
