@@ -50,7 +50,7 @@ _HC_BLOCK_MAX = 256
 
 
 def hc_pass(tracker, start, stop, max_accept=-1, eps=_EPS, budget=None, *, skip=None):
-    """One HC refinement pass over nodes ``[start, stop)`` of a tracker.
+    """One HC refinement pass of every copy a tracker holds, over nodes ``[start, stop)``.
 
     A speculative block walk: a block of ``b`` nodes is scored together by
     one read-only ``tracker.candidate_deltas`` call against the current
@@ -68,53 +68,85 @@ def hc_pass(tracker, start, stop, max_accept=-1, eps=_EPS, budget=None, *, skip=
     cap may score fewer nodes than asked; the next block then doubles
     what was scored.
 
+    A tracker holding several schedules (copies) walks each copy's part
+    of ``[start, stop)`` as above, in lockstep: each round concatenates the
+    next block of every copy still walking into one ``candidate_deltas``
+    call, then applies each copy's first hit and moves each copy on as its
+    own walk would.  A copy's moves change only its own rows, so the other
+    copies' scores from the same call still hold.  When the memory cap
+    cuts the combined block, the copies it left out lead the next round's
+    block, ahead of those it scored, so no copy starves.  The call ends
+    when every copy has finished its pass.
+
     ``skip`` is an optional boolean mask over the tracker's nodes that
     marks nodes known to have no improving move in the current state (the
     multilevel scheduler hands a converged level's verdict to the next
-    level this way).  Until the first accepted move the walk scores only
-    the unmasked nodes.  That move changes the state, so the mask is
-    dropped and the walk goes on over every node after it.  The accepted
-    moves are thus those of the walk without a mask.
+    level this way).  Until its first accepted move a copy's walk scores
+    only its unmasked nodes.  That move changes the copy's state, so its
+    mask is dropped and the walk goes on over every node after it.  The
+    accepted moves are thus those of the walk without a mask.
 
     Returns ``(accepted, moves)`` where ``moves`` lists the accepted
-    ``(node, new_proc, new_step)`` triples in acceptance order.
-    ``max_accept < 0`` (or ``None``) means unlimited; a wall-clock
-    ``budget`` is checked before every block, so it may overrun by one
-    full block.
+    ``(node, new_proc, new_step)`` triples, in tracker numbering, in
+    acceptance order.  ``max_accept`` caps the accepted moves of each
+    copy: one cap for all, or a sequence with one per copy, where a
+    negative cap (or ``None``) means unlimited and a copy with cap 0 sits
+    the pass out.  A wall-clock ``budget`` is checked before every block,
+    so it may overrun by one full block.
     """
-    if max_accept is None:
-        max_accept = -1
     P = tracker.machine.num_procs
-    accepted = 0
+    width = 3 * P  # candidates per node
+    n = tracker.dag.num_nodes
+    copies = tracker.num_copies
+    if max_accept is None or np.ndim(max_accept) == 0:
+        caps = [-1 if max_accept is None else int(max_accept)] * copies
+    else:
+        caps = [int(cap) for cap in max_accept]
     moves: list[tuple[int, int, int]] = []
-    nodes = np.arange(start, stop)
-    todo = nodes if skip is None else nodes[~skip[start:stop]]
-    i = 0
-    size = _HC_BLOCK_MAX
-    while i < todo.size:
-        if max_accept >= 0 and accepted >= max_accept:
-            break
+    # per copy: its nodes, the nodes it still walks, the walk position in
+    # them, the next block size and the moves it accepted
+    first = [max(start, c * n) for c in range(copies)]
+    nodes = [np.arange(first[c], min(stop, (c + 1) * n)) for c in range(copies)]
+    todo = list(nodes) if skip is None else [own[~skip[own]] for own in nodes]
+    pos = [0] * copies
+    size = [_HC_BLOCK_MAX] * copies
+    got = [0] * copies
+    walking = [c for c in range(copies) if todo[c].size and caps[c] != 0]
+    while walking:
         if budget is not None and budget.expired():
             break
-        block = todo[i : i + size]
+        blocks = [todo[c][pos[c] : pos[c] + size[c]] for c in walking]
+        block = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         deltas, valid = tracker.candidate_deltas(block)
-        hit = (valid & (deltas < -eps)).ravel()
-        first = int(np.argmax(hit))
-        if not hit[first]:
-            scored = deltas.shape[0]
-            i += scored
-            size = min(2 * scored, _HC_BLOCK_MAX)
-            continue
-        k, flat = divmod(first, 3 * P)
-        step_offset, new_proc = divmod(flat, P)
-        node = int(block[k])
-        new_step = int(tracker.supersteps[node]) - 1 + step_offset
-        tracker.apply_move(node, new_proc, new_step)
-        accepted += 1
-        moves.append((node, new_proc, new_step))
-        todo, i = nodes, node + 1 - start
-        size = _HC_BLOCK_MIN
-    return accepted, moves
+        scored = deltas.shape[0]
+        hits = (valid & (deltas < -eps)).ravel().nonzero()[0]
+        left_out, still = [], []
+        end = 0
+        for c, own in zip(walking, blocks):
+            begin, end = end, end + own.size
+            k = min(own.size, scored - begin)  # nodes of this copy scored
+            if k <= 0:
+                left_out.append(c)
+                continue
+            at = int(hits.searchsorted(begin * width)) if hits.size else 0
+            if at == hits.size or hits[at] >= (begin + k) * width:
+                pos[c] += k
+                size[c] = min(2 * k, _HC_BLOCK_MAX)
+            else:
+                j, flat = divmod(int(hits[at]) - begin * width, width)
+                step_offset, new_proc = divmod(flat, P)
+                node = int(own[j])
+                new_step = int(tracker.supersteps[node]) - 1 + step_offset
+                tracker.apply_move(node, new_proc, new_step)
+                got[c] += 1
+                moves.append((node, new_proc, new_step))
+                todo[c], pos[c] = nodes[c], node + 1 - first[c]
+                size[c] = _HC_BLOCK_MIN
+            if pos[c] < todo[c].size and not 0 <= caps[c] <= got[c]:
+                still.append(c)
+        # the copies the memory cap left out lead the next block
+        walking = left_out + still
+    return sum(got), moves
 
 
 def hccs_pass(state: HccsState, start, stop, max_accept=-1, eps=_EPS, budget=None):

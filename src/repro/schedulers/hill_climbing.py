@@ -36,6 +36,14 @@ block path is pinned to it **move for move** (identical accepted-move
 sequences and final ``(π, τ)``) by the differential tests; on
 integer/dyadic-weight instances — every generator in this repository — the
 two paths are bit-identical, not merely equal in cost.
+
+A pipeline climbs each of its initial schedules.  Those climbs are
+independent, so :meth:`HillClimbingImprover.improve_many` puts all of them
+into one tracker as disjoint copies and each pass walks the copies in
+lockstep: one ``candidate_deltas`` call scores the next block of every copy
+still walking, which saves the fixed per-call cost of the calls the
+separate climbs would make.  Each copy's moves and result are those of its
+own climb.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import kernels
-from ..core.csr import NO_ENTRY, gather_rows, group_min_by_pair
+from ..core.csr import NO_ENTRY, gather_rows
 from ..core.dag import ComputationalDAG
 from ..core.machine import BspMachine
 from ..core.schedule import BspSchedule
@@ -79,13 +87,43 @@ _STEP_ROWS = _STEP_OFFSETS - 1
 _BLOCK_CELLS = 1 << 16
 
 
+def _tiled(weights: np.ndarray, copies: int) -> np.ndarray:
+    """``copies`` back-to-back copies of a node weight vector."""
+    return weights if copies == 1 else np.tile(weights, copies)
+
+
+def _tiled_csr(
+    indptr: np.ndarray, indices: np.ndarray, copies: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays of ``copies`` disjoint copies of a graph; copy ``t``'s ``v`` is ``t·n + v``."""
+    if copies == 1:
+        return indptr, indices
+    n, m = indptr.size - 1, indices.size
+    shift = np.arange(copies, dtype=_INT)[:, None]
+    return (
+        np.append((indptr[:-1] + shift * m).ravel(), copies * m),
+        (indices + shift * n).ravel(),
+    )
+
+
 class LazyCostTracker:
-    """Incrementally maintained cost of a lazy-communication BSP schedule.
+    """Incrementally maintained cost of lazy-communication BSP schedules of one DAG.
 
     The tracker owns mutable copies of the assignment arrays.  The number of
     supersteps is fixed at construction time; node moves are restricted to
     the existing supersteps (the surrounding pipeline compacts empty
     supersteps afterwards).
+
+    One tracker can hold ``T`` schedules of the same DAG and machine as
+    disjoint *copies*: pass ``procs`` and ``supersteps`` as ``(T, n)``
+    arrays (one row per schedule) and ``num_supersteps`` as one count per
+    copy.  Copy ``t``'s node ``v`` is tracker node ``t·n + v``, and its
+    supersteps are offset by :attr:`step_offsets` ``[t]``, the supersteps of
+    the copies before it, so every work and traffic row belongs to exactly
+    one copy and a node may only move within its copy's supersteps.  The
+    DAG's CSR and weight arrays are read once and tiled by offsetting, so
+    each copy's rows, first-need table and moves are those of a tracker
+    holding that schedule alone.  A 1-D assignment is the one-copy case.
     """
 
     def __init__(
@@ -94,16 +132,36 @@ class LazyCostTracker:
         machine: BspMachine,
         procs: np.ndarray,
         supersteps: np.ndarray,
-        num_supersteps: int | None = None,
+        num_supersteps: int | np.ndarray | None = None,
     ) -> None:
         self.dag = dag
         self.machine = machine
-        self.procs = np.asarray(procs, dtype=np.int64).copy()
-        self.supersteps = np.asarray(supersteps, dtype=np.int64).copy()
-        self.num_supersteps = (
-            int(self.supersteps.max(initial=-1)) + 1
+        procs = np.atleast_2d(np.asarray(procs, dtype=_INT))
+        supersteps = np.atleast_2d(np.asarray(supersteps, dtype=_INT))
+        copies, n = supersteps.shape
+        counts = (
+            supersteps.max(axis=1, initial=-1) + 1
             if num_supersteps is None
-            else num_supersteps
+            else np.zeros(copies, dtype=_INT) + num_supersteps
+        )
+        #: number of schedules held
+        self.num_copies = copies
+        #: copy ``t`` owns the supersteps ``[step_offsets[t], step_offsets[t + 1])``
+        self.step_offsets = np.zeros(copies + 1, dtype=_INT)
+        np.cumsum(counts, out=self.step_offsets[1:])
+        self.procs = procs.ravel().copy()
+        self.supersteps = (supersteps + self.step_offsets[:-1, None]).ravel()
+        self.num_supersteps = int(self.step_offsets[-1])
+        # each node's open superstep range, the one of its copy
+        self._step_lo = self.step_offsets[:-1].repeat(n)
+        self._step_hi = self.step_offsets[1:].repeat(n)
+        self._work_w = _tiled(dag.work_weights, copies)
+        self._comm_w = _tiled(dag.comm_weights, copies)
+        self._pred_indptr, self._pred_indices = _tiled_csr(
+            dag.pred_indptr, dag.pred_indices, copies
+        )
+        self._succ_indptr, self._succ_indices = _tiled_csr(
+            dag.succ_indptr, dag.succ_indices, copies
         )
         P = machine.num_procs
         S = max(self.num_supersteps, 1)
@@ -122,52 +180,51 @@ class LazyCostTracker:
     # construction
     # ------------------------------------------------------------------ #
     def _build(self) -> None:
-        """One grouped pass over the edge arrays fills work/send/recv.
+        """Fill work, the first-need table and the traffic rows.
 
-        The same pass also fills the incremental first-need table:
-        ``need_min[u, q]`` is the earliest superstep any successor of ``u``
-        occupies on processor ``q`` (``NO_ENTRY`` when none does) and
-        ``need_cnt[u, q]`` counts the successors achieving that minimum.
-        :meth:`apply_move` maintains both in O(changed), which is what lets
-        :meth:`candidate_deltas` skip the per-visit ragged gather over the
-        predecessors' successor rows that earlier revisions rebuilt from
-        scratch for every node.
+        One grouped pass over the edges fills the incremental first-need
+        table: ``need_min[u, q]`` is the earliest superstep any successor
+        of ``u`` occupies on processor ``q`` (``NO_ENTRY`` when none does)
+        and ``need_cnt[u, q]`` counts the successors achieving that
+        minimum.  :meth:`apply_move` maintains both in O(changed), which is
+        what lets :meth:`candidate_deltas` skip the per-visit ragged gather
+        over the predecessors' successor rows that earlier revisions
+        rebuilt from scratch for every node.  The traffic rows are then the
+        lazy transfers of every node, read off the finished table by
+        :meth:`_transfer_cells` — the derivation :meth:`apply_move` uses —
+        and scattered in (node, target) order.
         """
-        dag = self.dag
-        np.add.at(self.work, (self.supersteps, self.procs), dag.work_weights)
-        self.need_min = np.full(
-            (dag.num_nodes, self.machine.num_procs), NO_ENTRY, dtype=np.int64
-        )
+        N = self.procs.size
+        np.add.at(self.work, (self.supersteps, self.procs), self._work_w)
+        self.need_min = np.full((N, self.machine.num_procs), NO_ENTRY, dtype=np.int64)
         self.need_cnt = np.zeros_like(self.need_min)
-        src, dst = dag.edge_arrays()
-        if src.size:
+        dst = self._succ_indices
+        if dst.size:
+            src = np.arange(N, dtype=_INT).repeat(self._succ_indptr[1:] - self._succ_indptr[:-1])
             qd = self.procs[dst]
             sd = self.supersteps[dst]
             np.minimum.at(self.need_min, (src, qd), sd)
             achieves = sd == self.need_min[src, qd]
             np.add.at(self.need_cnt, (src[achieves], qd[achieves]), 1)
-            cross = self.procs[src] != self.procs[dst]
-            if cross.any():
-                cross_dst = dst[cross]
-                u, q, sw = group_min_by_pair(
-                    src[cross], self.procs[cross_dst], self.supersteps[cross_dst]
-                )
-                pv = self.procs[u]
-                volumes = dag.comm_weights[u] * self.machine.numa[pv, q]
-                np.add.at(self.send, (sw - 1, pv), volumes)
-                np.add.at(self.recv, (sw - 1, q), volumes)
+            rows, phases, volumes = self._transfer_cells(np.arange(N, dtype=_INT))
+            np.add.at(self.traffic, (rows, phases), volumes)
         np.max(self.work, axis=1, out=self._work_max)
         self.traffic.max(axis=0, out=self._comm_max)
 
     # ------------------------------------------------------------------ #
     # cost
     # ------------------------------------------------------------------ #
-    def cost(self) -> float:
-        """Current total cost (work + g·comm + latency)."""
+    def cost(self, copy: int | None = None) -> float:
+        """Current total cost (work + g·comm + latency) of every copy, or of one."""
+        if copy is None:
+            rows, count = slice(None), self.num_supersteps
+        else:
+            lo, hi = int(self.step_offsets[copy]), int(self.step_offsets[copy + 1])
+            rows, count = slice(lo, hi), hi - lo
         return float(
-            self._work_max.sum()
-            + self.machine.g * self._comm_max.sum()
-            + self.machine.latency * self.num_supersteps
+            self._work_max[rows].sum()
+            + self.machine.g * self._comm_max[rows].sum()
+            + self.machine.latency * count
         )
 
     # ------------------------------------------------------------------ #
@@ -175,18 +232,17 @@ class LazyCostTracker:
     # ------------------------------------------------------------------ #
     def is_valid_move(self, v: int, new_proc: int, new_step: int) -> bool:
         """Whether moving ``v`` to ``(new_proc, new_step)`` keeps the schedule valid."""
-        if not 0 <= new_step < self.num_supersteps:
+        if not self._step_lo[v] <= new_step < self._step_hi[v]:
             return False
         if not 0 <= new_proc < self.machine.num_procs:
             return False
-        dag = self.dag
-        preds = dag.pred(v)
+        preds = self._pred_indices[self._pred_indptr[v] : self._pred_indptr[v + 1]]
         if preds.size:
             su = self.supersteps[preds]
             same = self.procs[preds] == new_proc
             if np.any(same & (su > new_step)) or np.any(~same & (su >= new_step)):
                 return False
-        succs = dag.succ(v)
+        succs = self._succ_indices[self._succ_indptr[v] : self._succ_indptr[v + 1]]
         if succs.size:
             sw = self.supersteps[succs]
             same = self.procs[succs] == new_proc
@@ -226,7 +282,6 @@ class LazyCostTracker:
         ``B[r]`` and the raised columns; only the few (c) rows take a full
         ``2P``-column maximum, once per (row, target) for all three steps.
         """
-        dag = self.dag
         numa = self.machine.numa
         P = self.machine.num_procs
         stride = max(self.num_supersteps, 1)
@@ -244,7 +299,7 @@ class LazyCostTracker:
         # column p0 — and there only when v is the *sole* achiever of the
         # minimum (need == s0 with count 1), in which case that entry is
         # rescanned from the predecessor's successor row without v.
-        preds, pred_off = gather_rows(dag.pred_indptr, dag.pred_indices, nodes)
+        preds, pred_off = gather_rows(self._pred_indptr, self._pred_indices, nodes)
         pk = kr.repeat(pred_off[1:] - pred_off[:-1])  # block index of each entry
         table = self.need_min[preds]
         p0k = p0[pk]
@@ -252,7 +307,7 @@ class LazyCostTracker:
             (self.need_min[preds, p0k] == s0[pk]) & (self.need_cnt[preds, p0k] == 1)
         ).nonzero()[0]
         if suspects.size:
-            flat, offsets = gather_rows(dag.succ_indptr, dag.succ_indices, preds[suspects])
+            flat, offsets = gather_rows(self._succ_indptr, self._succ_indices, preds[suspects])
             rows_idx = np.arange(suspects.size, dtype=_INT).repeat(offsets[1:] - offsets[:-1])
             owner = pk[suspects][rows_idx]
             keep = (flat != nodes[owner]) & (self.procs[flat] == p0[owner])
@@ -311,7 +366,7 @@ class LazyCostTracker:
         # weights are non-negative, so adding w at q never lowers the row
         # and max(m0, row + w) is the row maximum after the move.  Steps
         # τ - 1 and τ + 1 are scored together, clipped like the phases.
-        w = dag.work_weights[nodes][:, None]
+        w = self._work_w[nodes][:, None]
         wm = self._work_max
         removed0 = self.work[s0]
         removed0[kr, p0] -= w[:, 0]
@@ -332,9 +387,9 @@ class LazyCostTracker:
         # there) move to their v-free phase.  Pairs with a zero NUMA
         # multiplier (a processor "sending" to itself) add zero volume, so
         # they are scattered along instead of masked out.
-        c_v = dag.comm_weights[nodes]
+        c_v = self._comm_w[nodes]
         pp = self.procs[preds]
-        pvol = dag.comm_weights[preds][:, None] * numa[pp]  # (E, P)
+        pvol = self._comm_w[preds][:, None] * numa[pp]  # (E, P)
         procs = np.arange(P, dtype=_INT)
         fi = (pp != p0k).nonzero()[0]
         fk = pk[fi]
@@ -441,14 +496,15 @@ class LazyCostTracker:
         Semantically identical to :meth:`is_valid_move` for every candidate
         (staying put excluded), evaluated from the flattened neighbour
         slices (``preds`` with their block indices ``pk``) and the ``(K,
-        3)`` candidate ``steps``: a predecessor scheduled *after* a
-        candidate step (a successor *before* it) kills the whole step,
-        neighbours *tied* at the step force the single processor they
-        occupy — and kill the step when they disagree.
+        3)`` candidate ``steps``: a step outside the node's copy is closed,
+        a predecessor scheduled *after* a candidate step (a successor
+        *before* it) kills the whole step, neighbours *tied* at the step
+        force the single processor they occupy — and kill the step when
+        they disagree.
         """
         P = self.machine.num_procs
         K = nodes.size
-        succs, succ_off = gather_rows(self.dag.succ_indptr, self.dag.succ_indices, nodes)
+        succs, succ_off = gather_rows(self._succ_indptr, self._succ_indices, nodes)
         sk = np.arange(K, dtype=_INT).repeat(succ_off[1:] - succ_off[:-1])
         # rel > 0: the neighbour forbids the step; rel == 0: it is tied there
         rel = np.concatenate(
@@ -458,7 +514,9 @@ class LazyCostTracker:
             )
         )
         cell = np.concatenate((pk, sk))[:, None] * 3 + np.arange(3, dtype=_INT)
-        open_steps = ((steps >= 0) & (steps < self.num_supersteps)).ravel()
+        open_steps = (
+            (steps >= self._step_lo[nodes][:, None]) & (steps < self._step_hi[nodes][:, None])
+        ).ravel()
         open_steps[cell[rel > 0]] = False
         tied, tied_step = (rel == 0).nonzero()
         tied_cells = cell[tied, tied_step]
@@ -491,10 +549,10 @@ class LazyCostTracker:
             return 0.0
         g = self.machine.g
         before = self._work_max.sum() + g * self._comm_max.sum()
-        preds = self.dag.pred(v)
+        preds = self._pred_indices[self._pred_indptr[v] : self._pred_indptr[v + 1]]
         affected = np.concatenate(((v,), preds))
         old_rows, old_phases, old_volumes = self._transfer_cells(affected)
-        work_v = self.dag.work(v)
+        work_v = self._work_w[v]
         self.work[old_step, old_proc] -= work_v
         self.work[new_step, new_proc] += work_v
         self.procs[v] = new_proc
@@ -523,7 +581,7 @@ class LazyCostTracker:
         at, targets = sends.nonzero()
         phases = need[at, targets] - 1
         sources = sources[at]
-        volumes = self.dag.comm_weights[nodes[at]] * self.machine.numa[sources, targets]
+        volumes = self._comm_w[nodes[at]] * self.machine.numa[sources, targets]
         return (
             np.concatenate((sources, targets + self.machine.num_procs)),
             np.concatenate((phases, phases)),
@@ -557,7 +615,7 @@ class LazyCostTracker:
         self.need_cnt[dec, old_proc] -= 1
         dead = dec[self.need_cnt[dec, old_proc] == 0]
         if dead.size:
-            flat, offsets = gather_rows(self.dag.succ_indptr, self.dag.succ_indices, dead)
+            flat, offsets = gather_rows(self._succ_indptr, self._succ_indices, dead)
             rows_idx = np.arange(dead.size, dtype=_INT).repeat(offsets[1:] - offsets[:-1])
             keep = self.procs[flat] == old_proc
             col = np.full(dead.size, NO_ENTRY, dtype=_INT)
@@ -575,8 +633,8 @@ class LazyCostTracker:
         """Copies of the current ``(π, τ)`` arrays."""
         return self.procs.copy(), self.supersteps.copy()
 
-    def compacted_assignment(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """``(π, τ', num_used)`` with empty supersteps renumbered away.
+    def compacted_assignment(self, copy: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
+        """``(π, τ', num_used)`` of one copy with empty supersteps renumbered away.
 
         A superstep survives when it holds computation (appears in ``τ``)
         or is the phase of a lazy transfer: ``need_min[u, q] - 1`` for every
@@ -586,10 +644,14 @@ class LazyCostTracker:
         for it: a zero-volume transfer leaves no trace there, and removing a
         transfer by subtraction can leave float residue in a row.
         """
-        procs, supersteps = self.assignment()
-        needs = self.need_min != NO_ENTRY
-        needs[np.arange(procs.size), procs] = False
-        used = np.union1d(supersteps, self.need_min[needs] - 1)
+        n = self.dag.num_nodes
+        nodes = slice(copy * n, (copy + 1) * n)
+        procs = self.procs[nodes].copy()
+        supersteps = self.supersteps[nodes] - self.step_offsets[copy]
+        need = self.need_min[nodes]
+        needs = need != NO_ENTRY
+        needs[np.arange(n), procs] = False
+        used = np.union1d(supersteps, need[needs] - 1 - self.step_offsets[copy])
         return procs, np.searchsorted(used, supersteps), used.size
 
 
@@ -605,6 +667,13 @@ class HillClimbingImprover(ScheduleImprover):
     wall-clock budget is checked before every block, and every pass opens
     with a full-size block, so a run may overrun its clock by one full
     block's evaluation.
+
+    :meth:`improve_many` climbs several schedules of one DAG at once: one
+    tracker holds them all as copies, and each pass walks every copy still
+    climbing in lockstep, so their blocks share ``candidate_deltas`` calls.
+    Each copy keeps its own step cap, stop reason and moves, and ends with
+    the schedule a lone :meth:`improve` would return; :meth:`improve` is the
+    one-schedule case.
 
     Parameters
     ----------
@@ -622,7 +691,10 @@ class HillClimbingImprover(ScheduleImprover):
 
     Every run records in :attr:`last_stop` why its climb stopped:
     :data:`CONVERGED` (a full pass accepted no move), :data:`STEP_CAP`,
-    :data:`PASS_CAP` or :data:`CLOCK`.
+    :data:`PASS_CAP` or :data:`CLOCK`.  A run over several schedules keeps
+    one stop reason and one move list per schedule in :attr:`copy_stops`
+    and :attr:`copy_moves`; :attr:`last_stop` and :attr:`last_moves` are
+    then the first schedule's.
     """
 
     name = "hill_climbing"
@@ -640,6 +712,10 @@ class HillClimbingImprover(ScheduleImprover):
         self.last_moves: list[tuple[int, int, int]] | None = None
         #: why the last run stopped (``None`` before the first run)
         self.last_stop: str | None = None
+        #: accepted moves of each schedule of the last run, in its own numbering
+        self.copy_moves: list[list[tuple[int, int, int]]] | None = None
+        #: why each schedule's climb in the last run stopped
+        self.copy_stops: list[str] = []
 
     # ------------------------------------------------------------------ #
     def climb(
@@ -657,46 +733,65 @@ class HillClimbingImprover(ScheduleImprover):
         work/send/receive matrices anew for every burst.  ``skip`` is
         handed to the first pass (see :func:`repro.core.kernels.hc_pass`):
         it marks nodes known to have no improving move in the tracker's
-        current state.  Sets :attr:`last_stop`.  A pass that accepts nothing
-        counts as converged only when the clock has not run out, since the
-        clock may have cut that pass short.
+        current state.  Sets :attr:`copy_stops` and :attr:`last_stop`.  A
+        pass that accepts nothing counts as converged only when the clock
+        has not run out, since the clock may have cut that pass short.
+
+        Every pass walks all copies still climbing; a copy stops at its
+        step cap or after a pass without a move, so the copies share the
+        pass count, the pass cap and the clock.  The returned count sums
+        the copies' moves.
         """
         budget = budget or Budget()
         # the budget's step cap bounds this invocation on top of (never
         # instead of) the configured cap
         caps = [cap for cap in (self.max_steps, budget.max_steps) if cap is not None]
         max_steps = min(caps, default=None)
-        moves: list[tuple[int, int, int]] = []
-        self.last_moves = moves if self.record_moves else None
-        num_nodes = tracker.dag.num_nodes
-        accepted = 0
+        n = tracker.dag.num_nodes
+        copies = tracker.num_copies
+        moves: list[list[tuple[int, int, int]]] = [[] for _ in range(copies)]
+        accepted = [0] * copies
+        stops: list[str | None] = [None] * copies
         passes = 0
-        while True:
-            if passes >= self.max_passes:
-                stop = PASS_CAP
-                break
-            if budget.expired():
-                stop = CLOCK
+        while None in stops:
+            walking = [c for c in range(copies) if stops[c] is None]
+            if passes >= self.max_passes or budget.expired():
+                stop = PASS_CAP if passes >= self.max_passes else CLOCK
+                for c in walking:
+                    stops[c] = stop
                 break
             passes += 1
-            # one kernel pass over all nodes fuses candidate evaluation
-            # and acceptance
-            cap = None if max_steps is None else max_steps - accepted
-            got, pass_moves = kernels.hc_pass(
-                tracker, 0, num_nodes, cap, _EPS, budget=budget, skip=skip
+            # one kernel pass over every walking copy fuses candidate
+            # evaluation and acceptance; a stopped copy sits it out (cap
+            # 0), and -1 means no cap
+            pass_caps = [
+                0 if stops[c] else (-1 if max_steps is None else max_steps - accepted[c])
+                for c in range(copies)
+            ]
+            _, pass_moves = kernels.hc_pass(
+                tracker, walking[0] * n, (walking[-1] + 1) * n, pass_caps, _EPS,
+                budget=budget, skip=skip,
             )
             skip = None
-            accepted += got
-            if self.record_moves:
-                moves.extend(pass_moves)
-            if max_steps is not None and accepted >= max_steps:
-                stop = STEP_CAP
-                break
-            if not got:
-                stop = CLOCK if budget.expired() else CONVERGED
-                break
-        self.last_stop = stop
-        return accepted
+            got = [0] * copies
+            for node, new_proc, new_step in pass_moves:
+                c = node // n
+                got[c] += 1
+                if self.record_moves:
+                    moves[c].append(
+                        (node - c * n, new_proc, new_step - int(tracker.step_offsets[c]))
+                    )
+            for c in walking:
+                accepted[c] += got[c]
+                if max_steps is not None and accepted[c] >= max_steps:
+                    stops[c] = STEP_CAP
+                elif not got[c]:
+                    stops[c] = CLOCK if budget.expired() else CONVERGED
+        self.copy_stops = stops
+        self.last_stop = stops[0]
+        self.copy_moves = moves if self.record_moves else None
+        self.last_moves = moves[0] if self.record_moves else None
+        return sum(accepted)
 
     def refine_assignment(
         self,
@@ -759,29 +854,58 @@ class HillClimbingImprover(ScheduleImprover):
         schedule: BspSchedule,
         budget: Budget | None = None,
     ) -> BspSchedule:
-        dag = schedule.dag
-        machine = schedule.machine
-        if dag.num_nodes == 0 or schedule.num_supersteps == 0:
-            self.last_moves = [] if self.record_moves else None
+        return self.improve_many([schedule], budget)[0]
+
+    def improve_many(
+        self,
+        schedules: list[BspSchedule],
+        budget: Budget | None = None,
+    ) -> list[BspSchedule]:
+        """Climb one or more schedules of one DAG and machine; one result each.
+
+        The schedules become the copies of one :class:`LazyCostTracker`,
+        and :meth:`climb` walks them in lockstep on the one ``budget``.
+        Result ``t`` is what :meth:`improve` returns for ``schedules[t]``
+        alone: its climb makes the same moves and stops for the same reason
+        (:attr:`copy_moves`, :attr:`copy_stops`), unless the shared clock
+        cuts the climbs short.
+        """
+        schedules = list(schedules)
+        dag = schedules[0].dag
+        machine = schedules[0].machine
+        if any(s.dag is not dag or s.machine is not machine for s in schedules):
+            raise ValueError("improve_many needs schedules of one DAG and machine")
+        if dag.num_nodes == 0:
+            self.copy_stops = [CONVERGED] * len(schedules)
             self.last_stop = CONVERGED
-            return schedule
+            self.copy_moves = [[] for _ in schedules] if self.record_moves else None
+            self.last_moves = [] if self.record_moves else None
+            return schedules
 
         tracker = LazyCostTracker(
-            dag, machine, schedule.procs, schedule.supersteps, schedule.num_supersteps
+            dag,
+            machine,
+            [s.procs for s in schedules],
+            [s.supersteps for s in schedules],
+            [s.num_supersteps for s in schedules],
         )
         self.climb(tracker, budget)
 
-        # Finish from the tracker state instead of materialising the lazy
-        # communication schedule: supersteps carrying neither computation
-        # nor communication are compacted away (exactly what
+        # Finish each copy from the tracker state instead of materialising
+        # the lazy communication schedule: supersteps carrying neither
+        # computation nor communication are compacted away (exactly what
         # ``BspSchedule.compacted()`` computes, without building the ``Γ``
         # frozenset), the candidate cost falls out of the maintained row
         # maxima, and re-validation is skipped — every accepted move passed
         # the validity mask, so the result is valid by construction.
-        procs, compact_steps, num_used = tracker.compacted_assignment()
-        candidate_cost = tracker.cost() - machine.latency * (
-            tracker.num_supersteps - num_used
-        )
-        if candidate_cost >= schedule.cost() - _EPS:
-            return schedule
-        return BspSchedule(dag, machine, procs, compact_steps, validate=False)
+        results = []
+        for copy, schedule in enumerate(schedules):
+            procs, compact_steps, num_used = tracker.compacted_assignment(copy)
+            candidate_cost = tracker.cost(copy) - machine.latency * (
+                schedule.num_supersteps - num_used
+            )
+            if candidate_cost >= schedule.cost() - _EPS:
+                results.append(schedule)
+            else:
+                results.append(BspSchedule(dag, machine, procs, compact_steps, validate=False))
+        return results

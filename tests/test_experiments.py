@@ -20,7 +20,7 @@ from repro.schedulers import PipelineConfig
 
 
 #: heuristics-only configuration so harness tests stay fast
-FAST_HEURISTIC = PipelineConfig(use_ilp=False, use_comm_ilp=False, local_search_seconds=0.2)
+FAST_HEURISTIC = PipelineConfig(use_ilp=False, use_comm_ilp=False, local_search_seconds=None)
 
 
 class TestMachineSpecs:

@@ -6,11 +6,29 @@ import numpy as np
 import pytest
 
 from repro.core import BspMachine, BspSchedule, ComputationalDAG
-from repro.schedulers import BspGreedyScheduler, Budget, HillClimbingImprover, LazyCostTracker
+from repro.core.csr import group_min_by_pair
+from repro.schedulers import (
+    BspGreedyScheduler,
+    Budget,
+    CilkScheduler,
+    HillClimbingImprover,
+    LazyCostTracker,
+    PipelineConfig,
+    SchedulingPipeline,
+    SourceScheduler,
+    hill_climbing,
+)
 from repro.schedulers.hill_climbing import CLOCK, CONVERGED, PASS_CAP, STEP_CAP
 from repro.schedulers.trivial import RoundRobinScheduler
 
-from conftest import assert_valid_schedule, build_diamond_dag, build_fork_join_dag, random_dag
+from conftest import (
+    assert_valid_schedule,
+    build_diamond_dag,
+    build_fork_join_dag,
+    oracle_dag,
+    oracle_machine,
+    random_dag,
+)
 
 
 class TestLazyCostTracker:
@@ -248,3 +266,244 @@ class TestStopReason:
         improver = HillClimbingImprover(max_passes=0)
         improver.improve(RoundRobinScheduler().schedule(ComputationalDAG(0), machine4))
         assert improver.last_stop == CONVERGED
+
+
+# ---------------------------------------------------------------------- #
+# several schedules in one tracker
+# ---------------------------------------------------------------------- #
+def _edge_side_traffic(dag, machine, procs, supersteps, num_supersteps):
+    """The traffic rows derived from the edges: the first need of every cross pair.
+
+    Each (u, q) pair with a successor of u on q ≠ π(u) sends c(u)·λ(π(u), q)
+    in the phase before that need, scattered in (u, q) order.
+    """
+    P = machine.num_procs
+    traffic = np.zeros((2 * P, max(num_supersteps, 1)))
+    src, dst = dag.edge_arrays()
+    cross = procs[src] != procs[dst]
+    if cross.any():
+        u, q, need = group_min_by_pair(src[cross], procs[dst[cross]], supersteps[dst[cross]])
+        sender = procs[u]
+        volumes = dag.comm_weights[u] * machine.numa[sender, q]
+        np.add.at(traffic[:P].T, (need - 1, sender), volumes)
+        np.add.at(traffic[P:].T, (need - 1, q), volumes)
+    return traffic
+
+
+def _starts(dag, machine, copies, seed=0):
+    """Up to three initial schedules of different shapes: BSPg, Source, seeded Cilk."""
+    initializers = (BspGreedyScheduler(), SourceScheduler(), CilkScheduler(seed=seed))
+    return [init.schedule(dag, machine).with_lazy_comm() for init in initializers[:copies]]
+
+
+def _machine(kind, num_procs, rng):
+    return oracle_machine(rng, num_procs, g=float(rng.integers(1, 5)), numa=kind == "numa")
+
+
+class TestTrackerCopies:
+    @pytest.mark.parametrize("kind", ["uniform", "numa"])
+    @pytest.mark.parametrize("weights", ["integer", "zero", "decimal", "real", "no_comm"])
+    def test_traffic_equals_the_edge_side_derivation(self, kind, weights):
+        """A fresh tracker's traffic rows hold the edge-side bytes, copy by copy."""
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            dag = oracle_dag(rng, "zero" if weights == "no_comm" else weights)
+            if weights == "no_comm":
+                dag.set_comm_weights(np.zeros(dag.num_nodes))
+            machine = _machine(kind, int(rng.choice([2, 3, 4, 8])), rng)
+            starts = _starts(dag, machine, 3, seed=int(rng.integers(100)))
+            for copies in (starts[:1], starts):
+                tracker = LazyCostTracker(
+                    dag,
+                    machine,
+                    [s.procs for s in copies],
+                    [s.supersteps for s in copies],
+                    [s.num_supersteps for s in copies],
+                )
+                for t, s in enumerate(copies):
+                    rows = slice(tracker.step_offsets[t], tracker.step_offsets[t + 1])
+                    oracle = _edge_side_traffic(
+                        dag, machine, s.procs, s.supersteps, s.num_supersteps
+                    )
+                    assert tracker.traffic[:, rows].tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("kind", ["uniform", "numa"])
+    @pytest.mark.parametrize("num_procs", [1, 3, 8, 16])
+    def test_mixed_blocks_score_as_each_copy_alone(self, kind, num_procs):
+        """Blocks mixing copies give each copy's own valid mask and valid deltas.
+
+        Every block holds nodes on each copy's first and last superstep,
+        whose ``τ - 1`` and ``τ + 1`` candidates reach into the neighbouring
+        copies' rows.
+        """
+        rng = np.random.default_rng(num_procs)
+        edge_steps = 0
+        for seed in range(4):
+            dag = random_dag(int(rng.integers(8, 30)), 0.15, seed=80 + seed)
+            n = dag.num_nodes
+            machine = _machine(kind, num_procs, rng)
+            starts = _starts(dag, machine, 3, seed=seed)
+            joint = LazyCostTracker(
+                dag,
+                machine,
+                [s.procs for s in starts],
+                [s.supersteps for s in starts],
+                [s.num_supersteps for s in starts],
+            )
+            alone = [
+                LazyCostTracker(dag, machine, s.procs, s.supersteps, s.num_supersteps)
+                for s in starts
+            ]
+            for _ in range(4):
+                picks = []
+                for t, s in enumerate(starts):
+                    last = s.num_supersteps - 1
+                    ends = np.flatnonzero((s.supersteps == 0) | (s.supersteps == last))
+                    edge_steps += ends.size
+                    extra = rng.choice(n, size=int(rng.integers(0, n)), replace=False)
+                    picks.append(np.concatenate((ends, extra)) + t * n)
+                block = rng.permutation(np.concatenate(picks))
+                deltas, valid = joint.candidate_deltas(block)
+                block = block[: deltas.shape[0]]
+                for t, solo in enumerate(alone):
+                    mine = (block // n) == t
+                    if not mine.any():
+                        continue
+                    solo_deltas, solo_valid = solo.candidate_deltas(block[mine] - t * n)
+                    assert solo_deltas.shape[0] == np.count_nonzero(mine)
+                    assert valid[mine].tobytes() == solo_valid.tobytes()
+                    assert deltas[mine][solo_valid].tobytes() == solo_deltas[solo_valid].tobytes()
+        assert edge_steps > 0
+
+    def test_moves_stay_inside_their_copy(self):
+        """A copy's nodes may not move into another copy's supersteps."""
+        dag = random_dag(12, 0.2, seed=4)
+        machine = BspMachine.uniform(2, g=1, latency=1)
+        starts = _starts(dag, machine, 2)
+        joint = LazyCostTracker(
+            dag, machine, [s.procs for s in starts], [s.supersteps for s in starts]
+        )
+        split = int(joint.step_offsets[1])
+        first = np.flatnonzero(joint.supersteps[: dag.num_nodes] == split - 1)
+        second = dag.num_nodes + np.flatnonzero(joint.supersteps[dag.num_nodes :] == split)
+        assert first.size and second.size
+        for v in first.tolist():
+            assert not any(joint.is_valid_move(v, q, split) for q in range(2))
+        for v in second.tolist():
+            assert not any(joint.is_valid_move(v, q, split - 1) for q in range(2))
+
+
+class TestImproveMany:
+    """``improve_many`` gives every schedule what a lone ``improve`` gives it."""
+
+    @staticmethod
+    def _assert_each_as_alone(starts, make, budget=None):
+        joint = make()
+        results = joint.improve_many(starts, budget)
+        assert len(results) == len(joint.copy_stops) == len(starts)
+        for t, start in enumerate(starts):
+            alone = make()
+            result = alone.improve(start, budget)
+            assert joint.copy_moves[t] == alone.last_moves, t
+            assert joint.copy_stops[t] == alone.last_stop, t
+            assert (results[t] is start) == (result is start), t
+            assert results[t].procs.tobytes() == result.procs.tobytes(), t
+            assert results[t].supersteps.tobytes() == result.supersteps.tobytes(), t
+            assert results[t].cost() == result.cost(), t
+        assert joint.last_stop == joint.copy_stops[0]
+        assert joint.last_moves == joint.copy_moves[0]
+        return joint
+
+    @pytest.mark.parametrize("kind", ["uniform", "numa"])
+    @pytest.mark.parametrize("num_procs", [1, 3, 8, 16])
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    def test_each_copy_climbs_as_alone(self, kind, num_procs, copies):
+        rng = np.random.default_rng(100 * num_procs + copies)
+        moved = shapes = 0
+        for seed in range(3):
+            dag = random_dag(int(rng.integers(10, 40)), 0.12, seed=seed)
+            machine = _machine(kind, num_procs, rng)
+            starts = _starts(dag, machine, copies, seed=seed)
+            shapes += len({s.num_supersteps for s in starts}) > 1
+            for cap in (None, 2):
+                joint = self._assert_each_as_alone(
+                    starts, lambda: HillClimbingImprover(max_steps=cap, record_moves=True)
+                )
+                moved += sum(map(len, joint.copy_moves))
+        # one processor: the starts are single-superstep schedules already
+        assert (moved > 0) == (num_procs > 1)
+        if copies > 1:
+            assert shapes > 0
+
+    @pytest.mark.parametrize(
+        "make, budget, stop",
+        [
+            (lambda: HillClimbingImprover(max_steps=1, record_moves=True), None, STEP_CAP),
+            (lambda: HillClimbingImprover(record_moves=True), Budget(max_steps=3), STEP_CAP),
+            (lambda: HillClimbingImprover(max_passes=1, record_moves=True), None, PASS_CAP),
+            (lambda: HillClimbingImprover(max_passes=0, record_moves=True), None, PASS_CAP),
+        ],
+        ids=["step_cap", "budget_step_cap", "one_pass", "no_pass"],
+    )
+    def test_caps_hold_per_copy(self, make, budget, stop):
+        dag = random_dag(40, 0.1, seed=9)
+        machine = BspMachine.numa_hierarchy(8, delta=3, g=3, latency=4)
+        joint = self._assert_each_as_alone(_starts(dag, machine, 3), make, budget)
+        assert stop in joint.copy_stops
+
+    def test_clock_stops_every_copy_before_scoring(self, monkeypatch):
+        """A spent clock: every copy stops with CLOCK, nothing is scored or moved."""
+        calls = []
+        raw = LazyCostTracker.candidate_deltas
+        monkeypatch.setattr(
+            LazyCostTracker,
+            "candidate_deltas",
+            lambda self, nodes: calls.append(1) or raw(self, nodes),
+        )
+        dag = random_dag(30, 0.15, seed=2)
+        machine = BspMachine.uniform(4, g=3, latency=2)
+        starts = _starts(dag, machine, 3)
+        improver = HillClimbingImprover(record_moves=True)
+        results = improver.improve_many(starts, Budget(0.0))
+        assert improver.copy_stops == [CLOCK] * 3
+        assert improver.copy_moves == [[], [], []]
+        assert all(result is start for result, start in zip(results, starts))
+        config = PipelineConfig(use_ilp=False, use_comm_ilp=False, local_search_seconds=0)
+        SchedulingPipeline(config).schedule(dag, machine)
+        assert not calls
+
+    @pytest.mark.parametrize("cells", [1, 3000])
+    def test_capped_blocks_starve_no_copy(self, monkeypatch, cells):
+        """A cell cap that scores one node (or a few) per call leaves copies out of rounds."""
+        monkeypatch.setattr(hill_climbing, "_BLOCK_CELLS", cells)
+        rounds = {"calls": 0, "left_out": 0}
+        raw = LazyCostTracker.candidate_deltas
+
+        def counting(self, nodes):
+            deltas, valid = raw(self, nodes)
+            rounds["calls"] += 1
+            copies = np.unique(np.asarray(nodes) // self.dag.num_nodes).size
+            rounds["left_out"] += copies > np.unique(
+                np.asarray(nodes)[: deltas.shape[0]] // self.dag.num_nodes
+            ).size
+            return deltas, valid
+
+        monkeypatch.setattr(LazyCostTracker, "candidate_deltas", counting)
+        machine = BspMachine.uniform(8, g=2, latency=3)
+        for seed in range(2):
+            dag = random_dag(30, 0.12, seed=20 + seed)
+            self._assert_each_as_alone(
+                _starts(dag, machine, 3, seed=seed),
+                lambda: HillClimbingImprover(record_moves=True),
+            )
+        assert rounds["left_out"] > 0
+
+    def test_empty_and_mismatched_inputs(self, machine4):
+        improver = HillClimbingImprover()
+        empty = RoundRobinScheduler().schedule(ComputationalDAG(0), machine4)
+        assert improver.improve_many([empty, empty]) == [empty, empty]
+        assert improver.copy_stops == [CONVERGED, CONVERGED]
+        one = RoundRobinScheduler().schedule(random_dag(5, 0.3, seed=1), machine4)
+        other = RoundRobinScheduler().schedule(random_dag(5, 0.3, seed=1), machine4)
+        with pytest.raises(ValueError):
+            improver.improve_many([one, other])

@@ -18,8 +18,21 @@ from repro.schedulers import (
 from conftest import assert_valid_schedule
 
 
-FAST = PipelineConfig.fast()
-FAST_HEURISTIC = PipelineConfig(use_ilp=False, use_comm_ilp=False, local_search_seconds=0.3)
+#: every clock off: node limit 1 stops each HiGHS solve at its root, and the
+#: variable thresholds keep every model small, so each solve is a fixed
+#: amount of work whatever the machine's load
+FAST = PipelineConfig(
+    local_search_seconds=None,
+    ilp_full_seconds=None,
+    ilp_partial_seconds=None,
+    ilp_comm_seconds=None,
+    ilp_init_seconds=None,
+    ilp_node_limit=1,
+    ilp_full_max_variables=600,
+    ilp_partial_max_variables=300,
+    ilp_init_max_variables=200,
+)
+FAST_HEURISTIC = PipelineConfig(use_ilp=False, use_comm_ilp=False, local_search_seconds=None)
 
 
 @pytest.fixture(scope="module")

@@ -157,6 +157,29 @@ def test_improvers_never_increase_cost(dag, machine):
 
 
 @COMMON_SETTINGS
+@given(
+    dag=dags(),
+    machine=machines(),
+    copies=st.integers(2, 3),
+    cilk_seed=st.integers(0, 2**16),
+    max_steps=st.one_of(st.none(), st.integers(0, 6)),
+)
+def test_joint_climb_equals_lone_climbs(dag, machine, copies, cilk_seed, max_steps):
+    """``improve_many`` gives each start the schedule, moves and stop of a lone ``improve``."""
+    initializers = (BspGreedyScheduler(), SourceScheduler(), CilkScheduler(seed=cilk_seed))
+    starts = [init.schedule(dag, machine).with_lazy_comm() for init in initializers[:copies]]
+    joint = HillClimbingImprover(max_steps=max_steps, record_moves=True)
+    results = joint.improve_many(starts)
+    for start, result, moves, stop in zip(starts, results, joint.copy_moves, joint.copy_stops):
+        alone = HillClimbingImprover(max_steps=max_steps, record_moves=True)
+        expected = alone.improve(start)
+        assert (moves, stop) == (alone.last_moves, alone.last_stop)
+        assert np.array_equal(result.procs, expected.procs)
+        assert np.array_equal(result.supersteps, expected.supersteps)
+        assert result.cost() == expected.cost()
+
+
+@COMMON_SETTINGS
 @given(dag=dags(), machine=machines())
 def test_lazy_schedule_at_least_as_good_without_explicit_comm(dag, machine):
     """The compacted trivial schedule is a universal upper bound on the framework output."""
