@@ -68,15 +68,17 @@ def hc_pass(tracker, start, stop, max_accept=-1, eps=_EPS, budget=None, *, skip=
     cap may score fewer nodes than asked; the next block then doubles
     what was scored.
 
-    A tracker holding several schedules (copies) walks each copy's part
-    of ``[start, stop)`` as above, in lockstep: each round concatenates the
-    next block of every copy still walking into one ``candidate_deltas``
-    call, then applies each copy's first hit and moves each copy on as its
-    own walk would.  A copy's moves change only its own rows, so the other
-    copies' scores from the same call still hold.  When the memory cap
-    cuts the combined block, the copies it left out lead the next round's
-    block, ahead of those it scored, so no copy starves.  The call ends
-    when every copy has finished its pass.
+    A tracker holding several schedules (copies, of one DAG or of
+    different ones; copy ``c`` owns the nodes from
+    ``tracker.node_offsets[c]`` up to ``tracker.node_offsets[c + 1]``)
+    walks each copy's part of ``[start, stop)`` as above, in lockstep: each
+    round concatenates the next block of every copy still walking into one
+    ``candidate_deltas`` call, then applies each copy's first hit and moves
+    each copy on as its own walk would.  A copy's moves change only its own
+    rows, so the other copies' scores from the same call still hold.  When
+    the memory cap cuts the combined block, the copies it left out lead the
+    next round's block, ahead of those it scored, so no copy starves.  The
+    call ends when every copy has finished its pass.
 
     ``skip`` is an optional boolean mask over the tracker's nodes that
     marks nodes known to have no improving move in the current state (the
@@ -96,7 +98,7 @@ def hc_pass(tracker, start, stop, max_accept=-1, eps=_EPS, budget=None, *, skip=
     """
     P = tracker.machine.num_procs
     width = 3 * P  # candidates per node
-    n = tracker.dag.num_nodes
+    offsets = tracker.node_offsets.tolist()
     copies = tracker.num_copies
     if max_accept is None or np.ndim(max_accept) == 0:
         caps = [-1 if max_accept is None else int(max_accept)] * copies
@@ -105,8 +107,8 @@ def hc_pass(tracker, start, stop, max_accept=-1, eps=_EPS, budget=None, *, skip=
     moves: list[tuple[int, int, int]] = []
     # per copy: its nodes, the nodes it still walks, the walk position in
     # them, the next block size and the moves it accepted
-    first = [max(start, c * n) for c in range(copies)]
-    nodes = [np.arange(first[c], min(stop, (c + 1) * n)) for c in range(copies)]
+    first = [max(start, offsets[c]) for c in range(copies)]
+    nodes = [np.arange(first[c], min(stop, offsets[c + 1])) for c in range(copies)]
     todo = list(nodes) if skip is None else [own[~skip[own]] for own in nodes]
     pos = [0] * copies
     size = [_HC_BLOCK_MAX] * copies

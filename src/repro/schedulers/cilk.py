@@ -60,18 +60,27 @@ class CilkScheduler(Scheduler):
         idle = set(range(num_procs))
         events: list[tuple[float, int, int]] = []  # (finish_time, node, proc)
         scheduled = 0
+        queued = len(stacks[0])  # tasks on all stacks
         current_time = 0.0
 
         def try_dispatch() -> None:
-            """Hand ready tasks to idle processors until no more moves exist."""
-            nonlocal scheduled
+            """Hand ready tasks to idle processors until no more moves exist.
+
+            With no task queued, every idle processor would find its own
+            stack and every victim's empty and take nothing, without an rng
+            draw, so the round ends there instead.
+            """
+            nonlocal scheduled, queued
             progress = True
-            while progress and idle:
+            while progress and idle and queued:
                 progress = False
                 for p in sorted(idle):
+                    if not queued:
+                        break
                     task = self._acquire_task(p, stacks, rng)
                     if task is None:
                         continue
+                    queued -= 1
                     idle.discard(p)
                     procs[task] = p
                     start_times[task] = current_time
@@ -94,6 +103,7 @@ class CilkScheduler(Scheduler):
                 remaining_preds[succ] -= 1
                 if remaining_preds[succ] == 0:
                     stacks[proc].append(succ)
+                    queued += 1
             idle.add(proc)
             # Drain all events at the same timestamp before dispatching, so
             # ties are handled consistently.
@@ -103,6 +113,7 @@ class CilkScheduler(Scheduler):
                     remaining_preds[succ] -= 1
                     if remaining_preds[succ] == 0:
                         stacks[other_proc].append(succ)
+                        queued += 1
                 idle.add(other_proc)
             try_dispatch()
 

@@ -14,7 +14,9 @@ DAG scheduler, see the substitution note in DESIGN.md):
 2. greedily merge consecutive levels while the merged group contains fewer
    independent units (weakly connected components of the group's induced
    subgraph) than processors — thin wavefronts are the case HDagg's hybrid
-   aggregation targets;
+   aggregation targets.  With topological levels a group never gains a
+   unit after its first wavefront, so this merges thin wavefronts up to a
+   fat one or the level cap;
 3. assign every unit of a group to one processor, processing units in
    decreasing order of work, preferring the processor that already owns the
    largest communication volume of the unit's direct predecessors, subject
@@ -63,7 +65,17 @@ class HDaggScheduler(Scheduler):
     def _group_levels(
         self, dag: ComputationalDAG, num_procs: int, levels: np.ndarray
     ) -> list[list[int]]:
-        """Merge consecutive levels into groups with enough independent units."""
+        """Merge consecutive levels into groups with enough independent units.
+
+        A fat wavefront (at least ``num_procs`` nodes) forms a group of its
+        own, and a group of thin ones ends after ``max_group_levels``
+        levels.  HDagg would also end a group once it holds ``num_procs``
+        units, but with the longest-path ``levels`` a group never does:
+        every node of a later wavefront of the group has a predecessor in
+        the wavefront before it, so it joins a unit the group already has,
+        and a group has no more units than its first, thin, wavefront.  So
+        no unit is counted here.
+        """
         if dag.num_nodes == 0:
             return []
         num_levels = int(levels.max()) + 1
@@ -91,12 +103,7 @@ class HDaggScheduler(Scheduler):
                 levels_in_group = 0
             current.extend(level_nodes)
             levels_in_group += 1
-            units = self._units(dag, current)
-            if (
-                len(units) >= num_procs
-                or len(level_nodes) >= num_procs
-                or levels_in_group >= self.max_group_levels
-            ):
+            if len(level_nodes) >= num_procs or levels_in_group >= self.max_group_levels:
                 groups.append(current)
                 current = []
                 levels_in_group = 0

@@ -37,16 +37,23 @@ sequences and final ``(π, τ)``) by the differential tests; on
 integer/dyadic-weight instances — every generator in this repository — the
 two paths are bit-identical, not merely equal in cost.
 
-A pipeline climbs each of its initial schedules.  Those climbs are
-independent, so :meth:`HillClimbingImprover.improve_many` puts all of them
-into one tracker as disjoint copies and each pass walks the copies in
-lockstep: one ``candidate_deltas`` call scores the next block of every copy
-still walking, which saves the fixed per-call cost of the calls the
-separate climbs would make.  Each copy's moves and result are those of its
-own climb.
+A pipeline climbs each of its initial schedules, and the multilevel
+scheduler refines each of its coarsening ratios.  Those climbs are
+independent, so :meth:`HillClimbingImprover.improve_many` and
+:meth:`HillClimbingImprover.refine_assignment` put all of them into one
+tracker as disjoint copies — of one DAG, or of different DAGs on one
+machine — and each pass walks the copies in lockstep: one
+``candidate_deltas`` call scores the next block of every copy still
+walking, which saves the fixed per-call cost of the calls the separate
+climbs would make.  The copies share no edge and no superstep, and a
+copy's scores and moves read only its own nodes and rows, so each copy's
+moves and result are those of its own climb.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -87,81 +94,116 @@ _STEP_ROWS = _STEP_OFFSETS - 1
 _BLOCK_CELLS = 1 << 16
 
 
-def _tiled(weights: np.ndarray, copies: int) -> np.ndarray:
-    """``copies`` back-to-back copies of a node weight vector."""
-    return weights if copies == 1 else np.tile(weights, copies)
+def _offsets(sizes: list[int]) -> np.ndarray:
+    """``[0, s0, s0 + s1, ...]``: where each of the consecutive parts starts, then the end."""
+    offsets = np.zeros(len(sizes) + 1, dtype=_INT)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
 
 
-def _tiled_csr(
-    indptr: np.ndarray, indices: np.ndarray, copies: int
+def _joined_csr(
+    indptrs: list[np.ndarray], indices: list[np.ndarray], node_offsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays of ``copies`` disjoint copies of a graph; copy ``t``'s ``v`` is ``t·n + v``."""
-    if copies == 1:
-        return indptr, indices
-    n, m = indptr.size - 1, indices.size
-    shift = np.arange(copies, dtype=_INT)[:, None]
+    """CSR arrays of disjoint graphs; graph ``t``'s ``v`` becomes ``node_offsets[t] + v``."""
+    edge_offsets = _offsets([part.size for part in indices])
     return (
-        np.append((indptr[:-1] + shift * m).ravel(), copies * m),
-        (indices + shift * n).ravel(),
+        np.concatenate(
+            [ptr[:-1] + shift for ptr, shift in zip(indptrs, edge_offsets.tolist())]
+            + [edge_offsets[-1:]]
+        ),
+        np.concatenate([part + shift for part, shift in zip(indices, node_offsets.tolist())]),
+    )
+
+
+def _per_copy(dag, procs, supersteps) -> tuple[tuple[ComputationalDAG, ...], list, list]:
+    """``(dags, procs, supersteps)``, one entry per copy, from the arguments of a tracker."""
+    if isinstance(dag, ComputationalDAG):
+        procs = np.atleast_2d(np.asarray(procs, dtype=_INT))
+        supersteps = np.atleast_2d(np.asarray(supersteps, dtype=_INT))
+        return (dag,) * len(supersteps), list(procs), list(supersteps)
+    return (
+        tuple(dag),
+        [np.asarray(p, dtype=_INT) for p in procs],
+        [np.asarray(s, dtype=_INT) for s in supersteps],
+    )
+
+
+def _same_rows(a: LazyCostTracker, copy_a: int, b: LazyCostTracker, copy_b: int) -> bool:
+    """Whether ``a``'s copy ``copy_a`` has the work and traffic rows of ``b``'s ``copy_b``."""
+    rows_a = slice(a.step_offsets[copy_a], a.step_offsets[copy_a + 1])
+    rows_b = slice(b.step_offsets[copy_b], b.step_offsets[copy_b + 1])
+    return np.array_equal(a.work[rows_a], b.work[rows_b]) and np.array_equal(
+        a.traffic[:, rows_a], b.traffic[:, rows_b]
     )
 
 
 class LazyCostTracker:
-    """Incrementally maintained cost of lazy-communication BSP schedules of one DAG.
+    """Incrementally maintained cost of lazy-communication BSP schedules.
 
     The tracker owns mutable copies of the assignment arrays.  The number of
     supersteps is fixed at construction time; node moves are restricted to
     the existing supersteps (the surrounding pipeline compacts empty
     supersteps afterwards).
 
-    One tracker can hold ``T`` schedules of the same DAG and machine as
-    disjoint *copies*: pass ``procs`` and ``supersteps`` as ``(T, n)``
-    arrays (one row per schedule) and ``num_supersteps`` as one count per
-    copy.  Copy ``t``'s node ``v`` is tracker node ``t·n + v``, and its
-    supersteps are offset by :attr:`step_offsets` ``[t]``, the supersteps of
-    the copies before it, so every work and traffic row belongs to exactly
-    one copy and a node may only move within its copy's supersteps.  The
-    DAG's CSR and weight arrays are read once and tiled by offsetting, so
-    each copy's rows, first-need table and moves are those of a tracker
-    holding that schedule alone.  A 1-D assignment is the one-copy case.
+    One tracker can hold ``T`` schedules on one machine as disjoint
+    *copies*, of one DAG or of different ones.  For one DAG, pass ``procs``
+    and ``supersteps`` as ``(T, n)`` arrays (one row per schedule); for
+    different DAGs, pass ``dag`` as a sequence of ``T`` DAGs and ``procs``
+    and ``supersteps`` as sequences of ``T`` arrays, one per DAG.
+    ``num_supersteps`` is one count, or one per copy.  Copy ``t``'s node
+    ``v`` is tracker node :attr:`node_offsets` ``[t] + v``, and its
+    supersteps are offset by :attr:`step_offsets` ``[t]``, the supersteps
+    of the copies before it, so every work and traffic row belongs to
+    exactly one copy and a node may only move within its copy's supersteps.
+    The copies' CSR and weight arrays are concatenated with node and edge
+    offsets (one DAG's arrays ``T`` times when the copies share it), so no
+    edge joins two copies, and each copy's rows, first-need table and moves
+    are those of a tracker holding that schedule alone.  A 1-D assignment
+    of one DAG is the one-copy case.
     """
 
     def __init__(
         self,
-        dag: ComputationalDAG,
+        dag: ComputationalDAG | Sequence[ComputationalDAG],
         machine: BspMachine,
-        procs: np.ndarray,
-        supersteps: np.ndarray,
-        num_supersteps: int | np.ndarray | None = None,
+        procs: np.ndarray | Sequence[np.ndarray],
+        supersteps: np.ndarray | Sequence[np.ndarray],
+        num_supersteps: int | Sequence[int] | np.ndarray | None = None,
     ) -> None:
-        self.dag = dag
+        dags, procs, supersteps = _per_copy(dag, procs, supersteps)
+        copies = len(dags)
+        #: each copy's DAG
+        self.dags = dags
+        #: the DAG every copy shares (``None`` when the copies' DAGs differ)
+        self.dag = dags[0] if copies and all(d is dags[0] for d in dags) else None
         self.machine = machine
-        procs = np.atleast_2d(np.asarray(procs, dtype=_INT))
-        supersteps = np.atleast_2d(np.asarray(supersteps, dtype=_INT))
-        copies, n = supersteps.shape
         counts = (
-            supersteps.max(axis=1, initial=-1) + 1
+            [int(s.max(initial=-1)) + 1 for s in supersteps]
             if num_supersteps is None
             else np.zeros(copies, dtype=_INT) + num_supersteps
         )
+        sizes = [d.num_nodes for d in dags]
         #: number of schedules held
         self.num_copies = copies
+        #: copy ``t`` owns the nodes ``[node_offsets[t], node_offsets[t + 1])``
+        self.node_offsets = _offsets(sizes)
         #: copy ``t`` owns the supersteps ``[step_offsets[t], step_offsets[t + 1])``
-        self.step_offsets = np.zeros(copies + 1, dtype=_INT)
-        np.cumsum(counts, out=self.step_offsets[1:])
-        self.procs = procs.ravel().copy()
-        self.supersteps = (supersteps + self.step_offsets[:-1, None]).ravel()
+        self.step_offsets = _offsets(counts)
+        self.procs = np.concatenate(procs)
+        self.supersteps = np.concatenate(
+            [s + offset for s, offset in zip(supersteps, self.step_offsets[:-1].tolist())]
+        )
         self.num_supersteps = int(self.step_offsets[-1])
         # each node's open superstep range, the one of its copy
-        self._step_lo = self.step_offsets[:-1].repeat(n)
-        self._step_hi = self.step_offsets[1:].repeat(n)
-        self._work_w = _tiled(dag.work_weights, copies)
-        self._comm_w = _tiled(dag.comm_weights, copies)
-        self._pred_indptr, self._pred_indices = _tiled_csr(
-            dag.pred_indptr, dag.pred_indices, copies
+        self._step_lo = self.step_offsets[:-1].repeat(sizes)
+        self._step_hi = self.step_offsets[1:].repeat(sizes)
+        self._work_w = np.concatenate([d.work_weights for d in dags])
+        self._comm_w = np.concatenate([d.comm_weights for d in dags])
+        self._pred_indptr, self._pred_indices = _joined_csr(
+            [d.pred_indptr for d in dags], [d.pred_indices for d in dags], self.node_offsets
         )
-        self._succ_indptr, self._succ_indices = _tiled_csr(
-            dag.succ_indptr, dag.succ_indices, copies
+        self._succ_indptr, self._succ_indices = _joined_csr(
+            [d.succ_indptr for d in dags], [d.succ_indices for d in dags], self.node_offsets
         )
         P = machine.num_procs
         S = max(self.num_supersteps, 1)
@@ -629,9 +671,12 @@ class LazyCostTracker:
             self.need_min[dead, old_proc] = col
             self.need_cnt[dead, old_proc] = cnt
 
-    def assignment(self) -> tuple[np.ndarray, np.ndarray]:
-        """Copies of the current ``(π, τ)`` arrays."""
-        return self.procs.copy(), self.supersteps.copy()
+    def assignment(self, copy: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the current ``(π, τ)`` arrays, or of one copy's in its own numbering."""
+        if copy is None:
+            return self.procs.copy(), self.supersteps.copy()
+        nodes = slice(self.node_offsets[copy], self.node_offsets[copy + 1])
+        return self.procs[nodes].copy(), self.supersteps[nodes] - self.step_offsets[copy]
 
     def compacted_assignment(self, copy: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
         """``(π, τ', num_used)`` of one copy with empty supersteps renumbered away.
@@ -644,13 +689,10 @@ class LazyCostTracker:
         for it: a zero-volume transfer leaves no trace there, and removing a
         transfer by subtraction can leave float residue in a row.
         """
-        n = self.dag.num_nodes
-        nodes = slice(copy * n, (copy + 1) * n)
-        procs = self.procs[nodes].copy()
-        supersteps = self.supersteps[nodes] - self.step_offsets[copy]
-        need = self.need_min[nodes]
+        procs, supersteps = self.assignment(copy)
+        need = self.need_min[self.node_offsets[copy] : self.node_offsets[copy + 1]]
         needs = need != NO_ENTRY
-        needs[np.arange(n), procs] = False
+        needs[np.arange(procs.size), procs] = False
         used = np.union1d(supersteps, need[needs] - 1 - self.step_offsets[copy])
         return procs, np.searchsorted(used, supersteps), used.size
 
@@ -668,12 +710,13 @@ class HillClimbingImprover(ScheduleImprover):
     with a full-size block, so a run may overrun its clock by one full
     block's evaluation.
 
-    :meth:`improve_many` climbs several schedules of one DAG at once: one
-    tracker holds them all as copies, and each pass walks every copy still
-    climbing in lockstep, so their blocks share ``candidate_deltas`` calls.
-    Each copy keeps its own step cap, stop reason and moves, and ends with
-    the schedule a lone :meth:`improve` would return; :meth:`improve` is the
-    one-schedule case.
+    :meth:`improve_many` climbs several schedules on one machine at once,
+    of one DAG or of different ones: one tracker holds them all as copies,
+    and each pass walks every copy still climbing in lockstep, so their
+    blocks share ``candidate_deltas`` calls.  Each copy keeps its own step
+    cap, stop reason and moves, and ends with the schedule a lone
+    :meth:`improve` would return; :meth:`improve` is the one-schedule case.
+    :meth:`refine_assignment` runs such a joint burst on raw arrays.
 
     Parameters
     ----------
@@ -692,9 +735,9 @@ class HillClimbingImprover(ScheduleImprover):
     Every run records in :attr:`last_stop` why its climb stopped:
     :data:`CONVERGED` (a full pass accepted no move), :data:`STEP_CAP`,
     :data:`PASS_CAP` or :data:`CLOCK`.  A run over several schedules keeps
-    one stop reason and one move list per schedule in :attr:`copy_stops`
-    and :attr:`copy_moves`; :attr:`last_stop` and :attr:`last_moves` are
-    then the first schedule's.
+    one stop reason, one accepted-move count and one move list per schedule
+    in :attr:`copy_stops`, :attr:`copy_accepted` and :attr:`copy_moves`;
+    :attr:`last_stop` and :attr:`last_moves` are then the first schedule's.
     """
 
     name = "hill_climbing"
@@ -714,8 +757,10 @@ class HillClimbingImprover(ScheduleImprover):
         self.last_stop: str | None = None
         #: accepted moves of each schedule of the last run, in its own numbering
         self.copy_moves: list[list[tuple[int, int, int]]] | None = None
-        #: why each schedule's climb in the last run stopped
-        self.copy_stops: list[str] = []
+        #: why each schedule's climb in the last run stopped (``None``: it sat out)
+        self.copy_stops: list[str | None] = []
+        #: how many moves each schedule's climb in the last run accepted
+        self.copy_accepted: list[int] = []
 
     # ------------------------------------------------------------------ #
     def climb(
@@ -724,6 +769,7 @@ class HillClimbingImprover(ScheduleImprover):
         budget: Budget | None = None,
         *,
         skip: np.ndarray | None = None,
+        copies: Sequence[int] | None = None,
     ) -> int:
         """Run the climbing loop on an existing tracker; return accepted moves.
 
@@ -733,28 +779,36 @@ class HillClimbingImprover(ScheduleImprover):
         work/send/receive matrices anew for every burst.  ``skip`` is
         handed to the first pass (see :func:`repro.core.kernels.hc_pass`):
         it marks nodes known to have no improving move in the tracker's
-        current state.  Sets :attr:`copy_stops` and :attr:`last_stop`.  A
-        pass that accepts nothing counts as converged only when the clock
-        has not run out, since the clock may have cut that pass short.
+        current state.  Sets :attr:`copy_stops`, :attr:`copy_accepted` and
+        :attr:`last_stop`.  A pass that accepts nothing counts as converged
+        only when the clock has not run out, since the clock may have cut
+        that pass short.
 
-        Every pass walks all copies still climbing; a copy stops at its
-        step cap or after a pass without a move, so the copies share the
-        pass count, the pass cap and the clock.  The returned count sums
-        the copies' moves.
+        ``copies`` lists the copies that climb (default: all of them); the
+        others sit the run out untouched, with stop reason ``None``.  A copy
+        without nodes has converged.  Every pass walks all copies still
+        climbing; a copy stops at its step cap or after a pass without a
+        move, so the copies share the pass count, the pass cap and the
+        clock.  The returned count sums the copies' moves.
         """
         budget = budget or Budget()
         # the budget's step cap bounds this invocation on top of (never
         # instead of) the configured cap
         caps = [cap for cap in (self.max_steps, budget.max_steps) if cap is not None]
         max_steps = min(caps, default=None)
-        n = tracker.dag.num_nodes
-        copies = tracker.num_copies
-        moves: list[list[tuple[int, int, int]]] = [[] for _ in range(copies)]
-        accepted = [0] * copies
-        stops: list[str | None] = [None] * copies
+        offsets = tracker.node_offsets.tolist()
+        count = tracker.num_copies
+        moves: list[list[tuple[int, int, int]]] = [[] for _ in range(count)]
+        accepted = [0] * count
+        stops: list[str | None] = [None] * count
+        walking = []
+        for c in range(count) if copies is None else sorted(copies):
+            if offsets[c] == offsets[c + 1]:
+                stops[c] = CONVERGED
+            else:
+                walking.append(c)
         passes = 0
-        while None in stops:
-            walking = [c for c in range(copies) if stops[c] is None]
+        while walking:
             if passes >= self.max_passes or budget.expired():
                 stop = PASS_CAP if passes >= self.max_passes else CLOCK
                 for c in walking:
@@ -762,32 +816,36 @@ class HillClimbingImprover(ScheduleImprover):
                 break
             passes += 1
             # one kernel pass over every walking copy fuses candidate
-            # evaluation and acceptance; a stopped copy sits it out (cap
+            # evaluation and acceptance; the other copies sit it out (cap
             # 0), and -1 means no cap
-            pass_caps = [
-                0 if stops[c] else (-1 if max_steps is None else max_steps - accepted[c])
-                for c in range(copies)
-            ]
+            pass_caps = [0] * count
+            for c in walking:
+                pass_caps[c] = -1 if max_steps is None else max_steps - accepted[c]
             _, pass_moves = kernels.hc_pass(
-                tracker, walking[0] * n, (walking[-1] + 1) * n, pass_caps, _EPS,
+                tracker, offsets[walking[0]], offsets[walking[-1] + 1], pass_caps, _EPS,
                 budget=budget, skip=skip,
             )
             skip = None
-            got = [0] * copies
+            got = [0] * count
             for node, new_proc, new_step in pass_moves:
-                c = node // n
+                c = bisect_right(offsets, node) - 1
                 got[c] += 1
                 if self.record_moves:
                     moves[c].append(
-                        (node - c * n, new_proc, new_step - int(tracker.step_offsets[c]))
+                        (node - offsets[c], new_proc, new_step - int(tracker.step_offsets[c]))
                     )
+            still = []
             for c in walking:
                 accepted[c] += got[c]
                 if max_steps is not None and accepted[c] >= max_steps:
                     stops[c] = STEP_CAP
                 elif not got[c]:
                     stops[c] = CLOCK if budget.expired() else CONVERGED
+                else:
+                    still.append(c)
+            walking = still
         self.copy_stops = stops
+        self.copy_accepted = accepted
         self.last_stop = stops[0]
         self.copy_moves = moves if self.record_moves else None
         self.last_moves = moves[0] if self.record_moves else None
@@ -795,57 +853,69 @@ class HillClimbingImprover(ScheduleImprover):
 
     def refine_assignment(
         self,
-        dag: ComputationalDAG,
+        dag: ComputationalDAG | Sequence[ComputationalDAG],
         machine: BspMachine,
-        procs: np.ndarray,
-        supersteps: np.ndarray,
+        procs: np.ndarray | Sequence[np.ndarray],
+        supersteps: np.ndarray | Sequence[np.ndarray],
         budget: Budget | None = None,
         tracker: LazyCostTracker | None = None,
-        hand_off: tuple[LazyCostTracker, np.ndarray] | None = None,
+        hand_off: tuple[LazyCostTracker, Sequence[tuple[int, np.ndarray] | None]] | None = None,
+        copies: Sequence[int] | None = None,
     ) -> tuple[LazyCostTracker, int]:
         """Hill-climb directly on assignment arrays, bypassing schedule objects.
 
-        Builds the tracker once and runs :meth:`climb` on it; returns the
-        tracker plus the number of accepted moves (:attr:`last_stop` says
-        why the burst stopped).  A passed-in ``tracker`` is reused only when
-        it belongs to the same ``(dag, machine)`` *and* its internal
-        ``(π, τ)`` equals the given arrays — on any mismatch a fresh tracker
-        is built from the arrays, so a caller-side assignment edit is never
+        ``dag``, ``procs`` and ``supersteps`` are read as
+        :class:`LazyCostTracker` reads them: one DAG and its arrays, or one
+        DAG and one pair of arrays per copy.  Builds the tracker once and
+        runs :meth:`climb` on it over ``copies`` (default: all); returns the
+        tracker plus the number of accepted moves (:attr:`copy_stops` and
+        :attr:`copy_accepted` say why each copy's burst stopped and what it
+        accepted).  A passed-in ``tracker`` is reused only when it holds
+        the same DAGs on the same machine *and* each copy's internal ``(π,
+        τ)`` equals the given arrays — on any mismatch a fresh tracker is
+        built from the arrays, so a caller-side assignment edit is never
         silently discarded.  This is the multilevel refinement entry point:
-        per-level bursts need neither schedule validation nor compaction, so
-        the per-burst overhead is one tracker build — and zero when the
-        caller passes the previous burst's tracker back in (with that
-        tracker's own arrays).
+        per-level bursts need neither schedule validation nor compaction,
+        so the per-burst overhead is one tracker build for all the ratios
+        a round refines — and zero when the caller passes the previous
+        burst's tracker back in (with that tracker's own arrays).
 
-        ``hand_off = (previous, skip)`` carries the verdict of an earlier
-        climb that converged on the tracker ``previous``: ``skip`` marks the
-        nodes of ``dag`` whose candidate scores equal those of a node of
-        ``previous`` as long as the two trackers' ``work`` and ``traffic``
-        arrays are equal.  The first pass then skips those nodes until its
-        first accepted move.  The arrays are compared here, bitwise; when
-        they differ (a split moved a lazy transfer to another phase, float
-        residue, another superstep count) the hand-off is ignored, so it can
-        only save scoring, never change a move.
+        ``hand_off = (previous, unchanged)`` carries the verdicts of earlier
+        climbs that converged on the tracker ``previous``.  ``unchanged``
+        holds one entry per copy: ``None``, or ``(source, skip)``, where
+        ``skip`` marks the nodes of the copy's DAG whose candidate scores
+        equal those of a node of ``previous``'s copy ``source`` as long as
+        the two copies' ``work`` and ``traffic`` rows are equal.  The
+        copy's first pass then skips those nodes until its first accepted
+        move.  The rows are compared here, bitwise, copy by copy; when they
+        differ (a split moved a lazy transfer to another phase, float
+        residue, another superstep count) that copy's verdict is ignored,
+        so a hand-off can only save scoring, never change a move.
         """
+        dags, procs, supersteps = _per_copy(dag, procs, supersteps)
         reusable = (
             tracker is not None
-            and tracker.dag is dag
             and tracker.machine is machine
-            and np.array_equal(tracker.procs, procs)
-            and np.array_equal(tracker.supersteps, supersteps)
+            and len(tracker.dags) == len(dags)
+            and all(held is given for held, given in zip(tracker.dags, dags))
+            and all(
+                np.array_equal(held_procs, p) and np.array_equal(held_steps, s)
+                for (held_procs, held_steps), p, s in zip(
+                    map(tracker.assignment, range(len(dags))), procs, supersteps
+                )
+            )
         )
         if not reusable:
-            tracker = LazyCostTracker(dag, machine, procs, supersteps)
+            tracker = LazyCostTracker(dags, machine, procs, supersteps)
         skip = None
-        if hand_off is not None:
+        if hand_off is not None and hand_off[0].machine is machine:
             previous, unchanged = hand_off
-            if (
-                previous.machine is machine
-                and np.array_equal(previous.work, tracker.work)
-                and np.array_equal(previous.traffic, tracker.traffic)
-            ):
-                skip = unchanged
-        accepted = self.climb(tracker, budget, skip=skip)
+            for copy, verdict in enumerate(unchanged):
+                if verdict is not None and _same_rows(previous, verdict[0], tracker, copy):
+                    if skip is None:
+                        skip = np.zeros(tracker.procs.size, dtype=bool)
+                    skip[tracker.node_offsets[copy] : tracker.node_offsets[copy + 1]] = verdict[1]
+        accepted = self.climb(tracker, budget, skip=skip, copies=copies)
         return tracker, accepted
 
     # ------------------------------------------------------------------ #
@@ -861,29 +931,21 @@ class HillClimbingImprover(ScheduleImprover):
         schedules: list[BspSchedule],
         budget: Budget | None = None,
     ) -> list[BspSchedule]:
-        """Climb one or more schedules of one DAG and machine; one result each.
+        """Climb one or more schedules on one machine; one result each.
 
-        The schedules become the copies of one :class:`LazyCostTracker`,
-        and :meth:`climb` walks them in lockstep on the one ``budget``.
-        Result ``t`` is what :meth:`improve` returns for ``schedules[t]``
-        alone: its climb makes the same moves and stops for the same reason
-        (:attr:`copy_moves`, :attr:`copy_stops`), unless the shared clock
-        cuts the climbs short.
+        The schedules, of one DAG or of different ones, become the copies
+        of one :class:`LazyCostTracker`, and :meth:`climb` walks them in
+        lockstep on the one ``budget``.  Result ``t`` is what
+        :meth:`improve` returns for ``schedules[t]`` alone: its climb makes
+        the same moves and stops for the same reason (:attr:`copy_moves`,
+        :attr:`copy_stops`), unless the shared clock cuts the climbs short.
         """
         schedules = list(schedules)
-        dag = schedules[0].dag
         machine = schedules[0].machine
-        if any(s.dag is not dag or s.machine is not machine for s in schedules):
-            raise ValueError("improve_many needs schedules of one DAG and machine")
-        if dag.num_nodes == 0:
-            self.copy_stops = [CONVERGED] * len(schedules)
-            self.last_stop = CONVERGED
-            self.copy_moves = [[] for _ in schedules] if self.record_moves else None
-            self.last_moves = [] if self.record_moves else None
-            return schedules
-
+        if any(s.machine is not machine for s in schedules):
+            raise ValueError("improve_many needs schedules on one machine")
         tracker = LazyCostTracker(
-            dag,
+            [s.dag for s in schedules],
             machine,
             [s.procs for s in schedules],
             [s.supersteps for s in schedules],
@@ -907,5 +969,7 @@ class HillClimbingImprover(ScheduleImprover):
             if candidate_cost >= schedule.cost() - _EPS:
                 results.append(schedule)
             else:
-                results.append(BspSchedule(dag, machine, procs, compact_steps, validate=False))
+                results.append(
+                    BspSchedule(schedule.dag, machine, procs, compact_steps, validate=False)
+                )
         return results

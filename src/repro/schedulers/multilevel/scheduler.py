@@ -18,13 +18,24 @@ Pipeline (Figure 4 of the paper):
    scores only the nodes the uncoarsening step can have changed
    (:func:`~repro.schedulers.multilevel.refine.unchanged_nodes`); the
    accepted moves are those of a full scan.
-4. After full uncoarsening, re-optimise the communication schedule on the
-   original DAG (``HCcs`` and, when enabled, ``ILPcs``).
+4. After full uncoarsening, climb once more on the original DAG, then
+   re-optimise the communication schedule (``HCcs`` and, when enabled,
+   ``ILPcs``).
+
+The ratios' uncoarsenings are independent, so they walk in lockstep: each
+round refines the next level of every ratio that still has one in one
+burst, whose tracker holds each ratio's quotient DAG as a copy, and the
+final climbs of all ratios share one tracker too.  Each ratio still gets
+the moves, stop reasons, compactions and hand-offs of its own walk, so
+without a clock the result is that of solving the ratios one after
+another.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from ...core.dag import ComputationalDAG
 from ...core.exceptions import ConfigurationError
@@ -33,7 +44,7 @@ from ...core.schedule import BspSchedule
 from ..base import Budget, Scheduler, ScheduleImprover, best_schedule
 from ..comm_hill_climbing import CommScheduleHillClimbing
 from ..hill_climbing import CONVERGED, HillClimbingImprover
-from .coarsen import CoarseningSequence, coarsen_dag
+from .coarsen import CoarseningSequence, QuotientDag, coarsen_dag
 from .refine import project_arrays, project_to_original, restrict_arrays, unchanged_nodes
 
 __all__ = ["MultilevelScheduler"]
@@ -92,7 +103,11 @@ class MultilevelScheduler(Scheduler):
     A wall-clock budget is checked between stages, between refinement
     bursts and before every HC block.  Every HC pass opens with a
     full-size block, so a burst may overrun the clock by one full block's
-    evaluation.  Invalid ratios raise :class:`ConfigurationError`.
+    evaluation.  Each ratio's stages get their shares of ``1 / len(ratios)``
+    of the clock; a burst or final climb run for several ratios at once
+    gets the sum of their shares, and the walk and the communication
+    improvers stop once the whole budget has run out.  Invalid ratios
+    raise :class:`ConfigurationError`.
     """
 
     name = "multilevel"
@@ -144,83 +159,129 @@ class MultilevelScheduler(Scheduler):
         n = dag.num_nodes
         targets = [max(2, int(round(n * ratio))) for ratio in self.coarsening_ratios]
         full = coarsen_dag(dag, target_nodes=min(targets))
-        candidates: list[BspSchedule] = []
-        for target in targets:
-            sequence = CoarseningSequence(
-                original=dag, records=full.records[: max(0, n - target)]
-            )
-            per_ratio = budget.fraction(1.0 / len(targets))
-            candidates.append(self._run_one_ratio(machine, base, sequence, per_ratio))
+        sequences = [
+            CoarseningSequence(original=dag, records=full.records[: max(0, n - target)])
+            for target in targets
+        ]
+        # every stage of a ratio gets its share of that ratio's clock; a
+        # stage run for several ratios at once gets the sum of their shares
+        per_ratio = budget.fraction(1.0 / len(targets))
+
+        # solve on every ratio's fully coarsened DAG
+        assignments = []  # each ratio's (π, τ) on the original DAG
+        for sequence in sequences:
+            quotient = sequence.quotient()
+            coarse_schedule = base.schedule(quotient.dag, machine, per_ratio.fraction(0.5))
+            assignments.append(project_to_original(quotient, coarse_schedule))
+
+        refiner = HillClimbingImprover(max_steps=self.refine_max_steps)
+        self._uncoarsen(machine, sequences, assignments, refiner, budget, per_ratio)
+
+        # final refinement of every ratio at once, then communication
+        # optimisation on the original DAG
+        schedules = refiner.improve_many(
+            [BspSchedule(dag, machine, *assignment).compacted() for assignment in assignments],
+            per_ratio.fraction(0.2 * len(targets)),
+        )
+        candidates = []
+        for schedule in schedules:
+            for improver in self.comm_improvers:
+                if budget.expired():
+                    break
+                schedule = improver.improve(schedule, per_ratio.fraction(0.2))
+            candidates.append(schedule)
         return best_schedule(*candidates)
 
     # ------------------------------------------------------------------ #
-    def _run_one_ratio(
+    def _uncoarsen(
         self,
         machine: BspMachine,
-        base: Scheduler,
-        sequence: CoarseningSequence,
+        sequences: list[CoarseningSequence],
+        assignments: list[tuple[np.ndarray, np.ndarray]],
+        refiner: HillClimbingImprover,
         budget: Budget,
-    ) -> BspSchedule:
-        dag = sequence.original
+        per_ratio: Budget,
+    ) -> None:
+        """Uncoarsen every ratio in lockstep, refining each level; updates ``assignments``.
 
-        # solve on the fully coarsened DAG
-        full_quotient = sequence.quotient()
-        coarse_schedule = base.schedule(full_quotient.dag, machine, budget.fraction(0.5))
-        procs, supersteps = project_to_original(full_quotient, coarse_schedule)
-
-        # Gradual uncoarsening with refinement bursts.  Every level works on
-        # raw assignment arrays: the cluster-constant projection of a valid
-        # schedule is valid by construction, so no schedule object is built
-        # and no validation runs per burst; the level's cost tracker is
-        # built once and reused across all bursts of that level.  After the
-        # bursts, supersteps emptied by the moves are compacted away (the
-        # seed path compacted per level too — without it, the ±1-superstep
-        # move neighbourhood cannot bridge the gaps at later levels).  A
-        # level whose last burst converged and whose compaction dropped no
-        # superstep hands its verdict on: the next level's first pass skips
-        # the nodes the uncoarsening step left alone.
-        refiner = HillClimbingImprover(max_steps=self.refine_max_steps)
-        total = sequence.num_contractions
-        level = total - self.refine_interval
-        converged = None  # (quotient, tracker) of the last converged level
-        while level > 0:
-            if budget.expired():
-                break
-            quotient = sequence.quotient(level)
-            coarse_procs, coarse_steps = restrict_arrays(quotient, procs, supersteps)
+        Each round takes every ratio that still has a level one level down
+        and refines all of them in one burst: one tracker holds each
+        ratio's quotient DAG as a copy, and its passes score the copies'
+        blocks together.  The copies are independent, so each ratio gets
+        the moves of a burst of its own.  Every level works on raw
+        assignment arrays: the cluster-constant projection of a valid
+        schedule is valid by construction, so no schedule object is built
+        and no validation runs per burst; the round's tracker is built once
+        and reused across all its bursts.  A copy runs another burst (up
+        to ``refine_rounds``) only after one that accepted moves without
+        converging; the others sit it out.
+        After the bursts, supersteps emptied by the moves are compacted
+        away per copy (without it, the ±1-superstep move neighbourhood
+        cannot bridge the gaps at later levels).  A copy whose last burst
+        converged and whose compaction dropped no superstep hands its
+        verdict on: at the ratio's next level, the first pass skips the
+        nodes the uncoarsening step left alone, if that level starts from
+        the same work and traffic rows.
+        """
+        levels = [sequence.num_contractions - self.refine_interval for sequence in sequences]
+        walking = [r for r, level in enumerate(levels) if level > 0]
+        previous = None  # the last round's tracker
+        # ratio -> (quotient, copy in ``previous``) of its last level, when
+        # that level converged and kept every superstep
+        verdicts: dict[int, tuple[QuotientDag, int]] = {}
+        while walking and not budget.expired():
+            quotients = [sequences[r].quotient(levels[r]) for r in walking]
+            dags = [quotient.dag for quotient in quotients]
+            coarse = [restrict_arrays(q, *assignments[r]) for q, r in zip(quotients, walking)]
+            procs, steps = zip(*coarse)
             hand_off = None
-            if converged is not None:
-                previous_quotient, previous = converged
-                hand_off = (previous, unchanged_nodes(previous_quotient, quotient))
-            converged = None
+            if verdicts:
+                hand_off = (
+                    previous,
+                    [
+                        (verdicts[r][1], unchanged_nodes(verdicts[r][0], quotient))
+                        if r in verdicts
+                        else None
+                        for r, quotient in zip(walking, quotients)
+                    ],
+                )
             tracker = None
+            climbing = list(range(len(walking)))
+            stops: list[str | None] = [None] * len(walking)
             for _ in range(self.refine_rounds):
-                if budget.expired():
+                if not climbing or budget.expired():
                     break
-                tracker, accepted = refiner.refine_assignment(
-                    quotient.dag,
+                if tracker is not None:  # a later round reuses the round's tracker
+                    procs, steps = zip(*map(tracker.assignment, range(len(walking))))
+                tracker, _ = refiner.refine_assignment(
+                    dags,
                     machine,
-                    coarse_procs if tracker is None else tracker.procs,
-                    coarse_steps if tracker is None else tracker.supersteps,
-                    budget=budget.fraction(0.1),
+                    procs,
+                    steps,
+                    budget=per_ratio.fraction(0.1 * len(climbing)),
                     tracker=tracker,
                     hand_off=hand_off,
+                    copies=climbing,
                 )
                 hand_off = None
-                if accepted == 0 or refiner.last_stop == CONVERGED:
-                    break  # further rounds would only re-scan
-            if tracker is not None:
-                coarse_procs, coarse_steps, used = tracker.compacted_assignment()
-                if refiner.last_stop == CONVERGED and used == tracker.num_supersteps:
-                    converged = (quotient, tracker)
-            procs, supersteps = project_arrays(quotient, coarse_procs, coarse_steps)
-            level -= self.refine_interval
-
-        # final refinement and communication optimisation on the original DAG
-        schedule = BspSchedule(dag, machine, procs, supersteps).compacted()
-        schedule = refiner.improve(schedule, budget.fraction(0.2))
-        for improver in self.comm_improvers:
-            if budget.expired():
-                break
-            schedule = improver.improve(schedule, budget.fraction(0.2))
-        return schedule
+                for t in climbing:
+                    stops[t] = refiner.copy_stops[t]
+                # another burst only re-scans a copy that converged or
+                # accepted nothing
+                climbing = [
+                    t
+                    for t in climbing
+                    if refiner.copy_accepted[t] and refiner.copy_stops[t] != CONVERGED
+                ]
+            verdicts = {}
+            for t, r in enumerate(walking):
+                coarse_procs, coarse_steps = coarse[t]
+                if tracker is not None:
+                    coarse_procs, coarse_steps, used = tracker.compacted_assignment(t)
+                    count = tracker.step_offsets[t + 1] - tracker.step_offsets[t]
+                    if stops[t] == CONVERGED and used == count:
+                        verdicts[r] = (quotients[t], t)
+                assignments[r] = project_arrays(quotients[t], coarse_procs, coarse_steps)
+                levels[r] -= self.refine_interval
+            previous = tracker
+            walking = [r for r in walking if levels[r] > 0]

@@ -1,4 +1,4 @@
-"""Unit tests for the baseline schedulers: trivial, round-robin, Cilk, BL-EST, ETF."""
+"""Unit tests for the baseline schedulers: trivial, round-robin, Cilk, BL-EST, ETF, HDagg."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from repro.schedulers import (
     BlEstScheduler,
     CilkScheduler,
     EtfScheduler,
+    HDaggScheduler,
     RoundRobinScheduler,
     TrivialScheduler,
 )
@@ -27,6 +28,7 @@ from conftest import (
     oracle_machine,
     random_dag,
 )
+from oracles.baselines import CilkReference, HDaggReference
 from oracles.listsched import bl_est_reference, etf_reference
 
 ALL_BASELINES = [
@@ -215,3 +217,52 @@ class TestListSchedulerOracle:
         dags += [build_fft_dag(points, weight_model="unit").dag for points in (2, 4, 8, 16)]
         for dag in dags:
             assert_list_schedules_match_oracle(dag, machine)
+
+
+def assert_cilk_and_hdagg_match_oracle(dag: ComputationalDAG, machine: BspMachine) -> None:
+    context = f"n={dag.num_nodes}, P={machine.num_procs}"
+    for seed in range(4):
+        classical = CilkScheduler(seed=seed).classical_schedule(dag, machine.num_procs)
+        expected = CilkReference(seed=seed).classical_schedule(dag, machine.num_procs)
+        for times in ("procs", "start_times", "finish_times"):
+            got = getattr(classical, times).tobytes()
+            assert got == getattr(expected, times).tobytes(), (times, seed, context)
+    for max_group_levels in (16, 3, 50):
+        got = HDaggScheduler(max_group_levels=max_group_levels).schedule(dag, machine)
+        expected = HDaggReference(max_group_levels=max_group_levels).schedule(dag, machine)
+        assert got.procs.tobytes() == expected.procs.tobytes(), (max_group_levels, context)
+        assert got.supersteps.tobytes() == expected.supersteps.tobytes(), (
+            max_group_levels,
+            context,
+        )
+
+
+class TestCilkAndHDaggOracle:
+    """Cilk and HDagg equal their first implementations exactly.
+
+    Cilk ends a dispatch round once no task is queued, and HDagg no longer
+    counts a growing group's units; the oracles scan every stack and
+    recompute every component of the group at each wavefront.  Cilk's
+    procs, start and finish times and HDagg's procs and supersteps must be
+    equal, not close.
+    """
+
+    @pytest.mark.parametrize("numa", [False, True], ids=["uniform", "numa"])
+    @pytest.mark.parametrize("weights", ["integer", "real", "zero"])
+    def test_random_dags(self, weights, numa):
+        for seed in range(24):
+            rng = np.random.default_rng(500 + seed)
+            dag = oracle_dag(rng, weights)
+            num_procs = ORACLE_PROCS[seed % len(ORACLE_PROCS)]
+            machine = oracle_machine(rng, num_procs, 2.0, numa)
+            assert_cilk_and_hdagg_match_oracle(dag, machine)
+
+    @pytest.mark.parametrize("num_procs", ORACLE_PROCS)
+    def test_structured_dags(self, num_procs):
+        """Fork-join, fft and chain DAGs: fat wavefronts, thin ones and tied finishes."""
+        machine = BspMachine.uniform(num_procs, g=1)
+        dags = [build_fork_join_dag(width) for width in (1, 3, 8, 17)]
+        dags += [build_fft_dag(points, weight_model="unit").dag for points in (2, 4, 8, 16)]
+        dags += [build_chain_dag(20), random_dag(120, 0.03, seed=num_procs)]
+        for dag in dags:
+            assert_cilk_and_hdagg_match_oracle(dag, machine)

@@ -72,6 +72,22 @@ class TestWavefrontStructure:
         schedule = HDaggScheduler(max_group_levels=5).schedule(dag, machine)
         assert schedule.num_supersteps >= 6
 
+    def test_a_group_of_thin_wavefronts_has_fewer_units_than_processors(self):
+        """No group of thin wavefronts reaches P units, so no unit count is needed.
+
+        Every node of a group's later wavefront hangs under the wavefront
+        before it, so a group has at most as many units as its first one.
+        """
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            dag = random_dag(int(rng.integers(10, 120)), float(rng.uniform(0.01, 0.15)), seed)
+            num_procs = int(rng.choice([2, 3, 4, 8, 16]))
+            levels = dag.levels()
+            scheduler = HDaggScheduler(max_group_levels=50)
+            for group in scheduler._group_levels(dag, num_procs, levels):
+                if np.bincount(levels[group]).max() < num_procs:
+                    assert len(scheduler._units(dag, group)) < num_procs, seed
+
     def test_intra_superstep_dependencies_stay_on_one_processor(self):
         dag = random_dag(50, 0.08, seed=9)
         machine = BspMachine.uniform(4)

@@ -393,6 +393,71 @@ class TestTrackerCopies:
             assert not any(joint.is_valid_move(v, q, split - 1) for q in range(2))
 
 
+class TestCopiesOfDifferentDags:
+    """A tracker over copies of different DAGs scores each copy as a tracker of it alone."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "numa"])
+    @pytest.mark.parametrize("num_procs", [1, 3, 8])
+    def test_blocks_of_different_dags_score_as_each_copy_alone(self, kind, num_procs):
+        """Copies of different DAGs, one of them a single node, score as alone.
+
+        The copies have different superstep counts, and every block holds
+        each copy's nodes on its first and last superstep, whose ``τ - 1``
+        and ``τ + 1`` candidates reach into the neighbouring copies' rows:
+        no valid candidate may leave its copy.
+        """
+        rng = np.random.default_rng(40 + num_procs)
+        counts = set()
+        for seed in range(4):
+            machine = _machine(kind, num_procs, rng)
+            dags = [
+                random_dag(int(rng.integers(8, 30)), 0.15, seed=90 + 2 * seed + t) for t in (0, 1)
+            ]
+            dags.insert(int(rng.integers(0, 3)), random_dag(1, 0.0, seed=seed))
+            initializers = (BspGreedyScheduler(), CilkScheduler(seed=seed), SourceScheduler())
+            starts = [
+                init.schedule(d, machine).with_lazy_comm() for init, d in zip(initializers, dags)
+            ]
+            counts.add(tuple(s.num_supersteps for s in starts))
+            joint = LazyCostTracker(
+                dags,
+                machine,
+                [s.procs for s in starts],
+                [s.supersteps for s in starts],
+                [s.num_supersteps for s in starts],
+            )
+            alone = [
+                LazyCostTracker(d, machine, s.procs, s.supersteps, s.num_supersteps)
+                for d, s in zip(dags, starts)
+            ]
+            offsets = joint.node_offsets
+            for _ in range(4):
+                picks = []
+                for t, s in enumerate(starts):
+                    n = dags[t].num_nodes
+                    last = s.num_supersteps - 1
+                    ends = np.flatnonzero((s.supersteps == 0) | (s.supersteps == last))
+                    extra = rng.choice(n, size=int(rng.integers(0, n)), replace=False)
+                    picks.append(np.concatenate((ends, extra)) + offsets[t])
+                block = rng.permutation(np.concatenate(picks))
+                deltas, valid = joint.candidate_deltas(block)
+                block = block[: deltas.shape[0]]
+                owner = np.searchsorted(offsets, block, side="right") - 1
+                for t, solo in enumerate(alone):
+                    mine = owner == t
+                    if not mine.any():
+                        continue
+                    solo_deltas, solo_valid = solo.candidate_deltas(block[mine] - offsets[t])
+                    assert valid[mine].tobytes() == solo_valid.tobytes()
+                    assert deltas[mine][solo_valid].tobytes() == solo_deltas[solo_valid].tobytes()
+                # a valid candidate's superstep lies inside its copy
+                k, step, _ = valid.nonzero()
+                target = joint.supersteps[block[k]] - 1 + step
+                assert np.all(target >= joint.step_offsets[owner[k]])
+                assert np.all(target < joint.step_offsets[owner[k] + 1])
+        assert any(len(set(c)) > 1 for c in counts)
+
+
 class TestImproveMany:
     """``improve_many`` gives every schedule what a lone ``improve`` gives it."""
 
@@ -503,7 +568,8 @@ class TestImproveMany:
         empty = RoundRobinScheduler().schedule(ComputationalDAG(0), machine4)
         assert improver.improve_many([empty, empty]) == [empty, empty]
         assert improver.copy_stops == [CONVERGED, CONVERGED]
-        one = RoundRobinScheduler().schedule(random_dag(5, 0.3, seed=1), machine4)
-        other = RoundRobinScheduler().schedule(random_dag(5, 0.3, seed=1), machine4)
+        dag = random_dag(5, 0.3, seed=1)
+        one = RoundRobinScheduler().schedule(dag, machine4)
+        other = RoundRobinScheduler().schedule(dag, BspMachine.uniform(4, g=2, latency=1))
         with pytest.raises(ValueError):
             improver.improve_many([one, other])

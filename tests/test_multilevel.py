@@ -19,7 +19,7 @@ from repro.schedulers import (
     PipelineConfig,
     SchedulingPipeline,
 )
-from repro.schedulers.hill_climbing import CONVERGED
+from repro.schedulers.hill_climbing import CONVERGED, STEP_CAP
 from repro.schedulers.multilevel import (
     ContractionRecord,
     coarsen_dag,
@@ -486,6 +486,66 @@ class TestMultilevelOracle:
         assert targets == [6]  # round(0.15 * 40)
 
 
+class TestLockstepWalk:
+    """The ratios' lockstep walk gives each ratio its own walk, so the oracle's schedule."""
+
+    @staticmethod
+    def _record_bursts(monkeypatch) -> list[tuple[int, list[int] | None, list]]:
+        """``(copies held, copies climbing, stop reasons)`` of every refinement burst."""
+        bursts = []
+        refine = HillClimbingImprover.refine_assignment
+
+        def recording(self, dag, machine, procs, supersteps, budget=None, tracker=None,
+                      hand_off=None, copies=None):
+            result = refine(
+                self, dag, machine, procs, supersteps, budget, tracker, hand_off, copies
+            )
+            held = result[0].num_copies
+            bursts.append((held, None if copies is None else list(copies), self.copy_stops))
+            return result
+
+        monkeypatch.setattr(HillClimbingImprover, "refine_assignment", recording)
+        return bursts
+
+    def _assert_matches_oracle(self, scheduler, dag, machine):
+        got = scheduler.schedule(dag, machine)
+        expected = multilevel_reference(scheduler, dag, machine)
+        assert np.array_equal(got.procs, expected.procs)
+        assert np.array_equal(got.supersteps, expected.supersteps)
+
+    def test_ratio_out_of_levels_leaves_the_walk(self, monkeypatch):
+        """The coarser ratio runs out of levels first; the finer one walks on alone."""
+        bursts = self._record_bursts(monkeypatch)
+        dag = random_dag(60, 0.07, seed=3)
+        machine = BspMachine.numa_hierarchy(4, delta=3, g=3, latency=5)
+        scheduler = MultilevelScheduler(base_scheduler=BspGreedyScheduler(), refine_max_steps=5)
+        scheduler.schedule(dag, machine)
+        held = [copies for copies, _, _ in bursts]
+        assert held[0] == 2 and held[-1] == 1
+        assert held == sorted(held, reverse=True)
+        self._assert_matches_oracle(scheduler, dag, machine)
+
+    def test_second_rounds_run_per_copy(self, monkeypatch):
+        """With two rounds, a copy at its step cap climbs again while a converged one rests."""
+        bursts = self._record_bursts(monkeypatch)
+        dag = random_dag(60, 0.07, seed=1)
+        machine = BspMachine.numa_hierarchy(4, delta=3, g=3, latency=5)
+        scheduler = MultilevelScheduler(
+            base_scheduler=BspGreedyScheduler(), refine_max_steps=3, refine_rounds=2
+        )
+        scheduler.schedule(dag, machine)
+        alone = [
+            (first, second)
+            for first, second in zip(bursts, bursts[1:])
+            if first[0] == 2 and set(first[2]) == {STEP_CAP, CONVERGED} and second[0] == 2
+        ]
+        assert alone
+        for (_, _, stops), (_, copies, again) in alone:
+            assert copies == [stops.index(STEP_CAP)]
+            assert again[stops.index(CONVERGED)] is None  # the converged copy rested
+        self._assert_matches_oracle(scheduler, dag, machine)
+
+
 def _weighted_dag(rng: np.random.Generator, weights: str) -> ComputationalDAG:
     """A random DAG of 40-90 nodes with integer, dyadic or real weights."""
     n = int(rng.integers(40, 91))
@@ -517,25 +577,34 @@ class TestLevelHandOff:
     @pytest.mark.parametrize("machine_kind", ["uniform", "numa"])
     @pytest.mark.parametrize("weights", ["integer", "dyadic", "real"])
     def test_masked_bursts_accept_the_full_scan_moves(self, monkeypatch, weights, machine_kind):
-        """Every burst given a hand-off is replayed from its start without one."""
+        """Every copy a joint burst gives a hand-off is replayed from its start without one."""
         refine = HillClimbingImprover.refine_assignment
         run_pass = kernels.hc_pass
-        counts = {"hand_offs": 0, "masked_passes": 0}
+        counts = {"hand_offs": 0, "joint": 0, "masked_passes": 0}
 
         def replayed(self, dag, machine, procs, supersteps, budget=None, tracker=None,
-                     hand_off=None):
+                     hand_off=None, copies=None):
             if hand_off is None:
-                return refine(self, dag, machine, procs, supersteps, budget, tracker)
-            counts["hand_offs"] += 1
+                return refine(self, dag, machine, procs, supersteps, budget, tracker,
+                              copies=copies)
+            given = [t for t, verdict in enumerate(hand_off[1]) if verdict is not None]
+            counts["hand_offs"] += len(given)
+            counts["joint"] += len(hand_off[1]) > 1
             full = HillClimbingImprover(self.max_passes, self.max_steps, record_moves=True)
-            full_tracker, _ = full.refine_assignment(dag, machine, procs, supersteps, budget)
+            full_tracker, _ = full.refine_assignment(
+                dag, machine, procs, supersteps, budget, copies=copies
+            )
             self.record_moves = True
             try:
-                result = refine(self, dag, machine, procs, supersteps, budget, tracker, hand_off)
+                result = refine(
+                    self, dag, machine, procs, supersteps, budget, tracker, hand_off, copies
+                )
             finally:
                 self.record_moves = False
-            assert self.last_moves == full.last_moves
-            assert self.last_stop == full.last_stop
+            for t in given:
+                assert self.copy_moves[t] == full.copy_moves[t], t
+                assert self.copy_stops[t] == full.copy_stops[t], t
+            assert np.array_equal(result[0].procs, full_tracker.procs)
             assert np.array_equal(result[0].supersteps, full_tracker.supersteps)
             return result
 
@@ -557,6 +626,7 @@ class TestLevelHandOff:
             )
             assert_valid_schedule(scheduler.schedule(dag, machine))
         assert counts["hand_offs"] > 0
+        assert counts["joint"] > 0
         assert counts["masked_passes"] > 0
 
     def test_hand_off_needs_equal_work_and_traffic(self):
@@ -568,7 +638,7 @@ class TestLevelHandOff:
         full = HillClimbingImprover(record_moves=True)
         full.refine_assignment(dag, machine, procs, steps)
         assert full.last_moves
-        everything = np.ones(dag.num_nodes, dtype=bool)
+        everything = [(0, np.ones(dag.num_nodes, dtype=bool))]  # copy 0: no node changed
         for rows in ("work", "traffic"):
             previous = LazyCostTracker(dag, machine, procs, steps)
             getattr(previous, rows)[0, 0] += 1.0
@@ -581,6 +651,39 @@ class TestLevelHandOff:
         improver.refine_assignment(dag, machine, procs, steps, hand_off=(previous, everything))
         assert improver.last_moves == []
         assert improver.last_stop == CONVERGED
+
+        # a joint burst checks each copy against its own previous copy:
+        # only the copy whose rows equal that copy's skips
+        dags = [dag, random_dag(30, 0.12, seed=6)]
+        starts = [BspGreedyScheduler().schedule(d, machine) for d in dags]
+        procs = [start.procs for start in starts]
+        steps = [start.supersteps for start in starts]
+        full = HillClimbingImprover(record_moves=True)
+        full.refine_assignment(dags, machine, procs, steps)
+        assert all(full.copy_moves)
+        # the previous round held the copies in the other order
+        previous = LazyCostTracker(dags[::-1], machine, procs[::-1], steps[::-1])
+        verdicts = [(1, np.ones(dags[0].num_nodes, dtype=bool))]
+        verdicts.append((0, np.ones(dags[1].num_nodes, dtype=bool)))
+        for rows in ("work", "traffic"):
+            changed = LazyCostTracker(dags[::-1], machine, procs[::-1], steps[::-1])
+            # a row of the previous copy of dags[0] differs
+            getattr(changed, rows)[
+                (changed.step_offsets[1], 0) if rows == "work" else (0, changed.step_offsets[1])
+            ] += 1.0
+            improver = HillClimbingImprover(record_moves=True)
+            improver.refine_assignment(dags, machine, procs, steps, hand_off=(changed, verdicts))
+            assert improver.copy_moves[0] == full.copy_moves[0], rows
+            assert improver.copy_moves[1] == [], rows
+            assert improver.copy_stops[1] == CONVERGED, rows
+        improver = HillClimbingImprover(record_moves=True)
+        improver.refine_assignment(dags, machine, procs, steps, hand_off=(previous, verdicts))
+        assert improver.copy_moves == [[], []]
+        # a copy without a verdict climbs in full
+        improver.refine_assignment(
+            dags, machine, procs, steps, hand_off=(previous, [None, verdicts[1]])
+        )
+        assert improver.copy_moves == [full.copy_moves[0], []]
 
     def test_converged_burst_ends_the_level(self, monkeypatch):
         """A second round runs only after a burst stopped at its step cap."""

@@ -4,7 +4,9 @@ These cover the load-bearing invariants of the framework:
 
 * every scheduler always produces a *valid* BSP schedule on arbitrary DAGs;
 * the incremental cost tracker agrees with the from-scratch cost evaluation;
-* improvers never increase the cost;
+* improvers never increase the cost, and a joint climb gives each of its
+  schedules the climb it would get alone;
+* the multilevel scheduler's lockstep walk equals its per-ratio oracle;
 * coarsening preserves acyclicity and total weights at every level;
 * the hyperDAG file format round-trips exactly;
 * every registry scheduler's reported cost is the cost the paper's
@@ -29,7 +31,9 @@ from repro.schedulers import (
     HDaggScheduler,
     HillClimbingImprover,
     LazyCostTracker,
+    MultilevelScheduler,
     PipelineConfig,
+    SchedulingPipeline,
     SourceScheduler,
     available_schedulers,
 )
@@ -38,15 +42,16 @@ from repro.schedulers.trivial import RoundRobinScheduler
 
 from conftest import assert_valid_schedule
 from oracles.cost import definition_cost, lazy_gamma, violations
+from oracles.multilevel import multilevel_reference
 
 
 # ---------------------------------------------------------------------- #
 # strategies
 # ---------------------------------------------------------------------- #
 @st.composite
-def dags(draw, max_nodes: int = 24):
+def dags(draw, max_nodes: int = 24, min_nodes: int = 1):
     """Random weighted DAGs with edges oriented from lower to higher index."""
-    num_nodes = draw(st.integers(min_value=1, max_value=max_nodes))
+    num_nodes = draw(st.integers(min_value=min_nodes, max_value=max_nodes))
     works = draw(
         st.lists(st.integers(1, 9), min_size=num_nodes, max_size=num_nodes)
     )
@@ -158,25 +163,78 @@ def test_improvers_never_increase_cost(dag, machine):
 
 @COMMON_SETTINGS
 @given(
-    dag=dags(),
+    dag=dags(min_nodes=0),
     machine=machines(),
     copies=st.integers(2, 3),
     cilk_seed=st.integers(0, 2**16),
     max_steps=st.one_of(st.none(), st.integers(0, 6)),
+    data=st.data(),
 )
-def test_joint_climb_equals_lone_climbs(dag, machine, copies, cilk_seed, max_steps):
-    """``improve_many`` gives each start the schedule, moves and stop of a lone ``improve``."""
+def test_joint_climb_equals_lone_climbs(dag, machine, copies, cilk_seed, max_steps, data):
+    """``improve_many`` gives each start the schedule, moves and stop of a lone ``improve``.
+
+    Each start is on the shared DAG or on a DAG of its own, of 0 nodes or more.
+    """
     initializers = (BspGreedyScheduler(), SourceScheduler(), CilkScheduler(seed=cilk_seed))
-    starts = [init.schedule(dag, machine).with_lazy_comm() for init in initializers[:copies]]
+    starts = []
+    for init in initializers[:copies]:
+        own = data.draw(st.one_of(st.none(), dags(max_nodes=12, min_nodes=0)))
+        starts.append(init.schedule(dag if own is None else own, machine).with_lazy_comm())
     joint = HillClimbingImprover(max_steps=max_steps, record_moves=True)
     results = joint.improve_many(starts)
     for start, result, moves, stop in zip(starts, results, joint.copy_moves, joint.copy_stops):
         alone = HillClimbingImprover(max_steps=max_steps, record_moves=True)
         expected = alone.improve(start)
         assert (moves, stop) == (alone.last_moves, alone.last_stop)
-        assert np.array_equal(result.procs, expected.procs)
-        assert np.array_equal(result.supersteps, expected.supersteps)
+        assert result.procs.tobytes() == expected.procs.tobytes()
+        assert result.supersteps.tobytes() == expected.supersteps.tobytes()
         assert result.cost() == expected.cost()
+
+
+@st.composite
+def multilevel_dags(draw):
+    """Random DAGs of 16-70 nodes with integer or dyadic weights."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n = draw(st.integers(16, 70))
+    if draw(st.sampled_from(["integer", "dyadic"])) == "integer":
+        work, comm = rng.integers(1, 6, n).astype(float), rng.integers(1, 4, n).astype(float)
+    else:
+        work, comm = rng.integers(1, 41, n) / 8, rng.integers(0, 25, n) / 8
+    density = draw(st.floats(0.02, 0.12))
+    src, dst = np.nonzero(np.triu(rng.random((n, n)) < density, 1))
+    return ComputationalDAG.from_edge_arrays(n, src, dst, work, comm)
+
+
+@settings(COMMON_SETTINGS, max_examples=20)
+@given(
+    dag=multilevel_dags(),
+    machine=machines(),
+    ratios=st.lists(st.sampled_from([1.0, 0.5, 0.3, 0.15, 0.1]), min_size=1, max_size=3),
+    max_steps=st.sampled_from([2, 5, 100]),
+    rounds=st.sampled_from([1, 2]),
+    pipeline_base=st.booleans(),
+)
+def test_multilevel_equals_its_per_ratio_oracle(
+    dag, machine, ratios, max_steps, rounds, pipeline_base
+):
+    """The ratios' lockstep walk gives each ratio's own walk, so the oracle's schedule."""
+    base = (
+        SchedulingPipeline(
+            PipelineConfig(use_ilp=False, use_comm_ilp=False, local_search_seconds=None)
+        )
+        if pipeline_base
+        else BspGreedyScheduler()
+    )
+    scheduler = MultilevelScheduler(
+        base_scheduler=base,
+        coarsening_ratios=tuple(ratios),
+        refine_max_steps=max_steps,
+        refine_rounds=rounds,
+    )
+    got = scheduler.schedule(dag, machine)
+    expected = multilevel_reference(scheduler, dag, machine)
+    assert got.procs.tobytes() == expected.procs.tobytes()
+    assert got.supersteps.tobytes() == expected.supersteps.tobytes()
 
 
 @COMMON_SETTINGS
