@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .comm import CommStep
+from .comm import CommStep, comm_columns, lazy_transfers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .dag import ComputationalDAG
@@ -91,16 +91,32 @@ def comm_matrices(
     """Send and receive volume matrices, shape ``(num_supersteps, P)`` each.
 
     Every communication step ``(v, p1, p2, s)`` contributes
-    ``c(v) * λ[p1][p2]`` to ``send[s, p1]`` and ``recv[s, p2]``.
+    ``c(v) * λ[p1][p2]`` to ``send[s, p1]`` and ``recv[s, p2]``.  The steps
+    are scattered in their iteration order, so every cell sums its
+    transfers in the same order as a loop over ``comm_schedule`` would.
+    """
+    return _traffic(dag, machine, num_supersteps, *comm_columns(list(comm_schedule)))
+
+
+def _traffic(
+    dag: "ComputationalDAG",
+    machine: "BspMachine",
+    num_supersteps: int,
+    node: np.ndarray,
+    source: np.ndarray,
+    target: np.ndarray,
+    phase: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Send and receive matrices of the transfer columns, scattered in row order.
+
+    ``np.add.at`` is unbuffered: a cell hit by several rows adds them one
+    at a time in row order, starting from ``0.0``.
     """
     send = np.zeros((num_supersteps, machine.num_procs), dtype=np.float64)
     recv = np.zeros((num_supersteps, machine.num_procs), dtype=np.float64)
-    comm_weights = dag.comm_weights
-    numa = machine.numa
-    for step in comm_schedule:
-        volume = comm_weights[step.node] * numa[step.source, step.target]
-        send[step.superstep, step.source] += volume
-        recv[step.superstep, step.target] += volume
+    volume = dag.comm_weights[node] * machine.numa[source, target]
+    np.add.at(send, (phase, source), volume)
+    np.add.at(recv, (phase, target), volume)
     return send, recv
 
 
@@ -109,27 +125,37 @@ def evaluate_cost(
     machine: "BspMachine",
     procs: np.ndarray,
     supersteps: np.ndarray,
-    comm_schedule: Iterable[CommStep],
+    comm_schedule: Iterable[CommStep] | None,
     num_supersteps: int | None = None,
 ) -> CostBreakdown:
     """Evaluate the full BSP(+NUMA) cost of an assignment plus ``Γ``.
 
-    ``num_supersteps`` defaults to one more than the largest superstep index
-    appearing in either the assignment or the communication schedule.
+    ``comm_schedule=None`` costs the lazy communication schedule of
+    ``(π, τ)``, read as columns from :func:`~repro.core.comm.lazy_transfers`
+    without building ``Γ``; an explicit ``Γ`` is costed in its iteration
+    order.  ``num_supersteps`` defaults to one more than the largest
+    superstep index appearing in either the assignment or the communication
+    schedule.
+
+    Raises
+    ------
+    ScheduleError
+        If ``comm_schedule`` is ``None`` and ``(π, τ)`` has no lazy
+        communication schedule.
     """
     procs = np.asarray(procs, dtype=np.int64)
     supersteps = np.asarray(supersteps, dtype=np.int64)
-    comm_schedule = list(comm_schedule)
+    if comm_schedule is None:
+        columns = lazy_transfers(dag, procs, supersteps)
+    else:
+        columns = comm_columns(list(comm_schedule))
     if num_supersteps is None:
-        max_s = int(supersteps.max(initial=-1))
-        if comm_schedule:
-            max_s = max(max_s, max(step.superstep for step in comm_schedule))
-        num_supersteps = max_s + 1
+        num_supersteps = int(max(supersteps.max(initial=-1), columns[3].max(initial=-1))) + 1
     if num_supersteps <= 0:
         return CostBreakdown(0.0, 0.0, 0.0, (), ())
 
     work = work_matrix(dag, machine.num_procs, num_supersteps, procs, supersteps)
-    send, recv = comm_matrices(dag, machine, num_supersteps, comm_schedule)
+    send, recv = _traffic(dag, machine, num_supersteps, *columns)
 
     work_per_step = work.max(axis=1)
     comm_per_step = np.maximum(send, recv).max(axis=1)

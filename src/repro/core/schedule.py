@@ -4,7 +4,10 @@ A BSP schedule consists of the processor assignment ``π``, the superstep
 assignment ``τ`` and a communication schedule ``Γ`` (paper Section 3.2).
 Most algorithms in the framework construct only ``(π, τ)`` and rely on the
 implicit *lazy* communication schedule; :class:`BspSchedule` therefore
-accepts ``comm_schedule=None`` and derives the lazy ``Γ`` on demand.
+accepts ``comm_schedule=None``.  Such a schedule is validated, costed and
+compacted from the lazy transfer columns of
+:func:`~repro.core.comm.lazy_transfers`; the lazy ``Γ`` itself is built only
+when :attr:`BspSchedule.comm_schedule` is read.
 """
 
 from __future__ import annotations
@@ -13,7 +16,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .comm import CommStep, CommWindow, lazy_comm_schedule, required_transfers
+from .comm import (
+    CommStep,
+    CommWindow,
+    lazy_comm_schedule,
+    lazy_transfers,
+    required_transfers,
+)
 from .cost import CostBreakdown, evaluate_cost
 from .dag import ComputationalDAG
 from .exceptions import ScheduleError
@@ -163,13 +172,13 @@ class BspSchedule:
     def validate(self) -> None:
         """Raise :class:`ScheduleError` if the schedule is invalid."""
         validate_schedule(
-            self.dag, self.machine, self._procs, self._supersteps, self.comm_schedule
+            self.dag, self.machine, self._procs, self._supersteps, self._explicit_comm
         )
 
     def violations(self) -> list[str]:
         """Human-readable list of validity violations (empty if valid)."""
         return schedule_violations(
-            self.dag, self.machine, self._procs, self._supersteps, self.comm_schedule
+            self.dag, self.machine, self._procs, self._supersteps, self._explicit_comm
         )
 
     def is_valid(self) -> bool:
@@ -184,7 +193,7 @@ class BspSchedule:
                 self.machine,
                 self._procs,
                 self._supersteps,
-                self.comm_schedule,
+                self._explicit_comm,
                 num_supersteps=self.num_supersteps,
             )
         return self._cost_cache
@@ -239,18 +248,21 @@ class BspSchedule:
         Only available for lazy-communication schedules or explicit ones, in
         both cases the communication schedule is remapped consistently.
         """
-        used = sorted(
-            set(int(s) for s in self._supersteps)
-            | {s.superstep for s in self.comm_schedule}
-        )
-        remap = {old: new for new, old in enumerate(used)}
-        new_steps = np.array([remap[int(s)] for s in self._supersteps], dtype=np.int64)
         if self._explicit_comm is None:
-            return BspSchedule(self.dag, self.machine, self._procs, new_steps, None)
-        new_comm = frozenset(
-            CommStep(c.node, c.source, c.target, remap[c.superstep])
-            for c in self._explicit_comm
-        )
+            phases = lazy_transfers(self.dag, self._procs, self._supersteps)[3]
+        else:
+            phases = np.array(
+                [step.superstep for step in self._explicit_comm], dtype=np.int64
+            )
+        used = np.unique(np.concatenate((self._supersteps, phases)))
+        new_steps = np.searchsorted(used, self._supersteps)
+        new_comm = None
+        if self._explicit_comm is not None:
+            remap = dict(zip(used.tolist(), range(used.size)))
+            new_comm = frozenset(
+                CommStep(c.node, c.source, c.target, remap[c.superstep])
+                for c in self._explicit_comm
+            )
         return BspSchedule(self.dag, self.machine, self._procs, new_steps, new_comm)
 
     # ------------------------------------------------------------------ #

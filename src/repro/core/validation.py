@@ -32,6 +32,13 @@ targets' processors — are materialised, compacted with one ``np.unique``
 and addressed by ``np.searchsorted``.  Very large machines therefore stay
 on the vectorized path instead of the reference walker.
 
+A lazy schedule (``comm_schedule=None``) is checked on the edge arrays
+alone: processors in range, supersteps ``>= 0``, ``τ(u) <= τ(v)`` on every
+same-processor edge and ``τ(u) < τ(v)`` on every cross-processor one.
+These hold exactly when the lazy ``Γ`` passes every check above, so the
+lazy transfers are derived only to word the messages of a rejected
+schedule.
+
 Degenerate inputs whose processor or node ids fall outside the machine and
 DAG (which neither table can index) fall back to the pure-Python reference
 walker in :mod:`repro.core.reference`, which produces bit-identical
@@ -40,12 +47,11 @@ messages; the same walker backs the differential tests and benchmarks.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .comm import CommStep
+from .comm import CommStep, comm_columns, lazy_transfers
 from .exceptions import ScheduleError
 from .reference import schedule_violations_ref
 
@@ -61,16 +67,32 @@ _INF = np.iinfo(np.int64).max
 _MAX_DENSE_CELLS = 64_000_000
 
 
-def _step_columns(steps: list[CommStep]) -> tuple[np.ndarray, ...]:
-    """The four step fields as parallel int64 columns.
+def _lazy_schedule_valid(
+    num_procs: int,
+    procs: np.ndarray,
+    supersteps: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+) -> bool:
+    """Whether ``(π, τ)`` is valid under its lazy communication schedule.
 
-    ``np.fromiter`` over the flattened field stream is ~7x faster than
-    ``np.asarray`` on the list of named tuples (no per-row shape discovery).
+    Exact: the lazy ``Γ`` sends each value once per foreign processor that
+    needs it, from the processor that computed it, in the phase just before
+    its first need there.  Given in-range processors and supersteps
+    ``>= 0``, every such transfer is in range, never a self-send or a
+    re-delivery, justified (its phase is ``>= τ(u)`` exactly when every
+    cross-processor edge has ``τ(u) < τ(v)``) and on time for every edge it
+    serves.  So only the assignment ranges and the two edge orders remain.
     """
-    table = np.fromiter(
-        chain.from_iterable(steps), dtype=np.int64, count=4 * len(steps)
-    ).reshape(len(steps), 4)
-    return table[:, 0], table[:, 1], table[:, 2], table[:, 3]
+    if (
+        procs.min(initial=0) < 0
+        or procs.max(initial=-1) >= num_procs
+        or supersteps.min(initial=0) < 0
+    ):
+        return False
+    su = supersteps[src]
+    sv = supersteps[dst]
+    return not ((su > sv) | ((su == sv) & (procs[src] != procs[dst]))).any()
 
 
 def _redundant_mask(
@@ -117,17 +139,24 @@ def schedule_violations(
     machine: "BspMachine",
     procs: np.ndarray,
     supersteps: np.ndarray,
-    comm_schedule: Iterable[CommStep],
+    comm_schedule: Iterable[CommStep] | None,
     max_violations: int = 20,
 ) -> list[str]:
     """Return human-readable descriptions of validity violations (possibly empty).
 
     At most ``max_violations`` messages are collected so that badly broken
     schedules do not produce unbounded output.
+
+    ``comm_schedule=None`` checks ``(π, τ)`` under its lazy communication
+    schedule without building it: the schedule is valid exactly when every
+    processor is in range, every superstep is ``>= 0``, and every edge
+    ``(u, v)`` has ``τ(u) <= τ(v)`` on one processor and ``τ(u) < τ(v)``
+    across two.  Only a schedule that fails this check is handed, with its
+    lazy ``Γ``, to the passes below that word the messages; one without a
+    lazy ``Γ`` reports why no valid communication phase exists.
     """
     procs = np.asarray(procs)
     supersteps = np.asarray(supersteps)
-    steps = list(comm_schedule)
     n = dag.num_nodes
     if procs.shape != (n,) or supersteps.shape != (n,):
         return [
@@ -137,10 +166,21 @@ def schedule_violations(
     num_procs = machine.num_procs
     procs_i = procs.astype(np.int64, copy=False)
     steps_i = supersteps.astype(np.int64, copy=False)
+    src, dst = dag.edge_arrays()
+    if comm_schedule is None:
+        if _lazy_schedule_valid(num_procs, procs_i, steps_i, src, dst):
+            return []
+        try:
+            columns = lazy_transfers(dag, procs_i, steps_i)
+        except ScheduleError as exc:
+            return [str(exc)]
+        steps = list(map(CommStep, *(column.tolist() for column in columns)))
+    else:
+        steps = list(comm_schedule)
 
     bad_proc = (procs_i < 0) | (procs_i >= num_procs)
     if steps:
-        s_node, s_src, s_tgt, s_sup = _step_columns(steps)
+        s_node, s_src, s_tgt, s_sup = comm_columns(steps)
         bad_step = (
             (s_src < 0)
             | (s_src >= num_procs)
@@ -149,7 +189,6 @@ def schedule_violations(
             | (s_node < 0)
             | (s_node >= n)
         )
-    src, dst = dag.edge_arrays()
     if bad_proc.any() or (steps and bad_step.any()):
         return schedule_violations_ref(
             n,
@@ -277,9 +316,13 @@ def validate_schedule(
     machine: "BspMachine",
     procs: np.ndarray,
     supersteps: np.ndarray,
-    comm_schedule: Iterable[CommStep],
+    comm_schedule: Iterable[CommStep] | None,
 ) -> None:
-    """Raise :class:`ScheduleError` if the schedule is invalid."""
+    """Raise :class:`ScheduleError` if the schedule is invalid.
+
+    ``comm_schedule=None`` checks the lazy communication schedule, as in
+    :func:`schedule_violations`.
+    """
     violations = schedule_violations(dag, machine, procs, supersteps, comm_schedule)
     if violations:
         raise ScheduleError(

@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import kernels
-from ..core.comm import CommStep
+from ..core.comm import CommStep, lazy_transfers
 from ..core.schedule import BspSchedule
 from .base import Budget, ScheduleImprover
 
@@ -77,17 +77,15 @@ class CommScheduleHillClimbing(ScheduleImprover):
         dag = schedule.dag
         moves: list[tuple[int, int]] = []
         self.last_moves = moves if self.record_moves else None
-        windows = schedule.comm_windows()
-        if not windows:
+        # columnar view of the windows, built once and kept across passes:
+        # the lazy transfers, each movable from τ(node) up to its lazy phase
+        nodes, srcs, tgts, latest = lazy_transfers(
+            dag, schedule.procs, schedule.supersteps
+        )
+        if not nodes.size:
             return schedule
         num_supersteps = schedule.num_supersteps
-
-        # columnar view of the windows, built once and kept across passes
-        nodes = np.array([w.node for w in windows], dtype=np.int64)
-        srcs = np.array([w.source for w in windows], dtype=np.int64)
-        tgts = np.array([w.target for w in windows], dtype=np.int64)
-        earliest = np.array([w.earliest for w in windows], dtype=np.int64)
-        latest = np.array([w.latest for w in windows], dtype=np.int64)
+        earliest = schedule.supersteps[nodes]
 
         # start from the incumbent's own placement when it is explicit,
         # otherwise from the lazy placement (the window's latest phase)
@@ -98,11 +96,9 @@ class CommScheduleHillClimbing(ScheduleImprover):
                 (step.node, step.source, step.target): step.superstep
                 for step in schedule.comm_schedule
             }
+            keys = zip(nodes.tolist(), srcs.tolist(), tgts.tolist())
             choices = np.array(
-                [
-                    explicit.get((w.node, w.source, w.target), w.latest)
-                    for w in windows
-                ],
+                [explicit.get(key, late) for key, late in zip(keys, latest.tolist())],
                 dtype=np.int64,
             )
             # clamp any out-of-window explicit choice back into the window
@@ -163,8 +159,7 @@ class CommScheduleHillClimbing(ScheduleImprover):
                 break
 
         comm_schedule = frozenset(
-            CommStep(w.node, w.source, w.target, int(choices[i]))
-            for i, w in enumerate(windows)
+            map(CommStep, nodes.tolist(), srcs.tolist(), tgts.tolist(), choices.tolist())
         )
         candidate = schedule.with_comm_schedule(comm_schedule)
         return candidate if candidate.cost() < schedule.cost() - _EPS else schedule

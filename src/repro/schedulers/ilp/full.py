@@ -73,7 +73,7 @@ class IlpFullImprover(ScheduleImprover):
             schedule.supersteps,
             reassign=list(schedule.dag.nodes()),
             window=window,
-            context_comm=schedule.comm_schedule,
+            context_comm=None if schedule.uses_lazy_comm else schedule.comm_schedule,
         )
         result = ilp.solve(time_limit=time_limit, node_limit=node_limit)
         if not result.feasible:

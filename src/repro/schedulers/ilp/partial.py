@@ -127,7 +127,7 @@ class IlpPartialImprover(ScheduleImprover):
                     incumbent.supersteps,
                     reassign=reassign,
                     window=(low, high),
-                    context_comm=incumbent.comm_schedule,
+                    context_comm=None if incumbent.uses_lazy_comm else incumbent.comm_schedule,
                 )
                 result = ilp.solve(
                     time_limit=time_limit, node_limit=node_limit, memo=memo

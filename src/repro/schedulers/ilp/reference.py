@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ...core.comm import CommStep
 from .backend import MilpProblem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -168,6 +169,11 @@ def build_window_model_reference(ilp: "WindowIlp") -> MilpProblem:
     return problem
 
 
+def _context_steps(ilp: "WindowIlp") -> list[CommStep]:
+    """The window's context steps, in context order."""
+    return list(map(CommStep, *(column.tolist() for column in ilp.context_columns)))
+
+
 def _initial_presence(
     ilp: "WindowIlp", boundary: list[int], reassign_set: set[int]
 ) -> dict[tuple[int, int], float]:
@@ -176,7 +182,7 @@ def _initial_presence(
     pres0: dict[tuple[int, int], float] = {}
     for u in boundary:
         pres0[(u, int(ilp.fixed_procs[u]))] = 1.0
-    for step in ilp.context_comm:
+    for step in _context_steps(ilp):
         if step.node in reassign_set:
             continue
         if step.node in set(boundary) and step.superstep < s_lo:
@@ -200,7 +206,7 @@ def _base_loads(
             key = (step, int(ilp.fixed_procs[v]))
             base_work[key] = base_work.get(key, 0.0) + ilp.dag.work(v)
     numa = ilp.machine.numa
-    for step in ilp.context_comm:
+    for step in _context_steps(ilp):
         if step.node in reassign_set or step.node in boundary_set:
             continue
         if not s_lo <= step.superstep <= s_hi:

@@ -51,7 +51,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ...core.comm import CommStep
+from ...core.comm import CommStep, comm_columns, lazy_transfers
 from ...core.csr import gather_rows
 from ...core.dag import ComputationalDAG
 from ...core.exceptions import SolverError
@@ -97,11 +97,12 @@ class WindowIlp:
     window:
         Inclusive superstep window ``(s_lo, s_hi)``.
     context_comm:
-        Communication steps of the fixed context (typically the incumbent's
-        lazy schedule).  Steps of nodes being reassigned are ignored; steps
-        of boundary predecessors delivered *before* the window seed the
-        initial presence; steps of unrelated nodes inside the window become
-        constant base traffic.
+        Communication steps of the fixed context; ``None`` means the lazy
+        communication schedule of the fixed assignment, read as columns
+        from :func:`~repro.core.comm.lazy_transfers`.  Steps of nodes being
+        reassigned are ignored; steps of boundary predecessors delivered
+        *before* the window seed the initial presence; steps of unrelated
+        nodes inside the window become constant base traffic.
     """
 
     def __init__(
@@ -112,7 +113,7 @@ class WindowIlp:
         fixed_supersteps: Sequence[int] | np.ndarray,
         reassign: Sequence[int],
         window: tuple[int, int],
-        context_comm: Iterable[CommStep] = (),
+        context_comm: Iterable[CommStep] | None = (),
     ) -> None:
         self.dag = dag
         self.machine = machine
@@ -122,7 +123,12 @@ class WindowIlp:
         self.window = (int(window[0]), int(window[1]))
         if self.window[0] < 0 or self.window[1] < self.window[0]:
             raise SolverError(f"invalid superstep window {window}")
-        self.context_comm = list(context_comm)
+        #: the context's ``(node, source, target, superstep)`` columns
+        self.context_columns = (
+            lazy_transfers(dag, self.fixed_procs, self.fixed_supersteps)
+            if context_comm is None
+            else comm_columns(list(context_comm))
+        )
 
         # shared per-instance arrays, hoisted out of the model build: the
         # reassign mask, the CSR neighbour gathers, the boundary-predecessor
@@ -478,10 +484,10 @@ class WindowIlp:
         init = np.zeros((nr + boundary.size, self.machine.num_procs))
         if boundary.size:
             init[nr + np.arange(boundary.size), self.fixed_procs[boundary]] = 1.0
-        for step in self.context_comm:
-            pos = int(model_pos[step.node]) if step.node < model_pos.size else -1
-            if pos >= nr and step.superstep < s_lo:  # boundary predecessor
-                init[pos, step.target] = 1.0
+        node, _, target, phase = self.context_columns
+        pos = model_pos[node]
+        boundary_steps = (pos >= nr) & (phase < s_lo)
+        init[pos[boundary_steps], target[boundary_steps]] = 1.0
         return init
 
     def _base_loads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -514,15 +520,14 @@ class WindowIlp:
                 self.dag.work_weights[nodes],
             )
 
-        numa = self.machine.numa
-        nr = len(self.reassign)
-        for step in self.context_comm:
-            pos = int(model_pos[step.node]) if step.node < model_pos.size else -1
-            if pos >= 0:  # reassigned or boundary: modelled by send variables
-                continue
-            if not s_lo <= step.superstep <= s_hi:
-                continue
-            volume = self.dag.comm(step.node) * numa[step.source, step.target]
-            base_send[step.superstep - s_lo, step.source] += volume
-            base_recv[step.superstep - s_lo, step.target] += volume
+        # steps of reassigned and boundary nodes are modelled by send
+        # variables; the others inside the window are scattered in their
+        # context order
+        node, source, target, phase = self.context_columns
+        fixed = (model_pos[node] < 0) & (phase >= s_lo) & (phase <= s_hi)
+        node, source, target = node[fixed], source[fixed], target[fixed]
+        row = phase[fixed] - s_lo
+        volume = self.dag.comm_weights[node] * self.machine.numa[source, target]
+        np.add.at(base_send, (row, source), volume)
+        np.add.at(base_recv, (row, target), volume)
         return base_work, base_send, base_recv

@@ -7,5 +7,6 @@ implementations of baselines that now skip redundant work (``baselines``),
 or the straightforward orchestration a faster path replaced
 (``multilevel``).
 ``cost`` evaluates validity and cost straight from the paper's
-definitions.
+definitions, and keeps the per-transfer loop the vectorized
+``comm_matrices`` replaced.
 """

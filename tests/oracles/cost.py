@@ -18,7 +18,7 @@ that needs it on ``q``.
 
 from __future__ import annotations
 
-__all__ = ["definition_cost", "lazy_gamma", "violations"]
+__all__ = ["comm_matrices", "definition_cost", "lazy_gamma", "violations"]
 
 
 def lazy_gamma(
@@ -69,6 +69,28 @@ def violations(
     return problems
 
 
+def comm_matrices(
+    comm: list[float],
+    numa: list[list[float]],
+    num_steps: int,
+    gamma: list[tuple[int, int, int, int]],
+) -> tuple[list[list[float]], list[list[float]]]:
+    """Send and receive volume per ``[superstep][processor]``.
+
+    One transfer at a time, in ``gamma``'s order, so that every cell sums
+    its transfers in that order: the reference the vectorized
+    ``repro.core.cost.comm_matrices`` must match bit for bit.
+    """
+    num_procs = len(numa)
+    send = [[0.0] * num_procs for _ in range(num_steps)]
+    recv = [[0.0] * num_procs for _ in range(num_steps)]
+    for v, p1, p2, s in gamma:
+        volume = comm[v] * numa[p1][p2]
+        send[s][p1] += volume
+        recv[s][p2] += volume
+    return send, recv
+
+
 def definition_cost(
     work: list[float],
     comm: list[float],
@@ -83,14 +105,9 @@ def definition_cost(
     num_steps = max([*steps, *(s for _, _, _, s in gamma)], default=-1) + 1
     num_procs = len(numa)
     load = [[0.0] * num_procs for _ in range(num_steps)]
-    send = [[0.0] * num_procs for _ in range(num_steps)]
-    recv = [[0.0] * num_procs for _ in range(num_steps)]
     for v, (p, s) in enumerate(zip(procs, steps)):
         load[s][p] += work[v]
-    for v, p1, p2, s in gamma:
-        volume = comm[v] * numa[p1][p2]
-        send[s][p1] += volume
-        recv[s][p2] += volume
+    send, recv = comm_matrices(comm, numa, num_steps, gamma)
     total = 0.0
     for s in range(num_steps):
         h = max(max(send[s][p], recv[s][p]) for p in range(num_procs))

@@ -275,34 +275,41 @@ class TestWindowModelDifferential:
             ]
             if not reassign:
                 continue
-            ilp = WindowIlp(
-                dag,
-                machine,
-                schedule.procs,
-                schedule.supersteps,
-                reassign=reassign,
-                window=(low, high),
-                context_comm=schedule.comm_schedule,
-            )
+            def window_ilp(context_comm):
+                return WindowIlp(
+                    dag,
+                    machine,
+                    schedule.procs,
+                    schedule.supersteps,
+                    reassign=reassign,
+                    window=(low, high),
+                    context_comm=context_comm,
+                )
+
+            ilp = window_ilp(schedule.comm_schedule)
             batched, _ = ilp.build_model()
             reference = build_window_model_reference(ilp)
-            assert batched.num_variables == reference.num_variables
-            assert batched._objective == reference._objective
-            assert batched._lower == reference._lower
-            assert batched._upper == reference._upper
-            assert batched._integrality == reference._integrality
-            assert batched.num_constraints == reference.num_constraints
-            assert batched._row_lower == reference._row_lower
-            assert batched._row_upper == reference._row_upper
-            matrix_b = sparse.csr_matrix(
-                (batched._vals, (batched._rows, batched._cols)),
-                shape=(batched.num_constraints, batched.num_variables),
-            )
-            matrix_r = sparse.csr_matrix(
-                (reference._vals, (reference._rows, reference._cols)),
-                shape=(reference.num_constraints, reference.num_variables),
-            )
-            assert abs(matrix_b - matrix_r).sum() == 0
+            # the lazy context (None) is the lazy Γ in (node, target) order
+            lazy, _ = window_ilp(None).build_model()
+            explicit, _ = window_ilp(sorted(schedule.comm_schedule)).build_model()
+            for first, second in ((batched, reference), (lazy, explicit)):
+                assert first.num_variables == second.num_variables
+                assert first._objective == second._objective
+                assert first._lower == second._lower
+                assert first._upper == second._upper
+                assert first._integrality == second._integrality
+                assert first.num_constraints == second.num_constraints
+                assert first._row_lower == second._row_lower
+                assert first._row_upper == second._row_upper
+                matrix_1 = sparse.csr_matrix(
+                    (first._vals, (first._rows, first._cols)),
+                    shape=(first.num_constraints, first.num_variables),
+                )
+                matrix_2 = sparse.csr_matrix(
+                    (second._vals, (second._rows, second._cols)),
+                    shape=(second.num_constraints, second.num_variables),
+                )
+                assert abs(matrix_1 - matrix_2).sum() == 0
             checked += 1
         assert checked >= 4  # enough non-degenerate windows exercised
 

@@ -25,7 +25,20 @@ from conftest import assert_valid_schedule, random_dag
 from repro.dagdb import SparseMatrixPattern, build_cg_dag, build_spmv_dag
 
 
-FAST = PipelineConfig.fast()
+#: every clock off: node limit 1 stops each HiGHS solve at its root, and the
+#: variable thresholds keep every model small, so each pipeline is a fixed
+#: amount of work whatever the machine's load
+FAST = PipelineConfig(
+    local_search_seconds=None,
+    ilp_full_seconds=None,
+    ilp_partial_seconds=None,
+    ilp_comm_seconds=None,
+    ilp_init_seconds=None,
+    ilp_node_limit=1,
+    ilp_full_max_variables=600,
+    ilp_partial_max_variables=300,
+    ilp_init_max_variables=200,
+)
 
 
 @pytest.fixture(scope="module")

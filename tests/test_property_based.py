@@ -10,7 +10,10 @@ These cover the load-bearing invariants of the framework:
 * coarsening preserves acyclicity and total weights at every level;
 * the hyperDAG file format round-trips exactly;
 * every registry scheduler's reported cost is the cost the paper's
-  definition gives its schedule (:mod:`oracles.cost`).
+  definition gives its schedule (:mod:`oracles.cost`);
+* the lazy cost, read from the lazy transfer columns, is that definition's
+  cost, and the vectorized explicit-``Γ`` traffic equals the per-transfer
+  loop bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import Budget, ScheduleRequest, SchedulerSpec, SchedulingService
-from repro.core import BspMachine, BspSchedule, ComputationalDAG
+from repro.core import BspMachine, BspSchedule, CommStep, ComputationalDAG, evaluate_cost
+from repro.core.cost import comm_matrices
 from repro.io import dumps_hyperdag, loads_hyperdag
 from repro.schedulers import (
     BspGreedyScheduler,
@@ -41,6 +45,7 @@ from repro.schedulers.multilevel import coarsen_dag
 from repro.schedulers.trivial import RoundRobinScheduler
 
 from conftest import assert_valid_schedule
+from oracles.cost import comm_matrices as comm_matrices_loop
 from oracles.cost import definition_cost, lazy_gamma, violations
 from oracles.multilevel import multilevel_reference
 
@@ -48,17 +53,31 @@ from oracles.multilevel import multilevel_reference
 # ---------------------------------------------------------------------- #
 # strategies
 # ---------------------------------------------------------------------- #
+#: (work, comm) weight strategies; ``dyadic`` draws eighths, which float
+#: arithmetic adds exactly in any order
+_WEIGHTS = {
+    "integer": (st.integers(1, 9).map(float), st.integers(1, 5).map(float)),
+    "dyadic": (st.integers(1, 72).map(lambda k: k / 8), st.integers(1, 40).map(lambda k: k / 8)),
+}
+
+
 @st.composite
-def dags(draw, max_nodes: int = 24, min_nodes: int = 1):
-    """Random weighted DAGs with edges oriented from lower to higher index."""
+def dags(draw, max_nodes: int = 24, min_nodes: int = 1, weights: str = "integer"):
+    """Random weighted DAGs with edges oriented from lower to higher index.
+
+    ``weights`` is ``integer``, ``dyadic`` or ``real``; real weights are
+    uniform draws, which fill the mantissa, so their sums depend on order.
+    """
     num_nodes = draw(st.integers(min_value=min_nodes, max_value=max_nodes))
-    works = draw(
-        st.lists(st.integers(1, 9), min_size=num_nodes, max_size=num_nodes)
-    )
-    comms = draw(
-        st.lists(st.integers(1, 5), min_size=num_nodes, max_size=num_nodes)
-    )
-    dag = ComputationalDAG(num_nodes, [float(w) for w in works], [float(c) for c in comms])
+    if weights == "real":
+        weight_rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        works = weight_rng.uniform(0.1, 9.0, num_nodes).tolist()
+        comms = weight_rng.uniform(0.1, 5.0, num_nodes).tolist()
+    else:
+        work, comm = _WEIGHTS[weights]
+        works = draw(st.lists(work, min_size=num_nodes, max_size=num_nodes))
+        comms = draw(st.lists(comm, min_size=num_nodes, max_size=num_nodes))
+    dag = ComputationalDAG(num_nodes, works, comms)
     density = draw(st.floats(0.0, 0.5))
     rng_seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(rng_seed)
@@ -248,6 +267,67 @@ def test_lazy_schedule_at_least_as_good_without_explicit_comm(dag, machine):
     # so it can be worse than trivial, but never worse than its own start
     assert improved.cost() <= schedule.cost() + 1e-9
     assert trivial.cost() == dag.total_work + machine.latency
+
+
+@pytest.mark.parametrize("weights", ["integer", "dyadic", "real"])
+@COMMON_SETTINGS
+@given(machine=machines(), data=st.data())
+def test_lazy_cost_is_the_definition_cost(weights, machine, data):
+    """Costing the lazy transfer columns gives the definition's cost.
+
+    Exact on integer and dyadic weights, whose sums are exact in any order;
+    on real weights only the order in which a cell sums its transfers, and
+    the supersteps their terms, differs, so a relative 1e-12 holds.
+    """
+    dag = data.draw(dags(weights=weights))
+    scheduler = data.draw(st.sampled_from([CilkScheduler, BspGreedyScheduler, RoundRobinScheduler]))
+    schedule = scheduler().schedule(dag, machine)
+    procs, steps = schedule.procs.tolist(), schedule.supersteps.tolist()
+    edges = list(zip(*(ends.tolist() for ends in dag.edge_arrays())))
+    expected = definition_cost(
+        dag.work_weights.tolist(),
+        dag.comm_weights.tolist(),
+        machine.numa.tolist(),
+        float(machine.g),
+        float(machine.latency),
+        procs,
+        steps,
+        lazy_gamma(edges, procs, steps),
+    )
+    cost = evaluate_cost(dag, machine, schedule.procs, schedule.supersteps, None).total
+    if weights == "real":
+        assert cost == pytest.approx(expected, rel=1e-12, abs=0.0)
+    else:
+        assert cost == expected
+    assert schedule.cost() == cost
+
+
+@COMMON_SETTINGS
+@given(dag=dags(weights="real"), data=st.data())
+def test_explicit_comm_matrices_equal_the_loop(dag, data):
+    """The vectorized explicit-Γ traffic is the per-transfer loop's, bit for bit."""
+    num_procs = data.draw(st.integers(1, 5))
+    num_steps = data.draw(st.integers(1, 5))
+    count = data.draw(st.integers(0, 60))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    numa = rng.uniform(0.5, 4.0, (num_procs, num_procs))
+    np.fill_diagonal(numa, 0.0)
+    machine = BspMachine.from_numa_matrix(numa, g=1.0)
+    # many transfers on few cells, so most cells sum three or more
+    gamma = list(
+        zip(
+            rng.integers(0, dag.num_nodes, count).tolist(),
+            rng.integers(0, num_procs, count).tolist(),
+            rng.integers(0, num_procs, count).tolist(),
+            rng.integers(0, num_steps, count).tolist(),
+        )
+    )
+    send, recv = comm_matrices(dag, machine, num_steps, [CommStep(*t) for t in gamma])
+    loop_send, loop_recv = comm_matrices_loop(
+        dag.comm_weights.tolist(), numa.tolist(), num_steps, gamma
+    )
+    assert send.tobytes() == np.array(loop_send).tobytes()
+    assert recv.tobytes() == np.array(loop_recv).tobytes()
 
 
 # ---------------------------------------------------------------------- #

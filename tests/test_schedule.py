@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.comm as core_comm
+import repro.core.schedule as core_schedule
+import repro.core.validation as core_validation
+from repro.api import ScheduleRequest, SchedulerSpec, SchedulingService
 from repro.core import BspMachine, BspSchedule, CommStep, ScheduleError
 
-from conftest import build_diamond_dag
+from conftest import build_diamond_dag, random_dag
 
 
 @pytest.fixture
@@ -123,6 +127,59 @@ class TestCostAndCompaction:
         moved = simple_schedule.with_assignment([0, 0, 0, 0], [0, 0, 0, 0])
         assert moved.num_supersteps == 1
         assert moved.is_valid()
+
+
+class TestLazyPathBuildsNoGamma:
+    """A lazy schedule is validated, costed and compacted without its ``Γ``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Make building the lazy ``Γ`` fail, and count the checks and costings."""
+
+        def no_gamma(*args, **kwargs):
+            raise AssertionError("the lazy Γ was built")
+
+        monkeypatch.setattr(core_comm, "lazy_comm_schedule", no_gamma)
+        monkeypatch.setattr(core_schedule, "lazy_comm_schedule", no_gamma)
+        counts = {"schedule_violations": 0, "evaluate_cost": 0}
+        for module, name in (
+            (core_validation, "schedule_violations"),
+            (core_schedule, "evaluate_cost"),
+        ):
+
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_validate_cost_and_compacted(self, calls, machine):
+        dag = build_diamond_dag()
+        # lazy phases 3 and 7: supersteps 1, 2, 5 and 6 are empty
+        sparse = BspSchedule(dag, machine, [0, 0, 1, 0], [0, 4, 4, 8], validate=False)
+        sparse.validate()
+        assert calls == {"schedule_violations": 1, "evaluate_cost": 0}
+        cost = sparse.cost()
+        assert sparse.cost() == cost
+        assert calls == {"schedule_violations": 1, "evaluate_cost": 1}
+        compacted = sparse.compacted()  # validated on construction
+        assert calls == {"schedule_violations": 2, "evaluate_cost": 1}
+        assert compacted.supersteps.tolist() == [0, 2, 2, 4]
+        assert compacted.cost() == cost - 4 * machine.latency
+        assert calls == {"schedule_violations": 2, "evaluate_cost": 2}
+
+    @pytest.mark.parametrize("name", ["cilk", "etf", "hdagg", "bsp_greedy", "source"])
+    def test_baseline_solves(self, calls, name):
+        dag = random_dag(30, 0.15, seed=3)
+        machine = BspMachine.uniform(4, g=2, latency=3)
+        request = ScheduleRequest(dag, machine, SchedulerSpec(name))
+        result = SchedulingService(cache_size=0).solve(request)
+        schedule = result.to_schedule()
+        assert schedule.uses_lazy_comm and len(set(schedule.procs.tolist())) > 1
+        assert "comm_schedule" not in result.schedule_dict()
+        assert calls["schedule_violations"] >= 1 and calls["evaluate_cost"] >= 1
+        assert result.cost == schedule.cost()
 
 
 class TestReporting:

@@ -11,6 +11,7 @@ from repro.core import (
     CommStep,
     ComputationalDAG,
     ScheduleError,
+    required_transfers,
     schedule_violations,
     validate_schedule,
 )
@@ -164,6 +165,18 @@ class TestValidateAndScheduleClass:
         schedule = BspSchedule(dag, machine, [0, 1], [0, 0], [], validate=False)
         assert not schedule.is_valid()
         assert schedule.violations()
+
+    def test_lazy_schedule_with_a_cross_processor_tie_is_reported(self, machine):
+        # no lazy Γ exists: node 0's value is needed on processor 1 in the
+        # superstep that computes it
+        dag = build_chain_dag(2)
+        with pytest.raises(ScheduleError) as no_gamma:
+            required_transfers(dag, [0, 1], [0, 0])
+        schedule = BspSchedule(dag, machine, [0, 1], [0, 0], validate=False)
+        assert not schedule.is_valid()
+        assert schedule.violations() == [str(no_gamma.value)]
+        with pytest.raises(ScheduleError, match="no valid communication phase exists"):
+            schedule.validate()
 
     def test_max_violations_bound(self):
         machine = BspMachine.uniform(2)

@@ -5,6 +5,8 @@ The vectorized :func:`repro.core.validation.schedule_violations` and
 pure-Python reference implementations in :mod:`repro.core.reference` — same
 messages, same order, same truncation — on valid schedules, on invalid
 schedules from every violation category, and on randomized dagdb instances.
+The lazy branch (``comm_schedule=None``) must give the verdict, messages and
+exception type of the same check run on the explicit lazy ``Γ``.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ from repro.core import (
     BspMachine,
     ClassicalSchedule,
     CommStep,
+    ScheduleError,
     classical_to_bsp,
+    lazy_comm_schedule,
     schedule_violations,
+    validate_schedule,
 )
 from repro.core.reference import (
     adjacency_from_edges,
@@ -28,6 +33,7 @@ from repro.dagdb import SparseMatrixPattern, build_cg_dag, build_spmv_dag
 from repro.schedulers import BspGreedyScheduler, CilkScheduler, SourceScheduler
 
 from conftest import build_chain_dag, build_diamond_dag, build_paper_example_dag, random_dag
+from oracles.cost import lazy_gamma, violations as oracle_violations
 
 
 def ref_violations(dag, machine, procs, supersteps, steps, max_violations=20):
@@ -183,6 +189,108 @@ class TestDifferentialRandomized:
                 i = int(rng.integers(0, len(steps)))
                 steps[i] = steps[i]._replace(superstep=steps[i].superstep + 3)
             assert_same_violations(dag, machine, procs, supersteps, steps)
+
+
+def broken_once(dag, num_procs, procs, supersteps, rng):
+    """``(π, τ)`` as given, then each of the four ways one change breaks it."""
+    src, dst = dag.edge_arrays()
+    yield "valid", procs, supersteps
+    victim = int(rng.integers(0, dag.num_nodes))
+    bad = procs.copy()
+    bad[victim] = num_procs  # out-of-range processor
+    yield "processor", bad, supersteps
+    bad = supersteps.copy()
+    bad[victim] = -1  # negative superstep
+    yield "superstep", procs, bad
+    if src.size:
+        i = int(rng.integers(0, src.size))
+        u, v = int(src[i]), int(dst[i])
+        bad_procs, bad_steps = procs.copy(), supersteps.copy()
+        bad_procs[v] = bad_procs[u]
+        bad_steps[u] = bad_steps[v] + 1  # same-processor inversion
+        yield "inversion", bad_procs, bad_steps
+        if num_procs > 1:
+            bad_procs, bad_steps = procs.copy(), supersteps.copy()
+            bad_procs[v] = (bad_procs[u] + 1) % num_procs
+            bad_steps[v] = bad_steps[u]  # cross-processor tie
+            yield "tie", bad_procs, bad_steps
+
+
+def raised(call):
+    """The type of the exception ``call()`` raises, or ``None``."""
+    try:
+        call()
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+    return None
+
+
+class TestLazyBranch:
+    """``comm_schedule=None`` agrees with the Γ path run on the lazy ``Γ``."""
+
+    @staticmethod
+    def gamma_path(dag, machine, procs, supersteps):
+        """Violations of the explicit lazy ``Γ``, or why it does not exist."""
+        try:
+            steps = sorted(lazy_comm_schedule(dag, procs, supersteps))
+        except ScheduleError as exc:
+            return [str(exc)]
+        return schedule_violations(dag, machine, procs, supersteps, steps)
+
+    def assert_lazy_branch_agrees(self, dag, machine, procs, supersteps):
+        lazy = schedule_violations(dag, machine, procs, supersteps, None)
+        assert lazy == self.gamma_path(dag, machine, procs, supersteps)
+        edges = list(zip(*(ends.tolist() for ends in dag.edge_arrays())))
+        gamma = lazy_gamma(edges, procs.tolist(), supersteps.tolist())
+        oracle = oracle_violations(
+            machine.num_procs, edges, procs.tolist(), supersteps.tolist(), gamma
+        )
+        assert bool(lazy) == bool(oracle)
+        lazy_error = raised(lambda: validate_schedule(dag, machine, procs, supersteps, None))
+        gamma_error = raised(
+            lambda: validate_schedule(
+                dag, machine, procs, supersteps, sorted(lazy_comm_schedule(dag, procs, supersteps))
+            )
+        )
+        assert lazy_error is gamma_error is (ScheduleError if lazy else None)
+        return lazy
+
+    @pytest.mark.parametrize("procs_count", [1, 2, 4])
+    def test_scheduler_outputs_and_single_breaks(self, procs_count):
+        rng = np.random.default_rng(procs_count)
+        machine = BspMachine.uniform(procs_count, g=2, latency=3)
+        seen = set()
+        for dag in dagdb_instances():
+            for scheduler in (BspGreedyScheduler(), SourceScheduler(), CilkScheduler(0)):
+                schedule = scheduler.schedule(dag, machine)
+                for kind, procs, supersteps in broken_once(
+                    dag, procs_count, schedule.procs.copy(), schedule.supersteps.copy(), rng
+                ):
+                    lazy = self.assert_lazy_branch_agrees(dag, machine, procs, supersteps)
+                    assert bool(lazy) == (kind != "valid"), kind
+                    seen.add(kind)
+        expected = {"valid", "processor", "superstep", "inversion"}
+        assert seen == (expected | {"tie"} if procs_count > 1 else expected)
+
+    def test_random_assignments(self):
+        rng = np.random.default_rng(2024)
+        machine = BspMachine.uniform(3, g=1, latency=1)
+        for trial in range(60):
+            dag = random_dag(12, 0.2, seed=900 + trial)
+            n = dag.num_nodes
+            procs = rng.integers(-1 if trial % 10 == 0 else 0, 3, size=n)
+            supersteps = rng.integers(-1 if trial % 5 == 0 else 0, 4, size=n)
+            self.assert_lazy_branch_agrees(dag, machine, procs, supersteps)
+
+    def test_max_violations_truncation(self):
+        machine = BspMachine.uniform(2)
+        dag = build_chain_dag(40)
+        procs = np.zeros(40, dtype=np.int64)
+        supersteps = -np.ones(40, dtype=np.int64)
+        for cap in (1, 3, 20):
+            lazy = schedule_violations(dag, machine, procs, supersteps, None, cap)
+            assert lazy == schedule_violations(dag, machine, procs, supersteps, [], cap)
+            assert len(lazy) == cap
 
 
 class TestRedundantDeliveryRegression:
