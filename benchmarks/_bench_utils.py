@@ -17,38 +17,8 @@ def save_table(name: str, text: str) -> None:
 
 
 def save_json(name: str, payload: Any) -> Path:
-    """Persist a JSON-serialisable payload under ``benchmarks/results/``.
-
-    Used by the kernel micro-benchmarks so that successive PRs can track the
-    performance trajectory (the files are stable, machine-readable records
-    of timings and speedups).
-    """
+    """Persist a JSON-serialisable payload under ``benchmarks/results/``."""
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
-
-
-def save_bench_root(pr_number: int, benchmarks: dict) -> Path:
-    """Write the per-PR benchmark record ``BENCH_<n>.json`` at the repo root.
-
-    The schema is stable across PRs so the performance trajectory can be
-    diffed mechanically::
-
-        {"schema_version": 1, "pr": <n>, "benchmarks": {<name>: <payload>}}
-
-    Repeated calls within one run merge into the same file (one benchmark
-    module per key), so partial reruns do not drop older sections.
-    """
-    path = Path(__file__).parent.parent / f"BENCH_{pr_number}.json"
-    record: dict = {"schema_version": 1, "pr": pr_number, "benchmarks": {}}
-    if path.exists():
-        try:
-            existing = json.loads(path.read_text(encoding="utf-8"))
-            if existing.get("schema_version") == 1 and existing.get("pr") == pr_number:
-                record = existing
-        except (ValueError, OSError):
-            pass  # unreadable record: rewrite from scratch
-    record.setdefault("benchmarks", {}).update(benchmarks)
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path

@@ -17,9 +17,8 @@ Two measurements, one per leg of the out-of-core DAG pipeline:
   arrays are zero-copy views).  This is the latency every solve of a
   file-reference request pays before it starts.
 
-Results (timings, peaks and speedups) are printed, persisted under
-``benchmarks/results/bench_outofcore.json`` and mirrored into the stable
-per-PR record ``BENCH_<n>.json`` via :func:`_bench_utils.save_bench_root`.
+Results (timings, peaks and speedups) are printed and persisted under
+``benchmarks/results/bench_outofcore.json``.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_outofcore.py``) or
 through pytest; the pytest entry points assert the acceptance floors
@@ -38,7 +37,7 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))  # for direct execution
-from _bench_utils import save_bench_root, save_json
+from _bench_utils import save_json
 
 from repro.io import load_dag
 from repro.io.hyperdag import read_hyperdag, write_hyperdag
@@ -51,8 +50,6 @@ GENERATION_MEMORY_FACTOR = float(os.environ.get("REPRO_BENCH_OOC_MEM_FACTOR", "2
 #: 10^5-node instance for the load-latency comparison
 LOAD_SIDE, LOAD_STEPS = 100, 10
 MMAP_ACCEPTANCE_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_MMAP_SPEEDUP", "50.0"))
-#: stacked-PR sequence number of the stable BENCH_<n>.json record
-BENCH_PR_NUMBER = int(os.environ.get("REPRO_BENCH_PR", "8"))
 
 _SRC_DIR = Path(__file__).parent.parent / "src"
 
@@ -222,9 +219,7 @@ def main() -> None:
         f"load ({load['num_nodes']} nodes): text parse {load['text_parse_s']:.3f} s "
         f"vs mmap {load['mmap_load_s'] * 1e3:.2f} ms ({load['speedup']:.0f}x)"
     )
-    payload = {"generation": generation, "load": load}
-    save_json("bench_outofcore", payload)
-    path = save_bench_root(BENCH_PR_NUMBER, {"outofcore": payload})
+    path = save_json("bench_outofcore", {"generation": generation, "load": load})
     print(f"recorded -> {path}")
 
 

@@ -11,9 +11,7 @@ result store (:class:`repro.store.ResultStore`):
 The recorded payload keeps the cold/warm wall-clock times, their ratio
 (``speedup`` — what resuming a killed grid run saves), and the warm-run
 store **hit rate** (store hits / requests; 1.0 by construction when resume
-works).  Results are persisted under ``benchmarks/results/`` and mirrored
-into the stable per-PR record ``BENCH_<n>.json`` at the repo root, where
-``bench_report.py`` renders the hit rate as a per-PR row.
+works).  Results are persisted under ``benchmarks/results/``.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_store_resume.py``)
 or through pytest; the pytest entry asserts the resume contract (zero warm
@@ -23,23 +21,19 @@ CI runners cannot flake it.
 
 from __future__ import annotations
 
-import os
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))  # for direct execution
-from _bench_utils import save_bench_root, save_json
+from _bench_utils import save_json
 
 from repro.analysis.experiments import ExperimentRunner, run_grid
 from repro.analysis.tables import table1_no_numa_improvements
 from repro.core.machine import MachineSpec
 from repro.dagdb import build_dataset
 from repro.schedulers.pipeline import PipelineConfig
-
-#: stacked-PR sequence number of the stable BENCH_<n>.json record
-BENCH_PR_NUMBER = int(os.environ.get("REPRO_BENCH_PR", "7"))
 
 #: budget-free configuration: deterministic schedulers, replayable bit-for-bit
 BUDGET_FREE = PipelineConfig(
@@ -109,7 +103,6 @@ def main() -> int:
         f"tables byte-identical: {payload['tables_byte_identical']}"
     )
     save_json("bench_store_resume", payload)
-    save_bench_root(BENCH_PR_NUMBER, {"store_resume": payload})
     return 0
 
 

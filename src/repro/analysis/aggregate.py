@@ -1,6 +1,6 @@
-"""Aggregation over trial records and BENCH trajectories for the report.
+"""Aggregation over trial records for the report.
 
-Three kinds of summary feed :mod:`repro.analysis.report`:
+Two kinds of summary feed :mod:`repro.analysis.report`:
 
 * **per-family cost profiles** — trials grouped by instance family, each
   scheduler summarised by trial count, geometric-mean cost and (the
@@ -12,14 +12,7 @@ Three kinds of summary feed :mod:`repro.analysis.report`:
   largest set of *complete blocks*, with a Nemenyi-style critical
   difference so "is this rank gap meaningful at this sample size" is a
   number, not a feeling, and a pairwise win matrix over every group two
-  schedulers share;
-* **regression flags** — the latest ``BENCH_*.json`` record compared
-  against the *previous recorded* value of every row it shares with
-  history (gap-tolerant: the previous value of a row may live several
-  PRs back).  A kernel whose speedup dropped, or a pinned benchmark case
-  whose ``final_cost`` rose, beyond the configured tolerance raises a
-  flag — the signal ``repro report --fail-on-regression`` turns into a
-  non-zero exit for CI gating.
+  schedulers share.
 
 Everything here is deterministic: outputs are sorted, derived purely from
 the inputs, and never consult the clock — the property the byte-stable
@@ -30,11 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..store.trials import TrialRecord
-from .benchdata import collect_metric
 from .metrics import geometric_mean as _strict_geomean
 
 __all__ = [
@@ -42,13 +33,10 @@ __all__ = [
     "FamilySchedulerStats",
     "RankEntry",
     "RankTable",
-    "RegressionFlag",
     "comparison_groups",
     "dedup_trials",
     "family_profiles",
     "rank_table",
-    "regression_flags",
-    "trajectory_summary",
 ]
 
 
@@ -324,126 +312,3 @@ def rank_table(trials: Iterable[TrialRecord]) -> RankTable:
                         (better.scheduler, worse.scheduler)
                     )
     return table
-
-
-# ---------------------------------------------------------------------- #
-# BENCH trajectory summaries and regression flags
-# ---------------------------------------------------------------------- #
-def trajectory_summary(
-    trajectory: dict[int, dict[str, float]],
-) -> list[tuple[int, float]]:
-    """Per-PR geometric-mean speedup (the one-line trajectory chart)."""
-    return [
-        (pr, geometric_mean(values.values()))
-        for pr, values in sorted(trajectory.items())
-        if values
-    ]
-
-
-@dataclass
-class RegressionFlag:
-    """One metric that drifted beyond tolerance vs its previous record."""
-
-    kind: str  # "kernel_speedup" (lower is worse) | "benchmark_cost" (higher is worse)
-    label: str
-    previous_pr: int
-    previous: float
-    current_pr: int
-    current: float
-    tolerance: float
-
-    @property
-    def drift(self) -> float:
-        """Signed relative change vs the previous value."""
-        return (self.current - self.previous) / self.previous
-
-    def describe(self) -> str:
-        direction = "fell" if self.kind == "kernel_speedup" else "rose"
-        return (
-            f"{self.kind}: {self.label} {direction} "
-            f"{abs(self.drift):.0%} (PR {self.previous_pr}: {self.previous:g} "
-            f"-> PR {self.current_pr}: {self.current:g}, "
-            f"tolerance {self.tolerance:.0%})"
-        )
-
-
-def _drifts(
-    per_pr: dict[int, dict[str, float]],
-    kind: str,
-    tolerance: float,
-    worse_when_lower: bool,
-) -> list[RegressionFlag]:
-    prs = sorted(per_pr)
-    if len(prs) < 2:
-        return []
-    current_pr = prs[-1]
-    flags: list[RegressionFlag] = []
-    for label, current in sorted(per_pr[current_pr].items()):
-        previous_pr = next(
-            (pr for pr in reversed(prs[:-1]) if label in per_pr[pr]), None
-        )
-        if previous_pr is None:
-            continue
-        previous = per_pr[previous_pr][label]
-        if previous <= 0:
-            continue
-        if worse_when_lower:
-            regressed = current < previous * (1.0 - tolerance)
-        else:
-            regressed = current > previous * (1.0 + tolerance)
-        if regressed:
-            flags.append(
-                RegressionFlag(
-                    kind=kind,
-                    label=label,
-                    previous_pr=previous_pr,
-                    previous=previous,
-                    current_pr=current_pr,
-                    current=current,
-                    tolerance=tolerance,
-                )
-            )
-    return flags
-
-
-def regression_flags(
-    bench_root: str | Path,
-    speedup_tolerance: float = 0.5,
-    cost_tolerance: float = 0.05,
-    cost_fields: Sequence[str] = ("final_cost",),
-) -> list[RegressionFlag]:
-    """Compare the latest BENCH record against history; flag the drifts.
-
-    Two families of rows are watched, with independent tolerances:
-
-    * every ``speedup`` row (the kernel trajectory): flagged when the
-      latest value fell more than ``speedup_tolerance`` below its
-      previous recorded value.  Timing noise on shared machines is real,
-      so the default tolerance is generous — the flag is for *losing* an
-      optimization, not for jitter;
-    * every cost row (``final_cost`` by default — the schedule cost a
-      benchmark pins on a fixed instance): flagged when it *rose* more
-      than ``cost_tolerance``.  Costs of deterministic schedulers are
-      noise-free, so the default is tight — a cost drift means scheduler
-      behavior changed.
-
-    "Previous" is gap-tolerant per row: the most recent earlier PR whose
-    record carries the same label (rows appear and retire as benchmarks
-    evolve; a retired row flags nothing).
-    """
-    flags = _drifts(
-        collect_metric(bench_root, "speedup"),
-        "kernel_speedup",
-        speedup_tolerance,
-        worse_when_lower=True,
-    )
-    for field_name in cost_fields:
-        flags.extend(
-            _drifts(
-                collect_metric(bench_root, field_name),
-                "benchmark_cost",
-                cost_tolerance,
-                worse_when_lower=False,
-            )
-        )
-    return flags

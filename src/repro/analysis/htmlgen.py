@@ -8,8 +8,8 @@ bytes — which is the property the golden-file tests pin.
 
 Numbers are formatted through :func:`fmt` (fixed ``%g``-style rendering,
 no locale), text through :func:`esc` (HTML entity escaping), charts as
-hand-rolled inline SVG (:func:`bar_chart`, :func:`line_chart`) sized in
-plain integers so no float jitter ever reaches an attribute.
+hand-rolled inline SVG (:func:`bar_chart`) sized in plain integers so no
+float jitter ever reaches an attribute.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "bar_chart",
     "esc",
     "fmt",
-    "line_chart",
     "page",
     "section",
     "table",
@@ -37,8 +36,6 @@ table { border-collapse: collapse; margin: .8rem 0; }
 th, td { border: 1px solid #b8b8c8; padding: .25rem .6rem; text-align: left; }
 th { background: #eef; }
 td.num { text-align: right; font-variant-numeric: tabular-nums; }
-.flag { color: #a30000; font-weight: 600; }
-.ok { color: #006633; }
 .note { color: #555; font-size: .9em; }
 svg { margin: .4rem 0; }
 """.strip()
@@ -71,9 +68,7 @@ def table(
 ) -> str:
     """An HTML table; columns listed in ``numeric`` are right-aligned.
 
-    Cell values pass through :func:`fmt` then :func:`esc` — except values
-    already wrapped as ``("html", markup)`` tuples, which are inserted
-    verbatim (for pre-escaped spans like regression flags).
+    Cell values pass through :func:`fmt` then :func:`esc`.
     """
     numeric_set = set(numeric)
     parts = ["<table>", "<tr>"]
@@ -83,10 +78,7 @@ def table(
         parts.append("<tr>")
         for column, cell in enumerate(row):
             css = ' class="num"' if column in numeric_set else ""
-            if isinstance(cell, tuple) and len(cell) == 2 and cell[0] == "html":
-                parts.append(f"<td{css}>{cell[1]}</td>")
-            else:
-                parts.append(f"<td{css}>{esc(fmt(cell))}</td>")
+            parts.append(f"<td{css}>{esc(fmt(cell))}</td>")
         parts.append("</tr>")
     parts.append("</table>")
     return "".join(parts)
@@ -167,80 +159,6 @@ def bar_chart(
         parts.append(
             f'<text x="{label_span + bar + 6}" y="{y + bar_height - 5}" '
             f'font-size="12">{esc(fmt(float(value)))}</text>'
-        )
-    parts.append("</svg>")
-    return "".join(parts)
-
-
-def line_chart(
-    points: Sequence[tuple[float, float]],
-    width: int = 640,
-    height: int = 220,
-    x_label: str = "",
-    y_label: str = "",
-    caption: str = "",
-) -> str:
-    """A single-series line chart as inline SVG.
-
-    The x axis spans the data's x range, the y axis spans [0, max(y)].
-    Coordinates are rounded to integers (byte-stable); each point also
-    gets a marker circle and a small value annotation.
-    """
-    if not points:
-        return '<p class="note">no data</p>'
-    margin_left, margin_bottom, margin_top, margin_right = 56, 34, 12, 16
-    plot_w = width - margin_left - margin_right
-    plot_h = height - margin_top - margin_bottom
-    xs = [x for x, _ in points]
-    ys = [y for _, y in points]
-    x_min, x_max = min(xs), max(xs)
-    y_max = max(ys) if max(ys) > 0 else 1.0
-    x_range = (x_max - x_min) or 1.0
-
-    def px(x: float) -> int:
-        return margin_left + _scaled(x - x_min, x_range, plot_w)
-
-    def py(y: float) -> int:
-        return margin_top + plot_h - _scaled(y, y_max, plot_h)
-
-    axis_y = margin_top + plot_h
-    parts = [
-        f'<svg width="{width}" height="{height}" role="img" '
-        f'aria-label="{esc(caption or "line chart")}">',
-        f'<line x1="{margin_left}" y1="{margin_top}" x2="{margin_left}" '
-        f'y2="{axis_y}" stroke="#888"></line>',
-        f'<line x1="{margin_left}" y1="{axis_y}" x2="{margin_left + plot_w}" '
-        f'y2="{axis_y}" stroke="#888"></line>',
-    ]
-    if y_label:
-        parts.append(
-            f'<text x="4" y="{margin_top + 10}" font-size="11">'
-            f"{esc(y_label)}</text>"
-        )
-    if x_label:
-        parts.append(
-            f'<text x="{margin_left + plot_w}" y="{height - 6}" '
-            f'text-anchor="end" font-size="11">{esc(x_label)}</text>'
-        )
-    path = " ".join(
-        f"{'M' if index == 0 else 'L'}{px(x)},{py(y)}"
-        for index, (x, y) in enumerate(points)
-    )
-    parts.append(
-        f'<path d="{path}" fill="none" stroke="#4363d8" stroke-width="2">'
-        "</path>"
-    )
-    for x, y in points:
-        parts.append(
-            f'<circle cx="{px(x)}" cy="{py(y)}" r="3" fill="#4363d8"></circle>'
-        )
-        parts.append(
-            f'<text x="{px(x)}" y="{py(y) - 7}" text-anchor="middle" '
-            f'font-size="10">{esc(fmt(float(y), 3))}</text>'
-        )
-        parts.append(
-            f'<text x="{px(x)}" y="{axis_y + 14}" text-anchor="middle" '
-            f'font-size="10">{esc(fmt(float(x)))}</text>'
         )
     parts.append("</svg>")
     return "".join(parts)

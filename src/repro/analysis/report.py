@@ -1,12 +1,10 @@
-"""The experiment report: trial store + BENCH history -> one HTML file.
+"""The experiment report: trial store -> one HTML file.
 
-:func:`build_report` aggregates everything the repo records about
-experiments — the trial/experiment tables of a
-:class:`~repro.store.ResultStore` (see :mod:`repro.store.trials`) and the
-repo-root ``BENCH_*.json`` trajectory (see
-:mod:`repro.analysis.benchdata`) — into one plain :class:`Report` value;
-:func:`render_html` turns it into a deterministic, self-contained HTML
-page (inline SVG, no external assets; see :mod:`repro.analysis.htmlgen`).
+:func:`build_report` aggregates the trial/experiment tables of a
+:class:`~repro.store.ResultStore` (see :mod:`repro.store.trials`) into one
+plain :class:`Report` value; :func:`render_html` turns it into a
+deterministic, self-contained HTML page (inline SVG, no external assets;
+see :mod:`repro.analysis.htmlgen`).
 
 Byte-stability is a hard guarantee, not an aspiration: two stores holding
 the same trials render the same bytes, regardless of append order, file
@@ -18,22 +16,18 @@ The golden-file tests pin exactly this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..store.results import ResultStore
 from .aggregate import (
     FamilyProfile,
     RankTable,
-    RegressionFlag,
     dedup_trials,
     family_profiles,
     rank_table,
-    regression_flags,
-    trajectory_summary,
 )
-from .benchdata import collect_backends, collect_trajectory
-from .htmlgen import bar_chart, line_chart, page, section, table
+from .htmlgen import bar_chart, page, section, table
 
 __all__ = ["Report", "build_report", "render_html"]
 
@@ -47,28 +41,13 @@ class Report:
     experiments: list[tuple[str, int]]  # (name, num fingerprints)
     families: list[FamilyProfile]
     ranks: RankTable
-    trajectory: list[tuple[int, float]]  # (pr, geomean speedup)
-    backends: dict[int, str]
-    flags: list[RegressionFlag] = field(default_factory=list)
-
-    @property
-    def has_regressions(self) -> bool:
-        return bool(self.flags)
 
 
-def build_report(
-    store_root: str | Path | None,
-    bench_root: str | Path | None = None,
-    *,
-    speedup_tolerance: float = 0.5,
-    cost_tolerance: float = 0.05,
-) -> Report:
-    """Aggregate a store's trials and a BENCH trajectory into a report.
+def build_report(store_root: str | Path | None) -> Report:
+    """Aggregate a store's trials into a report.
 
-    Either side is optional: ``store_root=None`` (or a store with no
-    trials) produces the "no trials yet" report, ``bench_root=None``
-    skips the trajectory and regression sections.  Tolerances configure
-    the regression flags — see :func:`repro.analysis.aggregate.regression_flags`.
+    ``store_root=None`` (or a store with no trials) produces the "no
+    trials yet" report.
     """
     trials = []
     experiments = []
@@ -83,26 +62,12 @@ def build_report(
             (record.name, len(record.fingerprints))
             for record in store.trials.experiments()
         )
-    flags: list[RegressionFlag] = []
-    trajectory: list[tuple[int, float]] = []
-    backends: dict[int, str] = {}
-    if bench_root is not None:
-        trajectory = trajectory_summary(collect_trajectory(bench_root))
-        backends = collect_backends(bench_root)
-        flags = regression_flags(
-            bench_root,
-            speedup_tolerance=speedup_tolerance,
-            cost_tolerance=cost_tolerance,
-        )
     return Report(
         num_trials=len(trials),
         num_experiments=len(experiments),
         experiments=experiments,
         families=family_profiles(trials),
         ranks=rank_table(trials),
-        trajectory=trajectory,
-        backends=backends,
-        flags=flags,
     )
 
 
@@ -114,13 +79,6 @@ def _overview_section(report: Report) -> str:
         ("trial records", report.num_trials),
         ("instance families", len(report.families)),
         ("named experiments", report.num_experiments),
-        ("BENCH records", len(report.trajectory)),
-        (
-            "regression flags",
-            ("html", f'<span class="flag">{len(report.flags)}</span>')
-            if report.flags
-            else ("html", '<span class="ok">0</span>'),
-        ),
     ]
     body = table(["what", "count"], rows, numeric=(1,))
     if report.experiments:
@@ -217,89 +175,21 @@ def _ranks_section(report: Report) -> str:
             row: list[object] = [first]
             for second in names:
                 row.append(
-                    "&#8212;"
+                    "—"
                     if first == second
                     else ranks.wins.get(first, {}).get(second, 0)
                 )
             rows.append(row)
         body += table(
-            ["wins &#8595; over &#8594;", *names],
+            ["wins ↓ over →", *names],
             rows,
             numeric=tuple(range(1, len(names) + 1)),
         )
     return section("Scheduler ranking", body)
 
 
-def _trajectory_section(report: Report) -> str:
-    if not report.trajectory:
-        return section(
-            "Kernel speedup trajectory",
-            '<p class="note">no BENCH_*.json records found</p>',
-        )
-    chart = line_chart(
-        [(float(pr), value) for pr, value in report.trajectory],
-        x_label="PR",
-        y_label="geomean speedup",
-        caption="geomean kernel speedup per PR",
-    )
-    rows = [
-        (pr, value, report.backends.get(pr, "-"))
-        for pr, value in report.trajectory
-    ]
-    return section(
-        "Kernel speedup trajectory",
-        chart,
-        table(["PR", "geomean speedup", "backend"], rows, numeric=(0, 1)),
-        '<p class="note">PR numbering is gap-tolerant: only PRs that '
-        "recorded a BENCH file appear, and drift comparisons pair each row "
-        "with its most recent earlier record</p>",
-    )
-
-
-def _flags_section(report: Report) -> str:
-    if not report.flags:
-        return section(
-            "Regression flags",
-            '<p class="ok">no regressions vs the previous BENCH records</p>',
-        )
-    rows = [
-        (
-            ("html", f'<span class="flag">{flag.kind}</span>'),
-            flag.label,
-            f"PR {flag.previous_pr}",
-            flag.previous,
-            f"PR {flag.current_pr}",
-            flag.current,
-            f"{flag.drift:+.1%}",
-            f"{flag.tolerance:.0%}",
-        )
-        for flag in sorted(report.flags, key=lambda f: (f.kind, f.label))
-    ]
-    return section(
-        "Regression flags",
-        table(
-            [
-                "kind",
-                "label",
-                "baseline",
-                "value",
-                "current",
-                "value",
-                "drift",
-                "tolerance",
-            ],
-            rows,
-            numeric=(3, 5, 6, 7),
-        ),
-    )
-
-
 def _provenance(report: Report) -> str:
-    return (
-        f"{report.num_trials} trials, {len(report.families)} families, "
-        f"{len(report.trajectory)} BENCH records, "
-        f"{len(report.flags)} regression flags"
-    )
+    return f"{report.num_trials} trials, {len(report.families)} families"
 
 
 def render_html(report: Report, title: str = "repro experiment report") -> str:
@@ -307,10 +197,8 @@ def render_html(report: Report, title: str = "repro experiment report") -> str:
     return page(
         title,
         _overview_section(report),
-        _flags_section(report),
         _families_section(report),
         _ranks_section(report),
-        _trajectory_section(report),
         generated_from=_provenance(report),
     )
 

@@ -38,14 +38,10 @@ Five subcommands cover the common workflows:
 
 ``report``
     Render the deterministic HTML experiment report (per-family cost
-    profiles, scheduler rank tables, kernel speedup trajectory and
-    regression flags — :mod:`repro.analysis.report`) from a result
-    store's trial tables and the repo's ``BENCH_*.json`` history::
+    profiles and scheduler rank tables — :mod:`repro.analysis.report`)
+    from a result store's trial tables::
 
         python -m repro report --store ./results --out report.html
-
-    ``--fail-on-regression`` exits non-zero when any BENCH metric
-    drifted beyond tolerance — the CI gate.
 
 Both scheduling commands run through :class:`repro.api.SchedulingService`:
 the argparse namespace becomes a declarative :class:`ScheduleRequest` and
@@ -196,55 +192,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = subparsers.add_parser(
         "report",
-        help="render the HTML experiment report from a store and BENCH history",
+        help="render the HTML experiment report from a store's trials",
     )
     report.add_argument(
         "--store",
         default=None,
         help=(
             "result store directory whose trial tables feed the report "
-            "(omit for a BENCH-only report)"
-        ),
-    )
-    report.add_argument(
-        "--bench-root",
-        default=".",
-        help=(
-            "directory holding the BENCH_*.json history "
-            "(default: the current directory; 'none' disables the "
-            "trajectory and regression sections)"
-        ),
-    )
-    report.add_argument(
-        "--speedup-tolerance",
-        type=float,
-        default=0.5,
-        help=(
-            "relative drop in a kernel speedup row that raises a "
-            "regression flag (generous by default: timings are noisy)"
-        ),
-    )
-    report.add_argument(
-        "--cost-tolerance",
-        type=float,
-        default=0.05,
-        help=(
-            "relative rise in a benchmark final_cost row that raises a "
-            "regression flag (tight by default: costs are deterministic)"
+            "(omit for the empty report)"
         ),
     )
     report.add_argument(
         "--out",
         default="report.html",
         help="output HTML path (default: report.html)",
-    )
-    report.add_argument(
-        "--fail-on-regression",
-        action="store_true",
-        help=(
-            "exit non-zero when any BENCH metric drifted beyond tolerance "
-            "(the CI gate; the report is still written first)"
-        ),
     )
     return parser
 
@@ -473,23 +434,12 @@ def _command_report(args: argparse.Namespace) -> int:
     from .analysis.report import build_report, render_html
     from .store.fsio import atomic_write_text
 
-    bench_root = None if args.bench_root.lower() == "none" else args.bench_root
-    report = build_report(
-        args.store,
-        bench_root,
-        speedup_tolerance=args.speedup_tolerance,
-        cost_tolerance=args.cost_tolerance,
-    )
+    report = build_report(args.store)
     atomic_write_text(Path(args.out), render_html(report))
     print(
         f"report written to {args.out}: {report.num_trials} trial(s), "
-        f"{len(report.families)} families, {len(report.trajectory)} BENCH "
-        f"record(s), {len(report.flags)} regression flag(s)"
+        f"{len(report.families)} families"
     )
-    for flag in report.flags:
-        print(f"  REGRESSION {flag.describe()}", file=sys.stderr)
-    if args.fail_on_regression and report.has_regressions:
-        return 1
     return 0
 
 

@@ -17,8 +17,8 @@ order is at or after the position where the current superstep began.  So
 one vectorized pass computes, for every node, the latest position of any
 earlier-starting cross-processor predecessor, and a single linear sweep
 over the order replays the counter.  The seed per-predecessor walk is kept
-in :func:`repro.core.reference.classical_to_bsp_ref` for differential
-testing and benchmarks.
+as ``classical_to_bsp_ref`` in ``tests/oracles/core.py`` for differential
+testing.
 """
 
 from __future__ import annotations
@@ -136,8 +136,8 @@ def conversion_supersteps(
     per node); schedules that fragment into very many supersteps fall back
     to the linear counter sweep (:func:`_superstep_bumps_sweep`) once the
     probe count stops paying for itself.  Differential-tested against the
-    seed per-predecessor walk
-    (:func:`repro.core.reference.classical_to_bsp_ref`).
+    seed per-predecessor walk (``classical_to_bsp_ref`` in
+    ``tests/oracles/core.py``).
     """
     n = dag.num_nodes
     supersteps = np.zeros(n, dtype=np.int64)

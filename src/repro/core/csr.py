@@ -14,8 +14,7 @@ output schedules unchanged).
 
 The functions in this module are free functions over plain numpy arrays so
 that they can be differential-tested against the pure-Python reference
-implementations in :mod:`repro.core.reference` and benchmarked in isolation
-(``benchmarks/bench_dag_kernels.py``).
+implementations in ``tests/oracles/core.py``.
 """
 
 from __future__ import annotations

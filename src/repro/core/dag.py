@@ -49,7 +49,6 @@ from .csr import (
     reachable_mask,
     topological_levels,
 )
-from .dynorder import DynamicTopologicalOrder
 from .exceptions import CycleError, DagError
 
 __all__ = ["ComputationalDAG", "DagBuilder", "EdgeView"]
@@ -225,11 +224,7 @@ class ComputationalDAG:
         """Append a node and return its index (amortized O(1))."""
         self._work, self._comm = _append_node(self._work, self._comm, self._n, work, comm)
         self._n += 1
-        dyn = self._dyn_order
         self._invalidate()
-        if dyn is not None:
-            dyn.add_node()
-            self._dyn_order = dyn
         return self._n - 1
 
     def add_nodes(self, count: int, work: float = 1.0, comm: float = 1.0) -> list[int]:
@@ -241,29 +236,15 @@ class ComputationalDAG:
         )
         first = self._n
         self._n += count
-        dyn = self._dyn_order
         self._invalidate()
-        if dyn is not None:
-            dyn.add_node(count)
-            self._dyn_order = dyn
         return list(range(first, self._n))
 
-    def add_edge(self, source: int, target: int, *, check_cycle: bool = False) -> None:
+    def add_edge(self, source: int, target: int) -> None:
         """Add the directed edge ``source -> target``.
 
-        Duplicate edges are rejected.  When ``check_cycle`` is true, the edge
-        is only inserted if it does not create a directed cycle; otherwise
-        acyclicity is verified lazily the first time a topological order is
-        requested.
-
-        Checked insertions are served by a persistent Pearce–Kelly dynamic
-        topological order (:class:`~repro.core.dynorder.
-        DynamicTopologicalOrder`): the first checked insertion builds it in
-        one Kahn pass, every further one costs O(affected region) — no CSR
-        rebuild or full reachability walk per edge.  The structure survives
-        node additions and consecutive checked insertions; an *unchecked*
-        insertion drops it (the edge may close a cycle the structure cannot
-        represent), after which the next checked insertion rebuilds.
+        Duplicate edges and self-loops are rejected.  Acyclicity is verified
+        lazily: a cycle raises :class:`CycleError` the first time a
+        topological order is requested.
         """
         self._check_node(source)
         self._check_node(target)
@@ -274,33 +255,6 @@ class ComputationalDAG:
         edge_set = self._ensure_edge_set()
         if (source, target) in edge_set:
             raise DagError(f"duplicate edge ({source}, {target})")
-        dyn = None
-        if check_cycle:
-            dyn = self._dyn_order
-            if dyn is None:
-                try:
-                    dyn = DynamicTopologicalOrder.from_edges(
-                        self._n,
-                        zip(
-                            self._esrc[: self._m].tolist(),
-                            self._edst[: self._m].tolist(),
-                        ),
-                    )
-                except CycleError:
-                    # the *existing* edges are already cyclic (legal until a
-                    # topological query): fall back to the reachability check
-                    # for this insertion, leaving no structure behind
-                    dyn = None
-                    if self.has_path(target, source):
-                        raise CycleError(
-                            f"edge ({source}, {target}) would create a "
-                            f"directed cycle"
-                        ) from None
-            if dyn is not None and not dyn.add_edge(source, target):
-                self._dyn_order = dyn  # reusable: a rejected edge changes nothing
-                raise CycleError(
-                    f"edge ({source}, {target}) would create a directed cycle"
-                )
         self._esrc = _grow(self._esrc, self._m + 1)
         self._edst = _grow(self._edst, self._m + 1)
         self._esrc[self._m] = source
@@ -308,7 +262,6 @@ class ComputationalDAG:
         self._m += 1
         edge_set.add((source, target))
         self._invalidate()
-        self._dyn_order = dyn
 
     def add_edges(self, edges: Iterable[tuple[int, int]]) -> None:
         """Add many edges at once."""
@@ -337,10 +290,6 @@ class ComputationalDAG:
         self._bottom_level_cache: np.ndarray | None = None
         # content fingerprint memo (filled by repro.api.request.dag_fingerprint)
         self._content_fingerprint: str | None = None
-        # Pearce–Kelly structure for checked insertions; the mutation sites
-        # that can keep it alive (add_edge/add_node/add_nodes) restore it
-        # right after calling _invalidate
-        self._dyn_order: "DynamicTopologicalOrder | None" = None
 
     def _ensure_csr(self) -> None:
         if self._succ_indptr is not None:

@@ -29,8 +29,14 @@ The table is dense (one cell per ``(node, processor)`` pair) up to
 *sparse unique-key* table: only the ``(node, processor)`` pairs that can
 ever carry a value — computing processors, comm-step endpoints, and edge
 targets' processors — are materialised, compacted with one ``np.unique``
-and addressed by ``np.searchsorted``.  Very large machines therefore stay
-on the vectorized path instead of the reference walker.
+and addressed by ``np.searchsorted``.
+
+Processor and node ids outside the machine and the DAG index no table, so
+the table is keyed on the ids present instead: processors by their rank
+among all processor ids of the schedule (one ``np.unique``), unknown
+comm-step nodes on slots after the DAG's ``n`` nodes.  The keys only ever
+compare ids for equality, so ranking changes no verdict, and the messages
+quote the ids as given.
 
 A lazy schedule (``comm_schedule=None``) is checked on the edge arrays
 alone: processors in range, supersteps ``>= 0``, ``τ(u) <= τ(v)`` on every
@@ -38,11 +44,6 @@ same-processor edge and ``τ(u) < τ(v)`` on every cross-processor one.
 These hold exactly when the lazy ``Γ`` passes every check above, so the
 lazy transfers are derived only to word the messages of a rejected
 schedule.
-
-Degenerate inputs whose processor or node ids fall outside the machine and
-DAG (which neither table can index) fall back to the pure-Python reference
-walker in :mod:`repro.core.reference`, which produces bit-identical
-messages; the same walker backs the differential tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ import numpy as np
 
 from .comm import CommStep, comm_columns, lazy_transfers
 from .exceptions import ScheduleError
-from .reference import schedule_violations_ref
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .dag import ComputationalDAG
@@ -62,6 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["validate_schedule", "schedule_violations"]
 
 _INF = np.iinfo(np.int64).max
+_NO_STEPS = np.empty(0, dtype=np.int64)
 # above this many (node, processor) cells the dense availability table is
 # not worth its memory; such instances use the sparse unique-key table
 _MAX_DENSE_CELLS = 64_000_000
@@ -101,7 +102,7 @@ def _redundant_mask(
     superstep: np.ndarray,
     base_avail: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized twin of :func:`repro.core.reference._redundant_deliveries`.
+    """Which comm steps re-deliver a value already present on their target.
 
     ``base_avail[i]`` is the superstep from which step ``i``'s value is
     present on its target *without* any comm step (``τ(node)`` when the
@@ -178,27 +179,24 @@ def schedule_violations(
     else:
         steps = list(comm_schedule)
 
+    # out-of-range ids key the tables by slots after n (comm-step nodes) and
+    # by rank (processors); see the module notes.  Messages quote raw ids.
     bad_proc = (procs_i < 0) | (procs_i >= num_procs)
+    s_src = s_tgt = _NO_STEPS
+    table_nodes = n
     if steps:
         s_node, s_src, s_tgt, s_sup = comm_columns(steps)
-        bad_step = (
-            (s_src < 0)
-            | (s_src >= num_procs)
-            | (s_tgt < 0)
-            | (s_tgt >= num_procs)
-            | (s_node < 0)
-            | (s_node >= n)
-        )
-    if bad_proc.any() or (steps and bad_step.any()):
-        return schedule_violations_ref(
-            n,
-            num_procs,
-            list(zip(src.tolist(), dst.tolist())),
-            procs,
-            supersteps,
-            steps,
-            max_violations,
-        )
+        bad_step_proc = (s_src < 0) | (s_src >= num_procs) | (s_tgt < 0) | (s_tgt >= num_procs)
+        bad_node = (s_node < 0) | (s_node >= n)
+        if bad_node.any():
+            unknown, slots = np.unique(s_node[bad_node], return_inverse=True)
+            s_node = s_node.copy()
+            s_node[bad_node] = n + slots
+            table_nodes += unknown.size
+    if bad_proc.any() or (steps and bad_step_proc.any()):
+        ids, ranks = np.unique(np.concatenate((procs_i, s_src, s_tgt)), return_inverse=True)
+        procs_i, s_src, s_tgt = np.split(ranks, [n, n + len(steps)])
+        num_procs = ids.size
 
     violations: list[str] = []
 
@@ -206,11 +204,18 @@ def schedule_violations(
         violations.append(message)
         return len(violations) >= max_violations
 
-    # assignment range checks (all processors are in range on this path)
+    # assignment range checks
     neg_step = steps_i < 0
-    if neg_step.any():
-        for v in np.flatnonzero(neg_step).tolist():
-            if add(f"node {v} assigned to negative superstep {int(supersteps[v])}"):
+    flagged_nodes = bad_proc | neg_step
+    if flagged_nodes.any():
+        for v in np.flatnonzero(flagged_nodes).tolist():
+            if bad_proc[v] and add(
+                f"node {v} assigned to invalid processor {int(procs[v])}"
+            ):
+                return violations
+            if neg_step[v] and add(
+                f"node {v} assigned to negative superstep {int(supersteps[v])}"
+            ):
                 return violations
 
     # availability table: avail[key(v, p)] = first superstep in which the
@@ -218,8 +223,8 @@ def schedule_violations(
     # up to the cell ceiling; above it, only the (node, processor) pairs
     # any check can touch are materialised and addressed via searchsorted.
     compute_key = np.arange(n, dtype=np.int64) * num_procs + procs_i
-    if n * num_procs <= _MAX_DENSE_CELLS:
-        table_size = n * num_procs
+    if table_nodes * num_procs <= _MAX_DENSE_CELLS:
+        table_size = table_nodes * num_procs
 
         def key_index(keys: np.ndarray) -> np.ndarray:
             return keys
@@ -246,10 +251,14 @@ def schedule_violations(
         redundant = _redundant_mask(
             s_node, s_tgt, s_sup, avail[key_index(s_node * num_procs + s_tgt)]
         )
-        flagged = neg_sup | self_send | redundant
+        flagged = bad_step_proc | neg_sup | self_send | redundant
         if flagged.any():
             for i in np.flatnonzero(flagged).tolist():
                 step = steps[i]
+                if bad_step_proc[i] and add(
+                    f"comm step {step} references an invalid processor"
+                ):
+                    return violations
                 if neg_sup[i] and add(f"comm step {step} has a negative superstep"):
                     return violations
                 if self_send[i] and add(
@@ -299,12 +308,12 @@ def schedule_violations(
             for i in np.flatnonzero(flagged_edges).tolist():
                 u, v = int(src[i]), int(dst[i])
                 if bad_same[i] and add(
-                    f"edge ({u},{v}): predecessor on same processor {int(pu[i])} but "
+                    f"edge ({u},{v}): predecessor on same processor {int(procs[u])} but "
                     f"scheduled later (superstep {int(su[i])} > {int(sv[i])})"
                 ):
                     return violations
                 if bad_cross[i] and add(
-                    f"edge ({u},{v}): value of {u} never reaches processor {int(pv[i])} "
+                    f"edge ({u},{v}): value of {u} never reaches processor {int(procs[v])} "
                     f"before superstep {int(sv[i])}"
                 ):
                     return violations

@@ -21,7 +21,7 @@ recursion is stationary, and then *tiles* iterations ``2..k`` as two numpy
 index expressions pushed through :meth:`DagBuilder.add_edges_array` — block
 emission in the same spirit as the fine-grained generators.  Node ids and
 the edge buffer are byte-identical to the retained per-op reference
-implementations in :mod:`repro.dagdb.reference` (pinned by
+implementations in ``tests/oracles/generators.py`` (pinned by
 ``tests/test_generator_diff.py``).
 """
 

@@ -27,7 +27,7 @@ The builders emit whole *edge blocks* through
 a handful of numpy passes over the pattern's CSR arrays instead of one
 ``node()`` call per nonzero.  Node ids, role labels and CSR neighbour
 orders are *identical* to the retained per-nonzero reference
-(:mod:`repro.dagdb.reference`) — block emission reorders only the internal
+(``tests/oracles/generators.py``) — block emission reorders only the internal
 edge buffer, and only in ways that preserve the per-source and per-target
 relative order the CSR views are built from.  The differential tests in
 ``tests/test_generator_diff.py`` pin this equivalence.

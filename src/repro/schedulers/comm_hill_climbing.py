@@ -19,7 +19,7 @@ the transfer from its current phase needs one ``O(P)`` row scan, and that
 term is shared by every candidate of the window.  The columnar window state
 (sources, targets, volumes, window bounds, current choices) is built once
 and kept across passes.  The seed copy-mutate-restore walker is retained as
-:class:`repro.schedulers.reference.CommScheduleHillClimbingReference` and
+``CommScheduleHillClimbingReference`` in ``tests/oracles/refiners.py`` and
 the vectorized path reproduces its accepted-move sequence exactly (the
 per-candidate deltas are bit-identical, not merely equal within tolerance).
 

@@ -30,10 +30,10 @@ after it, so every node is scored against exactly the state a node-by-node
 walk would show it.  The seed implementation instead paid two full
 ``apply_move`` calls (probe + inverse rollback) per *rejected* candidate,
 each re-deriving the transfers of ``v`` and all its predecessors in Python.
-That seed walker is retained verbatim as
-:class:`repro.schedulers.reference.HillClimbingImproverReference` and the
-block path is pinned to it **move for move** (identical accepted-move
-sequences and final ``(π, τ)``) by the differential tests; on
+That seed walker is retained verbatim as ``HillClimbingImproverReference``
+in ``tests/oracles/refiners.py``, and the block path is pinned to it **move
+for move** (identical accepted-move sequences and final ``(π, τ)``) by the
+differential tests; on
 integer/dyadic-weight instances — every generator in this repository — the
 two paths are bit-identical, not merely equal in cost.
 
@@ -705,7 +705,7 @@ class HillClimbingImprover(ScheduleImprover):
     together, read-only (:meth:`LazyCostTracker.candidate_deltas`), and only
     the accepted moves mutate the tracker.  The accepted-move sequence is
     identical to the retained probe-and-rollback walker
-    :class:`repro.schedulers.reference.HillClimbingImproverReference`.  A
+    ``HillClimbingImproverReference`` (``tests/oracles/refiners.py``).  A
     wall-clock budget is checked before every block, and every pass opens
     with a full-size block, so a run may overrun its clock by one full
     block's evaluation.
@@ -728,9 +728,8 @@ class HillClimbingImprover(ScheduleImprover):
         multilevel refinement phase, which runs short bursts of HC).
     record_moves:
         When true, the accepted moves ``(node, new_proc, new_step)`` of the
-        last run are kept in :attr:`last_moves` (differential tests and
-        benchmarks use this to pin the vectorized and reference paths
-        together).
+        last run are kept in :attr:`last_moves` (differential tests use
+        this to pin the vectorized and reference paths together).
 
     Every run records in :attr:`last_stop` why its climb stopped:
     :data:`CONVERGED` (a full pass accepted no move), :data:`STEP_CAP`,

@@ -29,7 +29,7 @@ blocks addressed by index arithmetic, the edge-indexed constraint families
 maxima) are emitted as flat coefficient arrays assembled with numpy over the
 DAG's CSR edge slices, and the per-window Python dict building of the seed
 implementation is gone.  The seed builder is retained as
-:func:`repro.schedulers.ilp.reference.build_window_model_reference` and a
+``build_window_model_reference`` in ``tests/oracles/window_ilp.py`` and a
 differential test pins both paths to the *same model* — variable count,
 objective, bounds, integrality, row bounds and constraint matrix.  Only
 construction is batched — the solver loop (HiGHS via :class:`MilpProblem`)
@@ -210,7 +210,7 @@ class WindowIlp:
         block used to extract the assignment.  Exposed separately from
         :meth:`solve` so the differential test can compare the emitted model
         against the retained seed dict builder
-        (:func:`repro.schedulers.ilp.reference.build_window_model_reference`).
+        (``build_window_model_reference`` in ``tests/oracles/window_ilp.py``).
         """
         dag, machine = self.dag, self.machine
         s_lo, s_hi = self.window

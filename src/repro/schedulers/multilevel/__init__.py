@@ -5,7 +5,6 @@ from .coarsen import (
     ContractionRecord,
     QuotientDag,
     coarsen_dag,
-    coarsen_dag_reference,
 )
 from .refine import (
     project_arrays,
@@ -22,7 +21,6 @@ __all__ = [
     "MultilevelScheduler",
     "QuotientDag",
     "coarsen_dag",
-    "coarsen_dag_reference",
     "project_arrays",
     "project_to_original",
     "restrict_arrays",

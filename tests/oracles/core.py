@@ -1,13 +1,10 @@
 """Pure-Python reference implementations of the DAG kernels.
 
 These are the seed (pre-CSR) list-of-lists implementations, kept verbatim in
-spirit so that
-
-* the vectorized CSR kernels in :mod:`repro.core.csr` can be
-  differential-tested against a straightforward, obviously-correct baseline
-  (``tests/test_csr_kernels.py``), and
-* ``benchmarks/bench_dag_kernels.py`` can measure the speedup of the CSR
-  backend against the historical implementation on identical inputs.
+spirit so that the vectorized CSR kernels in :mod:`repro.core.csr`, the
+validity check and the classical-to-BSP conversion can be
+differential-tested against a straightforward, obviously-correct baseline
+(``tests/test_csr_kernels.py``, ``tests/test_validation_diff.py``).
 
 All functions operate on plain successor/predecessor adjacency lists
 (``list[list[int]]``) plus optional weight sequences; nothing here imports
@@ -20,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
-from .exceptions import CycleError
+from repro.core.exceptions import CycleError
 
 __all__ = [
     "adjacency_from_edges",
@@ -171,10 +168,8 @@ def schedule_violations_ref(
     """The seed per-edge/per-step BSP validity walker (pre-vectorization).
 
     Kept so the vectorized :func:`repro.core.validation.schedule_violations`
-    can be differential-tested against a straightforward baseline and so
-    the degenerate inputs (out-of-range processors or node ids, which the
-    array encoding of the fast path cannot represent) still get bit-identical
-    messages.  ``steps`` entries only need ``node``/``source``/``target``/
+    can be differential-tested against a straightforward baseline, also on
+    degenerate inputs (out-of-range processors or node ids).  ``steps`` entries only need ``node``/``source``/``target``/
     ``superstep`` attributes and are formatted verbatim into the messages
     (pass the actual :class:`~repro.core.comm.CommStep` objects).
 

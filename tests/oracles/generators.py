@@ -5,8 +5,7 @@ These are the pre-block-emission implementations of the fine-grained
 generators: one ``node()`` call per scalar operation, one ``add_edge`` per
 dependency.  The vectorized block-emitting builders must produce *identical*
 DAGs — same node ids, roles, CSR neighbour orders and weights — so these
-functions back the differential tests (``tests/test_generator_diff.py``)
-and the generation section of ``benchmarks/bench_dag_kernels.py``.
+functions back the differential tests (``tests/test_generator_diff.py``).
 
 Do not optimise this module; its value is being the simple, obviously
 correct spelling of the generators.
@@ -14,10 +13,10 @@ correct spelling of the generators.
 
 from __future__ import annotations
 
-from ..core.dag import ComputationalDAG, DagBuilder
-from ..core.exceptions import DagError
-from .sparsegen import SparseMatrixPattern
-from .weights import apply_paper_weight_rule
+from repro.core.dag import ComputationalDAG, DagBuilder
+from repro.core.exceptions import DagError
+from repro.dagdb.sparsegen import SparseMatrixPattern
+from repro.dagdb.weights import apply_paper_weight_rule
 
 __all__ = [
     "build_spmv_dag_reference",
@@ -56,7 +55,7 @@ class _FineDagBuilderRef:
         self, pattern: SparseMatrixPattern, label: str = "A"
     ) -> dict[tuple[int, int], int]:
         # the tuple view is the seed's native storage; materialise it once so
-        # the benchmark measures the seed's emission loop, not view rebuilds
+        # the seed's emission loop does not rebuild the view per row
         rows = pattern.rows
         return {
             (i, j): self.node(f"input:{label}")
@@ -119,7 +118,7 @@ class _FineDagBuilderRef:
         return result
 
     def finish(self):
-        from .fine import FineGrainedResult
+        from repro.dagdb.fine import FineGrainedResult
 
         dag = self._builder.freeze()
         apply_paper_weight_rule(dag)

@@ -11,18 +11,18 @@ evaluation paths in :mod:`repro.schedulers.hill_climbing` and
 differential tests assert *identical accepted-move sequences* and identical
 final schedules, not merely equal costs.
 
-Like :mod:`repro.core.reference`, this module is part of the test/benchmark
-surface, not the production scheduling pipeline.
+Like :mod:`oracles.core`, this module is test surface, not part of the
+production scheduling pipeline.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.comm import CommStep, CommWindow
-from ..core.schedule import BspSchedule
-from .base import Budget, ScheduleImprover
-from .hill_climbing import LazyCostTracker
+from repro.core.comm import CommStep, CommWindow
+from repro.core.schedule import BspSchedule
+from repro.schedulers.base import Budget, ScheduleImprover
+from repro.schedulers.hill_climbing import LazyCostTracker
 
 __all__ = ["HillClimbingImproverReference", "CommScheduleHillClimbingReference"]
 

@@ -9,8 +9,8 @@ differential test (``tests/test_ilp_methods.py``) asserts that both paths
 emit the *same model* — variable count, objective, bounds, integrality,
 row bounds and the sparse constraint matrix — on randomized instances.
 
-Like :mod:`repro.schedulers.reference`, this module is test surface, not
-part of the production pipeline.
+Like :mod:`oracles.refiners`, this module is test surface, not part of
+the production pipeline.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ...core.comm import CommStep
-from .backend import MilpProblem
+from repro.core.comm import CommStep
+from repro.schedulers.ilp.backend import MilpProblem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .window import WindowIlp
+    from repro.schedulers.ilp.window import WindowIlp
 
 __all__ = ["build_window_model_reference"]
 

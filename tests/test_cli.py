@@ -71,10 +71,7 @@ class TestParser:
     def test_report_defaults(self):
         args = build_parser().parse_args(["report"])
         assert args.store is None
-        assert args.bench_root == "."
         assert args.out == "report.html"
-        assert (args.speedup_tolerance, args.cost_tolerance) == (0.5, 0.05)
-        assert args.fail_on_regression is False
 
 
 class TestGenerate:

@@ -3,7 +3,7 @@
 Random DAGs across a density sweep (plus the degenerate shapes: empty,
 single node, disconnected components, chains and fan-out/fan-in) are run
 through both the vectorized CSR kernels backing :class:`ComputationalDAG`
-and the seed list-of-lists implementations in :mod:`repro.core.reference`;
+and the seed list-of-lists implementations in :mod:`oracles.core`;
 every derived quantity must agree exactly.
 """
 
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.core import ComputationalDAG, CycleError
-from repro.core import reference as ref
 from repro.core.csr import build_csr, gather_rows, topological_levels
 
 from conftest import (
@@ -22,6 +21,7 @@ from conftest import (
     build_fork_join_dag,
     random_dag,
 )
+import oracles.core as ref
 
 
 def _edge_list(dag: ComputationalDAG) -> list[tuple[int, int]]:

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core import ComputationalDAG, CycleError, DagError
+from repro.core import ComputationalDAG, CycleError, DagBuilder, DagError
 
 from conftest import build_chain_dag, build_diamond_dag, build_fork_join_dag
 
@@ -105,11 +106,6 @@ class TestEdges:
         with pytest.raises(DagError):
             dag.add_edge(0, 5)
 
-    def test_check_cycle_flag(self):
-        dag = build_chain_dag(3)
-        with pytest.raises(CycleError):
-            dag.add_edge(2, 0, check_cycle=True)
-
     def test_cycle_detected_lazily(self):
         dag = ComputationalDAG(2)
         dag.add_edge(0, 1)
@@ -123,92 +119,116 @@ class TestEdges:
         edges = {(e.source, e.target) for e in dag.edges()}
         assert edges == {(0, 1), (0, 2), (1, 3), (2, 3)}
 
-
-class TestDynamicOrderCycleChecks:
-    """``add_edge(check_cycle=True)`` via the Pearce–Kelly dynamic order.
-
-    The incremental order must give exactly the accept/reject decisions of
-    a from-scratch reachability check, across long random insertion
-    sequences mixed with node growth and unchecked inserts.
-    """
-
-    def test_checked_inserts_match_reachability_oracle(self):
-        for trial in range(10):
-            rng = np.random.default_rng(trial)
-            n = 25
-            dag = ComputationalDAG(n)
-            oracle = ComputationalDAG(n)
-            for _ in range(120):
-                u = int(rng.integers(0, n))
-                v = int(rng.integers(0, n))
-                if u == v:
-                    continue
-                # oracle decision: from-scratch path check on a copy that
-                # only ever holds accepted (acyclic) edges
-                creates_cycle = oracle.has_path(v, u)
-                duplicate = any(w == v for w in oracle.successors(u))
-                if duplicate:
-                    continue
-                if creates_cycle:
-                    with pytest.raises(CycleError):
-                        dag.add_edge(u, v, check_cycle=True)
-                else:
-                    dag.add_edge(u, v, check_cycle=True)
-                    oracle.add_edge(u, v)
-            assert {(e.source, e.target) for e in dag.edges()} == {
-                (e.source, e.target) for e in oracle.edges()
-            }
-            order = dag.topological_order()
-            position = {node: i for i, node in enumerate(order)}
-            assert all(
-                position[e.source] < position[e.target] for e in dag.edges()
-            )
-
-    def test_rejection_leaves_structure_usable(self):
-        dag = build_chain_dag(5)
-        for _ in range(3):
-            with pytest.raises(CycleError):
-                dag.add_edge(4, 0, check_cycle=True)
-        # the rejected edge was not recorded; further checked inserts work
-        dag.add_edge(0, 4, check_cycle=True)
-        assert dag.is_acyclic()
-
-    def test_unchecked_insert_then_checked_rebuilds(self):
-        dag = ComputationalDAG(4)
-        dag.add_edge(0, 1, check_cycle=True)
-        dag.add_edge(1, 2)  # unchecked: drops the incremental order
-        dag.add_edge(2, 3, check_cycle=True)  # forces a rebuild
-        with pytest.raises(CycleError):
-            dag.add_edge(3, 0, check_cycle=True)
-        assert dag.is_acyclic()
-
-    def test_checked_insert_on_cyclic_graph_falls_back(self):
-        # an unchecked pair already closed a cycle: there is no topological
-        # order to maintain, so checked inserts fall back to reachability
-        dag = ComputationalDAG(3)
-        dag.add_edge(0, 1)
-        dag.add_edge(1, 0)
-        dag.add_edge(1, 2, check_cycle=True)  # harmless edge still accepted
-        with pytest.raises(CycleError):
-            dag.add_edge(2, 0, check_cycle=True)  # would extend the cycle
-
-    def test_add_nodes_interleaved_with_checked_inserts(self):
-        dag = ComputationalDAG(3)
-        dag.add_edge(0, 1, check_cycle=True)
-        dag.add_edge(1, 2, check_cycle=True)
-        new = dag.add_nodes(2)
-        dag.add_edge(2, new[0], check_cycle=True)
-        dag.add_edge(new[0], new[1], check_cycle=True)
-        with pytest.raises(CycleError):
-            dag.add_edge(new[1], 0, check_cycle=True)
-        order = dag.topological_order()
-        position = {node: i for i, node in enumerate(order)}
-        assert all(position[e.source] < position[e.target] for e in dag.edges())
-
     def test_sources_and_sinks(self):
         dag = build_fork_join_dag(3)
         assert dag.sources() == [0]
         assert dag.sinks() == [4]
+
+
+#: the queries that need a topological order, and so are where a cycle surfaces
+TOPOLOGICAL_QUERIES = {
+    "topological_order": ComputationalDAG.topological_order,
+    "levels": ComputationalDAG.levels,
+    "bottom_levels": ComputationalDAG.bottom_levels,
+    "critical_path_length": ComputationalDAG.critical_path_length,
+    "depth": ComputationalDAG.depth,
+}
+
+
+def _cycle_by_add_edge():
+    dag = ComputationalDAG(3)
+    dag.add_edges([(0, 1), (1, 2), (2, 0)])
+    return dag
+
+
+def _cycle_by_edge_arrays():
+    return ComputationalDAG.from_edge_arrays(3, [0, 1, 2], [1, 2, 0])
+
+
+def _cycle_by_builder():
+    builder = DagBuilder(3)
+    builder.add_edges_array([0, 1, 2], [1, 2, 0])
+    return builder.freeze()
+
+
+class TestLazyCycleDetection:
+    """No insertion checks for cycles; the first query that needs a
+    topological order refuses a cyclic graph with ``CycleError``."""
+
+    @pytest.mark.parametrize("query", TOPOLOGICAL_QUERIES)
+    def test_query_on_cyclic_graph_raises(self, query):
+        dag = build_chain_dag(4)
+        dag.add_edge(3, 1)
+        with pytest.raises(CycleError):
+            TOPOLOGICAL_QUERIES[query](dag)
+
+    @pytest.mark.parametrize("query", TOPOLOGICAL_QUERIES)
+    def test_cached_answer_dropped_when_an_edge_closes_a_cycle(self, query):
+        dag = build_chain_dag(4)
+        TOPOLOGICAL_QUERIES[query](dag)  # fills the query's cache
+        dag.add_edge(3, 0)
+        with pytest.raises(CycleError):
+            TOPOLOGICAL_QUERIES[query](dag)
+
+    @pytest.mark.parametrize(
+        "build",
+        [_cycle_by_add_edge, _cycle_by_edge_arrays, _cycle_by_builder],
+        ids=["add_edge", "from_edge_arrays", "DagBuilder.freeze"],
+    )
+    def test_every_construction_path_defers_the_check(self, build):
+        dag = build()  # accepted: no construction path looks for cycles
+        assert dag.num_edges == 3
+        assert not dag.is_acyclic()
+        with pytest.raises(CycleError):
+            dag.topological_order()
+
+    def test_random_insertions_match_networkx(self):
+        """Mostly forward edges with an occasional backward one: the graph
+        reads as cyclic from exactly the insertion networkx calls cyclic."""
+        for trial in range(10):
+            rng = np.random.default_rng(trial)
+            n = 12
+            dag = ComputationalDAG(n)
+            graph = nx.DiGraph()
+            graph.add_nodes_from(range(n))
+            for draw in range(40):
+                u, v = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+                if draw % 8 == 7:
+                    u, v = v, u
+                if graph.has_edge(u, v):
+                    continue
+                dag.add_edge(u, v)
+                graph.add_edge(u, v)
+                acyclic = nx.is_directed_acyclic_graph(graph)
+                assert dag.is_acyclic() == acyclic
+                if acyclic:
+                    position = {node: i for i, node in enumerate(dag.topological_order())}
+                    assert all(position[a] < position[b] for a, b in graph.edges)
+                else:
+                    with pytest.raises(CycleError):
+                        dag.topological_order()
+            assert {(e.source, e.target) for e in dag.edges()} == set(graph.edges)
+
+    def test_node_growth_between_queries_keeps_the_fifo_order(self):
+        dag = ComputationalDAG(3)
+        dag.add_edges([(0, 1), (1, 2)])
+        assert dag.topological_order() == [0, 1, 2]
+        assert dag.add_nodes(2) == [3, 4]
+        assert dag.topological_order() == [0, 3, 4, 1, 2]
+        dag.add_edges([(2, 3), (3, 4)])
+        assert dag.topological_order() == [0, 1, 2, 3, 4]
+        assert dag.add_node() == 5
+        dag.add_edge(4, 0)  # closes 0 -> 1 -> 2 -> 3 -> 4 -> 0
+        with pytest.raises(CycleError):
+            dag.topological_order()
+
+    def test_reachability_still_answers_on_a_cyclic_graph(self):
+        dag = ComputationalDAG(4)
+        dag.add_edges([(0, 1), (1, 2), (2, 3), (3, 1)])
+        assert dag.has_path(3, 2)  # through the cycle
+        assert dag.has_path(0, 3)
+        assert not dag.has_path(1, 0)
+        assert dag.descendants(0) == {1, 2, 3}
 
 
 class TestStructuralAlgorithms:
@@ -293,8 +313,6 @@ class TestConversions:
         }
 
     def test_from_networkx_rejects_cycles(self):
-        import networkx as nx
-
         graph = nx.DiGraph([(0, 1), (1, 0)])
         with pytest.raises(CycleError):
             ComputationalDAG.from_networkx(graph)

@@ -2,7 +2,7 @@
 
 The vectorized builders in :mod:`repro.dagdb.fine` and
 :mod:`repro.dagdb.coarse` must produce DAGs *identical* to the retained
-per-nonzero / per-op implementations in :mod:`repro.dagdb.reference`: same
+per-nonzero / per-op implementations in :mod:`oracles.generators`: same
 node ids, same role labels, same CSR neighbour orders (which schedulers
 tie-break on), same weights.
 """
@@ -17,7 +17,8 @@ from repro.dagdb import (
     FINE_GENERATORS,
     SparseMatrixPattern,
 )
-from repro.dagdb import reference as ref
+
+import oracles.generators as ref
 
 
 def dag_signature(dag):

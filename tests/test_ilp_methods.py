@@ -253,7 +253,7 @@ class TestWindowModelDifferential:
     def test_batched_model_identical_to_reference(self):
         from scipy import sparse
 
-        from repro.schedulers.ilp.reference import build_window_model_reference
+        from oracles.window_ilp import build_window_model_reference
         from repro.schedulers.ilp.window import WindowIlp
         from repro.schedulers.trivial import RoundRobinScheduler
 

@@ -4,8 +4,9 @@
 :meth:`repro.schedulers.ilp.backend.MilpProblem.solve`, and
 ``concurrent.futures.process`` inside :func:`repro.core.parallel.parallel_map`
 once it starts a pool.  Importing the package, or solving with a scheduler
-that has no ILP stage, must load neither.  Each check runs in a fresh
-interpreter, because this test process has long since loaded both.
+that has no ILP stage, must load neither.  Importing the package loads no
+seed walker from ``tests/oracles`` either.  Each check runs in a fresh
+interpreter, because this test process has long since loaded all of them.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ print(json.dumps({"loaded": [name for name in %r if name in sys.modules],
 """ % (LAZY,)
 
 
-def _run(script: str) -> dict:
+def _run(script: str, *extra_path: str) -> dict:
     """Run ``script`` (which sets ``OUT``) in a fresh interpreter; its report."""
     src = str(Path(repro.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    path = os.pathsep.join(filter(None, (src, *extra_path, os.environ.get("PYTHONPATH"))))
     completed = subprocess.run(
         [sys.executable, "-c", script + REPORT],
         capture_output=True,
@@ -62,6 +63,17 @@ def test_importing_the_package_loads_no_solver_and_no_pool():
     report = _run(IMPORTS + "OUT = None\n")
     assert report["scipy"], "scipy is a hard dependency, imported with the package"
     assert report["loaded"] == []
+
+
+def test_importing_the_package_loads_no_seed_walker():
+    """The seed walkers live in ``tests/oracles``.  With that directory on the
+    path, so that a stray import of one would succeed, importing the
+    package still loads none of them."""
+    tests = str(Path(__file__).resolve().parent)
+    report = _run(IMPORTS + "import sys\nOUT = sorted(sys.modules)\n", tests)
+    assert "repro.cli" in report["out"]
+    assert [name for name in report["out"] if name.split(".")[0] == "oracles"] == []
+    assert [name for name in report["out"] if name.endswith((".reference", ".dynorder"))] == []
 
 
 def test_solves_without_an_ilp_stage_load_no_solver_and_no_pool():

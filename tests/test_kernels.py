@@ -21,13 +21,13 @@ from repro.core import BspMachine, kernels
 from repro.core.parallel import parallel_map
 from repro.schedulers import CommScheduleHillClimbing, HillClimbingImprover
 from repro.schedulers.multilevel.coarsen import _FlatGraph
-from repro.schedulers.reference import (
-    CommScheduleHillClimbingReference,
-    HillClimbingImproverReference,
-)
 from repro.schedulers.trivial import RoundRobinScheduler
 
 from conftest import random_dag
+from oracles.refiners import (
+    CommScheduleHillClimbingReference,
+    HillClimbingImproverReference,
+)
 
 
 # ---------------------------------------------------------------------- #

@@ -23,12 +23,12 @@ from repro.schedulers.hill_climbing import CONVERGED, STEP_CAP
 from repro.schedulers.multilevel import (
     ContractionRecord,
     coarsen_dag,
-    coarsen_dag_reference,
     project_to_original,
     restrict_to_quotient,
 )
 
 from conftest import assert_valid_schedule, build_chain_dag, build_diamond_dag, random_dag
+from oracles.coarsen import coarsen_dag_reference
 from oracles.multilevel import multilevel_reference
 from repro.dagdb import (
     SparseMatrixPattern,

@@ -24,13 +24,13 @@ from repro.schedulers import (
     SourceScheduler,
 )
 from repro.schedulers.hill_climbing import LazyCostTracker
-from repro.schedulers.reference import (
-    CommScheduleHillClimbingReference,
-    HillClimbingImproverReference,
-)
 from repro.schedulers.trivial import RoundRobinScheduler
 
 from conftest import assert_valid_schedule, random_dag
+from oracles.refiners import (
+    CommScheduleHillClimbingReference,
+    HillClimbingImproverReference,
+)
 
 
 def _random_machine(rng: np.random.Generator) -> BspMachine:
@@ -401,7 +401,7 @@ class TestBlockWalk:
         after its last superstep empties, so the reference walks a tracker
         of that count too.
         """
-        from repro.schedulers import reference as reference_module
+        import oracles.refiners as reference_module
 
         spans: list[int] = []
         monkeypatch.setattr(

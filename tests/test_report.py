@@ -1,18 +1,15 @@
 """Tests for the experiment report subsystem (:mod:`repro.analysis`).
 
-Covers the three layers and the CLI gate:
+Covers the two layers and the CLI:
 
 * aggregation — trial dedup, comparison groups, per-family cost profiles,
   rank tables (tie handling, complete-block selection, the Nemenyi
   critical difference) and pairwise win matrices,
-* regression flags — injected speedup/cost drift fires, drift within
-  tolerance does not, and "previous" is gap-tolerant per row,
 * the HTML renderer — the golden property (two independently built stores
   holding the same trials render byte-identical HTML), the empty-store
-  page, one section per family, flags reaching the page,
-* the ``repro report`` CLI — writes exactly the rendered bytes, rewrites
-  the file as the store fills, and ``--fail-on-regression`` exits non-zero
-  exactly when a flag fired.
+  page, one section per family,
+* the ``repro report`` CLI — writes exactly the rendered bytes and
+  rewrites the file as the store fills.
 """
 
 from __future__ import annotations
@@ -27,8 +24,6 @@ from repro.analysis.aggregate import (
     dedup_trials,
     family_profiles,
     rank_table,
-    regression_flags,
-    trajectory_summary,
 )
 from repro.analysis.report import build_report, render_html
 from repro.api import (
@@ -91,11 +86,6 @@ def grid_trials():
                 )
             )
     return trials
-
-
-def _write_record(root, pr, benchmarks):
-    payload = {"schema_version": 1, "pr": pr, "benchmarks": benchmarks}
-    (root / f"BENCH_{pr}.json").write_text(json.dumps(payload), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------- #
@@ -173,69 +163,6 @@ class TestAggregation:
         assert table.entries == []
         assert table.critical_difference is None
 
-    def test_trajectory_summary_is_per_pr_geomean(self):
-        summary = trajectory_summary({7: {"a": 4.0, "b": 1.0}, 3: {"a": 2.0}})
-        assert summary == [(3, 2.0), (7, pytest.approx(2.0))]
-
-
-# ---------------------------------------------------------------------- #
-# regression flags
-# ---------------------------------------------------------------------- #
-class TestRegressionFlags:
-    def test_speedup_drop_beyond_tolerance_fires(self, tmp_path):
-        _write_record(tmp_path, 1, {"kern": {"speedup": 10.0}})
-        _write_record(tmp_path, 2, {"kern": {"speedup": 4.0}})
-        flags = regression_flags(tmp_path, speedup_tolerance=0.5)
-        assert len(flags) == 1
-        flag = flags[0]
-        assert flag.kind == "kernel_speedup"
-        assert flag.label == "kern"
-        assert (flag.previous_pr, flag.current_pr) == (1, 2)
-        assert flag.drift == pytest.approx(-0.6)
-        assert "fell" in flag.describe()
-
-    def test_drift_within_tolerance_is_quiet(self, tmp_path):
-        _write_record(tmp_path, 1, {"kern": {"speedup": 10.0}})
-        _write_record(tmp_path, 2, {"kern": {"speedup": 6.0}})
-        assert regression_flags(tmp_path, speedup_tolerance=0.5) == []
-
-    def test_cost_rise_beyond_tolerance_fires(self, tmp_path):
-        _write_record(tmp_path, 1, {"case": {"final_cost": 100.0}})
-        _write_record(tmp_path, 2, {"case": {"final_cost": 120.0}})
-        flags = regression_flags(tmp_path, cost_tolerance=0.05)
-        assert [f.kind for f in flags] == ["benchmark_cost"]
-        assert flags[0].drift == pytest.approx(0.2)
-        assert "rose" in flags[0].describe()
-
-    def test_cost_improvement_never_flags(self, tmp_path):
-        _write_record(tmp_path, 1, {"case": {"final_cost": 100.0}})
-        _write_record(tmp_path, 2, {"case": {"final_cost": 50.0}})
-        assert regression_flags(tmp_path, cost_tolerance=0.05) == []
-
-    def test_previous_value_is_gap_tolerant_per_row(self, tmp_path):
-        """A row's baseline may live several PRs back (no BENCH_5 exists)."""
-        _write_record(tmp_path, 4, {"kern": {"speedup": 10.0}})
-        _write_record(tmp_path, 6, {"other": {"speedup": 3.0}})
-        _write_record(
-            tmp_path, 7, {"kern": {"speedup": 1.0}, "other": {"speedup": 3.0}}
-        )
-        flags = regression_flags(tmp_path, speedup_tolerance=0.5)
-        assert [(f.label, f.previous_pr, f.current_pr) for f in flags] == [
-            ("kern", 4, 7)
-        ]
-
-    def test_rows_only_in_history_flag_nothing(self, tmp_path):
-        """A retired benchmark row must not raise a flag forever after."""
-        _write_record(tmp_path, 1, {"old": {"speedup": 10.0}})
-        _write_record(tmp_path, 2, {"new": {"speedup": 2.0}})
-        assert regression_flags(tmp_path, speedup_tolerance=0.0) == []
-
-    def test_repo_bench_history_is_clean_at_default_tolerances(self):
-        """Acceptance: the committed BENCH records gate CI without noise."""
-        from pathlib import Path
-
-        assert regression_flags(Path(__file__).parent.parent) == []
-
 
 # ---------------------------------------------------------------------- #
 # the HTML report
@@ -264,24 +191,23 @@ class TestHtmlReport:
         first, second = tmp_path / "a", tmp_path / "b"
         _populate_store(first)
         _populate_store(second)
-        html_a = render_html(build_report(first, bench_root=None))
-        html_b = render_html(build_report(second, bench_root=None))
+        html_a = render_html(build_report(first))
+        html_b = render_html(build_report(second))
         assert html_a == html_b
         assert html_a.startswith("<!DOCTYPE html>")
 
     def test_report_carries_every_section(self, tmp_path):
         _populate_store(tmp_path)
-        _write_record(tmp_path, 1, {"kern": {"speedup": 2.0}})
-        html = render_html(build_report(tmp_path, bench_root=tmp_path))
+        html = render_html(build_report(tmp_path))
         for heading in (
             "Overview",
             "Cost profiles by family",
             "Scheduler ranking",
-            "Kernel speedup trajectory",
-            "Regression flags",
         ):
             assert heading in html
         assert "erdos" in html
+        assert "wins ↓ over →" in html
+        assert "&amp;#" not in html  # no entity is escaped a second time
         assert "<svg" in html  # inline charts, no external assets
         assert "http" not in html.split("</title>")[1]  # self-contained
 
@@ -293,9 +219,14 @@ class TestHtmlReport:
         assert "created_at" not in html
 
     def test_empty_store_renders_no_trials_yet(self, tmp_path):
-        html = render_html(build_report(tmp_path, bench_root=None))
+        html = render_html(build_report(tmp_path))
         assert "no trials yet" in html
         assert html.startswith("<!DOCTYPE html>")
+
+    def test_no_store_renders_the_empty_store_page(self, tmp_path):
+        report = build_report(None)
+        assert (report.num_trials, report.experiments, report.families) == (0, [], [])
+        assert render_html(report) == render_html(build_report(tmp_path))
 
     def test_every_family_gets_its_own_section(self, tmp_path):
         _populate_store(tmp_path)
@@ -313,7 +244,7 @@ class TestHtmlReport:
             ],
             workers=1,
         )
-        report = build_report(tmp_path, bench_root=None)
+        report = build_report(tmp_path)
         assert [profile.family for profile in report.families] == ["erdos", "grid"]
         html = render_html(report)
         assert html.index("<h3>erdos</h3>") < html.index("<h3>grid</h3>")
@@ -321,28 +252,9 @@ class TestHtmlReport:
         assert "2 trials over 1 instances, 24&#8211;24 nodes" in html
         assert "no trials yet" not in html
 
-    def test_bench_only_report_without_a_store(self, tmp_path):
-        _write_record(tmp_path, 1, {"kern": {"speedup": 2.0}})
-        _write_record(tmp_path, 2, {"kern": {"speedup": 2.1}})
-        report = build_report(None, bench_root=tmp_path)
-        assert (report.num_trials, report.families, report.flags) == (0, [], [])
-        assert len(report.trajectory) == 2
-        html = render_html(report)
-        assert "no trials yet" in html
-        assert "Kernel speedup trajectory" in html and "<svg" in html
-
-    def test_flags_reach_the_page(self, tmp_path):
-        _write_record(tmp_path, 1, {"kern": {"speedup": 10.0}})
-        _write_record(tmp_path, 2, {"kern": {"speedup": 1.0}})
-        report = build_report(None, bench_root=tmp_path)
-        assert report.has_regressions
-        html = render_html(report)
-        assert "kernel_speedup" in html
-        assert 'class="flag"' in html
-
 
 # ---------------------------------------------------------------------- #
-# the CLI gate
+# the CLI
 # ---------------------------------------------------------------------- #
 class TestReportCli:
     def test_writes_report_html(self, tmp_path, capsys):
@@ -352,7 +264,6 @@ class TestReportCli:
             [
                 "report",
                 "--store", str(tmp_path / "store"),
-                "--bench-root", "none",
                 "--out", str(out),
             ]
         )
@@ -362,8 +273,7 @@ class TestReportCli:
 
     def test_empty_store_writes_the_no_trials_page(self, tmp_path, capsys):
         out = tmp_path / "report.html"
-        argv = ["report", "--store", str(tmp_path / "store"), "--bench-root",
-                "none", "--out", str(out)]
+        argv = ["report", "--store", str(tmp_path / "store"), "--out", str(out)]
         assert main(argv) == 0
         html = out.read_text(encoding="utf-8")
         assert html.startswith("<!DOCTYPE html>")
@@ -373,19 +283,16 @@ class TestReportCli:
     def test_written_file_is_the_rendered_report(self, tmp_path):
         store = tmp_path / "store"
         _populate_store(store)
-        _write_record(tmp_path, 1, {"kern": {"speedup": 2.0}})
         out = tmp_path / "report.html"
-        argv = ["report", "--store", str(store), "--bench-root", str(tmp_path),
-                "--out", str(out)]
+        argv = ["report", "--store", str(store), "--out", str(out)]
         assert main(argv) == 0
-        expected = render_html(build_report(store, bench_root=tmp_path))
+        expected = render_html(build_report(store))
         assert out.read_bytes() == expected.encode("utf-8")
 
     def test_rewritten_as_the_store_fills(self, tmp_path):
         """Each run re-reads the store: new trials appear on the next run."""
         store, out = tmp_path / "store", tmp_path / "site" / "report.html"
-        argv = ["report", "--store", str(store), "--bench-root", "none",
-                "--out", str(out)]
+        argv = ["report", "--store", str(store), "--out", str(out)]
         assert main(argv) == 0
         assert "no trials yet" in out.read_text(encoding="utf-8")
         _populate_store(store)
@@ -399,40 +306,25 @@ class TestReportCli:
         self, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.chdir(tmp_path)
-        assert main(["report", "--bench-root", "none"]) == 0
+        assert main(["report"]) == 0
         assert (tmp_path / "report.html").read_text(encoding="utf-8").startswith(
             "<!DOCTYPE html>"
         )
         assert "report written to report.html" in capsys.readouterr().out
 
-    def test_fail_on_regression_exits_nonzero_on_injected_drift(
-        self, tmp_path, capsys
+    def test_bench_records_in_the_working_directory_stay_off_the_page(
+        self, tmp_path, monkeypatch
     ):
-        _write_record(tmp_path, 1, {"kern": {"speedup": 10.0}})
-        _write_record(tmp_path, 2, {"kern": {"speedup": 1.0}})
-        code = main(
-            [
-                "report",
-                "--bench-root", str(tmp_path),
-                "--out", str(tmp_path / "report.html"),
-                "--fail-on-regression",
-            ]
-        )
-        assert code == 1
-        captured = capsys.readouterr()
-        assert "REGRESSION" in captured.err
-        # the report is still written before the gate trips
-        assert (tmp_path / "report.html").exists()
-
-    def test_fail_on_regression_passes_when_clean(self, tmp_path):
-        _write_record(tmp_path, 1, {"kern": {"speedup": 10.0}})
-        _write_record(tmp_path, 2, {"kern": {"speedup": 9.9}})
-        code = main(
-            [
-                "report",
-                "--bench-root", str(tmp_path),
-                "--out", str(tmp_path / "report.html"),
-                "--fail-on-regression",
-            ]
-        )
-        assert code == 0
+        """The page renders the store's trials only: ``BENCH_*.json`` files in
+        the working directory, where the report once read its history,
+        change no byte of it."""
+        store = tmp_path / "store"
+        _populate_store(store)
+        for pr, speedup in ((1, 10.0), (2, 1.0)):
+            payload = {"schema_version": 1, "pr": pr, "benchmarks": {"kern": {"speedup": speedup}}}
+            (tmp_path / f"BENCH_{pr}.json").write_text(json.dumps(payload), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["report", "--store", "store", "--out", "report.html"]) == 0
+        html = (tmp_path / "report.html").read_text(encoding="utf-8")
+        assert html == render_html(build_report(store))
+        assert "kern" not in html

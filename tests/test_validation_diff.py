@@ -2,7 +2,7 @@
 
 The vectorized :func:`repro.core.validation.schedule_violations` and
 :func:`repro.core.classical.classical_to_bsp` must be *bit-identical* to the
-pure-Python reference implementations in :mod:`repro.core.reference` — same
+pure-Python reference implementations in :mod:`oracles.core` — same
 messages, same order, same truncation — on valid schedules, on invalid
 schedules from every violation category, and on randomized dagdb instances.
 The lazy branch (``comm_schedule=None``) must give the verdict, messages and
@@ -11,8 +11,12 @@ exception type of the same check run on the explicit lazy ``Γ``.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     BspMachine,
@@ -24,15 +28,15 @@ from repro.core import (
     schedule_violations,
     validate_schedule,
 )
-from repro.core.reference import (
-    adjacency_from_edges,
-    classical_to_bsp_ref,
-    schedule_violations_ref,
-)
 from repro.dagdb import SparseMatrixPattern, build_cg_dag, build_spmv_dag
 from repro.schedulers import BspGreedyScheduler, CilkScheduler, SourceScheduler
 
 from conftest import build_chain_dag, build_diamond_dag, build_paper_example_dag, random_dag
+from oracles.core import (
+    adjacency_from_edges,
+    classical_to_bsp_ref,
+    schedule_violations_ref,
+)
 from oracles.cost import lazy_gamma, violations as oracle_violations
 
 
@@ -156,8 +160,8 @@ class TestDifferentialRandomized:
         for trial in range(40):
             dag = random_dag(12, 0.2, seed=trial)
             n = dag.num_nodes
-            # mostly valid ranges so the vectorized path is exercised; a few
-            # trials use out-of-range ids to cover the reference fallback
+            # mostly valid ranges; a few trials use out-of-range ids, which
+            # TestOutOfRangeIds covers in depth
             degenerate = trial % 8 == 0
             hi_proc = 5 if degenerate else 3
             procs = rng.integers(0, hi_proc, size=n)
@@ -189,6 +193,136 @@ class TestDifferentialRandomized:
                 i = int(rng.integers(0, len(steps)))
                 steps[i] = steps[i]._replace(superstep=steps[i].superstep + 3)
             assert_same_violations(dag, machine, procs, supersteps, steps)
+
+
+class TestOutOfRangeIds:
+    """Ids outside the machine and the DAG, negative ones included, run the
+    vectorized passes and still match the seed walker exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_seed_walker(self, data):
+        import repro.core.validation as validation
+
+        n = data.draw(st.integers(1, 12), label="n")
+        dag = random_dag(n, data.draw(st.floats(0.0, 0.4)), seed=data.draw(st.integers(0, 999)))
+        num_procs = data.draw(st.integers(1, 4), label="P")
+        proc_ids = st.integers(-3, num_procs + 2)
+        procs = data.draw(st.lists(proc_ids, min_size=n, max_size=n), label="procs")
+        supersteps = data.draw(st.lists(st.integers(-1, 4), min_size=n, max_size=n))
+        steps = data.draw(
+            st.lists(
+                st.builds(CommStep, st.integers(-3, n + 2), proc_ids, proc_ids, st.integers(-1, 4)),
+                max_size=10,
+            ),
+            label="steps",
+        )
+        cap = data.draw(st.integers(1, 25), label="max_violations")
+        sparse = data.draw(st.booleans(), label="sparse table")
+        machine = BspMachine.uniform(num_procs, g=1, latency=1)
+        with mock.patch.object(validation, "_MAX_DENSE_CELLS", 0 if sparse else 64_000_000):
+            assert_same_violations(dag, machine, procs, supersteps, steps, cap)
+
+
+HUGE = 10**12
+# the diamond on P=2 is valid as procs [0, 0, 1, 0], supersteps [0, 1, 1, 2]
+# with the sends (0, 0->1, 0) and (2, 1->0, 1); each case breaks it one way
+OUT_OF_RANGE_CASES = {
+    "node-processor-negative": (
+        [0, 0, -1, 0], [0, 1, 1, 2], [CommStep(0, 0, 1, 0), CommStep(2, 1, 0, 1)],
+        "node 2 assigned to invalid processor -1", None,
+    ),
+    "node-processor-at-P": (
+        [0, 0, 2, 0], [0, 1, 1, 2], [CommStep(0, 0, 1, 0), CommStep(2, 1, 0, 1)],
+        "value of 0 never reaches processor 2", None,
+    ),
+    # the huge id still forwards node 0 in and node 2 out: no edge breaks
+    "huge-processor-id": (
+        [0, 0, HUGE, 0], [0, 1, 1, 2], [CommStep(0, 0, HUGE, 0), CommStep(2, HUGE, 0, 1)],
+        f"invalid processor {HUGE}", "never reaches",
+    ),
+    "comm-source-negative": (
+        [0, 0, 1, 0], [0, 1, 1, 2], [CommStep(0, -1, 1, 0), CommStep(2, 1, 0, 1)],
+        "not available on processor -1", None,
+    ),
+    "comm-target-at-P": (
+        [0, 0, 1, 0], [0, 1, 1, 2], [CommStep(0, 0, 1, 0), CommStep(2, 1, 2, 1)],
+        "value of 2 never reaches processor 0", None,
+    ),
+    "forwarding-through-an-invalid-processor": (
+        [0, 0, 1, 0], [0, 1, 2, 3],
+        [CommStep(0, 0, 2, 0), CommStep(0, 2, 1, 1), CommStep(2, 1, 0, 2)],
+        "references an invalid processor", "not available",
+    ),
+    # what reached processor 2 must not be present on processor -1
+    "invalid-processors-stay-apart": (
+        [0, 0, 1, 0], [0, 1, 2, 3],
+        [CommStep(0, 0, 2, 0), CommStep(0, -1, 1, 1), CommStep(2, 1, 0, 2)],
+        "not available on processor -1", None,
+    ),
+    # three unknown nodes sent alike are three values, not one re-delivered
+    "unknown-nodes-stay-apart": (
+        [0, 0, 1, 0], [0, 1, 1, 2],
+        [CommStep(0, 0, 1, 0), CommStep(2, 1, 0, 1), CommStep(4, 0, 1, 0),
+         CommStep(5, 0, 1, 0), CommStep(-1, 0, 1, 0)],
+        "value of node -1 is not available", "re-delivers",
+    ),
+    "unknown-node-sent-twice": (
+        [0, 0, 1, 0], [0, 1, 1, 2],
+        [CommStep(0, 0, 1, 0), CommStep(2, 1, 0, 1), CommStep(4, 0, 1, 0), CommStep(4, 0, 1, 0)],
+        "re-delivers the value of node 4", None,
+    ),
+    "huge-node-ids": (
+        [0, 0, 1, 0], [0, 1, 1, 2],
+        [CommStep(0, 0, 1, 0), CommStep(2, 1, 0, 1), CommStep(HUGE, 0, 1, 0),
+         CommStep(-HUGE, 1, 0, 0)],
+        f"value of node -{HUGE} is not available", None,
+    ),
+    "re-delivery-to-an-invalid-processor": (
+        [0, 0, 1, 2], [0, 1, 1, 2],
+        [CommStep(0, 0, 1, 0), CommStep(2, 1, 2, 1), CommStep(3, 2, 0, 2), CommStep(3, 0, 2, 3)],
+        "re-delivers the value of node 3 to processor 2", None,
+    ),
+}
+
+
+class TestOutOfRangeCases:
+    """One hand-built schedule per way the keying of out-of-range ids can go
+    wrong, on the dense and on the sparse table: each matches the seed
+    walker and shows (or lacks) the message that names the case."""
+
+    @pytest.fixture(params=["dense", "sparse"], autouse=True)
+    def table(self, request, monkeypatch):
+        import repro.core.validation as validation
+
+        if request.param == "sparse":
+            monkeypatch.setattr(validation, "_MAX_DENSE_CELLS", 0)
+
+    @pytest.mark.parametrize("case", OUT_OF_RANGE_CASES)
+    def test_case_matches_seed_walker(self, case):
+        procs, supersteps, steps, shown, absent = OUT_OF_RANGE_CASES[case]
+        machine = BspMachine.uniform(2, g=1, latency=1)
+        violations = assert_same_violations(
+            build_diamond_dag(), machine, procs, supersteps, steps
+        )
+        assert any(shown in message for message in violations)
+        if absent is not None:
+            assert not any(absent in message for message in violations)
+
+    def test_truncation_across_the_passes(self):
+        """Every cap cuts the same prefix of the node, comm-step and edge
+        messages as the walker's."""
+        procs, supersteps, steps, _, _ = OUT_OF_RANGE_CASES[
+            "re-delivery-to-an-invalid-processor"
+        ]
+        steps = steps + [CommStep(-1, -1, HUGE, -1)]
+        machine = BspMachine.uniform(2, g=1, latency=1)
+        dag = build_diamond_dag()
+        full = assert_same_violations(dag, machine, procs, supersteps, steps, 100)
+        assert full[0].startswith("node 3") and full[-1].startswith("edge (1,3)")
+        for cap in range(1, len(full) + 2):
+            capped = assert_same_violations(dag, machine, procs, supersteps, steps, cap)
+            assert capped == full[:cap]
 
 
 def broken_once(dag, num_procs, procs, supersteps, rng):
