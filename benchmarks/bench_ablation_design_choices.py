@@ -2,9 +2,8 @@
 
 These are not paper tables; they quantify the framework's own design
 decisions on a small instance set: the contribution of each local-search
-component (including the simulated-annealing future-work variant), the BSPg
-superstep-closing threshold, the communication-schedule policy (eager vs
-lazy vs optimised), and the multilevel refinement interval.
+component, the BSPg superstep-closing threshold, the communication-schedule
+policy (eager vs lazy vs optimised), and the multilevel refinement interval.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro.analysis import (
     multilevel_refinement_ablation,
 )
 from repro.dagdb import build_dataset
-from repro.schedulers import SimulatedAnnealingImprover, BspGreedyScheduler
 
 
 @pytest.fixture(scope="module")
@@ -30,9 +28,8 @@ def ablation_instances():
 
 def test_ablation_local_search_components(benchmark, ablation_instances):
     machine = MachineSpec(4, g=3, latency=5).build()
-    initial = BspGreedyScheduler().schedule(ablation_instances[0].dag, machine)
     benchmark.pedantic(
-        lambda: SimulatedAnnealingImprover(sweeps=10).improve(initial),
+        lambda: local_search_component_ablation(ablation_instances[:1], machine),
         rounds=1,
         iterations=1,
     )
@@ -41,7 +38,6 @@ def test_ablation_local_search_components(benchmark, ablation_instances):
     # HC never hurts, HCcs never hurts on top of HC
     assert ratios["hc"] <= 1.0 + 1e-9
     assert ratios["hc+hccs"] <= ratios["hc"] + 1e-9
-    assert ratios["annealing"] <= 1.0 + 1e-9
 
 
 def test_ablation_bspg_idle_fraction(benchmark, ablation_instances):

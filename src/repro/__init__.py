@@ -50,7 +50,6 @@ from .schedulers import (
     HDaggScheduler,
     HillClimbingImprover,
     IlpCommScheduleImprover,
-    LinearClusteringScheduler,
     IlpFullImprover,
     IlpInitScheduler,
     IlpPartialImprover,
@@ -60,7 +59,6 @@ from .schedulers import (
     Scheduler,
     ScheduleImprover,
     SchedulingPipeline,
-    SimulatedAnnealingImprover,
     SourceScheduler,
     TrivialScheduler,
     available_schedulers,
@@ -88,7 +86,6 @@ __all__ = [
     "IlpFullImprover",
     "IlpInitScheduler",
     "IlpPartialImprover",
-    "LinearClusteringScheduler",
     "MachineSpec",
     "MultilevelPipeline",
     "MultilevelScheduler",
@@ -102,7 +99,6 @@ __all__ = [
     "SchedulerSpec",
     "SchedulingPipeline",
     "SchedulingService",
-    "SimulatedAnnealingImprover",
     "SourceScheduler",
     "TrivialScheduler",
     "available_schedulers",

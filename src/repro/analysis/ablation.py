@@ -8,7 +8,7 @@ choices on a configurable instance set so the benchmark harness can report
 them alongside the paper's own tables:
 
 * :func:`local_search_component_ablation` — initial schedule vs ``+HC`` vs
-  ``+HC+HCcs`` vs simulated annealing (the future-work variant);
+  ``+HC+HCcs``;
 * :func:`bspg_idle_fraction_ablation` — the BSPg superstep-closing threshold;
 * :func:`comm_schedule_policy_ablation` — eager vs lazy vs optimised
   communication schedules for a fixed assignment;
@@ -26,7 +26,6 @@ from typing import Sequence
 from ..core.comm import eager_comm_schedule
 from ..core.machine import BspMachine
 from ..dagdb.datasets import DatasetInstance
-from ..schedulers.annealing import SimulatedAnnealingImprover
 from ..schedulers.bsp_greedy import BspGreedyScheduler
 from ..schedulers.comm_hill_climbing import CommScheduleHillClimbing
 from ..schedulers.hill_climbing import HillClimbingImprover
@@ -55,20 +54,17 @@ def _geo_ratios(costs: dict[str, list[float]], baseline: str) -> dict[str, float
 def local_search_component_ablation(
     instances: Sequence[DatasetInstance],
     machine: BspMachine,
-    local_search_seconds: float | None = 1.0,
 ) -> tuple[dict[str, float], str]:
-    """Initial schedule vs HC vs HC+HCcs vs simulated annealing (ratios to the initial)."""
-    costs: dict[str, list[float]] = {"init": [], "hc": [], "hc+hccs": [], "annealing": []}
+    """Initial schedule vs HC vs HC+HCcs (ratios to the initial)."""
+    costs: dict[str, list[float]] = {"init": [], "hc": [], "hc+hccs": []}
     hc = HillClimbingImprover()
     hccs = CommScheduleHillClimbing()
-    annealing = SimulatedAnnealingImprover(sweeps=10)
     for instance in instances:
         initial = BspGreedyScheduler().schedule(instance.dag, machine)
         improved = hc.improve(initial)
         costs["init"].append(initial.cost())
         costs["hc"].append(improved.cost())
         costs["hc+hccs"].append(hccs.improve(improved).cost())
-        costs["annealing"].append(annealing.improve(initial).cost())
     ratios = _geo_ratios(costs, "init")
     rows = {"cost ratio vs Init": {name: f"{value:.3f}" for name, value in ratios.items()}}
     text = format_grid(rows, "", "Ablation: local-search components (lower is better)", column_width=12)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..core.exceptions import ConfigurationError
 from ..store.results import ResultStore
 from .aggregate import (
     FamilyProfile,
@@ -47,7 +48,9 @@ def build_report(store_root: str | Path | None) -> Report:
     """Aggregate a store's trials into a report.
 
     ``store_root=None`` (or a store with no trials) produces the "no
-    trials yet" report.
+    trials yet" report.  A store root that is not a directory raises
+    :class:`~repro.core.exceptions.ConfigurationError`, so a mistyped path
+    never renders as an empty store.
     """
     trials = []
     experiments = []
@@ -57,6 +60,10 @@ def build_report(store_root: str | Path | None) -> Report:
             if isinstance(store_root, ResultStore)
             else ResultStore(store_root)
         )
+        if not store.root.is_dir():
+            raise ConfigurationError(
+                f"result store {str(store.root)!r} is not a directory"
+            )
         trials = dedup_trials(store.trials.trials())
         experiments = sorted(
             (record.name, len(record.fingerprints))

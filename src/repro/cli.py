@@ -9,13 +9,6 @@ Five subcommands cover the common workflows:
         python -m repro generate --generator cg --size 8 --density 0.3 \\
             --iterations 3 --output cg.hdag
 
-    With ``--stream`` (structured families only) the DAG is emitted straight
-    to disk with bounded peak memory — the way to produce the 10^6..10^7-node
-    instances::
-
-        python -m repro generate --generator stencil2d --size 1000 \\
-            --iterations 9 --stream --output stencil.hdagb
-
 ``schedule``
     Schedule a hyperDAG file (or a freshly generated instance) with one of
     the registered schedulers and print the schedule and its cost, e.g.::
@@ -63,14 +56,12 @@ from .core import ComputationalDAG, ConfigurationError, ReproError
 from .dagdb import (
     COARSE_GENERATORS,
     FINE_GENERATORS,
-    STREAM_GENERATORS,
     STRUCTURED_GENERATORS,
     SparseMatrixPattern,
     build_fft_dag,
     build_stencil2d_dag,
     build_stencil3d_dag,
     build_stencil_dag,
-    stream_generate,
 )
 from .io import (
     load_dag,
@@ -119,14 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "output format: hyperDAG text or memory-mapped .hdagb binary "
             "(default: by output extension, text otherwise)"
-        ),
-    )
-    generate.add_argument(
-        "--stream",
-        action="store_true",
-        help=(
-            "emit straight to a .hdagb file with bounded peak memory "
-            "(structured generators only; implies --out-format hdagb)"
         ),
     )
 
@@ -269,8 +252,7 @@ def _generate_dag(args: argparse.Namespace) -> ComputationalDAG:
                 args.size, args.density, seed=args.seed, ensure_diagonal=True
             )
             # the registry builders, not build_elimination_dag(ordering=...):
-            # they encode the ordering in the DAG name, which the streaming
-            # path (--stream) reproduces for byte-identical files
+            # they encode the ordering in the DAG name
             builder = STRUCTURED_GENERATORS[args.generator]
             return builder(pattern).dag
         if args.generator == "fft":
@@ -295,58 +277,10 @@ def _generate_dag(args: argparse.Namespace) -> ComputationalDAG:
     return COARSE_GENERATORS[args.generator](args.iterations)
 
 
-def _stream_params(args: argparse.Namespace) -> dict:
-    """Streaming-emitter parameters from the argparse namespace.
-
-    Mirrors the size adapters of :func:`_generate_dag` exactly, so a
-    streamed file is byte-identical to writing the in-memory generator's
-    DAG for the same CLI arguments.
-    """
-    if args.generator in ("cholesky", "cholesky_rcm", "cholesky_amd"):
-        pattern = SparseMatrixPattern.random(
-            args.size, args.density, seed=args.seed, ensure_diagonal=True
-        )
-        return {"pattern": pattern}
-    if args.generator == "fft":
-        return {"points": 1 << max(1, args.size - 1).bit_length()}
-    if args.generator == "fft4":
-        points = 4
-        while points < args.size:
-            points *= 4
-        return {"points": points}
-    if args.generator == "stencil2d":
-        return {"side": args.size, "steps": args.iterations}
-    if args.generator == "stencil2d_rect":
-        return {
-            "width": max(2, args.size),
-            "height": max(2, args.size // 2),
-            "steps": args.iterations,
-        }
-    return {"side": args.size, "steps": args.iterations}  # stencil3d
-
-
 def _command_generate(args: argparse.Namespace) -> int:
     out_format = args.out_format
     if out_format == "auto":
-        if args.stream or args.output.endswith(".hdagb"):
-            out_format = "hdagb"
-        else:
-            out_format = "hdag"
-    if args.stream:
-        if out_format != "hdagb":
-            raise ConfigurationError("--stream writes .hdagb files; use --out-format hdagb")
-        if args.generator not in STREAM_GENERATORS:
-            raise ConfigurationError(
-                f"generator {args.generator!r} has no streaming emitter; "
-                f"available: {', '.join(sorted(STREAM_GENERATORS))}"
-            )
-        stream_generate(args.output, args.generator, **_stream_params(args))
-        mapped = load_dag(args.output)
-        print(
-            f"wrote {args.output}: {mapped.num_nodes} nodes, "
-            f"{mapped.num_edges} edges (streamed)"
-        )
-        return 0
+        out_format = "hdagb" if args.output.endswith(".hdagb") else "hdag"
     dag = _generate_dag(args)
     if out_format == "hdagb":
         write_hdagb(dag, args.output)

@@ -325,10 +325,8 @@ def _fft_stages(points: int, radix: int) -> int:
 def _fft_stage_blocks(points: int, radix: int, stages: int):
     """Yield the butterfly edge blocks in canonical emission order.
 
-    Shared by the in-memory builder and the streaming generator
-    (:mod:`repro.dagdb.stream`), so both emit bit-identical DAGs: per
-    stage the own-lane block first, then the partners in ascending digit
-    order — the radix-2 case reproduces the historical
+    Per stage the own-lane block first, then the partners in ascending
+    digit order — the radix-2 case reproduces the historical
     ``(previous, partner)`` order.
     """
     lanes = np.arange(points, dtype=_INT)
@@ -402,9 +400,7 @@ def _check_stencil_params(shape: tuple[int, ...], steps: int) -> tuple[int, ...]
 def _stencil_template(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """One layer's ``(relative source cell, destination cell)`` edge template.
 
-    The self edge first, then -1/+1 along each axis.  Shared by the
-    in-memory builder and the streaming generator
-    (:mod:`repro.dagdb.stream`), so both emit bit-identical DAGs.
+    The self edge first, then -1/+1 along each axis.
     """
     cells = math.prod(shape)
     coords = np.indices(shape).reshape(len(shape), cells)

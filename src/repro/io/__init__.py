@@ -3,7 +3,6 @@
 from .dot import dag_to_dot, schedule_to_dot, write_dot
 from .hdagb import (
     MappedDag,
-    StreamingDagWriter,
     is_hdagb,
     load_dag,
     read_hdagb,
@@ -20,7 +19,6 @@ from .render import render_cost_table, render_schedule_text
 
 __all__ = [
     "MappedDag",
-    "StreamingDagWriter",
     "dag_to_dot",
     "dumps_hyperdag",
     "dumps_matrix_market_pattern",

@@ -1,9 +1,9 @@
-"""Binary ``.hdagb`` DAG format: memory-mapped buffers, streaming writer.
+"""Binary ``.hdagb`` DAG format: memory-mapped buffers.
 
-The out-of-core tier of the DAG pipeline.  A ``.hdagb`` file stores the
-canonical CSR arrays of a :class:`~repro.core.dag.ComputationalDAG` — the
-exact buffers every kernel reads and the content fingerprint hashes — as
-aligned little-endian blocks behind a small versioned header:
+A ``.hdagb`` file stores the canonical CSR arrays of a
+:class:`~repro.core.dag.ComputationalDAG` — the exact buffers every
+kernel reads and the content fingerprint hashes — as aligned
+little-endian blocks behind a small versioned header:
 
 ========  ======  =====================================================
 offset    size    field
@@ -37,7 +37,7 @@ are derived from ``n``/``m``, so the header fully describes the file.
 :func:`read_hdagb` opens the payload with one ``np.memmap`` and returns a
 :class:`MappedDag` whose weight vectors and successor CSR are zero-copy
 views into the mapping.  A load checks the header (including that the
-flags, the reserved padding and the name's padding are zero, as every
+flags, the reserved padding and the name's padding are zero, as the
 writer leaves them), then the payload's structure in one O(n + m) pass
 (row pointer, target range, self-loops, weights) without copying a
 buffer, then the checksum.  The fingerprint comes straight from the
@@ -49,12 +49,7 @@ are read-only; the first mutation transparently copies (see
 ``ComputationalDAG._ensure_writable_weights`` and the capacity-doubling
 edge appends, which always reallocate exactly-sized mapped buffers).
 
-:class:`StreamingDagWriter` is the out-of-core construction path: it
-accepts the same block-emitting API as :class:`~repro.core.dag.DagBuilder`
-(``add_node_block`` / ``add_edges_array``), spills every block to disk,
-and finalises into a ``.hdagb`` file holding only O(n) index arrays plus
-one block in memory — never the edge buffers.  Its output is byte-identical
-to ``write_hdagb(builder.freeze())`` for the same emission sequence.
+:func:`write_hdagb` writes an in-memory DAG in this format.
 """
 
 from __future__ import annotations
@@ -62,12 +57,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
 import struct
-import tempfile
 import uuid
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -79,7 +71,6 @@ __all__ = [
     "HDAGB_MAGIC",
     "HDAGB_VERSION",
     "MappedDag",
-    "StreamingDagWriter",
     "is_hdagb",
     "load_dag",
     "read_hdagb",
@@ -97,7 +88,7 @@ _I8 = np.dtype("<i8")
 #: checksum 32s | payload_offset q | file_size q | name_len I | pad 4x
 _HEADER = struct.Struct("<8sIIqq32s32sqqI4x")
 _ALIGN = 64
-_CHUNK_BYTES = 4 << 20  # streaming hash / copy chunk
+_CHUNK_BYTES = 4 << 20  # checksum read chunk
 
 
 def _align(offset: int) -> int:
@@ -123,12 +114,6 @@ def _checksum_digest(hasher, fingerprint: bytes, name_bytes: bytes) -> bytes:
     hasher.update(fingerprint)
     hasher.update(name_bytes)
     return hasher.digest()
-
-
-def _fingerprint_prefix(n: int) -> "hashlib._Hash":
-    hasher = hashlib.sha256(b"repro-dag-v1")
-    hasher.update(np.int64(n).tobytes())
-    return hasher
 
 
 # ---------------------------------------------------------------------- #
@@ -337,7 +322,7 @@ def _read_header(path: Path) -> tuple:
     name_bytes = name_field[:name_len]
     if len(name_bytes) < name_len:
         raise DagError(f"{path}: truncated hdagb name field")
-    # the writers zero these bytes, and no checksum covers them
+    # the writer zeroes these bytes, and no checksum covers them
     if flags != 0:
         raise DagError(f"{path}: unsupported hdagb flags {flags:#x}")
     if any(raw[_HEADER.size - 4 :]) or any(name_field[name_len:]):
@@ -442,390 +427,3 @@ def load_dag(path: str | Path) -> ComputationalDAG:
     from .hyperdag import read_hyperdag
 
     return read_hyperdag(path)
-
-
-# ---------------------------------------------------------------------- #
-# streaming writer
-# ---------------------------------------------------------------------- #
-class StreamingDagWriter:
-    """Out-of-core ``DagBuilder``: spill blocks to disk, finalise to ``.hdagb``.
-
-    Accepts the builder's block-emitting API (``add_node_block``,
-    ``add_nodes_array``, ``add_edge``, ``add_edges_array``) but keeps only
-    the per-source edge counts in memory — node weights and edge blocks
-    are appended to spill files as they arrive.  :meth:`finalize` then
-    assembles the ``.hdagb`` file with two sequential passes over the
-    spills (a counting-sort scatter of the targets and a hashing pass),
-    so peak memory stays O(n + block) however many edges stream through.
-
-    For the same emission sequence the resulting file is byte-identical
-    to ``write_hdagb(builder.freeze())`` — the scatter reproduces the
-    stable source-major order of :func:`repro.core.csr.build_csr`.
-
-    Usable as a context manager; leaving the ``with`` block without a
-    successful :meth:`finalize` removes the spill files and writes
-    nothing.
-    """
-
-    def __init__(
-        self,
-        path: str | Path,
-        name: str = "dag",
-        *,
-        block_edges: int = 1 << 20,
-        tmp_dir: str | Path | None = None,
-    ) -> None:
-        if block_edges < 1:
-            raise DagError("block_edges must be positive")
-        self._path = Path(path)
-        self.name = name
-        self._block = int(block_edges)
-        self._n = 0
-        self._m = 0
-        self._counts = np.zeros(0, dtype=_INT)
-        self._closed = False
-        parent = Path(tmp_dir) if tmp_dir is not None else self._path.parent
-        self._spill = Path(
-            tempfile.mkdtemp(prefix=f".{self._path.name}.spill-", dir=parent)
-        )
-        self._work_f = open(self._spill / "work.f8", "wb")
-        self._comm_f = open(self._spill / "comm.f8", "wb")
-        self._esrc_f = open(self._spill / "esrc.i8", "wb")
-        self._edst_f = open(self._spill / "edst.i8", "wb")
-
-    # -------------------------------------------------------------- #
-    @property
-    def num_nodes(self) -> int:
-        """Number of nodes emitted so far."""
-        return self._n
-
-    @property
-    def num_edges(self) -> int:
-        """Number of edges emitted so far."""
-        return self._m
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise DagError("StreamingDagWriter is closed")
-
-    def add_node_block(self, count: int, work: float = 1.0, comm: float = 1.0) -> int:
-        """Append ``count`` identically weighted nodes; return the first index."""
-        self._check_open()
-        if count <= 0:
-            return self._n
-        if work < 0 or comm < 0:
-            raise DagError("node weights must be non-negative")
-        first = self._n
-        chunk = max(1, _CHUNK_BYTES // 8)
-        work_chunk = np.full(min(count, chunk), float(work), dtype=_F8).tobytes()
-        comm_chunk = np.full(min(count, chunk), float(comm), dtype=_F8).tobytes()
-        remaining = count
-        while remaining > 0:
-            step = min(remaining, chunk)
-            self._work_f.write(work_chunk[: 8 * step])
-            self._comm_f.write(comm_chunk[: 8 * step])
-            remaining -= step
-        self._n += count
-        return first
-
-    def add_nodes_array(
-        self,
-        work_weights: Sequence[float],
-        comm_weights: Sequence[float] | None = None,
-    ) -> np.ndarray:
-        """Append one node per entry of ``work_weights``; return their indices."""
-        self._check_open()
-        work = np.ascontiguousarray(work_weights, dtype=_F8)
-        comm = (
-            np.ones_like(work)
-            if comm_weights is None
-            else np.ascontiguousarray(comm_weights, dtype=_F8)
-        )
-        if work.shape != comm.shape or work.ndim != 1:
-            raise DagError("weight arrays must be 1-D and of equal length")
-        if work.size and (work.min() < 0 or comm.min() < 0):
-            raise DagError("node weights must be non-negative")
-        self._work_f.write(work.tobytes())
-        self._comm_f.write(comm.tobytes())
-        first = self._n
-        self._n += work.size
-        return np.arange(first, self._n, dtype=_INT)
-
-    def add_edge(self, source: int, target: int) -> None:
-        """Append a single edge (convenience wrapper over the block path)."""
-        self.add_edges_array(
-            np.array([source], dtype=_INT), np.array([target], dtype=_INT)
-        )
-
-    def add_edges_array(
-        self,
-        sources: np.ndarray | Sequence[int],
-        targets: np.ndarray | Sequence[int],
-    ) -> None:
-        """Append parallel edge arrays; endpoints validated against nodes so far."""
-        self._check_open()
-        src = np.ascontiguousarray(sources, dtype=_INT)
-        dst = np.ascontiguousarray(targets, dtype=_INT)
-        if src.shape != dst.shape or src.ndim != 1:
-            raise DagError("sources and targets must be 1-D arrays of equal length")
-        if src.size == 0:
-            return
-        _check_edge_endpoints(self._n, src, dst)
-        if self._counts.shape[0] < self._n:
-            grown = np.zeros(max(self._n, 2 * self._counts.shape[0]), dtype=_INT)
-            grown[: self._counts.shape[0]] = self._counts
-            self._counts = grown
-        block = np.bincount(src)
-        self._counts[: block.shape[0]] += block
-        self._esrc_f.write(src.astype(_I8, copy=False).tobytes())
-        self._edst_f.write(dst.astype(_I8, copy=False).tobytes())
-        self._m += src.size
-
-    # -------------------------------------------------------------- #
-    def _cleanup(self) -> None:
-        for handle in (self._work_f, self._comm_f, self._esrc_f, self._edst_f):
-            try:
-                handle.close()
-            except OSError:  # pragma: no cover - best-effort teardown
-                pass
-        shutil.rmtree(self._spill, ignore_errors=True)
-        self._closed = True
-
-    def abort(self) -> None:
-        """Drop the spill files without writing anything."""
-        if not self._closed:
-            self._cleanup()
-
-    def __enter__(self) -> "StreamingDagWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.abort()
-
-    def _iter_edge_blocks(self):
-        """Yield ``(src, dst)`` int64 block pairs re-read from the spills."""
-        with open(self._spill / "esrc.i8", "rb") as src_f, open(
-            self._spill / "edst.i8", "rb"
-        ) as dst_f:
-            while True:
-                raw_src = src_f.read(8 * self._block)
-                if not raw_src:
-                    return
-                raw_dst = dst_f.read(len(raw_src))
-                yield (
-                    np.frombuffer(raw_src, dtype=_I8),
-                    np.frombuffer(raw_dst, dtype=_I8),
-                )
-
-    def _copy_spill(self, handle, spill_name: str, checksum) -> None:
-        with open(self._spill / spill_name, "rb") as spill:
-            while True:
-                chunk = spill.read(_CHUNK_BYTES)
-                if not chunk:
-                    return
-                handle.write(chunk)
-                checksum.update(chunk)
-
-    def _write_weights(self, handle, checksum, spill_name: str, override) -> None:
-        """One weight section: the spill copy, or a finalize-time override."""
-        if override is None:
-            self._copy_spill(handle, spill_name, checksum)
-            return
-        arr = np.ascontiguousarray(override, dtype=_F8)
-        if arr.ndim != 1 or arr.shape[0] != self._n:
-            raise DagError(
-                f"weight override must have length {self._n}, got shape {arr.shape}"
-            )
-        if arr.size and arr.min() < 0:
-            raise DagError("node weights must be non-negative")
-        step = max(1, _CHUNK_BYTES // 8)
-        for lo in range(0, arr.shape[0], step):
-            data = arr[lo : lo + step].tobytes()
-            handle.write(data)
-            checksum.update(data)
-
-    def finalize(
-        self,
-        *,
-        validate: bool = True,
-        work: np.ndarray | None = None,
-        comm: np.ndarray | None = None,
-    ) -> str:
-        """Assemble the ``.hdagb`` file; return the DAG content fingerprint.
-
-        Three bounded-memory passes over the spills: a counting-sort
-        scatter of the targets into their canonical CSR slots, an optional
-        per-row duplicate-edge check (``validate``, on by default — the
-        same contract as ``DagBuilder.freeze``), and one hashing sweep
-        computing both the payload checksum and the content fingerprint.
-        ``work``/``comm`` override the spilled per-node weights with
-        finalize-time vectors — that is how the streamed generators apply
-        degree-based weight models, whose inputs only exist once all edges
-        have been seen, without a second pass over the node spills.
-        The write is atomic (tmp sibling + rename).
-        """
-        self._check_open()
-        for handle in (self._work_f, self._comm_f, self._esrc_f, self._edst_f):
-            handle.flush()
-        n = self._n
-        m = self._m
-        name_bytes = self.name.encode("utf-8")
-        payload, work_off, comm_off, indptr_off, targets_off, end = _layout(
-            name_bytes, n, m
-        )
-        indptr = np.zeros(n + 1, dtype=_I8)
-        np.cumsum(self._counts[:n], out=indptr[1:])
-
-        checksum = hashlib.sha256()
-        tmp = self._path.parent / f".{self._path.name}.{uuid.uuid4().hex}.tmp"
-        try:
-            with open(tmp, "wb") as handle:
-                handle.write(b"\x00" * _HEADER.size)
-                handle.write(name_bytes)
-                handle.write(b"\x00" * (payload - _HEADER.size - len(name_bytes)))
-
-                def pad_to(offset: int) -> None:
-                    gap = offset - handle.tell()
-                    if gap > 0:
-                        zeros = b"\x00" * gap
-                        handle.write(zeros)
-                        checksum.update(zeros)
-
-                self._write_weights(handle, checksum, "work.f8", work)
-                pad_to(comm_off)
-                self._write_weights(handle, checksum, "comm.f8", comm)
-                pad_to(indptr_off)
-                data = indptr.tobytes()
-                handle.write(data)
-                checksum.update(data)
-                pad_to(targets_off)
-                handle.truncate(end)
-
-            # pass 1 — counting-sort scatter of the targets: stable within
-            # each block (stable argsort) and across blocks (cursor
-            # advance), reproducing build_csr's canonical row order
-            if m:
-                out = np.memmap(tmp, dtype=np.uint8, mode="r+")
-                targets_view = out[targets_off:end].view(_I8)
-                cursor = indptr[:n].astype(_INT, copy=True)
-                for src, dst in self._iter_edge_blocks():
-                    order = np.argsort(src, kind="stable")
-                    ssrc = src[order]
-                    sdst = dst[order]
-                    uniq, first_index, counts = np.unique(
-                        ssrc, return_index=True, return_counts=True
-                    )
-                    within = np.arange(ssrc.shape[0], dtype=_INT) - np.repeat(
-                        first_index, counts
-                    )
-                    targets_view[cursor[ssrc] + within] = sdst
-                    cursor[uniq] += counts
-                out.flush()
-                del targets_view, out
-
-            mapping = np.memmap(tmp, dtype=np.uint8, mode="r") if end > payload else None
-            targets_view = (
-                mapping[targets_off:end].view(_I8)
-                if mapping is not None
-                else np.empty(0, dtype=_I8)
-            )
-
-            # pass 2 — per-row duplicate check, chunked on row boundaries
-            if validate and m:
-                self._validate_rows(indptr, targets_view, n)
-
-            # pass 3 — payload checksum of the scattered section + content
-            # fingerprint over the canonical buffers (sources regenerated
-            # row-chunk by row-chunk from the row pointer)
-            for pos in range(targets_off, end, _CHUNK_BYTES):
-                checksum.update(mapping[pos : min(pos + _CHUNK_BYTES, end)])
-            fingerprint = self._fingerprint(mapping, indptr, n, m, name_bytes)
-
-            with open(tmp, "r+b") as handle:
-                handle.write(
-                    _HEADER.pack(
-                        HDAGB_MAGIC,
-                        HDAGB_VERSION,
-                        0,
-                        n,
-                        m,
-                        bytes.fromhex(fingerprint),
-                        _checksum_digest(checksum, bytes.fromhex(fingerprint), name_bytes),
-                        payload,
-                        end,
-                        len(name_bytes),
-                    )
-                )
-            if mapping is not None:
-                del targets_view, mapping
-            os.replace(tmp, self._path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        finally:
-            self._cleanup()
-        return fingerprint
-
-    def _validate_rows(self, indptr: np.ndarray, targets: np.ndarray, n: int) -> None:
-        """Duplicate-edge check in row chunks (mirrors ``DagBuilder.freeze``)."""
-        chunk_rows = 0
-        row = 0
-        limit = max(self._block, 1)
-        while row < n:
-            # widest row span whose edges fit in one block
-            chunk_rows = int(
-                np.searchsorted(indptr, indptr[row] + limit, side="right")
-            ) - 1
-            chunk_rows = max(chunk_rows, row + 1)
-            chunk_rows = min(chunk_rows, n)
-            lo = int(indptr[row])
-            hi = int(indptr[chunk_rows])
-            seg = np.asarray(targets[lo:hi], dtype=_INT)
-            rows = np.repeat(
-                np.arange(row, chunk_rows, dtype=_INT),
-                np.diff(indptr[row : chunk_rows + 1]).astype(_INT),
-            )
-            keys = np.sort(rows * np.int64(n) + seg)
-            duplicates = keys[1:] == keys[:-1]
-            if duplicates.any():
-                dup = keys[int(np.argmax(duplicates))]
-                raise DagError(
-                    f"duplicate edge ({int(dup // n)}, {int(dup % n)})"
-                )
-            row = chunk_rows
-
-    def _fingerprint(
-        self,
-        mapping: np.ndarray | None,
-        indptr: np.ndarray,
-        n: int,
-        m: int,
-        name_bytes: bytes,
-    ) -> str:
-        hasher = _fingerprint_prefix(n)
-        _payload, work_off, comm_off, indptr_off, targets_off, end = _layout(
-            name_bytes, n, m
-        )
-        if mapping is not None:
-            for lo, hi in ((work_off, work_off + 8 * n), (comm_off, comm_off + 8 * n)):
-                for pos in range(lo, hi, _CHUNK_BYTES):
-                    hasher.update(mapping[pos : min(pos + _CHUNK_BYTES, hi)])
-        # canonical sources, regenerated in row chunks from the row pointer
-        row = 0
-        limit = max(self._block, 1)
-        while row < n:
-            chunk_rows = int(
-                np.searchsorted(indptr, indptr[row] + limit, side="right")
-            ) - 1
-            chunk_rows = max(chunk_rows, row + 1)
-            chunk_rows = min(chunk_rows, n)
-            sources = np.repeat(
-                np.arange(row, chunk_rows, dtype=_INT),
-                np.diff(indptr[row : chunk_rows + 1]).astype(_INT),
-            )
-            hasher.update(sources.astype(_I8, copy=False).tobytes())
-            row = chunk_rows
-        if mapping is not None:
-            for pos in range(targets_off, end, _CHUNK_BYTES):
-                hasher.update(mapping[pos : min(pos + _CHUNK_BYTES, end)])
-        return hasher.hexdigest()

@@ -1,8 +1,6 @@
 """Scheduling algorithms: baselines, initialisers, local search, ILP and multilevel."""
 
-from .annealing import SimulatedAnnealingImprover
 from .base import Budget, Scheduler, ScheduleImprover, best_schedule
-from .clustering import LinearClusteringScheduler
 from .bsp_greedy import BspGreedyScheduler
 from .cilk import CilkScheduler
 from .comm_hill_climbing import CommScheduleHillClimbing
@@ -44,7 +42,6 @@ __all__ = [
     "IlpInitScheduler",
     "IlpPartialImprover",
     "LazyCostTracker",
-    "LinearClusteringScheduler",
     "MilpProblem",
     "MultilevelPipeline",
     "MultilevelScheduler",
@@ -53,7 +50,6 @@ __all__ = [
     "RoundRobinScheduler",
     "SCHEDULER_FACTORIES",
     "Scheduler",
-    "SimulatedAnnealingImprover",
     "ScheduleImprover",
     "SchedulingPipeline",
     "SourceScheduler",

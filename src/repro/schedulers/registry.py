@@ -15,7 +15,6 @@ from typing import Callable
 from .base import Scheduler
 from .bsp_greedy import BspGreedyScheduler
 from .cilk import CilkScheduler
-from .clustering import LinearClusteringScheduler
 from .hdagg import HDaggScheduler
 from .ilp import IlpInitScheduler
 from .listsched import BlEstScheduler, EtfScheduler
@@ -32,7 +31,6 @@ SCHEDULER_FACTORIES: dict[str, Callable[..., Scheduler]] = {
     "bl_est": BlEstScheduler,
     "etf": EtfScheduler,
     "hdagg": HDaggScheduler,
-    "clustering": LinearClusteringScheduler,
     "bsp_greedy": BspGreedyScheduler,
     "source": SourceScheduler,
     "ilp_init": IlpInitScheduler,

@@ -1,5 +1,5 @@
-"""Unit tests for the framework extensions: clustering baseline, simulated annealing,
-serialization, MatrixMarket loading and the ablation helpers."""
+"""Unit tests for the framework extensions: serialization, MatrixMarket loading
+and the ablation helpers."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.core import (
     BspMachine,
-    ComputationalDAG,
     ReproError,
     dag_from_dict,
     dag_to_dict,
@@ -21,103 +20,10 @@ from repro.core import (
 )
 from repro.core import DagError
 from repro.io import loads_matrix_market_pattern, read_matrix_market_pattern
-from repro.schedulers import (
-    BspGreedyScheduler,
-    CilkScheduler,
-    LinearClusteringScheduler,
-    SimulatedAnnealingImprover,
-)
-from repro.schedulers.trivial import RoundRobinScheduler
+from repro.schedulers import BspGreedyScheduler, CilkScheduler
 
-from conftest import assert_valid_schedule, build_chain_dag, build_fork_join_dag, random_dag
-from repro.dagdb import SparseMatrixPattern, build_spmv_dag
-
-
-class TestLinearClusteringScheduler:
-    @pytest.mark.parametrize("num_procs", [1, 2, 4, 8])
-    def test_valid_on_various_dags(self, num_procs):
-        machine = BspMachine.uniform(num_procs, g=2, latency=3)
-        for dag in (
-            build_chain_dag(8),
-            build_fork_join_dag(10),
-            random_dag(35, 0.12, seed=1),
-            build_spmv_dag(SparseMatrixPattern.random(8, 0.3, seed=2)).dag,
-        ):
-            assert_valid_schedule(LinearClusteringScheduler().schedule(dag, machine))
-
-    def test_empty_dag(self):
-        schedule = LinearClusteringScheduler().schedule(
-            ComputationalDAG(0), BspMachine.uniform(2)
-        )
-        assert schedule.cost() == 0.0
-
-    def test_chain_stays_in_one_cluster(self):
-        dag = build_chain_dag(10, comm=5.0)
-        machine = BspMachine.uniform(4, g=3, latency=1)
-        schedule = LinearClusteringScheduler().schedule(dag, machine)
-        assert len(set(schedule.procs.tolist())) == 1
-        assert schedule.cost_breakdown().comm == 0.0
-
-    def test_independent_chains_are_spread(self):
-        dag = ComputationalDAG(12)
-        for c in range(4):
-            dag.add_edge(3 * c, 3 * c + 1)
-            dag.add_edge(3 * c + 1, 3 * c + 2)
-        machine = BspMachine.uniform(4, g=1, latency=1)
-        schedule = LinearClusteringScheduler().schedule(dag, machine)
-        assert len(set(schedule.procs.tolist())) == 4
-
-    def test_outperformed_by_framework_with_communication(self):
-        """The paper's observation: clustering baselines lose once comm matters."""
-        from repro.schedulers import SourceScheduler
-
-        dag = build_spmv_dag(SparseMatrixPattern.random(10, 0.3, seed=4)).dag
-        machine = BspMachine.uniform(4, g=5, latency=5)
-        clustering = LinearClusteringScheduler().schedule(dag, machine)
-        source = SourceScheduler().schedule(dag, machine)
-        assert source.cost() <= clustering.cost() * 1.1
-
-
-class TestSimulatedAnnealing:
-    def test_never_worse_and_valid(self, machine4):
-        for seed in range(3):
-            dag = random_dag(25, 0.15, seed=seed)
-            start = RoundRobinScheduler().schedule(dag, machine4)
-            improved = SimulatedAnnealingImprover(seed=seed).improve(start)
-            assert improved.cost() <= start.cost()
-            assert_valid_schedule(improved)
-
-    def test_improves_bad_schedules(self, machine4):
-        dag = random_dag(30, 0.2, seed=7)
-        start = RoundRobinScheduler().schedule(dag, machine4)
-        improved = SimulatedAnnealingImprover(sweeps=30, seed=1).improve(start)
-        assert improved.cost() < start.cost()
-
-    def test_deterministic_for_fixed_seed(self, machine4):
-        dag = random_dag(20, 0.2, seed=3)
-        start = RoundRobinScheduler().schedule(dag, machine4)
-        a = SimulatedAnnealingImprover(seed=5).improve(start)
-        b = SimulatedAnnealingImprover(seed=5).improve(start)
-        assert a.cost() == b.cost()
-
-    def test_rejects_bad_cooling(self):
-        with pytest.raises(ValueError):
-            SimulatedAnnealingImprover(cooling=1.5)
-
-    def test_empty_schedule_noop(self, machine4):
-        start = RoundRobinScheduler().schedule(ComputationalDAG(0), machine4)
-        assert SimulatedAnnealingImprover().improve(start).cost() == 0.0
-
-    def test_can_escape_local_minima_sometimes(self):
-        """On average over seeds, annealing is at least as good as pure HC start."""
-        from repro.schedulers import HillClimbingImprover
-
-        dag = random_dag(25, 0.2, seed=11)
-        machine = BspMachine.uniform(4, g=4, latency=2)
-        start = BspGreedyScheduler().schedule(dag, machine)
-        hc = HillClimbingImprover().improve(start)
-        annealed = SimulatedAnnealingImprover(sweeps=40, seed=2).improve(hc)
-        assert annealed.cost() <= hc.cost()
+from conftest import random_dag
+from repro.dagdb import build_spmv_dag
 
 
 class TestSerialization:

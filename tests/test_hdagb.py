@@ -1,6 +1,6 @@
-"""Tests for the out-of-core DAG pipeline (.hdagb + streaming generation).
+"""Tests for the binary ``.hdagb`` DAG format.
 
-Covers the binary format end to end:
+Covers the format end to end:
 
 * write/read round trips (structure, weights, CSR orders, name,
   fingerprint read from the header vs recomputed from the buffers),
@@ -8,10 +8,14 @@ Covers the binary format end to end:
 * copy-on-write semantics of the memory-mapped DAG (reads are zero-copy
   views into the file; the first mutation copies, and the file is never
   touched),
-* streaming-writer output bit-identical to writing the in-memory builder's
-  DAG, across every streamable generator family and weight model,
+* the writer: canonical bytes whatever order a DAG's edges were appended
+  in, a rewrite of a loaded file is byte-identical, a failed write leaves
+  the old file and no temporary, and re-weighted DAGs and elimination DAGs
+  of Matrix Market patterns carry their content through,
 * the acceptance surfaces: ``load_dag`` dispatch, ``ScheduleRequest`` file
-  references, ``load_schedule`` dag_ref paths and the CLI.
+  references, ``load_schedule`` dag_ref paths and the CLI, whose
+  ``generate`` writes the same DAG in both output formats for every
+  generator it offers.
 """
 
 from __future__ import annotations
@@ -23,20 +27,22 @@ import pytest
 
 from repro.api import MachineSpec, ScheduleRequest, SchedulerSpec, SchedulingService
 from repro.api.request import dag_fingerprint
-from repro.core import ComputationalDAG, save_schedule, load_schedule
-from repro.core.exceptions import ConfigurationError, CycleError, DagError
+from repro.core import ComputationalDAG, DagBuilder, save_schedule, load_schedule
+from repro.core.exceptions import CycleError, DagError
 from repro.dagdb import (
+    COARSE_GENERATORS,
+    FINE_GENERATORS,
+    STRUCTURED_GENERATORS,
     SparseMatrixPattern,
+    apply_weight_model,
     build_amd_elimination_dag,
     build_elimination_dag,
     build_fft_dag,
     build_rcm_elimination_dag,
     build_stencil_dag,
-    stream_generate,
 )
 from repro.io import (
     MappedDag,
-    StreamingDagWriter,
     is_hdagb,
     load_dag,
     read_hdagb,
@@ -61,6 +67,17 @@ def canonical(dag: ComputationalDAG) -> ComputationalDAG:
         dag.comm_weights,
         name=dag.name,
     )
+
+
+def cholesky_pattern() -> SparseMatrixPattern:
+    """The pattern ``generate --size 12 --density 0.2 --seed 3`` draws."""
+    return SparseMatrixPattern.random(12, 0.2, seed=3, ensure_diagonal=True)
+
+
+#: every generator name ``repro generate --generator`` accepts
+CLI_GENERATORS = sorted(
+    set(FINE_GENERATORS) | set(COARSE_GENERATORS) | set(STRUCTURED_GENERATORS)
+)
 
 
 class TestRoundTrip:
@@ -417,117 +434,107 @@ class TestCopyOnWrite:
         assert len(loaded.topological_order()) == loaded.num_nodes
 
 
-class TestStreamingWriter:
-    def test_bit_identity_with_odd_blocks(self, tmp_path):
+class TestWriter:
+    def test_chunked_builder_writes_the_canonical_bytes(self, tmp_path):
         dag = random_dag(300, 0.03, seed=7)
         sources, targets = dag.edge_arrays()
+        builder = DagBuilder(name=dag.name)
+        builder.add_nodes_array(dag.work_weights, dag.comm_weights)
+        for start in range(0, len(sources), 173):
+            builder.add_edges_array(
+                sources[start : start + 173], targets[start : start + 173]
+            )
+        write_hdagb(builder.freeze(), tmp_path / "built.hdagb")
         write_hdagb(canonical(dag), tmp_path / "mem.hdagb")
-        with StreamingDagWriter(
-            tmp_path / "st.hdagb", name=dag.name, block_edges=257
-        ) as writer:
-            writer.add_nodes_array(dag.work_weights, dag.comm_weights)
-            for start in range(0, len(sources), 173):
-                writer.add_edges_array(
-                    sources[start : start + 173], targets[start : start + 173]
-                )
-            writer.finalize()
-        assert (tmp_path / "st.hdagb").read_bytes() == (
+        assert (tmp_path / "built.hdagb").read_bytes() == (
             tmp_path / "mem.hdagb"
         ).read_bytes()
 
-    def test_duplicate_edge_rejected_at_finalize(self, tmp_path):
-        with StreamingDagWriter(tmp_path / "dup.hdagb", name="dup") as writer:
-            writer.add_node_block(3)
-            writer.add_edges_array([0, 1, 0], [1, 2, 1])
-            with pytest.raises(DagError, match="duplicate"):
-                writer.finalize()
-        assert not (tmp_path / "dup.hdagb").exists()
-        assert list(tmp_path.iterdir()) == []  # spills and tmp cleaned up
-
-    def test_abort_cleans_up(self, tmp_path):
-        writer = StreamingDagWriter(tmp_path / "a.hdagb", name="a")
-        writer.add_node_block(5)
-        writer.add_edge(0, 1)
-        writer.abort()
-        assert list(tmp_path.iterdir()) == []
-
-    def test_invalid_edges_rejected_eagerly(self, tmp_path):
-        with StreamingDagWriter(tmp_path / "b.hdagb", name="b") as writer:
-            writer.add_node_block(4)
-            with pytest.raises(DagError):
-                writer.add_edge(2, 2)  # self-loop
-            with pytest.raises(DagError):
-                writer.add_edges_array([0], [7])  # out of range
-
-
-class TestStreamGenerate:
-    @pytest.mark.parametrize(
-        "generator,params,builder",
-        [
-            ("fft", {"points": 16}, lambda: build_fft_dag(16).dag),
-            (
-                "stencil2d",
-                {"side": 6, "steps": 2},
-                lambda: build_stencil_dag((6, 6), 2).dag,
-            ),
-            (
-                "stencil3d",
-                {"side": 4, "steps": 2},
-                lambda: build_stencil_dag((4, 4, 4), 2).dag,
-            ),
-        ],
-    )
-    def test_streamed_equals_in_memory(self, tmp_path, generator, params, builder):
-        fingerprint = stream_generate(tmp_path / "s.hdagb", generator, **params)
-        dag = builder()
-        write_hdagb(dag, tmp_path / "m.hdagb")
-        assert (tmp_path / "s.hdagb").read_bytes() == (tmp_path / "m.hdagb").read_bytes()
-        assert fingerprint == dag_fingerprint(dag)
-
-    def test_cholesky_orderings_match(self, tmp_path):
-        pattern = SparseMatrixPattern.random(50, 0.12, seed=5, ensure_diagonal=True)
-        stream_generate(tmp_path / "s.hdagb", "cholesky_rcm", pattern=pattern)
-        write_hdagb(build_rcm_elimination_dag(pattern).dag, tmp_path / "m.hdagb")
-        assert (tmp_path / "s.hdagb").read_bytes() == (tmp_path / "m.hdagb").read_bytes()
+    def test_order_of_appended_sources_does_not_reach_the_file(self, tmp_path):
+        """Rows appended last source first write the bytes of source-major order."""
+        dag = random_dag(150, 0.06, seed=8)
+        sources, targets = dag.edge_arrays()
+        rows = np.split(np.arange(len(sources)), np.flatnonzero(np.diff(sources)) + 1)
+        builder = DagBuilder(name=dag.name)
+        builder.add_nodes_array(dag.work_weights, dag.comm_weights)
+        for row in reversed(rows):
+            builder.add_edges_array(sources[row], targets[row])
+        built = builder.freeze()
+        assert write_hdagb(built, tmp_path / "built.hdagb") == dag_fingerprint(dag)
+        write_hdagb(dag, tmp_path / "mem.hdagb")
+        assert (tmp_path / "built.hdagb").read_bytes() == (
+            tmp_path / "mem.hdagb"
+        ).read_bytes()
 
     @pytest.mark.parametrize(
-        "generator,builder",
+        "make",
         [
-            ("cholesky", build_elimination_dag),
-            ("cholesky_rcm", build_rcm_elimination_dag),
-            ("cholesky_amd", build_amd_elimination_dag),
+            lambda: random_dag(120, 0.05, seed=3),
+            lambda: build_fft_dag(16).dag,
+            lambda: build_stencil_dag((4, 4, 4), 2).dag,
+            lambda: ComputationalDAG(0),
+            lambda: ComputationalDAG(3, name="Δ-dag ✓"),
         ],
+        ids=["random", "fft", "stencil3d", "empty", "non_ascii_name"],
     )
-    def test_mtx_file_to_streamed_elimination_dag(self, tmp_path, generator, builder):
-        """A Matrix Market pattern on disk streams to the in-memory bytes."""
+    def test_rewriting_a_loaded_file_is_byte_identical(self, tmp_path, make):
+        first = tmp_path / "first.hdagb"
+        second = tmp_path / "second.hdagb"
+        fingerprint = write_hdagb(make(), first)
+        loaded = read_hdagb(first)
+        loaded._content_fingerprint = None  # recompute from the mapped buffers
+        assert write_hdagb(loaded, second) == fingerprint
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_failed_write_keeps_the_old_file_and_no_temporary(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "d.hdagb"
+        write_hdagb(random_dag(30, 0.1, seed=1), path)
+        before = path.read_bytes()
+
+        def fail(*_args):
+            raise OSError("disk full")
+
+        # the checksum is sealed after the payload is on disk
+        monkeypatch.setattr("repro.io.hdagb._checksum_digest", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_hdagb(random_dag(40, 0.1, seed=2), path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("model", ["paper", "indegree", "unit"])
+    def test_reweighted_dag_writes_its_new_fingerprint(self, tmp_path, model):
+        dag = build_stencil_dag((4, 4), 2).dag  # builders apply the paper model
+        paper = dag_fingerprint(dag)  # memoized before the re-weighting
+        apply_weight_model(dag, model)
+        written = write_hdagb(dag, tmp_path / "d.hdagb")
+        assert (written == paper) == (model == "paper")
+        loaded = read_hdagb(tmp_path / "d.hdagb")
+        assert np.array_equal(loaded.work_weights, dag.work_weights)
+        assert np.array_equal(loaded.comm_weights, dag.comm_weights)
+        loaded._content_fingerprint = None
+        assert dag_fingerprint(loaded) == written
+
+    @pytest.mark.parametrize(
+        "builder",
+        [build_elimination_dag, build_rcm_elimination_dag, build_amd_elimination_dag],
+        ids=["cholesky", "cholesky_rcm", "cholesky_amd"],
+    )
+    def test_matrix_market_pattern_writes_the_in_memory_bytes(
+        self, tmp_path, builder
+    ):
+        """A pattern read back from Matrix Market gives the original's file."""
         pattern = SparseMatrixPattern.random(60, 0.1, seed=5, ensure_diagonal=True)
         write_matrix_market_pattern(pattern, tmp_path / "matrix.mtx")
         loaded = read_matrix_market_pattern(tmp_path / "matrix.mtx")
         assert loaded.size == 60
-        fingerprint = stream_generate(tmp_path / "s.hdagb", generator, pattern=loaded)
+        fingerprint = write_hdagb(builder(loaded).dag, tmp_path / "f.hdagb")
         reference = builder(pattern).dag
         write_hdagb(reference, tmp_path / "m.hdagb")
-        assert (tmp_path / "s.hdagb").read_bytes() == (tmp_path / "m.hdagb").read_bytes()
+        assert (tmp_path / "f.hdagb").read_bytes() == (tmp_path / "m.hdagb").read_bytes()
         assert fingerprint == dag_fingerprint(reference)
-        streamed = read_hdagb(tmp_path / "s.hdagb")  # passes the checksum
-        assert streamed.num_edges == reference.num_edges
-
-    @pytest.mark.parametrize("model", ["paper", "indegree", "unit"])
-    def test_weight_models_match_in_memory(self, tmp_path, model):
-        from repro.dagdb import apply_weight_model
-
-        fingerprint = stream_generate(
-            tmp_path / "s.hdagb", "fft", points=8, weight_model=model
-        )
-        dag = build_fft_dag(8).dag  # builders apply the paper model
-        if model != "paper":
-            apply_weight_model(dag, model)
-            dag._content_fingerprint = None
-        assert fingerprint == dag_fingerprint(dag)
-
-    def test_unknown_generator_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="streaming emitter"):
-            stream_generate(tmp_path / "x.hdagb", "spmv", size=8)
+        assert read_hdagb(tmp_path / "f.hdagb").num_edges == reference.num_edges
 
 
 class TestAcceptanceSurfaces:
@@ -542,7 +549,7 @@ class TestAcceptanceSurfaces:
         assert by_file.fingerprint() == by_object.fingerprint()
 
     def test_service_solves_hdagb_reference(self, tmp_path):
-        stream_generate(tmp_path / "d.hdagb", "stencil2d", side=5, steps=2)
+        write_hdagb(build_stencil_dag((5, 5), 2).dag, tmp_path / "d.hdagb")
         request = ScheduleRequest(
             dag=str(tmp_path / "d.hdagb"),
             machine=MachineSpec(num_procs=2),
@@ -578,28 +585,107 @@ class TestAcceptanceSurfaces:
 
 
 class TestCli:
-    def test_generate_stream_matches_in_memory(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "args,builder",
+        [
+            (
+                ["--generator", "stencil2d", "--size", "8", "--iterations", "2"],
+                lambda: build_stencil_dag((8, 8), 2).dag,
+            ),
+            (["--generator", "fft", "--size", "16"], lambda: build_fft_dag(16).dag),
+            (
+                ["--generator", "stencil3d", "--size", "4", "--iterations", "2"],
+                lambda: build_stencil_dag((4, 4, 4), 2).dag,
+            ),
+            (
+                ["--generator", "stencil2d_rect", "--size", "8", "--iterations", "2"],
+                lambda: build_stencil_dag((8, 4), 2).dag,
+            ),
+            (
+                ["--generator", "fft4", "--size", "16"],
+                lambda: build_fft_dag(16, radix=4).dag,
+            ),
+            (
+                ["--generator", "cholesky", "--size", "12", "--density", "0.2",
+                 "--seed", "3"],
+                lambda: build_elimination_dag(cholesky_pattern()).dag,
+            ),
+            (
+                ["--generator", "cholesky_rcm", "--size", "12", "--density", "0.2",
+                 "--seed", "3"],
+                lambda: build_rcm_elimination_dag(cholesky_pattern()).dag,
+            ),
+            (
+                ["--generator", "cholesky_amd", "--size", "12", "--density", "0.2",
+                 "--seed", "3"],
+                lambda: build_amd_elimination_dag(cholesky_pattern()).dag,
+            ),
+        ],
+        ids=[
+            "stencil2d",
+            "fft",
+            "stencil3d",
+            "stencil2d_rect",
+            "fft4",
+            "cholesky",
+            "cholesky_rcm",
+            "cholesky_amd",
+        ],
+    )
+    def test_generate_hdagb_output_matches_write_hdagb(
+        self, tmp_path, capsys, args, builder
+    ):
+        """``--output x.hdagb`` picks the binary format on its own, and
+        ``--out-format hdagb`` writes it under any name."""
         from repro.cli import main
 
-        streamed = tmp_path / "s.hdagb"
-        in_memory = tmp_path / "m.hdagb"
-        base = ["generate", "--generator", "stencil2d", "--size", "8",
-                "--iterations", "2"]
-        assert main(base + ["--stream", "--output", str(streamed)]) == 0
-        assert main(
-            base + ["--out-format", "hdagb", "--output", str(in_memory)]
-        ) == 0
-        assert streamed.read_bytes() == in_memory.read_bytes()
-        assert "streamed" in capsys.readouterr().out
+        generated = tmp_path / "g.hdagb"
+        explicit = tmp_path / "g.bin"
+        reference = tmp_path / "r.hdagb"
+        assert main(["generate", *args, "--output", str(generated)]) == 0
+        assert f"wrote {generated}" in capsys.readouterr().out
+        argv = ["generate", *args, "--out-format", "hdagb", "--output", str(explicit)]
+        assert main(argv) == 0
+        write_hdagb(builder(), reference)
+        assert generated.read_bytes() == reference.read_bytes()
+        assert explicit.read_bytes() == reference.read_bytes()
 
-    def test_generate_stream_requires_streamable_generator(self, tmp_path):
+    @pytest.mark.parametrize("generator", CLI_GENERATORS)
+    def test_both_output_formats_hold_the_same_dag(self, tmp_path, generator):
+        """``.hdagb`` and hyperDAG text outputs of one generator load alike."""
         from repro.cli import main
 
-        with pytest.raises(ConfigurationError, match="streaming emitter"):
-            main(
-                ["generate", "--generator", "spmv", "--stream",
-                 "--output", str(tmp_path / "x.hdagb")]
-            )
+        binary = tmp_path / "g.hdagb"
+        text = tmp_path / "g.hdag"
+        for path in (binary, text):
+            argv = ["generate", "--generator", generator, "--output", str(path)]
+            assert main(argv) == 0
+        mapped = load_dag(binary)
+        parsed = load_dag(text)
+        assert isinstance(mapped, MappedDag)
+        assert not isinstance(parsed, MappedDag)
+        assert mapped.num_nodes > 0
+        assert mapped.name == parsed.name
+        mapped._content_fingerprint = None  # recompute from the mapped buffers
+        assert dag_fingerprint(mapped) == dag_fingerprint(parsed)
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--generator", "stencil2d", "--stream"], "unrecognized arguments: --stream"),
+            (["--generator", "no_such_generator"], "invalid choice: 'no_such_generator'"),
+        ],
+        ids=["stream_flag", "unknown_generator"],
+    )
+    def test_generate_refuses_bad_arguments(self, tmp_path, capsys, extra, message):
+        from repro.cli import main
+
+        path = tmp_path / "x.hdagb"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["generate", *extra, "--output", str(path)])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not path.exists()
 
     def test_schedule_and_compare_accept_hdagb(self, tmp_path, capsys):
         from repro.cli import main

@@ -8,8 +8,9 @@ Covers the two layers and the CLI:
 * the HTML renderer — the golden property (two independently built stores
   holding the same trials render byte-identical HTML), the empty-store
   page, one section per family,
-* the ``repro report`` CLI — writes exactly the rendered bytes and
-  rewrites the file as the store fills.
+* the ``repro report`` CLI — writes exactly the rendered bytes,
+  rewrites the file as the store fills, and refuses a store path that is
+  not a directory with one error line.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from repro.api import (
     SchedulerSpec,
     SchedulingService,
 )
-from repro.cli import main
+from repro.cli import main, run
+from repro.core import ConfigurationError
 from repro.store import ResultStore, TrialRecord
 
 from conftest import random_dag
@@ -228,6 +230,17 @@ class TestHtmlReport:
         assert (report.num_trials, report.experiments, report.families) == (0, [], [])
         assert render_html(report) == render_html(build_report(tmp_path))
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_store_root_that_is_not_a_directory_is_refused(self, tmp_path, kind):
+        root = tmp_path / "store"
+        if kind == "file":
+            root.write_text("", encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="not a directory"):
+            build_report(root)
+        with pytest.raises(ConfigurationError, match="not a directory"):
+            build_report(ResultStore(root))
+        assert root.exists() == (kind == "file")
+
     def test_every_family_gets_its_own_section(self, tmp_path):
         _populate_store(tmp_path)
         dag = random_dag(24, 0.2, seed=7)
@@ -272,6 +285,7 @@ class TestReportCli:
         assert "6 trial(s)" in capsys.readouterr().out
 
     def test_empty_store_writes_the_no_trials_page(self, tmp_path, capsys):
+        (tmp_path / "store").mkdir()
         out = tmp_path / "report.html"
         argv = ["report", "--store", str(tmp_path / "store"), "--out", str(out)]
         assert main(argv) == 0
@@ -292,6 +306,7 @@ class TestReportCli:
     def test_rewritten_as_the_store_fills(self, tmp_path):
         """Each run re-reads the store: new trials appear on the next run."""
         store, out = tmp_path / "store", tmp_path / "site" / "report.html"
+        store.mkdir()
         argv = ["report", "--store", str(store), "--out", str(out)]
         assert main(argv) == 0
         assert "no trials yet" in out.read_text(encoding="utf-8")
@@ -302,14 +317,27 @@ class TestReportCli:
         assert "erdos" in html and "bsp_greedy" in html
         assert [path.name for path in out.parent.iterdir()] == ["report.html"]
 
+    def test_missing_store_is_one_error_line_and_no_file(self, tmp_path, capsys):
+        missing, out = tmp_path / "missing", tmp_path / "report.html"
+        argv = ["report", "--store", str(missing), "--out", str(out)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: ConfigurationError: result store {str(missing)!r} "
+            "is not a directory\n"
+        )
+        assert not out.exists()
+        assert not missing.exists()
+
     def test_default_out_is_report_html_in_the_working_directory(
         self, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.chdir(tmp_path)
-        assert main(["report"]) == 0
-        assert (tmp_path / "report.html").read_text(encoding="utf-8").startswith(
-            "<!DOCTYPE html>"
-        )
+        assert main(["report"]) == 0  # no --store: the empty report
+        html = (tmp_path / "report.html").read_text(encoding="utf-8")
+        assert html.startswith("<!DOCTYPE html>")
+        assert "no trials yet" in html
         assert "report written to report.html" in capsys.readouterr().out
 
     def test_bench_records_in_the_working_directory_stay_off_the_page(
