@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices called out in DESIGN.md.
+"""Ablation benches for the framework's own design choices.
 
 These are not paper tables; they quantify the framework's own design
 decisions on a small instance set: the contribution of each local-search

@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices called out in DESIGN.md.
+"""Ablation studies for the framework's own design choices.
 
 The paper motivates several design decisions without dedicated experiments
 (greedy first-improvement HC, the lazy communication schedule as the default,

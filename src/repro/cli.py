@@ -74,6 +74,14 @@ from .schedulers import available_schedulers
 
 __all__ = ["main", "build_parser"]
 
+#: the coarse-grained generators under their command-line names: the two
+#: that share a name with a fine-grained generator are ``cg_coarse`` and
+#: ``knn_coarse``
+_CLI_COARSE_GENERATORS = {
+    f"{name}_coarse" if name in FINE_GENERATORS else name: builder
+    for name, builder in COARSE_GENERATORS.items()
+}
+
 
 # ---------------------------------------------------------------------- #
 # argument parsing
@@ -91,10 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--generator",
         required=True,
         choices=sorted(FINE_GENERATORS)
-        + sorted(COARSE_GENERATORS)
+        + sorted(_CLI_COARSE_GENERATORS)
         + sorted(STRUCTURED_GENERATORS),
         help=(
-            "fine-grained (spmv/exp/cg/knn), coarse-grained or structured "
+            "fine-grained (spmv/exp/cg/knn), coarse-grained (cg_coarse/"
+            "knn_coarse/pagerank/...) or structured "
             "(cholesky/fft/stencil2d/stencil3d) generator name"
         ),
     )
@@ -274,13 +283,20 @@ def _generate_dag(args: argparse.Namespace) -> ComputationalDAG:
         raise ConfigurationError(
             f"structured generator {args.generator!r} has no CLI size adapter"
         )
-    return COARSE_GENERATORS[args.generator](args.iterations)
+    return _CLI_COARSE_GENERATORS[args.generator](args.iterations)
 
 
 def _command_generate(args: argparse.Namespace) -> int:
     out_format = args.out_format
     if out_format == "auto":
         out_format = "hdagb" if args.output.endswith(".hdagb") else "hdag"
+    elif out_format == "hdag" and args.output.endswith(".hdagb"):
+        # load_dag reads any .hdagb path as binary, so the file could not
+        # be scheduled
+        raise ConfigurationError(
+            f"--out-format hdag cannot write {args.output!r}: a .hdagb path "
+            "is read as the binary format"
+        )
     dag = _generate_dag(args)
     if out_format == "hdagb":
         write_hdagb(dag, args.output)

@@ -285,6 +285,8 @@ class ComputationalDAG:
         self._succ_indices: np.ndarray | None = None
         self._pred_indptr: np.ndarray | None = None
         self._pred_indices: np.ndarray | None = None
+        # source column of edge_arrays(), derived from succ_indptr
+        self._edge_sources: np.ndarray | None = None
         self._topo_cache: list[int] | None = None
         self._level_cache: np.ndarray | None = None
         self._bottom_level_cache: np.ndarray | None = None
@@ -495,10 +497,13 @@ class ComputationalDAG:
         source — the same order as :meth:`edges`.
         """
         self._ensure_csr()
-        sources = np.repeat(
-            np.arange(self._n, dtype=_INT), np.diff(self._succ_indptr)
-        )
-        return _readonly(sources), self._succ_indices  # type: ignore[return-value]
+        if self._edge_sources is None:
+            sources = np.repeat(
+                np.arange(self._n, dtype=_INT), np.diff(self._succ_indptr)
+            )
+            sources.flags.writeable = False
+            self._edge_sources = sources
+        return self._edge_sources, self._succ_indices  # type: ignore[return-value]
 
     def sources(self) -> list[int]:
         """Nodes with no predecessors."""

@@ -6,7 +6,7 @@ to its output.  The paper obtains these DAGs by instrumenting a GraphBLAS
 runtime; since that C++ runtime is not available here, this module emits the
 operation-level DAGs of the same iterative algorithms directly (the DAG of
 such an algorithm is fixed by the algorithm and the iteration count, not by
-the runtime).  See DESIGN.md for the substitution note.
+the runtime).
 
 All builders use the paper's weight rule (``w = indeg - 1`` with source
 weight 1, ``c = 1``).

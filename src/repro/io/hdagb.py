@@ -203,6 +203,8 @@ class MappedDag(ComputationalDAG):
         self._succ_indices = self._mapped_targets
         self._pred_indptr = pred_indptr
         self._pred_indices = pred_indices
+        # edge_arrays()'s source column is this same read-only column
+        self._edge_sources = src
 
     def __reduce__(self):
         return (

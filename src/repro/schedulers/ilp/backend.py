@@ -3,7 +3,8 @@
 The paper uses the CBC solver through its Python interface; this repository
 substitutes ``scipy.optimize.milp`` (the HiGHS solver shipped with SciPy),
 hidden behind :class:`MilpProblem` so the formulations do not depend on the
-solver API.  See DESIGN.md for the substitution rationale.
+solver API.  HiGHS ships with SciPy, so the ILP stages need no solver
+installed apart from the hard dependencies.
 
 :class:`MilpProblem` is a small incremental model builder: variables are
 added one by one (binary or continuous, with objective coefficients), linear

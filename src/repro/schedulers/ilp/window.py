@@ -35,7 +35,7 @@ objective, bounds, integrality, row bounds and constraint matrix.  Only
 construction is batched — the solver loop (HiGHS via :class:`MilpProblem`)
 is untouched.
 
-Simplifications relative to the paper (documented in DESIGN.md): no extra
+Simplifications relative to the paper: no extra
 communication phase before the window, and cost savings from deleting fixed
 transfers outside the window are ignored — both match the paper's own
 pragmatic restrictions.  The surrounding pipeline re-derives the lazy

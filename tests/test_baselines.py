@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import BspMachine, ComputationalDAG
-from repro.dagdb import build_fft_dag
+from repro.core import BspMachine, ComputationalDAG, MachineSpec
+from repro.dagdb import build_dataset, build_fft_dag
 from repro.schedulers import (
     BlEstScheduler,
     CilkScheduler,
@@ -30,6 +30,30 @@ from conftest import (
 )
 from oracles.baselines import CilkReference, HDaggReference
 from oracles.listsched import bl_est_reference, etf_reference
+
+#: the five machines of the end-to-end benchmark's ``batch_tiny`` workload
+TINY_MACHINES = (
+    MachineSpec(4, g=1),
+    MachineSpec(8, g=3),
+    MachineSpec(16, g=5),
+    MachineSpec(8, g=1, numa_delta=2),
+    MachineSpec(16, g=1, numa_delta=4),
+)
+
+
+@pytest.fixture(scope="module")
+def paper_tiny_dags():
+    """The paper-scale ``tiny`` dataset at seed 1 as ``batch_tiny`` keeps it.
+
+    Its coarse and structured instances plus ``spmv_lo``: 11 DAGs of 40-80
+    nodes, among them ``tiny_cholesky_rcm_structured`` with 1,004 edges.
+    """
+    return [
+        instance.dag
+        for instance in build_dataset("tiny", scale="paper", seed=1)
+        if instance.kind != "fine" or instance.name.endswith("_spmv_lo")
+    ]
+
 
 ALL_BASELINES = [
     TrivialScheduler,
@@ -218,6 +242,12 @@ class TestListSchedulerOracle:
         for dag in dags:
             assert_list_schedules_match_oracle(dag, machine)
 
+    def test_paper_tiny_dataset(self, paper_tiny_dags):
+        """Large in-degrees: a ready node's row is built from up to 25 predecessors."""
+        for dag in paper_tiny_dags:
+            for spec in TINY_MACHINES:
+                assert_list_schedules_match_oracle(dag, spec.build())
+
 
 def assert_cilk_and_hdagg_match_oracle(dag: ComputationalDAG, machine: BspMachine) -> None:
     context = f"n={dag.num_nodes}, P={machine.num_procs}"
@@ -248,7 +278,7 @@ class TestCilkAndHDaggOracle:
     """
 
     @pytest.mark.parametrize("numa", [False, True], ids=["uniform", "numa"])
-    @pytest.mark.parametrize("weights", ["integer", "real", "zero"])
+    @pytest.mark.parametrize("weights", ["integer", "real", "decimal", "zero"])
     def test_random_dags(self, weights, numa):
         for seed in range(24):
             rng = np.random.default_rng(500 + seed)
@@ -266,3 +296,34 @@ class TestCilkAndHDaggOracle:
         dags += [build_chain_dag(20), random_dag(120, 0.03, seed=num_procs)]
         for dag in dags:
             assert_cilk_and_hdagg_match_oracle(dag, machine)
+
+    def test_paper_tiny_dataset(self, paper_tiny_dags):
+        for dag in paper_tiny_dags:
+            for spec in TINY_MACHINES:
+                assert_cilk_and_hdagg_match_oracle(dag, spec.build())
+
+    def test_hdagg_sums_in_the_units_search_order(self):
+        """A unit's work and affinity are summed in the order the oracle sums them.
+
+        Tenths summed in another order can differ in the last bit, and each
+        DAG makes that bit decide a placement.  In the first, a unit of work
+        0.1 + 0.2 + 0.3 = 0.6000000000000001 is placed before node 0 of work
+        0.6.  In the second, node 12's affinity on processor 1 (three
+        predecessors of comm 0.1, 0.2 and 0.3) beats its 0.6 on processor 0.
+        """
+        by_work = ComputationalDAG(4, [0.6, 0.1, 0.2, 0.3])
+        by_work.add_edge(1, 2)
+        by_work.add_edge(2, 3)
+        # the fat first wavefront puts node v on processor v % 4
+        comms = [1.0] * 13
+        comms[0], comms[1], comms[5], comms[9] = 0.6, 0.1, 0.2, 0.3
+        by_affinity = ComputationalDAG(13, comm_weights=comms)
+        for pred in (1, 5, 9, 0):
+            by_affinity.add_edge(pred, 12)
+        machine = BspMachine.uniform(4, g=1)
+        for dag, node, proc in ((by_work, 1, 0), (by_affinity, 12, 1)):
+            got = HDaggScheduler().schedule(dag, machine)
+            expected = HDaggReference().schedule(dag, machine)
+            assert got.procs.tobytes() == expected.procs.tobytes()
+            assert got.supersteps.tobytes() == expected.supersteps.tobytes()
+            assert got.procs[node] == proc

@@ -75,7 +75,7 @@ class TestParser:
 
 
 class TestGenerate:
-    @pytest.mark.parametrize("generator", ["spmv", "cg", "pagerank"])
+    @pytest.mark.parametrize("generator", ["spmv", "cg", "cg_coarse", "pagerank"])
     def test_generates_hyperdag_files(self, tmp_path, generator, capsys):
         output = tmp_path / f"{generator}.hdag"
         code = main(
@@ -213,6 +213,17 @@ class TestTypedErrors:
         assert done.returncode == 2
         assert done.stderr.startswith("error: DagError: line 4: ")
         assert len(done.stderr.splitlines()) == 1
+
+    def test_hyperdag_text_under_an_hdagb_name(self, tmp_path):
+        path = tmp_path / "t.hdagb"
+        done = _run_cli(
+            "generate", "--generator", "fft", "--size", "8",
+            "--out-format", "hdag", "--output", str(path),
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ConfigurationError: ")
+        assert len(done.stderr.splitlines()) == 1
+        assert not path.exists()
 
     def test_main_still_raises(self, tmp_path):
         path = tmp_path / "bad.hdag"

@@ -124,6 +124,20 @@ class TestEdges:
         assert dag.sources() == [0]
         assert dag.sinks() == [4]
 
+    def test_edge_sources_are_cached_until_an_edge_is_added(self):
+        dag = build_diamond_dag()
+        sources, targets = dag.edge_arrays()
+        again, _ = dag.edge_arrays()
+        assert again is sources
+        assert not sources.flags.writeable
+        assert sources.tolist() == [0, 0, 1, 2]
+        assert targets.tolist() == [1, 2, 3, 3]
+        dag.add_edge(0, 3)
+        rebuilt, targets = dag.edge_arrays()
+        assert rebuilt is not sources
+        assert rebuilt.tolist() == [0, 0, 0, 1, 2]
+        assert targets.tolist() == [1, 2, 3, 3, 3]
+
 
 #: the queries that need a topological order, and so are where a cycle surfaces
 TOPOLOGICAL_QUERIES = {

@@ -134,6 +134,17 @@ class TestRoundTrip:
         with pytest.raises((ValueError, RuntimeError)):
             loaded.succ_indices[0] = 0
 
+    def test_edge_arrays_reuse_the_mapped_source_column(self, tmp_path):
+        dag = random_dag(64, 0.1, seed=4)
+        write_hdagb(dag, tmp_path / "d.hdagb")
+        loaded = read_hdagb(tmp_path / "d.hdagb")
+        sources, targets = loaded.edge_arrays()
+        expected_sources, expected_targets = dag.edge_arrays()
+        assert np.array_equal(sources, expected_sources)
+        assert np.array_equal(targets, expected_targets)
+        # one source column per mapped DAG, not a second copy
+        assert sources is loaded._esrc
+
     def test_empty_dag_round_trip(self, tmp_path):
         dag = ComputationalDAG(0)
         dag.name = "empty"
