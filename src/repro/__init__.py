@@ -15,7 +15,7 @@ Quickstart
 >>> from repro.dagdb import SparseMatrixPattern, build_spmv_dag
 >>> dag = build_spmv_dag(SparseMatrixPattern.random(8, 0.4, seed=1)).dag
 >>> machine = BspMachine.uniform(4, g=1, latency=5)
->>> schedule = SchedulingPipeline.default().schedule(dag, machine)
+>>> schedule = SchedulingPipeline().schedule(dag, machine)
 >>> schedule.cost() > 0
 True
 """

@@ -30,13 +30,12 @@ node-count intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..api import ScheduleRequest, ScheduleResult, SchedulerSpec, SchedulingService
 from ..core.machine import MachineSpec
-from ..core.parallel import default_workers
 from ..dagdb.datasets import DatasetInstance, build_dataset, build_training_set
 from ..schedulers.bsp_greedy import BspGreedyScheduler
 from ..schedulers.ilp import IlpInitScheduler
@@ -117,15 +116,6 @@ class ExperimentRunner:
         Also run the multilevel pipeline (``ML`` column of Figure 6).
     include_trivial:
         Record the cost of the trivial one-processor schedule.
-    heuristics_only:
-        Disable every ILP stage (the configuration used for the huge dataset).
-    hc_max_passes / hc_max_steps / hccs_max_passes:
-        Per-grid-point refinement budget: every pipeline invocation (one per
-        instance x machine point) runs its HC/HCcs local search under these
-        caps.  ``None`` keeps the configuration's values.  The huge-dataset
-        driver uses this to bound refinement work deterministically instead
-        of relying only on wall-clock budgets (which make parallel grids
-        load-dependent).
     store:
         Optional persistent result store (a :class:`repro.store.ResultStore`
         or its root path).  Every solved request is persisted there and
@@ -141,24 +131,10 @@ class ExperimentRunner:
         include_list_baselines: bool = False,
         include_multilevel: bool = False,
         include_trivial: bool = False,
-        heuristics_only: bool = False,
         seed: int = 0,
-        hc_max_passes: int | None = None,
-        hc_max_steps: int | None = None,
-        hccs_max_passes: int | None = None,
         store: str | Path | None = None,
     ) -> None:
-        # own copy: the overrides below must not leak into a caller-shared config
-        self.config = replace(config) if config is not None else PipelineConfig()
-        if heuristics_only:
-            self.config.use_ilp = False
-            self.config.use_comm_ilp = False
-        if hc_max_passes is not None:
-            self.config.hc_max_passes = hc_max_passes
-        if hc_max_steps is not None:
-            self.config.hc_max_steps = hc_max_steps
-        if hccs_max_passes is not None:
-            self.config.hccs_max_passes = hccs_max_passes
+        self.config = config if config is not None else PipelineConfig()
         self.include_list_baselines = include_list_baselines
         self.include_multilevel = include_multilevel
         self.include_trivial = include_trivial
@@ -275,26 +251,19 @@ class ExperimentRunner:
         instances: Iterable[DatasetInstance],
         specs: Iterable[MachineSpec],
         workers: int | None = None,
-        experiment: str | None = None,
     ) -> list[InstanceRecord]:
         """Cartesian product of instances and machine points.
 
         ``workers`` > 1 distributes the grid over a process pool; see
-        :func:`run_grid` for the guarantees (including the ``experiment``
-        metadata record written for store-backed runs).
+        :func:`run_grid` for the guarantees.
         """
-        return run_grid(self, instances, specs, workers=workers, experiment=experiment)
+        return run_grid(self, instances, specs, workers=workers)
 
 
 # ---------------------------------------------------------------------- #
 # grid execution as one service batch (pool mechanics live behind the
 # service API's ``solve_many`` — see repro.core.parallel)
 # ---------------------------------------------------------------------- #
-def _default_workers() -> int:
-    """Worker count from the ``REPRO_WORKERS`` environment knob (default 1)."""
-    return default_workers()
-
-
 def _grid_batches(
     runner: "ExperimentRunner",
     instances: Iterable[DatasetInstance],
@@ -314,7 +283,6 @@ def run_grid(
     instances: Iterable[DatasetInstance],
     specs: Iterable[MachineSpec],
     workers: int | None = None,
-    experiment: str | None = None,
 ) -> list[InstanceRecord]:
     """Run the ``instances × specs`` grid as one ``solve_many`` batch.
 
@@ -338,22 +306,10 @@ def run_grid(
     configuration), the batch gracefully falls back to serial execution
     with a warning instead of failing; exceptions raised by the experiment
     itself cancel the remaining grid points and propagate promptly.
-
-    ``experiment`` names the batch in the store's metadata tables: for a
-    store-backed runner an :class:`~repro.store.ExperimentRecord` listing
-    every fingerprint of the grid is appended to ``experiments.jsonl``
-    (see :mod:`repro.store.trials`), so the report subsystem can group
-    this grid's trials under that name.  Without a store it is ignored.
     """
     batches = _grid_batches(runner, instances, specs)
     flat = [request for _, _, keyed in batches for _, request in keyed]
     results = runner.service.solve_many(flat, workers=workers)
-    if experiment is not None and runner.service.store is not None:
-        runner.service.store.trials.record_experiment(
-            experiment,
-            [request.fingerprint() for request in flat],
-            metadata={"points": len(batches), "requests": len(flat)},
-        )
     records: list[InstanceRecord] = []
     cursor = 0
     for instance, spec, keyed in batches:
@@ -518,15 +474,12 @@ def run_huge_experiment(
     the local-search depth depend on machine load).
     """
     config = PipelineConfig(
-        use_ilp=False, use_comm_ilp=False, local_search_seconds=local_search_seconds
-    )
-    runner = ExperimentRunner(
-        config=config,
-        heuristics_only=True,
-        seed=seed,
+        use_ilp=False,
+        use_comm_ilp=False,
+        local_search_seconds=local_search_seconds,
         hc_max_steps=hc_max_steps,
-        store=store,
     )
+    runner = ExperimentRunner(config=config, seed=seed, store=store)
     instances = _dataset_instances(("huge",), scale, seed, max_instances)
     if numa:
         specs = numa_machine_grid((8, 16), deltas, 1.0, latency)

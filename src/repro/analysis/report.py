@@ -1,6 +1,6 @@
 """The experiment report: trial store -> one HTML file.
 
-:func:`build_report` aggregates the trial/experiment tables of a
+:func:`build_report` aggregates the trial table of a
 :class:`~repro.store.ResultStore` (see :mod:`repro.store.trials`) into one
 plain :class:`Report` value; :func:`render_html` turns it into a
 deterministic, self-contained HTML page (inline SVG, no external assets;
@@ -38,8 +38,6 @@ class Report:
     """Everything the renderers need, already aggregated and sorted."""
 
     num_trials: int
-    num_experiments: int
-    experiments: list[tuple[str, int]]  # (name, num fingerprints)
     families: list[FamilyProfile]
     ranks: RankTable
 
@@ -53,7 +51,6 @@ def build_report(store_root: str | Path | None) -> Report:
     never renders as an empty store.
     """
     trials = []
-    experiments = []
     if store_root is not None:
         store = (
             store_root
@@ -65,14 +62,8 @@ def build_report(store_root: str | Path | None) -> Report:
                 f"result store {str(store.root)!r} is not a directory"
             )
         trials = dedup_trials(store.trials.trials())
-        experiments = sorted(
-            (record.name, len(record.fingerprints))
-            for record in store.trials.experiments()
-        )
     return Report(
         num_trials=len(trials),
-        num_experiments=len(experiments),
-        experiments=experiments,
         families=family_profiles(trials),
         ranks=rank_table(trials),
     )
@@ -85,14 +76,8 @@ def _overview_section(report: Report) -> str:
     rows = [
         ("trial records", report.num_trials),
         ("instance families", len(report.families)),
-        ("named experiments", report.num_experiments),
     ]
-    body = table(["what", "count"], rows, numeric=(1,))
-    if report.experiments:
-        body += table(
-            ["experiment", "requests"], report.experiments, numeric=(1,)
-        )
-    return section("Overview", body)
+    return section("Overview", table(["what", "count"], rows, numeric=(1,)))
 
 
 def _family_fragment(profile: FamilyProfile) -> str:

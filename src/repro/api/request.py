@@ -214,9 +214,9 @@ class ScheduleRequest:
             dag=dag, machine=machine, scheduler=scheduler, budget=budget, seed=seed
         )
 
-    def to_json(self, indent: int | None = None) -> str:
+    def to_json(self) -> str:
         """Serialise to a JSON string."""
-        return json.dumps(self.to_dict(), indent=indent)
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, payload: str) -> "ScheduleRequest":

@@ -21,21 +21,20 @@ dag_ref mode
 ------------
 The schedule payload normally embeds its whole instance
 (:func:`~repro.core.serialization.schedule_to_dict`).  When DAGs live in
-shared storage — the content-addressed store's ``dags/`` directory, or an
-in-memory table on the other side of a worker pipe — a result can instead
-carry a **reference**: :meth:`with_dag_ref` swaps the embedded ``"dag"``
-sub-dict for a ``"dag_ref"`` string, and a *dag resolver* (a callable
-``ref -> dag wire dict``, e.g. :meth:`repro.store.ResultStore
-.load_dag_dict`) passed to :meth:`from_dict` makes the round trip lossless:
-:meth:`to_dict`, :meth:`canonical_dict` and :meth:`to_schedule` all resolve
-the reference transparently, so a store-loaded result is bit-identical to a
-freshly computed one.
+shared storage — the content-addressed store's ``dags/`` directory — a
+result's schedule payload can instead carry a **reference**: a
+``"dag_ref"`` string in place of the embedded ``"dag"`` sub-dict.  A *dag
+resolver* (a callable ``ref -> dag wire dict``, e.g.
+:meth:`repro.store.ResultStore.load_dag_dict`) passed to :meth:`from_dict`
+makes the round trip lossless: :meth:`to_dict`, :meth:`canonical_dict` and
+:meth:`to_schedule` all resolve the reference transparently, so a
+store-loaded result is bit-identical to a freshly computed one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from ..core.exceptions import ReproError
@@ -112,23 +111,6 @@ class ScheduleResult:
         return self._schedule
 
     # ------------------------------------------------------------------ #
-    # dag_ref mode
-    # ------------------------------------------------------------------ #
-    def with_dag_ref(
-        self, ref: str, resolver: Callable[[str], dict] | None = None
-    ) -> "ScheduleResult":
-        """A copy whose schedule payload references its DAG instead of embedding it.
-
-        The live schedule object is dropped (it would re-embed the DAG on
-        pickling); ``resolver`` — when given — keeps the copy losslessly
-        materialisable.
-        """
-        payload = {k: v for k, v in self.schedule_dict().items() if k != "dag"}
-        payload["dag_ref"] = str(ref)
-        return replace(
-            self, _schedule_dict=payload, _schedule=None, _dag_resolver=resolver
-        )
-
     def embedded_schedule_dict(self) -> dict:
         """The schedule payload with its DAG embedded (refs resolved)."""
         payload = self.schedule_dict()
@@ -210,9 +192,9 @@ class ScheduleResult:
         except (KeyError, TypeError, ValueError) as exc:
             raise ReproError(f"malformed schedule result: {exc}") from exc
 
-    def to_json(self, indent: int | None = None) -> str:
+    def to_json(self) -> str:
         """Serialise to a JSON string."""
-        return json.dumps(self.to_dict(), indent=indent)
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, payload: str) -> "ScheduleResult":

@@ -176,9 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--prune-trials",
         action="store_true",
         help=(
-            "also compact the trial/experiment metadata tables, dropping "
-            "records whose results no longer exist (the tables are never "
-            "touched without this flag)"
+            "also compact the trial metadata table, dropping records "
+            "whose results no longer exist (the table is never touched "
+            "without this flag)"
         ),
     )
 
@@ -324,7 +324,8 @@ def _command_schedule(args: argparse.Namespace) -> int:
     if args.render:
         print(render_schedule_text(result.to_schedule()))
     if args.output:
-        Path(args.output).write_text(result.to_json(indent=2), encoding="utf-8")
+        # no indent: json.dumps uses its C encoder only when indent is None
+        Path(args.output).write_text(result.to_json(), encoding="utf-8")
         print(f"schedule result written to {args.output}")
     return 0
 
@@ -373,8 +374,7 @@ def _command_store(args: argparse.Namespace) -> int:
     )
     if args.prune_trials:
         print(
-            f"pruned {report['dropped_trials']} trial record(s) and "
-            f"{report['dropped_experiments']} experiment record(s) whose "
+            f"pruned {report['dropped_trials']} trial record(s) whose "
             "results are gone"
         )
     return 0

@@ -41,13 +41,13 @@ __all__ = [
 
 
 def dag_to_dict(dag: ComputationalDAG) -> dict[str, Any]:
-    """JSON-compatible representation of a DAG."""
+    """JSON-compatible representation of a DAG (edges in ``dag.edges()`` order)."""
     return {
         "name": dag.name,
         "num_nodes": dag.num_nodes,
-        "work": [float(w) for w in dag.work_weights],
-        "comm": [float(c) for c in dag.comm_weights],
-        "edges": [[edge.source, edge.target] for edge in dag.edges()],
+        "work": dag.work_weights.tolist(),
+        "comm": dag.comm_weights.tolist(),
+        "edges": np.column_stack(dag.edge_arrays()).tolist(),
     }
 
 

@@ -756,8 +756,8 @@ class HillClimbingImprover(ScheduleImprover):
         self.last_stop: str | None = None
         #: accepted moves of each schedule of the last run, in its own numbering
         self.copy_moves: list[list[tuple[int, int, int]]] | None = None
-        #: why each schedule's climb in the last run stopped (``None``: it sat out)
-        self.copy_stops: list[str | None] = []
+        #: why each schedule's climb in the last run stopped
+        self.copy_stops: list[str] = []
         #: how many moves each schedule's climb in the last run accepted
         self.copy_accepted: list[int] = []
 
@@ -768,27 +768,20 @@ class HillClimbingImprover(ScheduleImprover):
         budget: Budget | None = None,
         *,
         skip: np.ndarray | None = None,
-        copies: Sequence[int] | None = None,
     ) -> int:
-        """Run the climbing loop on an existing tracker; return accepted moves.
+        """Run the climbing loop on a tracker, mutated in place; return accepted moves.
 
-        The tracker is mutated in place, which is what lets callers (the
-        multilevel refinement phase) reuse one tracker across several short
-        bursts at a fixed uncoarsening level instead of rebuilding the
-        work/send/receive matrices anew for every burst.  ``skip`` is
-        handed to the first pass (see :func:`repro.core.kernels.hc_pass`):
-        it marks nodes known to have no improving move in the tracker's
-        current state.  Sets :attr:`copy_stops`, :attr:`copy_accepted` and
-        :attr:`last_stop`.  A pass that accepts nothing counts as converged
-        only when the clock has not run out, since the clock may have cut
-        that pass short.
+        ``skip`` is handed to the first pass (see
+        :func:`repro.core.kernels.hc_pass`): it marks nodes known to have no
+        improving move in the tracker's current state.  Sets
+        :attr:`copy_stops`, :attr:`copy_accepted` and :attr:`last_stop`.  A
+        pass that accepts nothing counts as converged only when the clock
+        has not run out, since the clock may have cut that pass short.
 
-        ``copies`` lists the copies that climb (default: all of them); the
-        others sit the run out untouched, with stop reason ``None``.  A copy
-        without nodes has converged.  Every pass walks all copies still
-        climbing; a copy stops at its step cap or after a pass without a
-        move, so the copies share the pass count, the pass cap and the
-        clock.  The returned count sums the copies' moves.
+        A copy without nodes has converged.  Every pass walks all copies
+        still climbing; a copy stops at its step cap or after a pass
+        without a move, so the copies share the pass count, the pass cap
+        and the clock.  The returned count sums the copies' moves.
         """
         budget = budget or Budget()
         # the budget's step cap bounds this invocation on top of (never
@@ -799,13 +792,9 @@ class HillClimbingImprover(ScheduleImprover):
         count = tracker.num_copies
         moves: list[list[tuple[int, int, int]]] = [[] for _ in range(count)]
         accepted = [0] * count
-        stops: list[str | None] = [None] * count
-        walking = []
-        for c in range(count) if copies is None else sorted(copies):
-            if offsets[c] == offsets[c + 1]:
-                stops[c] = CONVERGED
-            else:
-                walking.append(c)
+        # a copy without nodes stays converged; the others are set as they stop
+        stops: list[str] = [CONVERGED] * count
+        walking = [c for c in range(count) if offsets[c] != offsets[c + 1]]
         passes = 0
         while walking:
             if passes >= self.max_passes or budget.expired():
@@ -857,27 +846,19 @@ class HillClimbingImprover(ScheduleImprover):
         procs: np.ndarray | Sequence[np.ndarray],
         supersteps: np.ndarray | Sequence[np.ndarray],
         budget: Budget | None = None,
-        tracker: LazyCostTracker | None = None,
         hand_off: tuple[LazyCostTracker, Sequence[tuple[int, np.ndarray] | None]] | None = None,
-        copies: Sequence[int] | None = None,
     ) -> tuple[LazyCostTracker, int]:
         """Hill-climb directly on assignment arrays, bypassing schedule objects.
 
         ``dag``, ``procs`` and ``supersteps`` are read as
         :class:`LazyCostTracker` reads them: one DAG and its arrays, or one
-        DAG and one pair of arrays per copy.  Builds the tracker once and
-        runs :meth:`climb` on it over ``copies`` (default: all); returns the
-        tracker plus the number of accepted moves (:attr:`copy_stops` and
-        :attr:`copy_accepted` say why each copy's burst stopped and what it
-        accepted).  A passed-in ``tracker`` is reused only when it holds
-        the same DAGs on the same machine *and* each copy's internal ``(π,
-        τ)`` equals the given arrays — on any mismatch a fresh tracker is
-        built from the arrays, so a caller-side assignment edit is never
-        silently discarded.  This is the multilevel refinement entry point:
-        per-level bursts need neither schedule validation nor compaction,
-        so the per-burst overhead is one tracker build for all the ratios
-        a round refines — and zero when the caller passes the previous
-        burst's tracker back in (with that tracker's own arrays).
+        DAG and one pair of arrays per copy.  Builds the tracker and runs
+        :meth:`climb` on it; returns the tracker plus the number of
+        accepted moves (:attr:`copy_stops` and :attr:`copy_accepted` say
+        why each copy's burst stopped and what it accepted).  This is the
+        multilevel refinement entry point: per-level bursts need neither
+        schedule validation nor compaction, so the per-burst overhead is
+        one tracker build for all the ratios a round refines.
 
         ``hand_off = (previous, unchanged)`` carries the verdicts of earlier
         climbs that converged on the tracker ``previous``.  ``unchanged``
@@ -891,21 +872,7 @@ class HillClimbingImprover(ScheduleImprover):
         residue, another superstep count) that copy's verdict is ignored,
         so a hand-off can only save scoring, never change a move.
         """
-        dags, procs, supersteps = _per_copy(dag, procs, supersteps)
-        reusable = (
-            tracker is not None
-            and tracker.machine is machine
-            and len(tracker.dags) == len(dags)
-            and all(held is given for held, given in zip(tracker.dags, dags))
-            and all(
-                np.array_equal(held_procs, p) and np.array_equal(held_steps, s)
-                for (held_procs, held_steps), p, s in zip(
-                    map(tracker.assignment, range(len(dags))), procs, supersteps
-                )
-            )
-        )
-        if not reusable:
-            tracker = LazyCostTracker(dags, machine, procs, supersteps)
+        tracker = LazyCostTracker(dag, machine, procs, supersteps)
         skip = None
         if hand_off is not None and hand_off[0].machine is machine:
             previous, unchanged = hand_off
@@ -914,7 +881,7 @@ class HillClimbingImprover(ScheduleImprover):
                     if skip is None:
                         skip = np.zeros(tracker.procs.size, dtype=bool)
                     skip[tracker.node_offsets[copy] : tracker.node_offsets[copy + 1]] = verdict[1]
-        accepted = self.climb(tracker, budget, skip=skip, copies=copies)
+        accepted = self.climb(tracker, budget, skip=skip)
         return tracker, accepted
 
     # ------------------------------------------------------------------ #

@@ -12,8 +12,7 @@ refinement loop works on the raw ``(π, τ)`` arrays
 (:func:`restrict_arrays`), so a per-level hill-climbing burst needs neither
 schedule validation nor an intermediate :class:`BspSchedule` object — the
 cluster-constant projection of a valid coarse schedule is valid by
-construction, and the burst's :class:`~repro.schedulers.hill_climbing.LazyCostTracker`
-is reused across bursts at a fixed level instead of being rebuilt.
+construction.
 :func:`unchanged_nodes` finds the nodes whose hill-climbing scores an
 uncoarsening step cannot change, so that a converged level can hand its
 verdict to the next one.

@@ -87,18 +87,13 @@ class MultilevelScheduler(Scheduler):
     refine_max_steps:
         Maximum number of accepted hill-climbing moves per refinement burst
         (paper: 100).
-    refine_rounds:
-        Maximum number of hill-climbing bursts run at every uncoarsening
-        level.  The paper runs one; additional rounds reuse the level's cost
-        tracker, so they cost only the extra accepted moves, not a tracker
-        rebuild.  A level stops after a burst that converged (or accepted
-        nothing), since another round would only re-scan.
     comm_improvers:
         Improvers applied to the fully uncoarsened schedule (default:
         ``HCcs``; the pipeline variant also appends ``ILPcs``).
-    min_nodes:
-        Instances smaller than this are scheduled directly by the base
-        scheduler (coarsening a tiny DAG is pointless, as the paper notes).
+
+    Instances of fewer than :attr:`min_nodes` nodes are scheduled directly
+    by the base scheduler (coarsening a tiny DAG is pointless, as the
+    paper notes).
 
     A wall-clock budget is checked between stages, between refinement
     bursts and before every HC block.  Every HC pass opens with a
@@ -111,6 +106,8 @@ class MultilevelScheduler(Scheduler):
     """
 
     name = "multilevel"
+    #: smaller instances skip coarsening
+    min_nodes = 16
 
     def __init__(
         self,
@@ -118,27 +115,24 @@ class MultilevelScheduler(Scheduler):
         coarsening_ratios: tuple[float, ...] = (0.3, 0.15),
         refine_interval: int = 5,
         refine_max_steps: int = 100,
-        refine_rounds: int = 1,
         comm_improvers: tuple[ScheduleImprover, ...] | None = None,
-        min_nodes: int = 16,
     ) -> None:
         self.base_scheduler = base_scheduler
         self.coarsening_ratios = _checked_ratios(coarsening_ratios)
         self.refine_interval = max(1, refine_interval)
         self.refine_max_steps = refine_max_steps
-        self.refine_rounds = max(1, refine_rounds)
         self.comm_improvers = (
             comm_improvers if comm_improvers is not None else (CommScheduleHillClimbing(),)
         )
-        self.min_nodes = min_nodes
 
     # ------------------------------------------------------------------ #
     def _resolve_base(self) -> Scheduler:
         if self.base_scheduler is not None:
             return self.base_scheduler
-        from ..pipeline import SchedulingPipeline  # local import: avoids circularity
+        # local import: avoids circularity
+        from ..pipeline import PipelineConfig, SchedulingPipeline
 
-        return SchedulingPipeline.default(use_ilp=True, use_comm_ilp=False)
+        return SchedulingPipeline(PipelineConfig(use_comm_ilp=False))
 
     # ------------------------------------------------------------------ #
     def schedule(
@@ -211,17 +205,13 @@ class MultilevelScheduler(Scheduler):
         the moves of a burst of its own.  Every level works on raw
         assignment arrays: the cluster-constant projection of a valid
         schedule is valid by construction, so no schedule object is built
-        and no validation runs per burst; the round's tracker is built once
-        and reused across all its bursts.  A copy runs another burst (up
-        to ``refine_rounds``) only after one that accepted moves without
-        converging; the others sit it out.
-        After the bursts, supersteps emptied by the moves are compacted
-        away per copy (without it, the ±1-superstep move neighbourhood
-        cannot bridge the gaps at later levels).  A copy whose last burst
-        converged and whose compaction dropped no superstep hands its
-        verdict on: at the ratio's next level, the first pass skips the
-        nodes the uncoarsening step left alone, if that level starts from
-        the same work and traffic rows.
+        and no validation runs per burst.  After the burst, supersteps
+        emptied by its moves are compacted away per copy (without it, the
+        ±1-superstep move neighbourhood cannot bridge the gaps at later
+        levels).  A copy whose burst converged and whose compaction dropped
+        no superstep hands its verdict on: at the ratio's next level, the
+        first pass skips the nodes the uncoarsening step left alone, if
+        that level starts from the same work and traffic rows.
         """
         levels = [sequence.num_contractions - self.refine_interval for sequence in sequences]
         walking = [r for r, level in enumerate(levels) if level > 0]
@@ -246,40 +236,22 @@ class MultilevelScheduler(Scheduler):
                     ],
                 )
             tracker = None
-            climbing = list(range(len(walking)))
-            stops: list[str | None] = [None] * len(walking)
-            for _ in range(self.refine_rounds):
-                if not climbing or budget.expired():
-                    break
-                if tracker is not None:  # a later round reuses the round's tracker
-                    procs, steps = zip(*map(tracker.assignment, range(len(walking))))
+            if not budget.expired():
                 tracker, _ = refiner.refine_assignment(
                     dags,
                     machine,
                     procs,
                     steps,
-                    budget=per_ratio.fraction(0.1 * len(climbing)),
-                    tracker=tracker,
+                    budget=per_ratio.fraction(0.1 * len(walking)),
                     hand_off=hand_off,
-                    copies=climbing,
                 )
-                hand_off = None
-                for t in climbing:
-                    stops[t] = refiner.copy_stops[t]
-                # another burst only re-scans a copy that converged or
-                # accepted nothing
-                climbing = [
-                    t
-                    for t in climbing
-                    if refiner.copy_accepted[t] and refiner.copy_stops[t] != CONVERGED
-                ]
             verdicts = {}
             for t, r in enumerate(walking):
                 coarse_procs, coarse_steps = coarse[t]
                 if tracker is not None:
                     coarse_procs, coarse_steps, used = tracker.compacted_assignment(t)
                     count = tracker.step_offsets[t + 1] - tracker.step_offsets[t]
-                    if stops[t] == CONVERGED and used == count:
+                    if refiner.copy_stops[t] == CONVERGED and used == count:
                         verdicts[r] = (quotients[t], t)
                 assignments[r] = project_arrays(quotients[t], coarse_procs, coarse_steps)
                 levels[r] -= self.refine_interval

@@ -253,11 +253,6 @@ class SchedulingPipeline(Scheduler):
 
     # ------------------------------------------------------------------ #
     @classmethod
-    def default(cls, use_ilp: bool = True, use_comm_ilp: bool = True) -> "SchedulingPipeline":
-        """A pipeline with default settings, optionally without the ILP stages."""
-        return cls(PipelineConfig(use_ilp=use_ilp, use_comm_ilp=use_comm_ilp))
-
-    @classmethod
     def heuristics_only(cls, local_search_seconds: float | None = 5.0) -> "SchedulingPipeline":
         """Initialisers + local search only (the configuration used on the huge dataset)."""
         return cls(
@@ -376,7 +371,6 @@ class MultilevelPipeline(Scheduler):
         coarsening_ratios: tuple[float, ...] = (0.3, 0.15),
         refine_interval: int = 5,
         refine_max_steps: int = 100,
-        refine_rounds: int = 1,
     ) -> None:
         self.config = config or PipelineConfig()
         base_config = PipelineConfig(**{**self.config.__dict__, "use_comm_ilp": False})
@@ -395,7 +389,6 @@ class MultilevelPipeline(Scheduler):
             coarsening_ratios=coarsening_ratios,
             refine_interval=refine_interval,
             refine_max_steps=refine_max_steps,
-            refine_rounds=refine_rounds,
             comm_improvers=comm_improvers,
         )
 

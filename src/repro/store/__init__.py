@@ -11,8 +11,8 @@ freely between processes on one host and between CI runs:
   parameter, it makes every solve persistent and every re-run a cache hit.
   ``ResultStore.gc`` sweeps dangling results, orphaned DAG payloads and
   stale write temporaries.
-* :class:`TrialLog` — the append-only trial/experiment metadata tables
-  next to ``results/`` that the report subsystem aggregates.
+* :class:`TrialLog` — the append-only trial metadata table next to
+  ``results/`` that the report subsystem aggregates.
 
 Resume is a consequence rather than a feature: the experiment drivers in
 :mod:`repro.analysis.experiments` build content-addressed request batches
@@ -22,10 +22,9 @@ byte-for-byte.
 """
 
 from .results import ResultStore, dag_dict_fingerprint
-from .trials import ExperimentRecord, TrialLog, TrialRecord, dag_family
+from .trials import TrialLog, TrialRecord, dag_family
 
 __all__ = [
-    "ExperimentRecord",
     "ResultStore",
     "TrialLog",
     "TrialRecord",

@@ -6,7 +6,7 @@ it (CLI runs, experiment harnesses and their process pools, CI jobs)::
     <root>/
       results/<request-fingerprint>.json   one ScheduleResult per solved request
       dags/<dag-fingerprint>.json          deduplicated DAG payloads (dag_to_dict)
-      trials.jsonl, experiments.jsonl      trial/experiment metadata (trials.py)
+      trials.jsonl                         trial metadata (trials.py)
 
 * **Content-addressed**: a result file is named by the fingerprint of the
   :class:`~repro.api.ScheduleRequest` that produced it (DAG content +
@@ -72,12 +72,12 @@ class ResultStore:
 
     @property
     def trials(self) -> "TrialLog":
-        """The trial/experiment metadata tables living next to ``results/``.
+        """The trial metadata table living next to ``results/``.
 
         See :mod:`repro.store.trials`: append-only JSONL records describing
-        every actual scheduler invocation (and every named experiment
-        batch) against this store — the layer the report subsystem
-        aggregates instead of opening raw result payloads.
+        every actual scheduler invocation against this store — the layer
+        the report subsystem aggregates instead of opening raw result
+        payloads.
         """
         if self._trials is None:
             from .trials import TrialLog
@@ -193,16 +193,14 @@ class ResultStore:
           older than ``tmp_grace_seconds`` are touched, so in-flight writes
           of live processes are never raced.
 
-        The trial/experiment metadata tables (``trials.jsonl`` /
-        ``experiments.jsonl``, see :mod:`repro.store.trials`) are **never
-        touched by default** — they are the history of what was computed,
-        which outlives the payloads.  With ``prune_trials=True`` they are
-        compacted instead: trial records whose result entry no longer
-        exists after this sweep are dropped (along with experiment records
-        left referencing nothing), so the tables never point at results
-        the store cannot answer.  Records of *surviving* results are
-        always kept — gc never orphans a record from its result in either
-        direction.
+        The trial metadata table (``trials.jsonl``, see
+        :mod:`repro.store.trials`) is **never touched by default** — it is
+        the history of what was computed, which outlives the payloads.
+        With ``prune_trials=True`` it is compacted instead: trial records
+        whose result entry no longer exists after this sweep are dropped,
+        so the table never points at results the store cannot answer.
+        Records of *surviving* results are always kept — gc never orphans a
+        record from its result in either direction.
 
         The clock is injectable (epoch seconds, default :func:`time.time`)
         for deterministic grace-period tests.  Results with inline DAGs and
@@ -236,12 +234,12 @@ class ResultStore:
                 except OSError:
                     continue
                 removed_dags.append(path.stem)
-        pruned = {"dropped_trials": 0, "dropped_experiments": 0}
+        dropped_trials = 0
         if prune_trials:
             # only now, after the dangling-result sweep, does "stored"
-            # mean "answerable": compact the metadata tables against the
+            # mean "answerable": compact the metadata table against the
             # surviving result set so no record points at a missing result
-            pruned = self.trials.compact(
+            dropped_trials = self.trials.compact(
                 lambda fingerprint: self.result_path(fingerprint).is_file()
             )
         removed_tmp: list[str] = []
@@ -262,8 +260,7 @@ class ResultStore:
             "removed_results": removed_results,
             "removed_dags": removed_dags,
             "removed_tmp": removed_tmp,
-            "dropped_trials": pruned["dropped_trials"],
-            "dropped_experiments": pruned["dropped_experiments"],
+            "dropped_trials": dropped_trials,
         }
 
     # ------------------------------------------------------------------ #

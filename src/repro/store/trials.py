@@ -1,9 +1,9 @@
-"""Experiment metadata records: the trial/experiment table layer of the store.
+"""Trial metadata records: the trial table layer of the store.
 
 The raw :class:`~repro.store.results.ResultStore` is a content-addressed
 map ``request fingerprint -> ScheduleResult`` — perfect for resume, useless
 for review: a fingerprint says nothing about *what* was solved.  This
-module adds the fuzzbench-style metadata tables on top:
+module adds the fuzzbench-style metadata table on top:
 
 * :class:`TrialRecord` — one row per **actual scheduler invocation**:
   the request fingerprint plus everything a report needs to aggregate
@@ -12,15 +12,12 @@ module adds the fuzzbench-style metadata tables on top:
   timings.  Emitted by :class:`~repro.api.SchedulingService` whenever a
   store-backed solve misses every cache tier (so ``solve`` calls and
   ``solve_many`` grids populate the table as a side effect of computing).
-* :class:`ExperimentRecord` — one row per named batch: an experiment name
-  plus the fingerprints of the trials it comprises, so a report can group
-  "the Table-1 grid" separately from ad-hoc CLI solves.
-* :class:`TrialLog` — the storage layer: two **append-only JSONL** files
-  next to ``results/`` (``trials.jsonl`` and ``experiments.jsonl``).
-  Appends are single ``O_APPEND`` writes of one newline-terminated line,
-  so concurrent writers interleave whole records rather than bytes;
-  readers skip unparseable lines (a torn write costs one record, never
-  the table).  :meth:`TrialLog.compact` rewrites the files atomically —
+* :class:`TrialLog` — the storage layer: one **append-only JSONL** file
+  next to ``results/`` (``trials.jsonl``).  Appends are single
+  ``O_APPEND`` writes of one newline-terminated line, so concurrent
+  writers interleave whole records rather than bytes; readers skip
+  unparseable lines (a torn write costs one record, never the table).
+  :meth:`TrialLog.compact` rewrites the file atomically —
   used by :meth:`ResultStore.gc(prune_trials=True)
   <repro.store.results.ResultStore.gc>` to drop records whose results
   were collected.
@@ -37,13 +34,13 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # circular: api imports the store package lazily
     from ..api.request import ScheduleRequest
     from ..api.result import ScheduleResult
 
-__all__ = ["ExperimentRecord", "TrialLog", "TrialRecord", "dag_family"]
+__all__ = ["TrialLog", "TrialRecord", "dag_family"]
 
 
 def dag_family(dag_name: str) -> str:
@@ -176,98 +173,45 @@ class TrialRecord:
         )
 
 
-@dataclass
-class ExperimentRecord:
-    """One named batch of trials (e.g. an experiment grid run)."""
-
-    name: str
-    fingerprints: list[str]
-    metadata: dict = field(default_factory=dict)
-    created_at: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "kind": "experiment",
-            "name": self.name,
-            "fingerprints": list(self.fingerprints),
-            "metadata": dict(self.metadata),
-            "created_at": float(self.created_at),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentRecord":
-        return cls(
-            name=str(data["name"]),
-            fingerprints=[str(f) for f in data.get("fingerprints", [])],
-            metadata=dict(data.get("metadata", {})),
-            created_at=float(data.get("created_at", 0.0)),
-        )
-
-
 class TrialLog:
-    """Append-only JSONL tables under a store root (crash- and race-safe).
+    """The append-only JSONL trial table under a store root (crash- and race-safe).
 
     One record per line.  Appends open with ``O_APPEND`` and write the
     whole line in a single call, so concurrent appenders (several
     processes sharing one store) interleave records, not bytes; a torn
-    line from a dying writer is skipped on read.  The files are *data*,
+    line from a dying writer is skipped on read.  The file is *data*,
     shared with the store's other artifacts: :meth:`compact` is the only
-    operation that rewrites them, and it publishes atomically (tmp sibling
+    operation that rewrites it, and it publishes atomically (tmp sibling
     + rename).
     """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.trials_path = self.root / "trials.jsonl"
-        self.experiments_path = self.root / "experiments.jsonl"
 
     # ------------------------------------------------------------------ #
     # writes
     # ------------------------------------------------------------------ #
-    def _append_line(self, path: Path, payload: dict) -> None:
-        line = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    def append_trial(self, record: TrialRecord) -> None:
+        """Append one trial record (one atomic line write)."""
+        line = json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        self.root.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self.trials_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         try:
             os.write(fd, line.encode("utf-8"))
         finally:
             os.close(fd)
 
-    def append_trial(self, record: TrialRecord) -> None:
-        """Append one trial record (one atomic line write)."""
-        self._append_line(self.trials_path, record.to_dict())
-
-    def append_experiment(self, record: ExperimentRecord) -> None:
-        """Append one experiment record (one atomic line write)."""
-        self._append_line(self.experiments_path, record.to_dict())
-
-    def record_experiment(
-        self,
-        name: str,
-        fingerprints: Iterable[str],
-        metadata: dict | None = None,
-        clock: Callable[[], float] | None = None,
-    ) -> ExperimentRecord:
-        """Append (and return) an experiment record for a named batch."""
-        record = ExperimentRecord(
-            name=str(name),
-            fingerprints=[str(f) for f in fingerprints],
-            metadata=dict(metadata or {}),
-            created_at=float((clock or time.time)()),
-        )
-        self.append_experiment(record)
-        return record
-
     # ------------------------------------------------------------------ #
     # reads
     # ------------------------------------------------------------------ #
-    def _read_lines(self, path: Path) -> list[dict]:
+    def trials(self) -> list[TrialRecord]:
+        """Every readable trial record, in append (chronological) order."""
         try:
-            text = path.read_text(encoding="utf-8")
+            text = self.trials_path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError):
             return []
-        rows: list[dict] = []
+        records: list[TrialRecord] = []
         for line in text.splitlines():
             line = line.strip()
             if not line:
@@ -276,26 +220,10 @@ class TrialLog:
                 payload = json.loads(line)
             except ValueError:
                 continue  # torn write from a dying appender: skip the line
-            if isinstance(payload, dict):
-                rows.append(payload)
-        return rows
-
-    def trials(self) -> list[TrialRecord]:
-        """Every readable trial record, in append (chronological) order."""
-        records: list[TrialRecord] = []
-        for payload in self._read_lines(self.trials_path):
+            if not isinstance(payload, dict):
+                continue
             try:
                 records.append(TrialRecord.from_dict(payload))
-            except (KeyError, TypeError, ValueError):
-                continue
-        return records
-
-    def experiments(self) -> list[ExperimentRecord]:
-        """Every readable experiment record, in append order."""
-        records: list[ExperimentRecord] = []
-        for payload in self._read_lines(self.experiments_path):
-            try:
-                records.append(ExperimentRecord.from_dict(payload))
             except (KeyError, TypeError, ValueError):
                 continue
         return records
@@ -306,16 +234,13 @@ class TrialLog:
     # ------------------------------------------------------------------ #
     # compaction (the gc hook)
     # ------------------------------------------------------------------ #
-    def compact(self, keep: Callable[[str], bool]) -> dict[str, int]:
-        """Rewrite the tables keeping only records whose result survives.
+    def compact(self, keep: Callable[[str], bool]) -> int:
+        """Rewrite the table keeping only records whose result survives.
 
-        ``keep(fingerprint)`` decides trial survival; experiment records
-        survive with their fingerprint lists filtered (an experiment whose
-        every trial was dropped is dropped too).  Duplicate trial rows for
-        one fingerprint (two processes that solved the same request
-        concurrently) are collapsed to the most recent.  Both files are
-        republished atomically.
-        Returns ``{"dropped_trials": n, "dropped_experiments": m}``.
+        ``keep(fingerprint)`` decides trial survival.  Duplicate trial rows
+        for one fingerprint (two processes that solved the same request
+        concurrently) are collapsed to the most recent.  The file is
+        republished atomically.  Returns the number of rows dropped.
         """
         from .fsio import atomic_write_text
 
@@ -326,7 +251,6 @@ class TrialLog:
             latest[record.fingerprint] = record
         kept = [record for record in latest.values() if keep(record.fingerprint)]
         kept.sort(key=lambda record: (record.created_at, record.fingerprint))
-        dropped_trials = total - len(kept)
         if self.trials_path.exists() or kept:
             atomic_write_text(
                 self.trials_path,
@@ -336,26 +260,4 @@ class TrialLog:
                     for r in kept
                 ),
             )
-        surviving = {record.fingerprint for record in kept}
-        experiments = self.experiments()
-        kept_experiments: list[ExperimentRecord] = []
-        for record in experiments:
-            fingerprints = [f for f in record.fingerprints if f in surviving]
-            if not fingerprints:
-                continue
-            record.fingerprints = fingerprints
-            kept_experiments.append(record)
-        dropped_experiments = len(experiments) - len(kept_experiments)
-        if self.experiments_path.exists() or kept_experiments:
-            atomic_write_text(
-                self.experiments_path,
-                "".join(
-                    json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":"))
-                    + "\n"
-                    for r in kept_experiments
-                ),
-            )
-        return {
-            "dropped_trials": dropped_trials,
-            "dropped_experiments": dropped_experiments,
-        }
+        return total - len(kept)

@@ -43,18 +43,9 @@ def _one_ratio(
     while level > 0:
         quotient = sequence.quotient(level)
         coarse_procs, coarse_steps = restrict_arrays(quotient, procs, supersteps)
-        tracker = None
-        for _ in range(scheduler.refine_rounds):
-            tracker, accepted = refiner.refine_assignment(
-                quotient.dag,
-                machine,
-                coarse_procs if tracker is None else tracker.procs,
-                coarse_steps if tracker is None else tracker.supersteps,
-                budget=budget.fraction(0.1),
-                tracker=tracker,
-            )
-            if accepted == 0:
-                break
+        tracker, _ = refiner.refine_assignment(
+            quotient.dag, machine, coarse_procs, coarse_steps, budget=budget.fraction(0.1)
+        )
         coarse_procs, coarse_steps, _ = tracker.compacted_assignment()
         procs, supersteps = project_arrays(quotient, coarse_procs, coarse_steps)
         level -= scheduler.refine_interval

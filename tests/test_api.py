@@ -243,13 +243,23 @@ class TestWireFormat:
             == SchedulingService(cache_size=0).solve(inline).canonical_dict()
         )
 
+    @staticmethod
+    def _dag_ref_payload(result, ref):
+        """``result``'s wire dict with its DAG swapped for ``ref``, as the store writes it."""
+        payload = result.to_dict()
+        schedule = dict(payload["schedule"])
+        dag_dict = schedule.pop("dag")
+        schedule["dag_ref"] = ref
+        payload["schedule"] = schedule
+        return payload, dag_dict
+
     def test_dag_ref_mode_roundtrip(self):
         from repro.core.serialization import dag_to_dict
 
         result = SchedulingService(cache_size=0).solve(_request_dict("hdagg"))
-        dag_dict = result.schedule_dict()["dag"]
+        payload, dag_dict = self._dag_ref_payload(result, "ref-1")
         table = {"ref-1": dag_dict}
-        stripped = result.with_dag_ref("ref-1", resolver=table.__getitem__)
+        stripped = ScheduleResult.from_dict(payload, dag_resolver=table.__getitem__)
         assert stripped.schedule_dict()["dag_ref"] == "ref-1"
         assert "dag" not in stripped.schedule_dict()
         # resolution is transparent and lossless
@@ -259,7 +269,8 @@ class TestWireFormat:
 
     def test_dag_ref_without_resolver_raises(self):
         result = SchedulingService(cache_size=0).solve(_request_dict("hdagg"))
-        orphan = result.with_dag_ref("nowhere")
+        payload, _ = self._dag_ref_payload(result, "nowhere")
+        orphan = ScheduleResult.from_dict(payload)
         assert orphan.cost == result.cost  # metadata stays available
         with pytest.raises(ReproError, match="no resolver"):
             orphan.to_dict()

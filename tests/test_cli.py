@@ -8,12 +8,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
-from repro.api import ScheduleResult
+from repro.api import (
+    MachineSpec,
+    ScheduleRequest,
+    ScheduleResult,
+    SchedulerSpec,
+    SchedulingService,
+)
 from repro.cli import build_parser, main
 from repro.core import ComputationalDAG, load_schedule
+from repro.core.serialization import dag_from_dict, dag_to_dict
 from repro.io import read_hyperdag, write_hdagb, write_hyperdag
 from repro.store import ResultStore
 
@@ -131,6 +139,58 @@ class TestSchedule:
         loaded = load_schedule(output)
         assert loaded.is_valid()
         assert loaded.machine.num_procs == 8
+
+    def test_output_file_is_the_solve_result(self, hyperdag_file, tmp_path):
+        """The --output file is the solve's wire form, written compact, loadable both ways."""
+        output = tmp_path / "result.json"
+        argv = [
+            "schedule", str(hyperdag_file),
+            "--scheduler", "hdagg",
+            "--procs", "8", "--g", "2", "--latency", "3", "--numa-delta", "3",
+            "--output", str(output),
+        ]
+        assert main(argv) == 0
+        text = output.read_text(encoding="utf-8")
+        payload = json.loads(text)
+        assert text == json.dumps(payload)  # no indent
+        request = ScheduleRequest(
+            dag=str(hyperdag_file),
+            machine=MachineSpec(num_procs=8, g=2, latency=3, numa_delta=3),
+            scheduler=SchedulerSpec("hdagg"),
+        )
+        solved = SchedulingService(cache_size=0).solve(request)
+        result = ScheduleResult.from_dict(payload)
+        assert result.to_dict() == payload
+        # equal to the solve's own to_dict() up to its timings
+        assert result.canonical_dict() == solved.canonical_dict()
+        assert set(payload) == set(solved.to_dict())
+        expected = solved.to_schedule()
+        loaded = load_schedule(output)
+        assert np.array_equal(loaded.procs, expected.procs)
+        assert np.array_equal(loaded.supersteps, expected.supersteps)
+        assert loaded.cost() == solved.cost
+
+
+class TestDagToDict:
+    def test_edges_keep_the_per_edge_form_and_order(self):
+        """Edges added out of source order come out as the per-edge walk lists them."""
+        dag = ComputationalDAG(
+            5, work_weights=[1, 2.5, 3, 4, 0.5], comm_weights=[1, 0, 2, 1.25, 3]
+        )
+        for source, target in ((3, 4), (0, 2), (2, 3), (0, 1), (1, 4), (0, 3)):
+            dag.add_edge(source, target)
+        data = dag_to_dict(dag)
+        assert data == {
+            "name": dag.name,
+            "num_nodes": 5,
+            "work": [float(w) for w in dag.work_weights],
+            "comm": [float(c) for c in dag.comm_weights],
+            "edges": [[edge.source, edge.target] for edge in dag.edges()],
+        }
+        assert data["edges"] == [[0, 2], [0, 1], [0, 3], [1, 4], [2, 3], [3, 4]]
+        assert {type(x) for x in data["work"] + data["comm"]} == {float}
+        assert {type(x) for edge in data["edges"] for x in edge} == {int}
+        assert dag_to_dict(dag_from_dict(data)) == data
 
 
 class TestCompare:

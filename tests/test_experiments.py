@@ -11,6 +11,7 @@ from repro.analysis import (
     aggregate_ratio,
     no_numa_machine_grid,
     numa_machine_grid,
+    run_huge_experiment,
     run_initializer_comparison,
     run_no_numa_grid,
     run_numa_grid,
@@ -119,12 +120,40 @@ class TestDrivers:
         )
         assert aggregate_improvement(records, "final", "cilk") > 0
 
+    def test_huge_driver_caps_its_ilp_free_pipeline(self, monkeypatch):
+        """The huge dataset's step cap and clock reach the config its grid runs under."""
+        from repro.analysis import experiments
+
+        configs = []
+
+        def capture(self, instances, specs, workers=None):
+            configs.append(self.config)
+            return []
+
+        monkeypatch.setattr(experiments, "_dataset_instances", lambda *args: [])
+        monkeypatch.setattr(experiments.ExperimentRunner, "run", capture)
+        run_huge_experiment(hc_max_steps=5, local_search_seconds=None)
+        run_huge_experiment()
+        capped, default = configs
+        for config in configs:
+            assert not config.use_ilp and not config.use_comm_ilp
+        assert capped.hc_max_steps == 5 and capped.local_search_seconds is None
+        assert default.hc_max_steps is None and default.local_search_seconds == 5.0
+
     @pytest.mark.slow
-    def test_initializer_comparison_counts(self):
+    def test_initializer_comparison_counts(self, monkeypatch):
+        from repro.analysis import experiments
+
+        training_set = experiments.build_training_set
+        monkeypatch.setattr(
+            experiments,
+            "build_training_set",
+            lambda **kwargs: training_set(**kwargs)[:3],
+        )
         wins = run_initializer_comparison(
             procs=(4,), g_values=(1,), ilp_init_time=0.5, scale="bench"
         )
-        assert len(wins) == 10  # 10 training instances x 1 machine point
+        assert len(wins) == 3  # the first 3 training instances x 1 machine point
         assert all(w.winner in w.costs for w in wins)
         assert all(w.costs[w.winner] == min(w.costs.values()) for w in wins)
 
@@ -163,15 +192,15 @@ class TestParallelGrid:
         assert serial_text.encode() == parallel_text.encode()
 
     def test_workers_env_default(self, monkeypatch):
-        from repro.analysis.experiments import _default_workers
+        from repro.core.parallel import default_workers
 
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert _default_workers() == 1
+        assert default_workers() == 1
         monkeypatch.setenv("REPRO_WORKERS", "6")
-        assert _default_workers() == 6
+        assert default_workers() == 6
         monkeypatch.setenv("REPRO_WORKERS", "nope")
         with pytest.warns(UserWarning):
-            assert _default_workers() == 1
+            assert default_workers() == 1
 
     def test_specs_iterator_not_drained(self):
         """A one-shot iterator of specs must still yield the full grid."""

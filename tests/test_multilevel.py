@@ -350,7 +350,8 @@ class TestMultilevelScheduler:
     def test_small_instances_fall_back_to_base(self):
         dag = build_diamond_dag()
         machine = BspMachine.uniform(2, g=1, latency=1)
-        scheduler = MultilevelScheduler(base_scheduler=BspGreedyScheduler(), min_nodes=16)
+        scheduler = MultilevelScheduler(base_scheduler=BspGreedyScheduler())
+        assert dag.num_nodes < scheduler.min_nodes
         base = BspGreedyScheduler().schedule(dag, machine)
         schedule = scheduler.schedule(dag, machine)
         assert schedule.cost() == pytest.approx(base.cost())
@@ -490,60 +491,57 @@ class TestLockstepWalk:
     """The ratios' lockstep walk gives each ratio its own walk, so the oracle's schedule."""
 
     @staticmethod
-    def _record_bursts(monkeypatch) -> list[tuple[int, list[int] | None, list]]:
-        """``(copies held, copies climbing, stop reasons)`` of every refinement burst."""
+    def _record_bursts(monkeypatch) -> list[list[str]]:
+        """Every refinement burst's stop reasons, one per copy it holds."""
         bursts = []
         refine = HillClimbingImprover.refine_assignment
 
-        def recording(self, dag, machine, procs, supersteps, budget=None, tracker=None,
-                      hand_off=None, copies=None):
-            result = refine(
-                self, dag, machine, procs, supersteps, budget, tracker, hand_off, copies
-            )
-            held = result[0].num_copies
-            bursts.append((held, None if copies is None else list(copies), self.copy_stops))
+        def recording(self, dag, machine, procs, supersteps, budget=None, hand_off=None):
+            result = refine(self, dag, machine, procs, supersteps, budget, hand_off)
+            bursts.append(list(self.copy_stops))
             return result
 
         monkeypatch.setattr(HillClimbingImprover, "refine_assignment", recording)
         return bursts
 
-    def _assert_matches_oracle(self, scheduler, dag, machine):
+    def test_ratio_out_of_levels_leaves_the_walk(self, monkeypatch):
+        """The coarser ratio runs out of levels first; the finer one walks on alone."""
+        stops = self._record_bursts(monkeypatch)
+        dag = random_dag(60, 0.07, seed=3)
+        machine = BspMachine.numa_hierarchy(4, delta=3, g=3, latency=5)
+        scheduler = MultilevelScheduler(base_scheduler=BspGreedyScheduler(), refine_max_steps=5)
         got = scheduler.schedule(dag, machine)
+        bursts = [len(burst) for burst in stops]
+        assert bursts[0] == 2 and bursts[-1] == 1
+        assert bursts == sorted(bursts, reverse=True)
         expected = multilevel_reference(scheduler, dag, machine)
         assert np.array_equal(got.procs, expected.procs)
         assert np.array_equal(got.supersteps, expected.supersteps)
 
-    def test_ratio_out_of_levels_leaves_the_walk(self, monkeypatch):
-        """The coarser ratio runs out of levels first; the finer one walks on alone."""
-        bursts = self._record_bursts(monkeypatch)
-        dag = random_dag(60, 0.07, seed=3)
-        machine = BspMachine.numa_hierarchy(4, delta=3, g=3, latency=5)
-        scheduler = MultilevelScheduler(base_scheduler=BspGreedyScheduler(), refine_max_steps=5)
-        scheduler.schedule(dag, machine)
-        held = [copies for copies, _, _ in bursts]
-        assert held[0] == 2 and held[-1] == 1
-        assert held == sorted(held, reverse=True)
-        self._assert_matches_oracle(scheduler, dag, machine)
-
-    def test_second_rounds_run_per_copy(self, monkeypatch):
-        """With two rounds, a copy at its step cap climbs again while a converged one rests."""
-        bursts = self._record_bursts(monkeypatch)
-        dag = random_dag(60, 0.07, seed=1)
+    @pytest.mark.parametrize("max_steps", [2, 100])
+    def test_one_burst_per_level(self, monkeypatch, max_steps):
+        """A level is refined once, whether its burst stopped at the step cap or converged."""
+        stops = self._record_bursts(monkeypatch)
+        dag = random_dag(80, 0.06, seed=21)
         machine = BspMachine.numa_hierarchy(4, delta=3, g=3, latency=5)
         scheduler = MultilevelScheduler(
-            base_scheduler=BspGreedyScheduler(), refine_max_steps=3, refine_rounds=2
+            base_scheduler=BspGreedyScheduler(), refine_max_steps=max_steps
         )
         scheduler.schedule(dag, machine)
-        alone = [
-            (first, second)
-            for first, second in zip(bursts, bursts[1:])
-            if first[0] == 2 and set(first[2]) == {STEP_CAP, CONVERGED} and second[0] == 2
+        n = dag.num_nodes
+        contractions = [
+            coarsen_dag(dag, target_nodes=max(2, round(n * ratio))).num_contractions
+            for ratio in scheduler.coarsening_ratios
         ]
-        assert alone
-        for (_, _, stops), (_, copies, again) in alone:
-            assert copies == [stops.index(STEP_CAP)]
-            assert again[stops.index(CONVERGED)] is None  # the converged copy rested
-        self._assert_matches_oracle(scheduler, dag, machine)
+        # round k refines every ratio with a level left k intervals down
+        rounds = []
+        while walking := sum(
+            c - (len(rounds) + 1) * scheduler.refine_interval > 0 for c in contractions
+        ):
+            rounds.append(walking)
+        assert [len(burst) for burst in stops] == rounds
+        capped = any(STEP_CAP in burst for burst in stops)
+        assert capped == (max_steps == 2)
 
 
 def _weighted_dag(rng: np.random.Generator, weights: str) -> ComputationalDAG:
@@ -582,23 +580,17 @@ class TestLevelHandOff:
         run_pass = kernels.hc_pass
         counts = {"hand_offs": 0, "joint": 0, "masked_passes": 0}
 
-        def replayed(self, dag, machine, procs, supersteps, budget=None, tracker=None,
-                     hand_off=None, copies=None):
+        def replayed(self, dag, machine, procs, supersteps, budget=None, hand_off=None):
             if hand_off is None:
-                return refine(self, dag, machine, procs, supersteps, budget, tracker,
-                              copies=copies)
+                return refine(self, dag, machine, procs, supersteps, budget)
             given = [t for t, verdict in enumerate(hand_off[1]) if verdict is not None]
             counts["hand_offs"] += len(given)
             counts["joint"] += len(hand_off[1]) > 1
             full = HillClimbingImprover(self.max_passes, self.max_steps, record_moves=True)
-            full_tracker, _ = full.refine_assignment(
-                dag, machine, procs, supersteps, budget, copies=copies
-            )
+            full_tracker, _ = full.refine_assignment(dag, machine, procs, supersteps, budget)
             self.record_moves = True
             try:
-                result = refine(
-                    self, dag, machine, procs, supersteps, budget, tracker, hand_off, copies
-                )
+                result = refine(self, dag, machine, procs, supersteps, budget, hand_off)
             finally:
                 self.record_moves = False
             for t in given:
@@ -622,7 +614,6 @@ class TestLevelHandOff:
             scheduler = MultilevelScheduler(
                 base_scheduler=base,
                 refine_max_steps=int(rng.choice([2, 5, 100])),
-                refine_rounds=int(rng.choice([1, 2])),
             )
             assert_valid_schedule(scheduler.schedule(dag, machine))
         assert counts["hand_offs"] > 0
@@ -685,34 +676,6 @@ class TestLevelHandOff:
         )
         assert improver.copy_moves == [full.copy_moves[0], []]
 
-    def test_converged_burst_ends_the_level(self, monkeypatch):
-        """A second round runs only after a burst stopped at its step cap."""
-        passes = []
-        run_pass = kernels.hc_pass
-
-        def counting(*args, **kwargs):
-            passes.append(1)
-            return run_pass(*args, **kwargs)
-
-        monkeypatch.setattr(kernels, "hc_pass", counting)
-        dag = random_dag(80, 0.06, seed=21)
-        machine = BspMachine.numa_hierarchy(4, delta=3, g=3, latency=5)
-        for max_steps, more in ((100, False), (2, True)):
-            counts, schedules = [], []
-            for rounds in (1, 2):
-                passes.clear()
-                scheduler = MultilevelScheduler(
-                    base_scheduler=BspGreedyScheduler(),
-                    refine_max_steps=max_steps,
-                    refine_rounds=rounds,
-                )
-                schedules.append(scheduler.schedule(dag, machine))
-                counts.append(len(passes))
-            assert (counts[1] > counts[0]) == more, (max_steps, counts)
-            if not more:
-                assert np.array_equal(schedules[0].procs, schedules[1].procs)
-                assert np.array_equal(schedules[0].supersteps, schedules[1].supersteps)
-
 
 _BAD_RATIOS = [(), (math.nan,), (0.0,), (-0.5,), (1.5,), (0.3, math.inf), [0.3]]
 _BAD_CONFIGS = [
@@ -720,6 +683,8 @@ _BAD_CONFIGS = [
     {"hc_max_steps": -5},
     {"local_search_seconds": math.nan},
 ]
+#: settings the multilevel scheduler no longer has
+_REMOVED_PARAMS = [{"refine_rounds": 2}, {"min_nodes": 4}]
 
 
 def _multilevel_request(params: dict) -> dict:
@@ -755,6 +720,19 @@ class TestMultilevelConfiguration:
     def test_bad_config_rejected_through_the_service(self, config):
         data = _multilevel_request({"config": config})
         with pytest.raises(ConfigurationError, match="PipelineConfig"):
+            SchedulingService(cache_size=0).solve(ScheduleRequest.from_dict(data))
+
+    @pytest.mark.parametrize("params", _REMOVED_PARAMS, ids=repr)
+    def test_removed_params_refused_directly(self, params):
+        with pytest.raises(TypeError):
+            MultilevelScheduler(**params)
+        with pytest.raises(ConfigurationError, match="does not accept"):
+            SchedulerSpec("multilevel", params)
+
+    @pytest.mark.parametrize("params", _REMOVED_PARAMS, ids=repr)
+    def test_removed_params_refused_through_the_service(self, params):
+        data = _multilevel_request(params)
+        with pytest.raises(ConfigurationError, match="does not accept"):
             SchedulingService(cache_size=0).solve(ScheduleRequest.from_dict(data))
 
     def test_valid_ratios_kept(self):

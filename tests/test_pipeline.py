@@ -130,16 +130,6 @@ class TestPipelineConfig:
         assert hill_climb.max_steps == 11
         assert comm_climb.max_passes == 3
 
-    def test_runner_refinement_budget_overrides_config(self):
-        from repro.analysis.experiments import ExperimentRunner
-
-        runner = ExperimentRunner(hc_max_steps=5, hc_max_passes=2, hccs_max_passes=4)
-        assert runner.config.hc_max_steps == 5
-        assert runner.config.hc_max_passes == 2
-        assert runner.config.hccs_max_passes == 4
-        untouched = ExperimentRunner()
-        assert untouched.config.hc_max_steps is None
-
 
 class TestBasePipeline:
     @pytest.mark.slow

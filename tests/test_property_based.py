@@ -230,12 +230,9 @@ def multilevel_dags(draw):
     machine=machines(),
     ratios=st.lists(st.sampled_from([1.0, 0.5, 0.3, 0.15, 0.1]), min_size=1, max_size=3),
     max_steps=st.sampled_from([2, 5, 100]),
-    rounds=st.sampled_from([1, 2]),
     pipeline_base=st.booleans(),
 )
-def test_multilevel_equals_its_per_ratio_oracle(
-    dag, machine, ratios, max_steps, rounds, pipeline_base
-):
+def test_multilevel_equals_its_per_ratio_oracle(dag, machine, ratios, max_steps, pipeline_base):
     """The ratios' lockstep walk gives each ratio's own walk, so the oracle's schedule."""
     base = (
         SchedulingPipeline(
@@ -248,7 +245,6 @@ def test_multilevel_equals_its_per_ratio_oracle(
         base_scheduler=base,
         coarsening_ratios=tuple(ratios),
         refine_max_steps=max_steps,
-        refine_rounds=rounds,
     )
     got = scheduler.schedule(dag, machine)
     expected = multilevel_reference(scheduler, dag, machine)

@@ -394,23 +394,8 @@ class TestBlockWalk:
         assert after and after == full_blocks[full_hit + 1 :]
         assert skip[[node for block in after for node in block]].any()
 
-    def test_reused_tracker_bursts_match_reference(self, monkeypatch):
-        """Short capped bursts on one reused tracker, as multilevel runs them.
-
-        A reused tracker keeps the superstep count it was built with, also
-        after its last superstep empties, so the reference walks a tracker
-        of that count too.
-        """
-        import oracles.refiners as reference_module
-
-        spans: list[int] = []
-        monkeypatch.setattr(
-            reference_module,
-            "LazyCostTracker",
-            lambda dag, machine, procs, steps, _count: LazyCostTracker(
-                dag, machine, procs, steps, spans[-1]
-            ),
-        )
+    def test_repeated_bursts_match_reference(self):
+        """Short capped bursts, each from the last one's arrays, as multilevel runs them."""
         for seed in range(6):
             rng = np.random.default_rng(900 + seed)
             dag = random_dag(
@@ -421,22 +406,14 @@ class TestBlockWalk:
             max_steps = int(rng.integers(1, 8))
             improver = HillClimbingImprover(max_steps=max_steps, record_moves=True)
             procs, steps = start.procs, start.supersteps
-            tracker = None
             for _ in range(8):
-                spans.append(
-                    int(steps.max()) + 1 if tracker is None else tracker.num_supersteps
-                )
                 reference = HillClimbingImproverReference(
                     max_steps=max_steps, record_moves=True
                 )
                 reference.improve(BspSchedule(dag, machine, procs, steps))
-                reused, accepted = improver.refine_assignment(
-                    dag, machine, procs, steps, tracker=tracker
-                )
-                assert tracker is None or reused is tracker
+                tracker, accepted = improver.refine_assignment(dag, machine, procs, steps)
                 assert improver.last_moves == reference.last_moves, seed
-                tracker = reused
-                procs, steps = tracker.procs, tracker.supersteps
+                procs, steps = tracker.assignment()
                 if accepted == 0:
                     break
 
@@ -572,41 +549,6 @@ class TestRealValuedWeightsDifferential:
 
 
 class TestTrackerReuse:
-    def test_refine_assignment_reuses_tracker(self):
-        dag = random_dag(25, 0.2, seed=3)
-        machine = BspMachine.uniform(4, g=2, latency=2)
-        schedule = RoundRobinScheduler().schedule(dag, machine)
-        improver = HillClimbingImprover(max_steps=3)
-        tracker, accepted = improver.refine_assignment(
-            dag, machine, schedule.procs, schedule.supersteps
-        )
-        assert accepted <= 3
-        cost_after_first = tracker.cost()
-        again, _ = improver.refine_assignment(
-            dag, machine, tracker.procs, tracker.supersteps, tracker=tracker
-        )
-        assert again is tracker  # reused, not rebuilt
-        assert tracker.cost() <= cost_after_first
-        procs, steps = tracker.assignment()
-        assert BspSchedule(dag, machine, procs, steps).is_valid()
-
-    def test_refine_assignment_rebuilds_on_caller_edit(self):
-        """An assignment edit between bursts must not be silently discarded."""
-        dag = random_dag(25, 0.2, seed=3)
-        machine = BspMachine.uniform(4, g=2, latency=2)
-        schedule = RoundRobinScheduler().schedule(dag, machine)
-        improver = HillClimbingImprover(max_steps=2)
-        tracker, accepted = improver.refine_assignment(
-            dag, machine, schedule.procs, schedule.supersteps
-        )
-        assert accepted > 0  # the tracker state has moved off the input arrays
-        # hand the original (now stale) arrays back with the moved tracker:
-        # the mismatch must force a rebuild from the given arrays
-        rebuilt, _ = improver.refine_assignment(
-            dag, machine, schedule.procs, schedule.supersteps, tracker=tracker
-        )
-        assert rebuilt is not tracker
-
     def test_refine_assignment_matches_reference_burst(self):
         """One burst on arrays == the reference improver's accepted prefix."""
         dag = random_dag(25, 0.2, seed=8)

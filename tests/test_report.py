@@ -227,7 +227,7 @@ class TestHtmlReport:
 
     def test_no_store_renders_the_empty_store_page(self, tmp_path):
         report = build_report(None)
-        assert (report.num_trials, report.experiments, report.families) == (0, [], [])
+        assert (report.num_trials, report.families) == (0, [])
         assert render_html(report) == render_html(build_report(tmp_path))
 
     @pytest.mark.parametrize("kind", ["missing", "file"])

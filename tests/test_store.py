@@ -11,7 +11,7 @@ Covers the layers of the subsystem and their crash-recovery guarantees:
   serial or pool-parallel, computes exactly the missing points; a grid
   restarted over a crashed run's debris loses and duplicates nothing; a
   failing request propagates without harming what is stored),
-* garbage collection and the trial/experiment metadata tables.
+* garbage collection and the trial metadata table.
 """
 
 from __future__ import annotations
@@ -469,20 +469,15 @@ class TestResumableExperiments:
             "trials": len(requests),
         }
 
-    def test_resumed_experiment_record_names_the_whole_grid(self, tmp_path):
-        """Store hits belong to the named batch too; trials stay unique."""
+    def test_resumed_grid_records_each_trial_once(self, tmp_path):
+        """A resumed grid records only its misses: one trial per stored result."""
         runner, instances, specs = self._grid(tmp_path)
         run_grid(runner, instances, specs[:1])
         resumed, _, _ = self._grid(tmp_path)
-        run_grid(resumed, instances, specs, workers=2, experiment="resumed")
+        run_grid(resumed, instances, specs, workers=2)
         store = ResultStore(tmp_path)
-        [record] = store.trials.experiments()
-        assert record.name == "resumed"
-        assert record.metadata == {
-            "points": len(instances) * len(specs),
-            "requests": len(self._requests(resumed, instances, specs)),
-        }
-        assert sorted(record.fingerprints) == store.fingerprints()
+        grid = {request.fingerprint() for request in self._requests(resumed, instances, specs)}
+        assert store.fingerprints() == sorted(grid)
         trials = [trial.fingerprint for trial in store.trials.trials()]
         assert sorted(trials) == sorted(set(trials)) == store.fingerprints()
 
@@ -519,7 +514,6 @@ class TestStoreGc:
             "removed_dags": [],
             "removed_tmp": [],
             "dropped_trials": 0,
-            "dropped_experiments": 0,
         }
         assert store.contains(fingerprint)
 
@@ -634,7 +628,7 @@ class TestStoreGc:
 
 
 # ---------------------------------------------------------------------- #
-# the trial/experiment metadata tables
+# the trial metadata table
 # ---------------------------------------------------------------------- #
 class TestTrialRecords:
     def _requests(self, schedulers=("cilk", "bsp_greedy"), seeds=(0,)):
@@ -700,25 +694,6 @@ class TestTrialRecords:
             handle.write('{"kind": "trial", "fingerprint"')  # dying writer
         assert len(log.trials()) == 1
 
-    def test_named_experiment_recorded(self, tmp_path):
-        runner = ExperimentRunner(config=BUDGET_FREE, store=tmp_path)
-        instances = build_dataset("tiny", scale="bench", include_coarse=False)[:1]
-        specs = [MachineSpec(4, 1, 5)]
-        run_grid(runner, instances, specs, experiment="smoke-grid")
-        experiments = ResultStore(tmp_path).trials.experiments()
-        assert [record.name for record in experiments] == ["smoke-grid"]
-        # on a cold store the batch is exactly the recorded trials
-        stored = {f for record in experiments for f in record.fingerprints}
-        trials = {t.fingerprint for t in ResultStore(tmp_path).trials.trials()}
-        assert stored == trials
-        # an unnamed grid records no experiment row
-        run_grid(
-            ExperimentRunner(config=BUDGET_FREE, store=tmp_path),
-            instances,
-            specs,
-        )
-        assert len(ResultStore(tmp_path).trials.experiments()) == 1
-
     def test_pool_parallel_grid_populates_the_table(self, tmp_path):
         runner = ExperimentRunner(config=BUDGET_FREE, store=tmp_path)
         instances = build_dataset("tiny", scale="bench", include_coarse=False)[:2]
@@ -757,9 +732,6 @@ class TestGcTrialPreservation:
 
     def test_default_gc_never_touches_the_tables(self, tmp_path):
         store, requests = self._populated(tmp_path)
-        store.trials.record_experiment(
-            "grid", [r.fingerprint() for r in requests]
-        )
         # even with every result dangling, the history survives a plain gc
         for path in store.dags_dir.glob("*.json"):
             path.unlink()
@@ -767,34 +739,18 @@ class TestGcTrialPreservation:
         assert len(report["removed_results"]) == 2
         assert report["dropped_trials"] == 0
         assert len(store.trials) == 2
-        assert len(store.trials.experiments()) == 1
 
     def test_prune_drops_exactly_the_recordless_results(self, tmp_path):
         store, requests = self._populated(tmp_path)
-        store.trials.record_experiment(
-            "grid", [r.fingerprint() for r in requests]
-        )
         gone = requests[0].fingerprint()
         store.result_path(gone).unlink()
         report = store.gc(prune_trials=True)
         assert report["dropped_trials"] == 1
-        assert report["dropped_experiments"] == 0
         survivors = {t.fingerprint for t in store.trials.trials()}
         assert survivors == {requests[1].fingerprint()}
-        # invariant both ways: every record has a result...
+        # every record has a result
         for fingerprint in survivors:
             assert store.contains(fingerprint)
-        # ...and the experiment references only surviving trials
-        experiment = store.trials.experiments()[0]
-        assert experiment.fingerprints == [requests[1].fingerprint()]
-
-    def test_prune_drops_experiments_left_empty(self, tmp_path):
-        store, requests = self._populated(tmp_path)
-        store.trials.record_experiment("grid", [requests[0].fingerprint()])
-        store.result_path(requests[0].fingerprint()).unlink()
-        report = store.gc(prune_trials=True)
-        assert report["dropped_experiments"] == 1
-        assert store.trials.experiments() == []
 
     def test_prune_collapses_duplicate_records(self, tmp_path):
         """A crashed worker's recompute appends a second row; prune dedups."""
