@@ -27,17 +27,21 @@ from repro.io import render_cost_table, render_schedule_text
 
 def build_example_dag() -> ComputationalDAG:
     """A small DAG in the spirit of Figure 1 (9 operations in two layers)."""
-    dag = ComputationalDAG(12, name="figure1_example")
     edges = [
         (0, 6), (1, 6), (1, 7), (2, 7), (3, 7), (4, 8), (5, 8),
         (6, 9), (7, 9), (7, 10), (8, 10), (8, 11),
     ]
-    dag.add_edges(edges)
-    # give the second layer a bit more work and heavier outputs
-    for v in (6, 7, 8):
-        dag.set_work(v, 3)
-        dag.set_comm(v, 2)
-    return dag
+    # the second layer (nodes 6-8) gets a bit more work and heavier outputs
+    work = [1, 1, 1, 1, 1, 1, 3, 3, 3, 1, 1, 1]
+    comm = [1, 1, 1, 1, 1, 1, 2, 2, 2, 1, 1, 1]
+    return ComputationalDAG.from_edge_arrays(
+        12,
+        [u for u, _ in edges],
+        [v for _, v in edges],
+        work_weights=work,
+        comm_weights=comm,
+        name="figure1_example",
+    )
 
 
 def main() -> None:

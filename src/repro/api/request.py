@@ -53,8 +53,8 @@ def dag_fingerprint(dag: ComputationalDAG) -> str:
     Hashes the canonical buffers (node count, float64 weight vectors, int64
     edge arrays in insertion order) rather than a JSON rendering, so the
     digest is cheap even for million-edge DAGs and identical across
-    processes.  The memo lives on the DAG and is dropped by every mutation
-    (see ``ComputationalDAG._invalidate`` and the weight setters).
+    processes.  The memo lives on the DAG, which never changes once built
+    (a re-weighted DAG is a new object with its own memo).
     """
     cached = getattr(dag, "_content_fingerprint", None)
     if cached is not None:

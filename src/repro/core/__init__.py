@@ -22,7 +22,6 @@ from .serialization import (
     load_schedule,
     machine_from_dict,
     machine_to_dict,
-    save_schedule,
     schedule_from_dict,
     schedule_to_dict,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "machine_to_dict",
     "default_workers",
     "parallel_map",
-    "save_schedule",
     "schedule_from_dict",
     "schedule_to_dict",
     "required_transfers",

@@ -6,35 +6,35 @@ data dependencies, and each node ``v`` carries an integer *work weight*
 ``w(v)`` (time to execute ``v``) and a *communication weight* ``c(v)`` (cost
 of sending the output of ``v`` to another processor).
 
-The container is append-only with respect to nodes (nodes are integers
-``0..n-1``); edges may be added freely as long as the graph stays acyclic.
-Derived quantities used by the schedulers (topological order, levels,
-bottom levels, transitive reachability queries, ...) are computed lazily and
-cached; every mutation invalidates the caches.
+A DAG never changes once it is built.  It comes from the constructor (an
+edgeless DAG), :meth:`ComputationalDAG.from_edge_arrays`,
+:meth:`DagBuilder.freeze` or a file reader, and a re-weighted DAG is a new
+one (:meth:`ComputationalDAG.with_weights`).  Derived quantities used by the
+schedulers (topological order, levels, bottom levels, the content
+fingerprint, ...) are computed lazily and then kept for the DAG's lifetime:
+no cached answer can go stale.
 
 Implementation notes
 --------------------
-Adjacency lives in flat edge buffers (``source``/``target`` int64 arrays
-with capacity doubling, so ``add_node``/``add_edge`` are amortized O(1))
-from which two CSR (compressed sparse row) views are materialised lazily:
-``succ_indptr``/``succ_indices`` and ``pred_indptr``/``pred_indices``.
-Rows preserve edge insertion order, so neighbourhood traversals visit
-exactly the same sequence as the historical list-of-lists container.  The
-derived kernels (levels, bottom levels, reachability, induced subgraphs)
-are vectorized over the CSR arrays in :mod:`repro.core.csr`; mutating the
-DAG simply drops the CSR arrays and they are rebuilt in ``O(n + m)`` on the
-next structural query (*lazy rebuild* — no caller of the mutation API needs
-to change).
+A DAG holds its edges as flat ``source``/``target`` int64 arrays, from which
+two CSR (compressed sparse row) views are materialised on the first
+structural query: ``succ_indptr``/``succ_indices`` and
+``pred_indptr``/``pred_indices``.  Rows preserve edge insertion order, so
+neighbourhood traversals visit exactly the same sequence as the historical
+list-of-lists container.  The derived kernels (levels, bottom levels,
+reachability, induced subgraphs) are vectorized over the CSR arrays in
+:mod:`repro.core.csr`.  Every array a DAG hands out is read-only.
 
-For bulk construction, :class:`DagBuilder` exposes the same append API
-without any per-edge validation (plus vectorized ``add_edges_array``) and
-``freeze()``-s into a :class:`ComputationalDAG` with a single vectorized
-duplicate check.  The DAG-database generators and the coarsening quotient
-builder emit their edge buffers directly through it.
+:class:`DagBuilder` is the one incremental builder: amortized-O(1) appends
+into capacity-doubling buffers (plus the vectorized ``add_nodes_array`` and
+``add_edges_array``), then ``freeze()`` into a DAG with a single vectorized
+duplicate check.  The DAG-database generators emit their edge blocks
+through it.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -54,6 +54,17 @@ from .exceptions import CycleError, DagError
 __all__ = ["ComputationalDAG", "DagBuilder", "EdgeView"]
 
 _INT = np.int64
+
+#: the caches that depend on the edges alone, which a re-weighted DAG shares
+_STRUCTURE_CACHES = (
+    "_succ_indptr",
+    "_succ_indices",
+    "_pred_indptr",
+    "_pred_indices",
+    "_edge_sources",
+    "_topo_cache",
+    "_level_cache",
+)
 
 
 @dataclass(frozen=True)
@@ -75,51 +86,35 @@ def _grow(buffer: np.ndarray, needed: int) -> np.ndarray:
     return grown
 
 
-def _readonly(array: np.ndarray) -> np.ndarray:
-    view = array.view()
-    view.flags.writeable = False
-    return view
+def _check_weights(weights: np.ndarray, label: str) -> None:
+    """Refuse a negative, NaN or infinite weight (every constructor's check)."""
+    if not (np.isfinite(weights).all() and (weights >= 0).all()):
+        raise DagError(f"{label} must be finite and non-negative")
 
 
-def _append_node(
-    work_buf: np.ndarray, comm_buf: np.ndarray, n: int, work: float, comm: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Append one weight pair at index ``n`` (shared by DAG and builder)."""
-    if work < 0 or comm < 0:
-        raise DagError("node weights must be non-negative")
-    work_buf = _grow(work_buf, n + 1)
-    comm_buf = _grow(comm_buf, n + 1)
-    work_buf[n] = float(work)
-    comm_buf[n] = float(comm)
-    return work_buf, comm_buf
-
-
-def _append_nodes(
-    work_buf: np.ndarray,
-    comm_buf: np.ndarray,
-    n: int,
-    count: int,
-    work: float,
-    comm: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Append ``count`` identical weight pairs starting at index ``n``."""
-    if work < 0 or comm < 0:
-        raise DagError("node weights must be non-negative")
-    work_buf = _grow(work_buf, n + count)
-    comm_buf = _grow(comm_buf, n + count)
-    work_buf[n : n + count] = float(work)
-    comm_buf[n : n + count] = float(comm)
-    return work_buf, comm_buf
+def _weights(values: Sequence[float] | None, num_nodes: int, label: str) -> np.ndarray:
+    """A fresh, checked weight vector of length ``num_nodes`` (default all ones)."""
+    if values is None:
+        return np.ones(num_nodes, dtype=np.float64)
+    weights = np.array(values, dtype=np.float64)
+    if weights.shape != (num_nodes,):
+        raise DagError(
+            f"{label} must have length {num_nodes}, got shape {weights.shape}"
+        )
+    _check_weights(weights, label)
+    return weights
 
 
 class ComputationalDAG:
     """A directed acyclic graph with per-node work and communication weights.
 
+    The constructor builds an edgeless DAG; DAGs with edges come from
+    :meth:`from_edge_arrays`, :meth:`DagBuilder.freeze` or the readers.
+
     Parameters
     ----------
     num_nodes:
-        Number of nodes to create initially.  Nodes are labelled
-        ``0 .. num_nodes - 1``.
+        Number of nodes.  Nodes are labelled ``0 .. num_nodes - 1``.
     work_weights:
         Optional sequence of work weights ``w(v)``; defaults to all ones.
     comm_weights:
@@ -138,15 +133,15 @@ class ComputationalDAG:
     ) -> None:
         if num_nodes < 0:
             raise DagError(f"num_nodes must be non-negative, got {num_nodes}")
-        self.name = name
-        self._n = int(num_nodes)
-        self._work = self._init_weights(work_weights, num_nodes, "work_weights")
-        self._comm = self._init_weights(comm_weights, num_nodes, "comm_weights")
-        self._m = 0
-        self._esrc = np.empty(0, dtype=_INT)
-        self._edst = np.empty(0, dtype=_INT)
-        self._edge_set: set[tuple[int, int]] | None = set()
-        self._invalidate()
+        no_edges = np.empty(0, dtype=_INT)
+        self._adopt(
+            int(num_nodes),
+            _weights(work_weights, num_nodes, "work_weights"),
+            _weights(comm_weights, num_nodes, "comm_weights"),
+            no_edges,
+            no_edges,
+            name,
+        )
 
     @classmethod
     def _from_buffers(
@@ -160,35 +155,45 @@ class ComputationalDAG:
     ) -> "ComputationalDAG":
         """Adopt pre-validated buffers without copying (builder fast path)."""
         dag = cls.__new__(cls)
-        dag.name = name
-        dag._n = int(num_nodes)
-        dag._work = work
-        dag._comm = comm
-        dag._m = int(sources.shape[0])
-        dag._esrc = sources
-        dag._edst = targets
-        dag._edge_set = None  # materialised lazily, only if mutated/queried
-        dag._invalidate()
+        dag._adopt(int(num_nodes), work, comm, sources, targets, name)
         return dag
+
+    def _adopt(
+        self,
+        num_nodes: int,
+        work: np.ndarray,
+        comm: np.ndarray,
+        sources: np.ndarray,
+        targets: np.ndarray,
+        name: str,
+    ) -> None:
+        """Take ownership of exactly-sized buffers and freeze them."""
+        for array in (work, comm, sources, targets):
+            if array is not None:  # a mapped DAG derives its sources later
+                array.flags.writeable = False
+        self.name = name
+        self._n = num_nodes
+        self._work = work
+        self._comm = comm
+        self._m = int(targets.shape[0])
+        self._esrc = sources
+        self._edst = targets
+        # derived caches, each filled on first use and kept from then on
+        self._succ_indptr: np.ndarray | None = None
+        self._succ_indices: np.ndarray | None = None
+        self._pred_indptr: np.ndarray | None = None
+        self._pred_indices: np.ndarray | None = None
+        # source column of edge_arrays(), derived from succ_indptr
+        self._edge_sources: np.ndarray | None = None
+        self._topo_cache: list[int] | None = None
+        self._level_cache: np.ndarray | None = None
+        self._bottom_level_cache: np.ndarray | None = None
+        # content fingerprint memo (filled by repro.api.request.dag_fingerprint)
+        self._content_fingerprint: str | None = None
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _init_weights(
-        weights: Sequence[float] | None, num_nodes: int, label: str
-    ) -> np.ndarray:
-        if weights is None:
-            return np.ones(num_nodes, dtype=np.float64)
-        arr = np.asarray(weights, dtype=np.float64)
-        if arr.shape != (num_nodes,):
-            raise DagError(
-                f"{label} must have length {num_nodes}, got shape {arr.shape}"
-            )
-        if np.any(arr < 0):
-            raise DagError(f"{label} must be non-negative")
-        return arr.copy()
-
     @classmethod
     def from_edge_arrays(
         cls,
@@ -210,96 +215,59 @@ class ComputationalDAG:
         """
         if num_nodes < 0:
             raise DagError(f"num_nodes must be non-negative, got {num_nodes}")
-        src = np.ascontiguousarray(sources, dtype=_INT)
-        dst = np.ascontiguousarray(targets, dtype=_INT)
+        try:
+            src = np.array(sources, dtype=_INT)
+            dst = np.array(targets, dtype=_INT)
+        except OverflowError as exc:
+            raise DagError(f"edge endpoint out of range (n={num_nodes})") from exc
         if src.shape != dst.shape or src.ndim != 1:
             raise DagError("sources and targets must be 1-D arrays of equal length")
+        # weights first: their length pins num_nodes before it scales edge keys
+        work = _weights(work_weights, num_nodes, "work_weights")
+        comm = _weights(comm_weights, num_nodes, "comm_weights")
         if validate:
             _validate_edge_arrays(num_nodes, src, dst)
-        work = cls._init_weights(work_weights, num_nodes, "work_weights")
-        comm = cls._init_weights(comm_weights, num_nodes, "comm_weights")
-        return cls._from_buffers(num_nodes, work, comm, src.copy(), dst.copy(), name)
+        return cls._from_buffers(num_nodes, work, comm, src, dst, name)
 
-    def add_node(self, work: float = 1.0, comm: float = 1.0) -> int:
-        """Append a node and return its index (amortized O(1))."""
-        self._work, self._comm = _append_node(self._work, self._comm, self._n, work, comm)
-        self._n += 1
-        self._invalidate()
-        return self._n - 1
+    def with_weights(
+        self, work_weights: Sequence[float], comm_weights: Sequence[float]
+    ) -> "ComputationalDAG":
+        """This DAG's structure under new work and communication weights.
 
-    def add_nodes(self, count: int, work: float = 1.0, comm: float = 1.0) -> list[int]:
-        """Append ``count`` nodes with identical weights; return their indices."""
-        if count <= 0:
-            return []
-        self._work, self._comm = _append_nodes(
-            self._work, self._comm, self._n, count, work, comm
-        )
-        first = self._n
-        self._n += count
-        self._invalidate()
-        return list(range(first, self._n))
-
-    def add_edge(self, source: int, target: int) -> None:
-        """Add the directed edge ``source -> target``.
-
-        Duplicate edges and self-loops are rejected.  Acyclicity is verified
-        lazily: a cycle raises :class:`CycleError` the first time a
-        topological order is requested.
+        The result shares the edge arrays and every cache that depends on
+        the edges alone (CSR, edge sources, levels, topological order), so
+        re-weighting never rebuilds the CSR; its bottom levels and content
+        fingerprint are its own.  This DAG is left as it was.
         """
-        self._check_node(source)
-        self._check_node(target)
-        source = int(source)
-        target = int(target)
-        if source == target:
-            raise CycleError(f"self-loop on node {source} is not allowed")
-        edge_set = self._ensure_edge_set()
-        if (source, target) in edge_set:
-            raise DagError(f"duplicate edge ({source}, {target})")
-        self._esrc = _grow(self._esrc, self._m + 1)
-        self._edst = _grow(self._edst, self._m + 1)
-        self._esrc[self._m] = source
-        self._edst[self._m] = target
-        self._m += 1
-        edge_set.add((source, target))
-        self._invalidate()
+        self._ensure_csr()
+        dag = ComputationalDAG._from_buffers(
+            self._n,
+            _weights(work_weights, self._n, "work_weights"),
+            _weights(comm_weights, self._n, "comm_weights"),
+            self._esrc,
+            self._edst,
+            self.name,
+        )
+        for cache in _STRUCTURE_CACHES:
+            setattr(dag, cache, getattr(self, cache))
+        return dag
 
-    def add_edges(self, edges: Iterable[tuple[int, int]]) -> None:
-        """Add many edges at once."""
-        for u, v in edges:
-            self.add_edge(u, v)
+    def __setstate__(self, state: dict) -> None:
+        # numpy unpickles arrays writeable: freeze them again
+        self.__dict__.update(state)
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     def _check_node(self, v: int) -> None:
         if not 0 <= v < self._n:
             raise DagError(f"node {v} does not exist (n={self._n})")
 
-    def _ensure_edge_set(self) -> set[tuple[int, int]]:
-        if self._edge_set is None:
-            self._edge_set = set(
-                zip(self._esrc[: self._m].tolist(), self._edst[: self._m].tolist())
-            )
-        return self._edge_set
-
-    def _invalidate(self) -> None:
-        """Drop the CSR arrays and every derived cache (called on mutation)."""
-        self._succ_indptr: np.ndarray | None = None
-        self._succ_indices: np.ndarray | None = None
-        self._pred_indptr: np.ndarray | None = None
-        self._pred_indices: np.ndarray | None = None
-        # source column of edge_arrays(), derived from succ_indptr
-        self._edge_sources: np.ndarray | None = None
-        self._topo_cache: list[int] | None = None
-        self._level_cache: np.ndarray | None = None
-        self._bottom_level_cache: np.ndarray | None = None
-        # content fingerprint memo (filled by repro.api.request.dag_fingerprint)
-        self._content_fingerprint: str | None = None
-
     def _ensure_csr(self) -> None:
         if self._succ_indptr is not None:
             return
-        src = self._esrc[: self._m]
-        dst = self._edst[: self._m]
-        succ_indptr, succ_indices = build_csr(self._n, src, dst)
-        pred_indptr, pred_indices = build_csr(self._n, dst, src)
+        succ_indptr, succ_indices = build_csr(self._n, self._esrc, self._edst)
+        pred_indptr, pred_indices = build_csr(self._n, self._edst, self._esrc)
         for array in (succ_indptr, succ_indices, pred_indptr, pred_indices):
             array.flags.writeable = False
         self._succ_indptr = succ_indptr
@@ -322,13 +290,13 @@ class ComputationalDAG:
 
     @property
     def work_weights(self) -> np.ndarray:
-        """Work weight vector ``w`` (read-only view)."""
-        return _readonly(self._work[: self._n])
+        """Work weight vector ``w`` (read-only)."""
+        return self._work
 
     @property
     def comm_weights(self) -> np.ndarray:
-        """Communication weight vector ``c`` (read-only view)."""
-        return _readonly(self._comm[: self._n])
+        """Communication weight vector ``c`` (read-only)."""
+        return self._comm
 
     def work(self, v: int) -> float:
         """Work weight ``w(v)``."""
@@ -338,62 +306,15 @@ class ComputationalDAG:
         """Communication weight ``c(v)``."""
         return float(self._comm[v])
 
-    def _ensure_writable_weights(self) -> None:
-        """Copy-on-write hook: detach memory-mapped weight buffers before a write.
-
-        In-memory DAGs always own writable weight buffers, so this is a
-        flag check; a DAG loaded zero-copy from a ``.hdagb`` mapping (see
-        :mod:`repro.io.hdagb`) carries read-only views and the first weight
-        mutation silently replaces them with private copies.
-        """
-        if not self._work.flags.writeable:
-            self._work = np.array(self._work, dtype=np.float64)
-        if not self._comm.flags.writeable:
-            self._comm = np.array(self._comm, dtype=np.float64)
-
-    def set_work(self, v: int, value: float) -> None:
-        """Set ``w(v)``."""
-        if value < 0:
-            raise DagError("work weight must be non-negative")
-        self._check_node(v)
-        self._ensure_writable_weights()
-        self._work[v] = value
-        self._bottom_level_cache = None
-        self._content_fingerprint = None
-
-    def set_comm(self, v: int, value: float) -> None:
-        """Set ``c(v)``."""
-        if value < 0:
-            raise DagError("communication weight must be non-negative")
-        self._check_node(v)
-        self._ensure_writable_weights()
-        self._comm[v] = value
-        self._content_fingerprint = None
-
-    def set_work_weights(self, values: Sequence[float]) -> None:
-        """Replace the whole work weight vector in one vectorized assignment."""
-        weights = self._init_weights(values, self._n, "work_weights")
-        self._ensure_writable_weights()
-        self._work[: self._n] = weights
-        self._bottom_level_cache = None
-        self._content_fingerprint = None
-
-    def set_comm_weights(self, values: Sequence[float]) -> None:
-        """Replace the whole communication weight vector."""
-        weights = self._init_weights(values, self._n, "comm_weights")
-        self._ensure_writable_weights()
-        self._comm[: self._n] = weights
-        self._content_fingerprint = None
-
     @property
     def total_work(self) -> float:
         """Sum of all work weights."""
-        return float(self._work[: self._n].sum())
+        return float(self._work.sum())
 
     @property
     def total_comm(self) -> float:
         """Sum of all communication weights."""
-        return float(self._comm[: self._n].sum())
+        return float(self._comm.sum())
 
     # ------------------------------------------------------------------ #
     # adjacency access
@@ -472,11 +393,7 @@ class ComputationalDAG:
         return np.diff(self._pred_indptr)
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Whether the directed edge ``u -> v`` exists (O(out-degree) scan).
-
-        Reads the CSR row directly; the edge set used for incremental
-        duplicate checks is only materialised by :meth:`add_edge`.
-        """
+        """Whether the directed edge ``u -> v`` exists (O(out-degree) scan)."""
         self._check_node(v)
         return bool((self.succ(u) == int(v)).any())
 
@@ -590,7 +507,7 @@ class ComputationalDAG:
                 levels,
                 self._succ_indptr,
                 self._succ_indices,
-                self._work[: self._n],
+                self._work,
             )
         return self._bottom_level_cache.copy()
 
@@ -643,8 +560,8 @@ class ComputationalDAG:
     def weakly_connected_components(self) -> list[list[int]]:
         """Weakly connected components, each as a sorted node list.
 
-        Union-find over the flat edge buffers; components are ordered by
-        their smallest member (the historical DFS output order).
+        Union-find over the edge arrays; components are ordered by their
+        smallest member (the historical DFS output order).
         """
         parent = list(range(self._n))
 
@@ -654,7 +571,8 @@ class ComputationalDAG:
                 x = parent[x]
             return x
 
-        for u, v in zip(self._esrc[: self._m].tolist(), self._edst[: self._m].tolist()):
+        sources, targets = self.edge_arrays()
+        for u, v in zip(sources.tolist(), targets.tolist()):
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[rv] = ru
@@ -726,10 +644,11 @@ class ComputationalDAG:
         import networkx as nx
 
         graph = nx.DiGraph(name=self.name)
-        for v in self.nodes():
-            graph.add_node(v, work=self.work(v), comm=self.comm(v))
-        for edge in self.edges():
-            graph.add_edge(edge.source, edge.target)
+        graph.add_nodes_from(
+            (v, {"work": work, "comm": comm})
+            for v, (work, comm) in enumerate(zip(self._work.tolist(), self._comm.tolist()))
+        )
+        graph.add_edges_from((edge.source, edge.target) for edge in self.edges())
         return graph
 
     @classmethod
@@ -742,28 +661,20 @@ class ComputationalDAG:
         """
         nodes = sorted(graph.nodes())
         index = {v: i for i, v in enumerate(nodes)}
-        dag = cls(
+        edges = np.array(
+            [(index[u], index[v]) for u, v in graph.edges()], dtype=_INT
+        ).reshape(-1, 2)
+        dag = cls.from_edge_arrays(
             len(nodes),
+            edges[:, 0],
+            edges[:, 1],
             work_weights=[float(graph.nodes[v].get("work", 1.0)) for v in nodes],
             comm_weights=[float(graph.nodes[v].get("comm", 1.0)) for v in nodes],
             name=name or str(graph.name or "dag"),
         )
-        for u, v in graph.edges():
-            dag.add_edge(index[u], index[v])
         if not dag.is_acyclic():
             raise CycleError("input graph is not acyclic")
         return dag
-
-    def copy(self) -> "ComputationalDAG":
-        """Deep copy of the DAG (array copies, no per-edge work)."""
-        return ComputationalDAG._from_buffers(
-            self._n,
-            self._work[: self._n].copy(),
-            self._comm[: self._n].copy(),
-            self._esrc[: self._m].copy(),
-            self._edst[: self._m].copy(),
-            name=self.name,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
@@ -810,15 +721,14 @@ def _validate_edge_arrays(num_nodes: int, src: np.ndarray, dst: np.ndarray) -> N
 
 
 class DagBuilder:
-    """Mutable DAG construction buffers that :meth:`freeze` into a DAG.
+    """The one incremental DAG builder: append nodes and edges, then :meth:`freeze`.
 
-    The builder exposes the same append API as :class:`ComputationalDAG`
-    but performs no per-edge duplicate bookkeeping — everything is plain
-    amortized-O(1) appends into flat numpy buffers, plus the vectorized bulk
-    entry points :meth:`add_nodes_array` and :meth:`add_edges_array`.
-    Validation (duplicate edges) happens once, vectorized, at
-    :meth:`freeze` time; acyclicity stays lazily checked by the frozen DAG
-    like everywhere else.
+    Appends are amortized O(1) into capacity-doubling numpy buffers, plus
+    the vectorized bulk entry points :meth:`add_nodes_array` and
+    :meth:`add_edges_array`.  Weights (finite, non-negative), endpoint
+    ranges and self-loops are checked on append; duplicate edges once,
+    vectorized, at :meth:`freeze` time; acyclicity stays lazily checked by
+    the frozen DAG like everywhere else.
 
     The builder remains usable after ``freeze()`` (the frozen DAG owns
     trimmed copies of the buffers), so one builder can emit a family of
@@ -836,12 +746,8 @@ class DagBuilder:
             raise DagError(f"num_nodes must be non-negative, got {num_nodes}")
         self.name = name
         self._n = int(num_nodes)
-        self._work = ComputationalDAG._init_weights(
-            work_weights, num_nodes, "work_weights"
-        )
-        self._comm = ComputationalDAG._init_weights(
-            comm_weights, num_nodes, "comm_weights"
-        )
+        self._work = _weights(work_weights, num_nodes, "work_weights")
+        self._comm = _weights(comm_weights, num_nodes, "comm_weights")
         self._m = 0
         self._esrc = np.empty(0, dtype=_INT)
         self._edst = np.empty(0, dtype=_INT)
@@ -858,9 +764,7 @@ class DagBuilder:
 
     def add_node(self, work: float = 1.0, comm: float = 1.0) -> int:
         """Append a node and return its index."""
-        self._work, self._comm = _append_node(self._work, self._comm, self._n, work, comm)
-        self._n += 1
-        return self._n - 1
+        return self.add_node_block(1, work, comm)
 
     def add_nodes(self, count: int, work: float = 1.0, comm: float = 1.0) -> list[int]:
         """Append ``count`` nodes with identical weights; return their indices."""
@@ -874,13 +778,17 @@ class DagBuilder:
         derive ids arithmetically, so materialising the python list that
         :meth:`add_nodes` returns would be pure overhead.
         """
-        if count <= 0:
-            return self._n
-        self._work, self._comm = _append_nodes(
-            self._work, self._comm, self._n, count, work, comm
-        )
         first = self._n
+        if count <= 0:
+            return first
+        work, comm = float(work), float(comm)
+        if not (0.0 <= work < math.inf and 0.0 <= comm < math.inf):
+            raise DagError("node weights must be finite and non-negative")
         self._n += count
+        self._work = _grow(self._work, self._n)
+        self._comm = _grow(self._comm, self._n)
+        self._work[first : self._n] = work
+        self._comm[first : self._n] = comm
         return first
 
     def add_nodes_array(
@@ -895,8 +803,8 @@ class DagBuilder:
         )
         if work.shape != comm.shape or work.ndim != 1:
             raise DagError("weight arrays must be 1-D and of equal length")
-        if work.size and (work.min() < 0 or comm.min() < 0):
-            raise DagError("node weights must be non-negative")
+        _check_weights(work, "work_weights")
+        _check_weights(comm, "comm_weights")
         new_n = self._n + work.size
         self._work = _grow(self._work, new_n)
         self._comm = _grow(self._comm, new_n)
@@ -944,7 +852,7 @@ class DagBuilder:
         self._m = new_m
 
     def freeze(self, *, validate: bool = True, name: str | None = None) -> ComputationalDAG:
-        """Materialise an immutable-by-default :class:`ComputationalDAG`.
+        """Materialise the appended nodes and edges as a :class:`ComputationalDAG`.
 
         With ``validate`` (default) a single vectorized duplicate-edge check
         runs over the whole edge buffer; endpoint ranges and self-loops are

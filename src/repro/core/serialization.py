@@ -8,16 +8,17 @@ The experiment harness and the CLI persist three kinds of objects:
 * :class:`~repro.core.schedule.BspSchedule` — the assignment ``(π, τ)`` and,
   when explicit, the communication schedule ``Γ``.
 
-All functions produce plain JSON-compatible dictionaries (``to_dict``) or
-strings/files (``dumps``/``save``), and their inverses re-validate the data
-so that hand-edited files cannot silently produce invalid schedules.
+All functions produce plain JSON-compatible dictionaries (``*_to_dict``),
+and their inverses (``*_from_dict``, :func:`load_schedule`) re-validate the
+data so that hand-edited files cannot silently produce invalid schedules.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -35,7 +36,6 @@ __all__ = [
     "machine_from_dict",
     "schedule_to_dict",
     "schedule_from_dict",
-    "save_schedule",
     "load_schedule",
 ]
 
@@ -52,21 +52,61 @@ def dag_to_dict(dag: ComputationalDAG) -> dict[str, Any]:
 
 
 def dag_from_dict(data: dict[str, Any]) -> ComputationalDAG:
-    """Rebuild a DAG from :func:`dag_to_dict` output."""
+    """Rebuild a DAG from :func:`dag_to_dict` output.
+
+    ``num_nodes`` must be integral, ``edges`` an integer array of shape
+    ``(m, 2)`` and the weights numbers: a fraction, a boolean or a string
+    where an integer belongs is refused, not coerced.
+    """
     try:
-        dag = ComputationalDAG(
-            int(data["num_nodes"]),
-            work_weights=data["work"],
-            comm_weights=data["comm"],
+        edges = _edge_pairs(data["edges"])
+        dag = ComputationalDAG.from_edge_arrays(
+            as_int(data["num_nodes"], "num_nodes"),
+            edges[:, 0],
+            edges[:, 1],
+            work_weights=_weight_column(data["work"], "work"),
+            comm_weights=_weight_column(data["comm"], "comm"),
             name=str(data.get("name", "dag")),
         )
-        for source, target in data["edges"]:
-            dag.add_edge(int(source), int(target))
     except (KeyError, TypeError, ValueError) as exc:
         raise ReproError(f"malformed DAG dictionary: {exc}") from exc
     if not dag.is_acyclic():
         raise ReproError("serialised graph is not acyclic")
     return dag
+
+
+def _edge_pairs(edges: Any) -> np.ndarray:
+    """The wire edge list as an ``(m, 2)`` integer array, or ``ValueError``."""
+    pairs = np.asarray(edges)
+    if pairs.shape == (0,):
+        return np.empty((0, 2), dtype=np.int64)
+    if (
+        pairs.ndim != 2
+        or pairs.shape[1] != 2
+        or pairs.dtype.kind not in "iu"
+        or _has_bool(chain.from_iterable(edges))
+    ):
+        raise ValueError(
+            "edges must be integer [source, target] pairs, not fractions, "
+            f"booleans or strings (got shape {pairs.shape}, dtype {pairs.dtype})"
+        )
+    return pairs
+
+
+def _weight_column(weights: Any, what: str) -> np.ndarray:
+    """A wire weight list as numbers: booleans and strings are refused."""
+    column = np.asarray(weights)
+    if column.dtype.kind not in "iuf" or _has_bool(weights):
+        raise ValueError(
+            f"{what} weights must be numbers, not booleans or strings "
+            f"(got dtype {column.dtype})"
+        )
+    return column
+
+
+def _has_bool(values: Iterable) -> bool:
+    """Whether ``values`` holds a boolean, which numpy would read as 0 or 1."""
+    return not {bool, np.bool_}.isdisjoint(map(type, values))
 
 
 def machine_to_dict(machine: BspMachine) -> dict[str, Any]:
@@ -149,17 +189,10 @@ def schedule_from_dict(data: dict[str, Any], dag_resolver=None) -> BspSchedule:
     return BspSchedule(dag, machine, data["procs"], data["supersteps"], comm)
 
 
-def save_schedule(schedule: BspSchedule, path: str | Path) -> None:
-    """Write a schedule (plus its instance) to a JSON file."""
-    Path(path).write_text(
-        json.dumps(schedule_to_dict(schedule), indent=2), encoding="utf-8"
-    )
-
-
 def load_schedule(path: str | Path, store: str | Path | None = None) -> BspSchedule:
-    """Load a schedule previously written by :func:`save_schedule`.
+    """Load a schedule from a JSON file.
 
-    Reads every format ever emitted: the plain :func:`save_schedule`
+    Reads every format ever emitted: the plain :func:`schedule_to_dict`
     payload, the service API's :class:`repro.api.ScheduleResult` wire
     format (what ``repro schedule --output`` emits — the schedule payload
     nested under a ``"schedule"`` key), and dag_ref-mode payloads (what the

@@ -275,8 +275,7 @@ class _FineDagBuilder:
         return _SparseVec(idx=support, nodes=out_ids)
 
     def finish(self) -> FineGrainedResult:
-        dag = self._builder.freeze()
-        apply_paper_weight_rule(dag)
+        dag = apply_paper_weight_rule(self._builder.freeze())
         roles: dict[int, str] = {}
         for ids, role in self._role_chunks:
             chunk = ids.tolist() if isinstance(ids, np.ndarray) else ids

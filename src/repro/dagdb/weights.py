@@ -12,8 +12,9 @@ database generators, is
 The structured workload families (:mod:`repro.dagdb.structured`) can use
 alternative models from the :data:`WEIGHT_MODELS` registry — e.g. task DAGs
 whose per-node work is the task's flop count rather than its fan-in.  All
-models are vectorized over the CSR degree vectors and set the weights in
-place, returning the DAG for chaining.
+models are vectorized over the CSR degree vectors and return a re-weighted
+DAG through :meth:`~repro.core.dag.ComputationalDAG.with_weights`, which
+shares the input's structure (CSR included); the input is left as it was.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ __all__ = [
 
 
 def apply_paper_weight_rule(dag: ComputationalDAG) -> ComputationalDAG:
-    """Set ``w``/``c`` on ``dag`` in place according to the paper's rule and return it.
+    """``dag`` re-weighted by the paper's rule.
 
     Vectorized over the in-degree vector of the CSR backend: sources get
     ``w = 1`` and every other node ``w = max(indeg - 1, 1)``; ``c = 1``
@@ -43,24 +44,22 @@ def apply_paper_weight_rule(dag: ComputationalDAG) -> ComputationalDAG:
     """
     indeg = dag.in_degrees()
     work = np.where(indeg == 0, 1.0, np.maximum(indeg - 1, 1).astype(np.float64))
-    dag.set_work_weights(work)
-    dag.set_comm_weights(np.ones(dag.num_nodes, dtype=np.float64))
-    return dag
+    return dag.with_weights(work, _unit(dag))
 
 
 def apply_unit_weights(dag: ComputationalDAG) -> ComputationalDAG:
     """Unit work and communication everywhere (pure-structure scheduling)."""
-    dag.set_work_weights(np.ones(dag.num_nodes, dtype=np.float64))
-    dag.set_comm_weights(np.ones(dag.num_nodes, dtype=np.float64))
-    return dag
+    return dag.with_weights(_unit(dag), _unit(dag))
 
 
 def apply_indegree_weights(dag: ComputationalDAG) -> ComputationalDAG:
     """``w = max(indeg, 1)`` (a gather/reduce cost model), ``c = 1``."""
     indeg = dag.in_degrees()
-    dag.set_work_weights(np.maximum(indeg, 1).astype(np.float64))
-    dag.set_comm_weights(np.ones(dag.num_nodes, dtype=np.float64))
-    return dag
+    return dag.with_weights(np.maximum(indeg, 1).astype(np.float64), _unit(dag))
+
+
+def _unit(dag: ComputationalDAG) -> np.ndarray:
+    return np.ones(dag.num_nodes, dtype=np.float64)
 
 
 #: Registry of weight models usable by the structured generators.
@@ -72,7 +71,7 @@ WEIGHT_MODELS: dict[str, Callable[[ComputationalDAG], ComputationalDAG]] = {
 
 
 def apply_weight_model(dag: ComputationalDAG, model: str = "paper") -> ComputationalDAG:
-    """Apply a registered weight model by name (in place; returns the DAG)."""
+    """``dag`` re-weighted by a registered weight model, chosen by name."""
     try:
         rule = WEIGHT_MODELS[model]
     except KeyError as exc:

@@ -45,9 +45,9 @@ header, not recomputed; the checksum covers it and the name (version 2),
 so a flipped header fingerprint or name fails the load instead of
 changing a request's cache key.  Version-1 files, whose checksum covered
 the payload only, are refused as an unsupported version.  Mapped buffers
-are read-only; the first mutation transparently copies (see
-``ComputationalDAG._ensure_writable_weights`` and the capacity-doubling
-edge appends, which always reallocate exactly-sized mapped buffers).
+are read-only, like every array of a DAG, so a loaded DAG always equals
+its file; :meth:`~repro.core.dag.ComputationalDAG.with_weights` gives a
+re-weighted in-memory DAG that shares the mapped structure.
 
 :func:`write_hdagb` writes an in-memory DAG in this format.
 """
@@ -131,13 +131,10 @@ class MappedDag(ComputationalDAG):
 
     The weight vectors, successor CSR row pointer and CSR targets are
     read-only zero-copy views into the file mapping; the flat source
-    buffer and the predecessor CSR are derived lazily on first use (one
-    O(m) pass each).  Mutations behave exactly like on an in-memory DAG:
-    weight writes copy the mapped vectors first, edge/node appends
-    reallocate (the mapped buffers are exactly sized, so the shared
-    ``_grow`` path always copies), and once mutated the ordinary lazy CSR
-    rebuild takes over.  Pickling materialises a plain in-memory DAG, so
-    mapped DAGs travel through process pools like any other.
+    column and the predecessor CSR are derived on the first structural
+    query (one O(m) pass each).  A DAG never changes, so a mapped one
+    always equals its file.  Pickling materialises a plain in-memory DAG,
+    so mapped DAGs travel through process pools like any other.
     """
 
     def __init__(self, *args, **kwargs):  # pragma: no cover - guarded API
@@ -145,76 +142,39 @@ class MappedDag(ComputationalDAG):
 
     @classmethod
     def _from_mapping(cls, num_nodes, work, comm, indptr, targets, name, fingerprint):
-        dag = cls.__new__(cls)
-        dag.name = name
-        dag._n = int(num_nodes)
-        dag._work = work
-        dag._comm = comm
-        dag._m = int(targets.shape[0])
-        dag._mapped_n = int(num_nodes)
-        dag._mapped_indptr = indptr
-        dag._mapped_targets = targets
-        dag._esrc_cache = None
-        dag._edst = targets
-        dag._edge_set = None
-        dag._invalidate()
+        # the source column is derived with the predecessor CSR
+        dag = cls._from_buffers(num_nodes, work, comm, None, targets, name)
+        dag._succ_indptr = indptr
+        dag._succ_indices = targets
         dag._content_fingerprint = fingerprint
         return dag
 
-    def _is_pristine(self) -> bool:
-        """Whether the structure still equals the mapping (nothing appended)."""
-        return (
-            self._n == self._mapped_n
-            and self._edst is self._mapped_targets
-            and self._m == self._mapped_targets.shape[0]
-        )
-
-    @property
-    def _esrc(self) -> np.ndarray:
-        cache = self._esrc_cache
-        if cache is None:
-            # canonical source-major order regenerated from the mapped row
-            # pointer; read-only so every append-path _grow reallocates
-            cache = np.repeat(
-                np.arange(self._mapped_n, dtype=_INT),
-                np.diff(self._mapped_indptr),
-            )
-            cache.flags.writeable = False
-            self._esrc_cache = cache
-        return cache
-
-    @_esrc.setter
-    def _esrc(self, value: np.ndarray) -> None:
-        self._esrc_cache = value
-
     def _ensure_csr(self) -> None:
-        if self._succ_indptr is not None:
-            return
-        if not self._is_pristine():
-            super()._ensure_csr()
+        if self._pred_indptr is not None:
             return
         # the successor CSR *is* the mapping; only the predecessor side
         # needs building (one stable counting sort over the edges)
-        src = self._esrc
-        pred_indptr, pred_indices = build_csr(self._n, self._edst, src)
+        sources = np.repeat(np.arange(self._n, dtype=_INT), np.diff(self._succ_indptr))
+        sources.flags.writeable = False
+        pred_indptr, pred_indices = build_csr(self._n, self._edst, sources)
         for array in (pred_indptr, pred_indices):
             array.flags.writeable = False
-        self._succ_indptr = self._mapped_indptr
-        self._succ_indices = self._mapped_targets
         self._pred_indptr = pred_indptr
         self._pred_indices = pred_indices
-        # edge_arrays()'s source column is this same read-only column
-        self._edge_sources = src
+        # the mapped edges are in canonical order, so this one column is
+        # both the edge list's sources and edge_arrays()'s
+        self._esrc = self._edge_sources = sources
 
     def __reduce__(self):
+        sources, targets = self.edge_arrays()
         return (
             _materialized_dag,
             (
                 self._n,
-                np.array(self._work[: self._n], dtype=np.float64),
-                np.array(self._comm[: self._n], dtype=np.float64),
-                np.array(self._esrc[: self._m], dtype=_INT),
-                np.array(self._edst[: self._m], dtype=_INT),
+                np.array(self._work, dtype=np.float64),
+                np.array(self._comm, dtype=np.float64),
+                np.array(sources, dtype=_INT),
+                np.array(targets, dtype=_INT),
                 self.name,
                 self._content_fingerprint,
             ),

@@ -134,9 +134,9 @@ def _read(handle: TextIO) -> ComputationalDAG:
             raise DagError(f"line {number}: expected 'work comm' node line, got {line!r}")
         works.append(_weight(parts[0], number, line))
         comms.append(_weight(parts[1], number, line))
-    dag = ComputationalDAG(num_nodes, works, comms, name=name)
-
     num_hyperedges = count("hyperedges")
+    sources: list[int] = []
+    targets: list[int] = []
     for _ in range(num_hyperedges):
         number, line = next_line()
         parts = [_integer(x, number, line) for x in line.split()]
@@ -145,9 +145,11 @@ def _read(handle: TextIO) -> ComputationalDAG:
                 f"line {number}: hyperedge line must contain a source and at least "
                 f"one successor, got {line!r}"
             )
-        source, *succs = parts
-        for target in succs:
-            dag.add_edge(source, target)
+        sources.extend([parts[0]] * (len(parts) - 1))
+        targets.extend(parts[1:])
+    dag = ComputationalDAG.from_edge_arrays(
+        num_nodes, sources, targets, works, comms, name=name
+    )
     if not dag.is_acyclic():
         raise DagError("hyperDAG file encodes a cyclic graph")
     return dag

@@ -8,43 +8,57 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro.core import BspMachine, BspSchedule, ComputationalDAG
+from repro.core import BspMachine, BspSchedule, ComputationalDAG, DagBuilder
 from repro.dagdb import SparseMatrixPattern, build_spmv_dag
+
+
+def dag_from_edges(
+    num_nodes: int, edges, work=None, comm=None, name: str = "dag"
+) -> ComputationalDAG:
+    """A DAG with ``edges`` (``(source, target)`` pairs) in the given order."""
+    builder = DagBuilder(num_nodes, work, comm, name=name)
+    builder.add_edges(edges)
+    return builder.freeze()
 
 
 def build_diamond_dag() -> ComputationalDAG:
     """A 4-node diamond: 0 -> {1, 2} -> 3, unit weights."""
-    dag = ComputationalDAG(4)
-    dag.add_edges([(0, 1), (0, 2), (1, 3), (2, 3)])
-    return dag
+    return dag_from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 
 
 def build_chain_dag(length: int = 5, work: float = 1.0, comm: float = 1.0) -> ComputationalDAG:
     """A simple path 0 -> 1 -> ... -> length-1."""
-    dag = ComputationalDAG(length, [work] * length, [comm] * length)
-    dag.add_edges([(i, i + 1) for i in range(length - 1)])
-    return dag
+    return dag_from_edges(
+        length, [(i, i + 1) for i in range(length - 1)], [work] * length, [comm] * length
+    )
 
 
 def build_fork_join_dag(width: int = 4) -> ComputationalDAG:
     """One source fanning out to ``width`` nodes that join into one sink."""
-    dag = ComputationalDAG(width + 2)
+    edges = []
     for i in range(1, width + 1):
-        dag.add_edge(0, i)
-        dag.add_edge(i, width + 1)
-    return dag
+        edges += [(0, i), (i, width + 1)]
+    return dag_from_edges(width + 2, edges)
 
 
 def build_paper_example_dag() -> ComputationalDAG:
     """A small two-layer DAG in the spirit of Figure 1 of the paper."""
-    dag = ComputationalDAG(12)
     # first layer: 0..5 sources feeding 6..8, second layer: 9..11
     edges = [
         (0, 6), (1, 6), (1, 7), (2, 7), (3, 7), (4, 8), (5, 8),
         (6, 9), (7, 9), (7, 10), (8, 10), (8, 11),
     ]
-    dag.add_edges(edges)
-    return dag
+    return dag_from_edges(12, edges)
+
+
+def random_edges(num_nodes: int, edge_prob: float, rng) -> list[tuple[int, int]]:
+    """Edge (i, j) for i < j with the given probability, drawn pair by pair."""
+    return [
+        (i, j)
+        for i in range(num_nodes)
+        for j in range(i + 1, num_nodes)
+        if rng.random() < edge_prob
+    ]
 
 
 def random_dag(num_nodes: int, edge_prob: float, seed: int) -> ComputationalDAG:
@@ -52,12 +66,8 @@ def random_dag(num_nodes: int, edge_prob: float, seed: int) -> ComputationalDAG:
     rng = np.random.default_rng(seed)
     works = rng.integers(1, 6, size=num_nodes).astype(float)
     comms = rng.integers(1, 4, size=num_nodes).astype(float)
-    dag = ComputationalDAG(num_nodes, works, comms, name=f"random_{seed}")
-    for i in range(num_nodes):
-        for j in range(i + 1, num_nodes):
-            if rng.random() < edge_prob:
-                dag.add_edge(i, j)
-    return dag
+    edges = random_edges(num_nodes, edge_prob, rng)
+    return dag_from_edges(num_nodes, edges, works, comms, name=f"random_{seed}")
 
 
 #: processor counts and g values the differential oracle tests cycle through
@@ -97,12 +107,7 @@ def oracle_dag(rng, weights: str) -> ComputationalDAG:
     else:
         works = rng.integers(0, 3, size=n).astype(float)
         comms = rng.integers(0, 3, size=n).astype(float)
-    dag = ComputationalDAG(n, works, comms)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < edge_prob:
-                dag.add_edge(i, j)
-    return dag
+    return dag_from_edges(n, random_edges(n, edge_prob, rng), works, comms)
 
 
 @contextmanager

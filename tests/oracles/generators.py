@@ -120,8 +120,7 @@ class _FineDagBuilderRef:
     def finish(self):
         from repro.dagdb.fine import FineGrainedResult
 
-        dag = self._builder.freeze()
-        apply_paper_weight_rule(dag)
+        dag = apply_paper_weight_rule(self._builder.freeze())
         return FineGrainedResult(dag=dag, roles=self.roles)
 
 

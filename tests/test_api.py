@@ -28,9 +28,16 @@ from repro.api import (
     SchedulingService,
     dag_fingerprint,
 )
-from repro.core import ComputationalDAG, ConfigurationError, CycleError, ReproError
+from repro.core import (
+    BspMachine,
+    BspSchedule,
+    ComputationalDAG,
+    ConfigurationError,
+    CycleError,
+    ReproError,
+)
 from repro.io import read_hdagb, write_hdagb, write_hyperdag
-from repro.schedulers import PipelineConfig, available_schedulers
+from repro.schedulers import CilkScheduler, PipelineConfig, available_schedulers
 
 from conftest import random_dag, time_limit
 
@@ -436,12 +443,26 @@ class TestFingerprint:
             "ef30bb549acb501d67cc546e4c1a4e625f2c05808fb589b47dd6c2441c32f06c"
         )
 
-    def test_dag_fingerprint_tracks_mutation(self):
+    def test_dag_fingerprint_tracks_reweighting(self):
+        """A re-weighted DAG is a new one with its own fingerprint; the
+        original, its fingerprint and a schedule costed on it are unchanged."""
         dag = _dag()
         before = dag_fingerprint(dag)
         assert dag_fingerprint(dag) == before  # memoized
-        dag.set_work(0, dag.work(0) + 1.0)
-        assert dag_fingerprint(dag) != before
+        machine = BspMachine.uniform(3, g=1, latency=2)
+        schedule = CilkScheduler(seed=0).schedule(dag, machine)
+        cost = schedule.cost()
+        heavier = dag.with_weights(dag.work_weights + 1.0, dag.comm_weights)
+        assert dag_fingerprint(heavier) != before
+        assert dag_fingerprint(dag) == before
+        assert schedule.cost() == cost
+        assert BspSchedule(dag, machine, schedule.procs, schedule.supersteps).cost() == cost
+        assert BspSchedule(heavier, machine, schedule.procs, schedule.supersteps).cost() > cost
+        spec = SchedulerSpec("cilk", {"seed": 0})
+        assert (
+            ScheduleRequest(dag=heavier, machine=machine, scheduler=spec).fingerprint()
+            != ScheduleRequest(dag=dag, machine=machine, scheduler=spec).fingerprint()
+        )
 
     def test_stable_across_processes(self, tmp_path):
         """The same wire request hashes identically in a fresh interpreter."""

@@ -24,6 +24,7 @@ from conftest import (
     build_diamond_dag,
     build_fork_join_dag,
     build_paper_example_dag,
+    dag_from_edges,
     oracle_dag,
     oracle_machine,
     random_dag,
@@ -138,8 +139,7 @@ class TestCilk:
         assert len(set(classical.procs.tolist())) == 1
 
     def test_zero_work_nodes_handled(self):
-        dag = ComputationalDAG(4, [0, 0, 1, 1])
-        dag.add_edges([(0, 1), (1, 2), (2, 3)])
+        dag = dag_from_edges(4, [(0, 1), (1, 2), (2, 3)], work=[0, 0, 1, 1])
         machine = BspMachine.uniform(2)
         assert_valid_schedule(CilkScheduler().schedule(dag, machine))
 
@@ -147,9 +147,8 @@ class TestCilk:
 class TestListSchedulers:
     def test_bl_est_priority_is_bottom_level(self):
         """The node with the longest outgoing path is scheduled first."""
-        dag = ComputationalDAG(4, [1, 1, 5, 1])
-        dag.add_edges([(0, 2), (1, 3)])
-        dag.set_work(2, 5)  # branch through node 2 is heavier
+        # the branch through node 2 is heavier
+        dag = dag_from_edges(4, [(0, 2), (1, 3)], work=[1, 1, 5, 1])
         classical = BlEstScheduler().classical_schedule(dag, BspMachine.uniform(1))
         assert classical.start_times[0] < classical.start_times[1]
 
@@ -176,8 +175,7 @@ class TestListSchedulers:
 
     def test_est_accounts_for_communication_volume(self):
         """With huge comm weights, both successors of a node stay on its processor."""
-        dag = ComputationalDAG(3, [1, 1, 1], [100, 1, 1])
-        dag.add_edges([(0, 1), (0, 2)])
+        dag = dag_from_edges(3, [(0, 1), (0, 2)], work=[1, 1, 1], comm=[100, 1, 1])
         machine = BspMachine.uniform(2, g=10)
         for scheduler in (BlEstScheduler(), EtfScheduler()):
             classical = scheduler.classical_schedule(dag, machine)
@@ -192,8 +190,7 @@ class TestListSchedulers:
         assert len(set(classical.procs.tolist())) > 1
 
     def test_numa_average_multiplier_used(self):
-        dag = ComputationalDAG(2, [1, 1], [10, 1])
-        dag.add_edge(0, 1)
+        dag = dag_from_edges(2, [(0, 1)], work=[1, 1], comm=[10, 1])
         numa = BspMachine.numa_hierarchy(4, delta=4, g=1)
         classical = BlEstScheduler().classical_schedule(dag, numa)
         # the communication penalty (10 * avg lambda > 10) far exceeds any
@@ -311,15 +308,11 @@ class TestCilkAndHDaggOracle:
         0.6.  In the second, node 12's affinity on processor 1 (three
         predecessors of comm 0.1, 0.2 and 0.3) beats its 0.6 on processor 0.
         """
-        by_work = ComputationalDAG(4, [0.6, 0.1, 0.2, 0.3])
-        by_work.add_edge(1, 2)
-        by_work.add_edge(2, 3)
+        by_work = dag_from_edges(4, [(1, 2), (2, 3)], work=[0.6, 0.1, 0.2, 0.3])
         # the fat first wavefront puts node v on processor v % 4
         comms = [1.0] * 13
         comms[0], comms[1], comms[5], comms[9] = 0.6, 0.1, 0.2, 0.3
-        by_affinity = ComputationalDAG(13, comm_weights=comms)
-        for pred in (1, 5, 9, 0):
-            by_affinity.add_edge(pred, 12)
+        by_affinity = dag_from_edges(13, [(pred, 12) for pred in (1, 5, 9, 0)], comm=comms)
         machine = BspMachine.uniform(4, g=1)
         for dag, node, proc in ((by_work, 1, 0), (by_affinity, 12, 1)):
             got = HDaggScheduler().schedule(dag, machine)

@@ -174,11 +174,13 @@ class TestSchedule:
 class TestDagToDict:
     def test_edges_keep_the_per_edge_form_and_order(self):
         """Edges added out of source order come out as the per-edge walk lists them."""
-        dag = ComputationalDAG(
-            5, work_weights=[1, 2.5, 3, 4, 0.5], comm_weights=[1, 0, 2, 1.25, 3]
+        dag = ComputationalDAG.from_edge_arrays(
+            5,
+            [3, 0, 2, 0, 1, 0],
+            [4, 2, 3, 1, 4, 3],
+            work_weights=[1, 2.5, 3, 4, 0.5],
+            comm_weights=[1, 0, 2, 1.25, 3],
         )
-        for source, target in ((3, 4), (0, 2), (2, 3), (0, 1), (1, 4), (0, 3)):
-            dag.add_edge(source, target)
         data = dag_to_dict(dag)
         assert data == {
             "name": dag.name,

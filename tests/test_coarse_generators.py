@@ -81,15 +81,13 @@ class TestSpecificStructures:
 
 class TestWeightRuleHelper:
     def test_apply_paper_weight_rule(self):
-        dag = ComputationalDAG(3, [9, 9, 9], [9, 9, 9])
-        dag.add_edges([(0, 2), (1, 2)])
-        apply_paper_weight_rule(dag)
-        assert dag.work(0) == 1.0
-        assert dag.work(2) == 1.0  # indeg 2 -> 1
-        assert dag.comm(1) == 1.0
+        dag = ComputationalDAG.from_edge_arrays(3, [0, 1], [2, 2], [9, 9, 9], [9, 9, 9])
+        weighted = apply_paper_weight_rule(dag)
+        assert weighted.work(0) == 1.0
+        assert weighted.work(2) == 1.0  # indeg 2 -> 1
+        assert weighted.comm(1) == 1.0
+        assert dag.work(0) == 9.0  # the input is left as it was
 
     def test_pass_through_node_gets_unit_work(self):
-        dag = ComputationalDAG(2)
-        dag.add_edge(0, 1)
-        apply_paper_weight_rule(dag)
-        assert dag.work(1) == 1.0  # floor of indeg-1 at 1
+        dag = ComputationalDAG.from_edge_arrays(2, [0], [1])
+        assert apply_paper_weight_rule(dag).work(1) == 1.0  # floor of indeg-1 at 1

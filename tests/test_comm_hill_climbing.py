@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import BspMachine, BspSchedule, ComputationalDAG
+from repro.core import BspMachine, BspSchedule
 from repro.schedulers import CommScheduleHillClimbing
 from repro.schedulers.trivial import RoundRobinScheduler
 
-from conftest import assert_valid_schedule, random_dag
+from conftest import assert_valid_schedule, dag_from_edges, random_dag
 
 
 def _bottleneck_instance():
@@ -21,10 +21,7 @@ def _bottleneck_instance():
     Moving one of them into phase 0 rides along the existing maximum
     (10 >= 3 + 3), reducing the phase-1 cost from 6 to 3.
     """
-    dag = ComputationalDAG(6, [1] * 6, [3, 3, 1, 1, 10, 1])
-    dag.add_edge(0, 2)
-    dag.add_edge(1, 3)
-    dag.add_edge(4, 5)
+    dag = dag_from_edges(6, [(0, 2), (1, 3), (4, 5)], [1] * 6, [3, 3, 1, 1, 10, 1])
     machine = BspMachine.uniform(4, g=2, latency=1)
     procs = np.array([0, 0, 1, 2, 2, 3])
     steps = np.array([0, 0, 2, 2, 0, 1])
@@ -62,8 +59,7 @@ class TestCommHillClimbing:
 
     def test_single_phase_windows_cannot_move(self):
         """When every window has width one the lazy schedule is already optimal."""
-        dag = ComputationalDAG(2, [1, 1], [2, 1])
-        dag.add_edge(0, 1)
+        dag = dag_from_edges(2, [(0, 1)], [1, 1], [2, 1])
         machine = BspMachine.uniform(2, g=1, latency=1)
         schedule = BspSchedule(dag, machine, [0, 1], [0, 1])
         improved = CommScheduleHillClimbing().improve(schedule)
@@ -77,9 +73,7 @@ class TestCommHillClimbing:
         assert_valid_schedule(again)
 
     def test_numa_costs_respected(self):
-        dag = ComputationalDAG(4, [1, 1, 1, 1], [5, 5, 1, 1])
-        dag.add_edge(0, 2)
-        dag.add_edge(1, 3)
+        dag = dag_from_edges(4, [(0, 2), (1, 3)], [1, 1, 1, 1], [5, 5, 1, 1])
         machine = BspMachine.numa_hierarchy(4, delta=4, g=1, latency=1)
         schedule = BspSchedule(
             dag, machine, np.array([0, 0, 2, 3]), np.array([0, 0, 2, 2])

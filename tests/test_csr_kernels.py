@@ -19,6 +19,7 @@ from conftest import (
     build_chain_dag,
     build_diamond_dag,
     build_fork_join_dag,
+    dag_from_edges,
     random_dag,
 )
 import oracles.core as ref
@@ -33,9 +34,8 @@ def _adjacency(dag: ComputationalDAG):
 
 
 def _disconnected_dag() -> ComputationalDAG:
-    dag = ComputationalDAG(9, name="disconnected")
-    dag.add_edges([(0, 1), (1, 2), (4, 5), (4, 6)])  # nodes 3, 7, 8 isolated
-    return dag
+    # nodes 3, 7, 8 isolated
+    return dag_from_edges(9, [(0, 1), (1, 2), (4, 5), (4, 6)], name="disconnected")
 
 
 CASES = [
@@ -128,9 +128,7 @@ class TestCsrPrimitives:
         assert offsets.tolist() == [0]
 
     def test_topological_levels_detects_cycles(self):
-        dag = ComputationalDAG(3)
-        dag.add_edges([(0, 1), (1, 2)])
-        dag.add_edge(2, 0)
+        dag = dag_from_edges(3, [(0, 1), (1, 2), (2, 0)])
         with pytest.raises(CycleError):
             topological_levels(3, dag.succ_indptr, dag.succ_indices, dag.pred_indptr)
 
@@ -141,12 +139,12 @@ class TestCsrPrimitives:
         with pytest.raises(ValueError):
             dag.succ(0)[0] = 99
 
-    def test_lazy_rebuild_after_mutation(self):
-        dag = build_diamond_dag()
+    def test_csr_is_built_once_on_first_query(self):
+        dag = dag_from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
+        indptr = dag.succ_indptr
         assert dag.succ(0).tolist() == [1, 2]
-        v = dag.add_node()
-        dag.add_edge(3, v)
-        assert dag.succ(3).tolist() == [v]
+        assert dag.succ(3).tolist() == [4]
         assert dag.levels().tolist() == [0, 1, 1, 2, 3]
         assert dag.depth() == 4
+        assert dag.succ_indptr is indptr  # kept for the DAG's lifetime
 

@@ -1,4 +1,4 @@
-"""Tests for :class:`DagBuilder` and the amortized-growth mutation path."""
+"""Tests for :class:`DagBuilder`, the one incremental DAG builder."""
 
 from __future__ import annotations
 
@@ -12,8 +12,9 @@ from repro.core import ComputationalDAG, CycleError, DagBuilder, DagError
 
 class TestDagBuilder:
     def test_freeze_matches_incremental_construction(self):
-        incremental = ComputationalDAG(4, [1, 2, 3, 4], [4, 3, 2, 1], name="x")
-        incremental.add_edges([(0, 1), (0, 2), (1, 3), (2, 3)])
+        incremental = ComputationalDAG.from_edge_arrays(
+            4, [0, 0, 1, 2], [1, 2, 3, 3], [1, 2, 3, 4], [4, 3, 2, 1], name="x"
+        )
 
         builder = DagBuilder(4, [1, 2, 3, 4], [4, 3, 2, 1], name="x")
         builder.add_edges([(0, 1), (0, 2), (1, 3), (2, 3)])
@@ -77,9 +78,11 @@ class TestDagBuilder:
         large = builder.freeze()
         assert small.num_nodes == 2 and small.num_edges == 1
         assert large.num_nodes == 3 and large.num_edges == 2
-        # the frozen DAG owns its buffers: mutating it cannot affect the builder
-        small.add_node()
-        assert builder.num_nodes == 3
+        # frozen DAGs own their buffers: a later append changes neither
+        builder.add_node()
+        assert small.num_nodes == 2 and small.num_edges == 1
+        assert large.num_nodes == 3
+        assert builder.freeze().num_nodes == 4
 
     def test_builder_rejects_negative_weights(self):
         builder = DagBuilder()
@@ -114,13 +117,14 @@ class TestLegacyMutationPathScales:
     @staticmethod
     def _timed_build(num_nodes: int) -> tuple[float, ComputationalDAG]:
         start = time.perf_counter()
-        dag = ComputationalDAG(0, name="big")
+        builder = DagBuilder(0, name="big")
         previous = None
         for i in range(num_nodes):
-            v = dag.add_node(work=1 + (i % 3), comm=1 + (i % 2))
+            v = builder.add_node(work=1 + (i % 3), comm=1 + (i % 2))
             if previous is not None and i % 2 == 0:
-                dag.add_edge(previous, v)
+                builder.add_edge(previous, v)
             previous = v
+        dag = builder.freeze()
         return time.perf_counter() - start, dag
 
     def test_50k_node_incremental_build(self):
@@ -140,17 +144,18 @@ class TestLegacyMutationPathScales:
         assert ratio < 50, f"incremental build scales superlinearly: {ratio:.0f}x"
 
     def test_interleaved_mutation_and_queries_stay_correct(self):
-        dag = ComputationalDAG(1)
+        builder = DagBuilder(1)
         for _ in range(200):
-            v = dag.add_node()
-            dag.add_edge(v - 1, v)
-            assert dag.out_degree(v - 1) == 1  # forces a CSR rebuild mid-build
+            v = builder.add_node()
+            builder.add_edge(v - 1, v)
+            dag = builder.freeze()  # each freeze builds its own CSR
+            assert dag.out_degree(v - 1) == 1
+            assert dag.depth() == v + 1
         assert dag.depth() == 201
 
 
 class TestInducedSubgraphValidation:
     def test_duplicate_node_ids_rejected(self):
-        dag = ComputationalDAG(3)
-        dag.add_edge(0, 1)
+        dag = ComputationalDAG.from_edge_arrays(3, [0], [1])
         with pytest.raises(DagError, match="duplicate node ids"):
             dag.induced_subgraph([0, 1, 1])

@@ -3,18 +3,20 @@ and the ablation helpers."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import (
     BspMachine,
+    ComputationalDAG,
     ReproError,
     dag_from_dict,
     dag_to_dict,
     load_schedule,
     machine_from_dict,
     machine_to_dict,
-    save_schedule,
     schedule_from_dict,
     schedule_to_dict,
 )
@@ -55,7 +57,7 @@ class TestSerialization:
         dag = random_dag(10, 0.3, seed=5)
         schedule = CilkScheduler(seed=0).schedule(dag, machine4)
         path = tmp_path / "schedule.json"
-        save_schedule(schedule, path)
+        path.write_text(json.dumps(schedule_to_dict(schedule)))
         loaded = load_schedule(path)
         assert loaded.cost() == pytest.approx(schedule.cost())
         assert loaded.is_valid()
@@ -69,6 +71,48 @@ class TestSerialization:
             )
         with pytest.raises(ReproError):
             machine_from_dict({"num_procs": 2})
+
+    def test_dag_roundtrip_keeps_edge_order_and_fingerprint(self):
+        from repro.api.request import dag_fingerprint
+
+        # edges out of source order: the wire lists them source-major
+        dag = ComputationalDAG.from_edge_arrays(
+            5, [3, 0, 2, 0, 1, 0], [4, 2, 3, 1, 4, 3], [1, 2.5, 3, 4, 0.5], [1, 0, 2, 1.25, 3]
+        )
+        back = dag_from_dict(json.loads(json.dumps(dag_to_dict(dag))))
+        assert dag_fingerprint(back) == dag_fingerprint(dag)
+        assert [list(column) for column in back.edge_arrays()] == [
+            list(column) for column in dag.edge_arrays()
+        ]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_nodes", 2.9),
+            ("num_nodes", True),
+            ("num_nodes", "2"),
+            ("num_nodes", 10**30),
+            ("edges", [[0, 1.7]]),
+            ("edges", [[0.0, 1.0]]),
+            ("edges", [[False, True]]),
+            ("edges", [[0, True]]),
+            ("edges", [["0", "1"]]),
+            ("edges", [[0, 1, 5]]),
+            ("edges", [[0, 1], [1]]),
+            ("edges", [[0, 2**70]]),
+            ("edges", "01"),
+            ("work", [True, 1]),
+            ("comm", ["1", "1"]),
+            ("work", [float("nan"), 1]),
+            ("comm", [1, float("inf")]),
+        ],
+    )
+    def test_wire_dag_refuses_what_it_would_coerce(self, field, value):
+        """Ids are integers and weights finite numbers: nothing is coerced."""
+        data = {"num_nodes": 2, "work": [1, 1], "comm": [1, 1], "edges": [[0, 1]]}
+        data[field] = value
+        with pytest.raises(ReproError):
+            dag_from_dict(data)
 
 
 MTX_GENERAL = """%%MatrixMarket matrix coordinate real general

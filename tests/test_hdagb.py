@@ -20,6 +20,7 @@ Covers the format end to end:
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import numpy as np
@@ -27,7 +28,14 @@ import pytest
 
 from repro.api import MachineSpec, ScheduleRequest, SchedulerSpec, SchedulingService
 from repro.api.request import dag_fingerprint
-from repro.core import ComputationalDAG, DagBuilder, save_schedule, load_schedule
+from repro.core import (
+    BspMachine,
+    BspSchedule,
+    ComputationalDAG,
+    DagBuilder,
+    load_schedule,
+    schedule_to_dict,
+)
 from repro.core.exceptions import CycleError, DagError
 from repro.dagdb import (
     COARSE_GENERATORS,
@@ -83,8 +91,9 @@ CLI_GENERATORS = sorted(
 class TestRoundTrip:
     def test_structure_weights_and_name_survive(self, tmp_path):
         dag = random_dag(200, 0.05, seed=11)
-        dag.set_work(3, 7.5)
-        dag.set_comm(5, 0.25)
+        work, comm = dag.work_weights.copy(), dag.comm_weights.copy()
+        work[3], comm[5] = 7.5, 0.25
+        dag = dag.with_weights(work, comm)
         dag.name = "roundtrip_dag"
         write_hdagb(dag, tmp_path / "d.hdagb")
         loaded = read_hdagb(tmp_path / "d.hdagb")
@@ -340,9 +349,7 @@ class TestRejection:
             read_hdagb(path)
 
     def test_self_loop_is_a_cycle_error(self, tmp_path):
-        dag = ComputationalDAG(3)
-        dag.add_edge(0, 1)
-        dag.add_edge(1, 2)
+        dag = ComputationalDAG.from_edge_arrays(3, [0, 1], [1, 2])
         path = tmp_path / "t.hdagb"
         write_hdagb(dag, path)
         raw = bytearray(path.read_bytes())
@@ -414,35 +421,39 @@ class TestRejection:
         assert dag_fingerprint(load_dag(disguised)) == dag_fingerprint(dag)
 
 
-class TestCopyOnWrite:
-    def test_weight_mutation_copies_and_file_unaffected(self, tmp_path):
+class TestReweighting:
+    def test_with_weights_shares_the_mapping_and_leaves_the_file(self, tmp_path):
+        """A re-weighted mapped DAG is a new in-memory DAG over the mapped
+        structure; the loaded DAG, its fingerprint, a schedule costed on it
+        and the file's bytes all stay as they were."""
         path = tmp_path / "d.hdagb"
         dag = random_dag(40, 0.1, seed=6)
-        write_hdagb(dag, path)
+        fingerprint = write_hdagb(dag, path)
         before = path.read_bytes()
         loaded = read_hdagb(path)
-        loaded.set_work(0, 99.0)
-        assert loaded.work_weights[0] == 99.0
+        machine = BspMachine.uniform(2, g=1, latency=2)
+        schedule = BspSchedule(
+            loaded, machine, np.arange(40) % 2, np.asarray(loaded.levels())
+        )
+        cost = schedule.cost()
+        work = loaded.work_weights.copy()
+        work[0] = 99.0
+        heavy = loaded.with_weights(work, loaded.comm_weights)
+        assert type(heavy) is ComputationalDAG
+        assert heavy.work_weights[0] == 99.0
+        assert loaded.work_weights[0] == dag.work_weights[0]
+        # the structure is the mapping's, by identity
+        assert heavy.succ_indptr is loaded.succ_indptr
+        assert heavy.succ_indices is loaded.succ_indices
+        assert heavy.pred_indices is loaded.pred_indices
+        assert heavy.edge_arrays()[0] is loaded.edge_arrays()[0]
+        assert dag_fingerprint(heavy) != fingerprint
+        assert dag_fingerprint(loaded) == fingerprint
+        assert schedule.cost() == cost
+        assert BspSchedule(heavy, machine, schedule.procs, schedule.supersteps).cost() > cost
         assert path.read_bytes() == before
-        # the mutation dropped the memoized fingerprint
-        assert dag_fingerprint(loaded) != dag_fingerprint(dag)
         # a fresh read still sees the original content
         assert read_hdagb(path).work_weights[0] == dag.work_weights[0]
-
-    def test_structural_mutation_reallocates(self, tmp_path):
-        path = tmp_path / "d.hdagb"
-        dag = random_dag(40, 0.1, seed=6)
-        write_hdagb(dag, path)
-        before = path.read_bytes()
-        loaded = read_hdagb(path)
-        v = loaded.add_node(work=2.0)
-        loaded.add_edge(0, v)
-        assert loaded.num_nodes == dag.num_nodes + 1
-        assert loaded.num_edges == dag.num_edges + 1
-        assert v in list(loaded.successors(0))
-        assert path.read_bytes() == before
-        # CSR rebuilt off the mapping after mutation, and valid
-        assert len(loaded.topological_order()) == loaded.num_nodes
 
 
 class TestWriter:
@@ -518,12 +529,13 @@ class TestWriter:
     def test_reweighted_dag_writes_its_new_fingerprint(self, tmp_path, model):
         dag = build_stencil_dag((4, 4), 2).dag  # builders apply the paper model
         paper = dag_fingerprint(dag)  # memoized before the re-weighting
-        apply_weight_model(dag, model)
-        written = write_hdagb(dag, tmp_path / "d.hdagb")
+        reweighted = apply_weight_model(dag, model)
+        written = write_hdagb(reweighted, tmp_path / "d.hdagb")
         assert (written == paper) == (model == "paper")
+        assert dag_fingerprint(dag) == paper
         loaded = read_hdagb(tmp_path / "d.hdagb")
-        assert np.array_equal(loaded.work_weights, dag.work_weights)
-        assert np.array_equal(loaded.comm_weights, dag.comm_weights)
+        assert np.array_equal(loaded.work_weights, reweighted.work_weights)
+        assert np.array_equal(loaded.comm_weights, reweighted.comm_weights)
         loaded._content_fingerprint = None
         assert dag_fingerprint(loaded) == written
 
@@ -591,7 +603,8 @@ class TestAcceptanceSurfaces:
             dag=dag, machine=MachineSpec(num_procs=2), scheduler=SchedulerSpec("cilk")
         )
         schedule = SchedulingService().solve(request).to_schedule()
-        save_schedule(schedule, tmp_path / "s.json")
+        # the schedule-only payload that load_schedule still reads
+        (tmp_path / "s.json").write_text(json.dumps(schedule_to_dict(schedule)))
         load_schedule(tmp_path / "s.json").validate()
 
 

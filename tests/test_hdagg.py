@@ -13,6 +13,7 @@ from conftest import (
     build_chain_dag,
     build_fork_join_dag,
     build_paper_example_dag,
+    dag_from_edges,
     random_dag,
 )
 from repro.dagdb import SparseMatrixPattern, build_spmv_dag
@@ -38,11 +39,8 @@ class TestValidity:
     def test_sptrsv_style_input(self):
         """HDagg's home turf: a lower-triangular system's dependency DAG."""
         pattern = SparseMatrixPattern.lower_triangular_random(30, 0.15, seed=3)
-        dag = ComputationalDAG(30)
-        for i in range(30):
-            for j in pattern.row(i):
-                if j != i:
-                    dag.add_edge(j, i)
+        edges = [(j, i) for i in range(30) for j in pattern.row(i) if j != i]
+        dag = dag_from_edges(30, edges)
         machine = BspMachine.uniform(4, g=1, latency=2)
         assert_valid_schedule(HDaggScheduler().schedule(dag, machine))
 
@@ -102,9 +100,7 @@ class TestWavefrontStructure:
 class TestLoadBalancing:
     def test_independent_units_are_spread(self):
         """Many equal independent chains should use every processor."""
-        dag = ComputationalDAG(16)
-        for c in range(8):
-            dag.add_edge(2 * c, 2 * c + 1)
+        dag = dag_from_edges(16, [(2 * c, 2 * c + 1) for c in range(8)])
         machine = BspMachine.uniform(4, g=0, latency=0)
         schedule = HDaggScheduler().schedule(dag, machine)
         assert len(set(schedule.procs.tolist())) == 4
@@ -129,9 +125,7 @@ class TestLoadBalancing:
 
     def test_locality_preferred_when_affordable(self):
         """A successor whose predecessor communication is heavy follows its predecessor."""
-        dag = ComputationalDAG(4, [1, 1, 1, 1], [50, 1, 1, 1])
-        dag.add_edge(0, 2)
-        dag.add_edge(1, 3)
+        dag = dag_from_edges(4, [(0, 2), (1, 3)], [1, 1, 1, 1], [50, 1, 1, 1])
         machine = BspMachine.uniform(2, g=5)
         schedule = HDaggScheduler().schedule(dag, machine)
         if schedule.superstep_of(2) != schedule.superstep_of(0):

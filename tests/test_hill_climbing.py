@@ -25,6 +25,7 @@ from conftest import (
     assert_valid_schedule,
     build_diamond_dag,
     build_fork_join_dag,
+    dag_from_edges,
     oracle_dag,
     oracle_machine,
     random_dag,
@@ -181,9 +182,7 @@ class TestHillClimbingImprover:
 
     def test_improves_obviously_bad_schedule(self):
         """A round-robin schedule of a chain is terrible; HC must fix most of it."""
-        dag = ComputationalDAG(10)
-        for i in range(9):
-            dag.add_edge(i, i + 1)
+        dag = dag_from_edges(10, [(i, i + 1) for i in range(9)])
         machine = BspMachine.uniform(4, g=5, latency=1)
         start = RoundRobinScheduler().schedule(dag, machine)
         improved = HillClimbingImprover().improve(start)
@@ -309,7 +308,7 @@ class TestTrackerCopies:
         for _ in range(6):
             dag = oracle_dag(rng, "zero" if weights == "no_comm" else weights)
             if weights == "no_comm":
-                dag.set_comm_weights(np.zeros(dag.num_nodes))
+                dag = dag.with_weights(dag.work_weights, np.zeros(dag.num_nodes))
             machine = _machine(kind, int(rng.choice([2, 3, 4, 8])), rng)
             starts = _starts(dag, machine, 3, seed=int(rng.integers(100)))
             for copies in (starts[:1], starts):

@@ -17,6 +17,7 @@ from conftest import (
     build_diamond_dag,
     build_fork_join_dag,
     build_paper_example_dag,
+    dag_from_edges,
     oracle_dag,
     oracle_machine,
     random_dag,
@@ -199,9 +200,8 @@ class TestBspGreedyOracle:
 class TestSource:
     def test_first_superstep_clusters_shared_successors(self):
         """Sources feeding the same node start on the same processor."""
-        dag = ComputationalDAG(6)
         # sources 0,1 share successor 4; sources 2,3 share successor 5
-        dag.add_edges([(0, 4), (1, 4), (2, 5), (3, 5)])
+        dag = dag_from_edges(6, [(0, 4), (1, 4), (2, 5), (3, 5)])
         machine = BspMachine.uniform(4, g=1, latency=1)
         schedule = SourceScheduler().schedule(dag, machine)
         assert schedule.proc_of(0) == schedule.proc_of(1)
@@ -209,8 +209,7 @@ class TestSource:
 
     def test_pulls_single_owner_successors_into_superstep(self):
         """The pull rule merges a node into its single owner's superstep (Algorithm 2)."""
-        dag = ComputationalDAG(3)
-        dag.add_edges([(0, 1), (1, 2)])
+        dag = dag_from_edges(3, [(0, 1), (1, 2)])
         machine = BspMachine.uniform(2, g=1, latency=1)
         schedule = SourceScheduler().schedule(dag, machine)
         # node 1 is pulled next to node 0; node 2 (successor of a pulled node,
@@ -221,8 +220,7 @@ class TestSource:
 
     def test_star_successors_follow_their_source(self):
         """Successors of one source are pulled onto its processor (no communication)."""
-        dag = ComputationalDAG(9, [1, 8, 7, 6, 5, 4, 3, 2, 1])
-        dag.add_edges([(0, i) for i in range(1, 9)])
+        dag = dag_from_edges(9, [(0, i) for i in range(1, 9)], work=[1, 8, 7, 6, 5, 4, 3, 2, 1])
         machine = BspMachine.uniform(4, g=0, latency=0)
         schedule = SourceScheduler().schedule(dag, machine)
         assert all(schedule.proc_of(v) == schedule.proc_of(0) for v in range(1, 9))
@@ -234,12 +232,10 @@ class TestSource:
         # of nodes with decreasing work that each depend on two different chains
         # (so the pull rule cannot absorb them)
         works = [1] * 8 + [8, 7, 6, 5, 4, 3, 2, 1]
-        dag = ComputationalDAG(16, works)
-        for i in range(4):
-            dag.add_edge(i, 4 + i)
+        edges = [(i, 4 + i) for i in range(4)]
         for j in range(8):
-            dag.add_edge(4 + (j % 4), 8 + j)
-            dag.add_edge(4 + ((j + 1) % 4), 8 + j)
+            edges += [(4 + (j % 4), 8 + j), (4 + ((j + 1) % 4), 8 + j)]
+        dag = dag_from_edges(16, edges, work=works)
         machine = BspMachine.uniform(4, g=0, latency=0)
         schedule = SourceScheduler().schedule(dag, machine)
         layer_step = schedule.superstep_of(8)

@@ -26,9 +26,7 @@ from conftest import build_diamond_dag, random_dag
 
 class TestHyperDagFormat:
     def test_roundtrip_in_memory(self):
-        dag = build_diamond_dag()
-        dag.set_work(1, 7)
-        dag.set_comm(2, 3)
+        dag = build_diamond_dag().with_weights([1, 7, 1, 1], [1, 1, 3, 1])
         text = dumps_hyperdag(dag)
         back = loads_hyperdag(text)
         assert back.num_nodes == dag.num_nodes
@@ -49,8 +47,7 @@ class TestHyperDagFormat:
         assert list(back.work_weights) == list(dag.work_weights)
 
     def test_name_preserved(self):
-        dag = ComputationalDAG(2, name="my_computation")
-        dag.add_edge(0, 1)
+        dag = ComputationalDAG.from_edge_arrays(2, [0], [1], name="my_computation")
         assert loads_hyperdag(dumps_hyperdag(dag)).name == "my_computation"
 
     def test_one_hyperedge_per_non_sink(self):

@@ -27,7 +27,13 @@ from repro.schedulers.multilevel import (
     restrict_to_quotient,
 )
 
-from conftest import assert_valid_schedule, build_chain_dag, build_diamond_dag, random_dag
+from conftest import (
+    assert_valid_schedule,
+    build_chain_dag,
+    build_diamond_dag,
+    dag_from_edges,
+    random_dag,
+)
 from oracles.coarsen import coarsen_dag_reference
 from oracles.multilevel import multilevel_reference
 from repro.dagdb import (
@@ -75,9 +81,8 @@ class TestCoarsening:
 
     def test_contraction_prefers_light_nodes_with_heavy_outputs(self):
         """The selection rule merges the light/heavy-output edge first."""
-        dag = ComputationalDAG(4, [1, 1, 10, 10], [9, 1, 1, 1])
-        dag.add_edge(0, 1)   # light nodes, source with heavy output
-        dag.add_edge(2, 3)   # heavy nodes
+        # (0, 1): light nodes, source with heavy output; (2, 3): heavy nodes
+        dag = dag_from_edges(4, [(0, 1), (2, 3)], [1, 1, 10, 10], [9, 1, 1, 1])
         sequence = coarsen_dag(dag, target_nodes=3)
         assert sequence.num_contractions == 1
         record = sequence.records[0]
@@ -85,10 +90,8 @@ class TestCoarsening:
 
     def test_contraction_never_creates_cycles(self):
         """Edge (u,v) with an alternative u->v path must not be contracted first."""
-        dag = ComputationalDAG(3)
-        dag.add_edge(0, 1)
-        dag.add_edge(1, 2)
-        dag.add_edge(0, 2)  # transitive edge: contracting it would create a cycle
+        # (0, 2) is transitive: contracting it would create a cycle
+        dag = dag_from_edges(3, [(0, 1), (1, 2), (0, 2)])
         sequence = coarsen_dag(dag, target_nodes=2)
         quotient = sequence.quotient()
         assert quotient.dag.is_acyclic()
@@ -148,9 +151,7 @@ class TestCoarseningPrefix:
 
     def test_coarsening_that_stops_early(self):
         # a 6-chain plus 10 isolated nodes: 5 contractions, then no edge left
-        dag = ComputationalDAG(16)
-        for v in range(5):
-            dag.add_edge(v, v + 1)
+        dag = dag_from_edges(16, [(v, v + 1) for v in range(5)])
         full = coarsen_dag(dag, target_nodes=2)
         assert full.num_contractions == 5 < dag.num_nodes - 2
         self.assert_prefix(dag, [16, 12, 11, 10, 8, 2])
@@ -168,13 +169,10 @@ class TestBucketQueueCoarsening:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             n = 40
-            dag = ComputationalDAG(
-                n,
-                work_weights=rng.random(n) + 0.5,
-                comm_weights=rng.random(n) + 0.5,
-            )
-            for child in range(1, n):
-                dag.add_edge(int(rng.integers(0, child)), child)
+            work = rng.random(n) + 0.5
+            comm = rng.random(n) + 0.5
+            edges = [(int(rng.integers(0, child)), child) for child in range(1, n)]
+            dag = dag_from_edges(n, edges, work, comm)
             fast = coarsen_dag(dag, target_nodes=5)
             slow = coarsen_dag_reference(dag, target_nodes=5)
             assert fast.records == slow.records
@@ -197,10 +195,8 @@ class TestBucketQueueCoarsening:
         larger communication weight (node 2) must win even though the seed's
         work-then-edge-id order would have picked (0, 2) first.
         """
-        dag = ComputationalDAG(3, work_weights=[1, 1, 10], comm_weights=[1, 1, 5])
-        dag.add_edge(0, 2)
-        dag.add_edge(2, 1)
-        dag.add_edge(0, 1)  # transitive, merged work 2: the whole light third
+        # (0, 1) is transitive, merged work 2: the whole light third
+        dag = dag_from_edges(3, [(0, 2), (2, 1), (0, 1)], [1, 1, 10], [1, 1, 5])
         sequence = coarsen_dag(dag, target_nodes=2)
         assert sequence.records[0] == ContractionRecord(kept=2, removed=1)
         # the seed picked the first heavier edge in work order instead

@@ -44,7 +44,7 @@ from repro.schedulers import (
 from repro.schedulers.multilevel import coarsen_dag
 from repro.schedulers.trivial import RoundRobinScheduler
 
-from conftest import assert_valid_schedule
+from conftest import assert_valid_schedule, dag_from_edges, random_edges
 from oracles.cost import comm_matrices as comm_matrices_loop
 from oracles.cost import definition_cost, lazy_gamma, violations
 from oracles.multilevel import multilevel_reference
@@ -77,15 +77,10 @@ def dags(draw, max_nodes: int = 24, min_nodes: int = 1, weights: str = "integer"
         work, comm = _WEIGHTS[weights]
         works = draw(st.lists(work, min_size=num_nodes, max_size=num_nodes))
         comms = draw(st.lists(comm, min_size=num_nodes, max_size=num_nodes))
-    dag = ComputationalDAG(num_nodes, works, comms)
     density = draw(st.floats(0.0, 0.5))
     rng_seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(rng_seed)
-    for i in range(num_nodes):
-        for j in range(i + 1, num_nodes):
-            if rng.random() < density:
-                dag.add_edge(i, j)
-    return dag
+    return dag_from_edges(num_nodes, random_edges(num_nodes, density, rng), works, comms)
 
 
 @st.composite

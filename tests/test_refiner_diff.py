@@ -26,7 +26,7 @@ from repro.schedulers import (
 from repro.schedulers.hill_climbing import LazyCostTracker
 from repro.schedulers.trivial import RoundRobinScheduler
 
-from conftest import assert_valid_schedule, random_dag
+from conftest import assert_valid_schedule, dag_from_edges, random_dag, random_edges
 from oracles.refiners import (
     CommScheduleHillClimbingReference,
     HillClimbingImproverReference,
@@ -53,12 +53,8 @@ def _real_weight_dag(num_nodes: int, edge_prob: float, seed: int) -> Computation
     rng = np.random.default_rng(seed)
     works = rng.uniform(0.5, 5.0, size=num_nodes)
     comms = rng.uniform(0.5, 3.0, size=num_nodes)
-    dag = ComputationalDAG(num_nodes, works, comms, name=f"real_{seed}")
-    for i in range(num_nodes):
-        for j in range(i + 1, num_nodes):
-            if rng.random() < edge_prob:
-                dag.add_edge(i, j)
-    return dag
+    edges = random_edges(num_nodes, edge_prob, rng)
+    return dag_from_edges(num_nodes, edges, works, comms, name=f"real_{seed}")
 
 
 def _assert_pinned(reference, batched, start, rel_tol: float = 0.0):
@@ -188,9 +184,7 @@ class TestCandidateDeltas:
         s - 1 and lowers phase 2, where v's own transfer to its successor x
         (node 4, processor 0, superstep 3) now lands.
         """
-        dag = ComputationalDAG(5, [1.0] * 5, [2.0, 1.0, 1.0, 1.0, 1.0])
-        for u, v in ((0, 1), (0, 2), (1, 4)):
-            dag.add_edge(u, v)
+        dag = dag_from_edges(5, [(0, 1), (0, 2), (1, 4)], [1.0] * 5, [2.0, 1.0, 1.0, 1.0, 1.0])
         machine = BspMachine.uniform(2, g=1, latency=0)
         tracker = LazyCostTracker(dag, machine, [0, 0, 1, 0, 0], [0, 1, 3, 2, 3])
         assert _assert_block_matches_probe(tracker, np.arange(5)) == 5
@@ -229,11 +223,12 @@ class TestCandidateDeltas:
         — repeated and unsorted — for the contiguous block and for the
         block without node 3.
         """
-        dag = ComputationalDAG(
-            8, [1.0, 2.0, 3.0, 1.0, 2.0, 1.0, 2.0, 1.0], [2.0, 1.0, 3.0, 1.0, 2.0, 1.0, 1.0, 2.0]
+        dag = dag_from_edges(
+            8,
+            [(1, 2), (0, 2), (0, 3), (0, 4), (0, 5), (2, 6), (3, 7), (4, 7), (1, 6)],
+            [1.0, 2.0, 3.0, 1.0, 2.0, 1.0, 2.0, 1.0],
+            [2.0, 1.0, 3.0, 1.0, 2.0, 1.0, 1.0, 2.0],
         )
-        for u, v in ((1, 2), (0, 2), (0, 3), (0, 4), (0, 5), (2, 6), (3, 7), (4, 7), (1, 6)):
-            dag.add_edge(u, v)
         procs = [0, 1, 0, 0, 1, 1, 1, 0]
         steps = [0, 0, 1, 2, 1, 3, 2, 3]
         for machine in (
@@ -458,9 +453,7 @@ class TestHillClimbingDifferential:
         node, so an uncapped first pass accepts far more moves than the cap;
         the capped run must stop at exactly ``max_steps`` accepted moves.
         """
-        dag = ComputationalDAG(12)
-        for i in range(11):
-            dag.add_edge(i, i + 1)
+        dag = dag_from_edges(12, [(i, i + 1) for i in range(11)])
         machine = BspMachine.uniform(4, g=5, latency=1)
         start = RoundRobinScheduler().schedule(dag, machine)
         unlimited = HillClimbingImprover(record_moves=True)
@@ -601,7 +594,7 @@ class TestCompactedAssignment:
             else:
                 dag = random_dag(30, 0.12, seed=seed)
                 zero = np.arange(dag.num_nodes) % 3 == 0
-                dag.set_comm_weights(np.where(zero, 0.0, dag.comm_weights))
+                dag = dag.with_weights(dag.work_weights, np.where(zero, 0.0, dag.comm_weights))
             start = RoundRobinScheduler().schedule(dag, machine)
             out = HillClimbingImprover().improve(start)
             expected = HillClimbingImproverReference().improve(start)

@@ -180,9 +180,7 @@ class TestValidateAndScheduleClass:
 
     def test_max_violations_bound(self):
         machine = BspMachine.uniform(2)
-        dag = ComputationalDAG(60)
-        for i in range(0, 60, 2):
-            dag.add_edge(i, i + 1)
+        dag = ComputationalDAG.from_edge_arrays(60, range(0, 60, 2), range(1, 60, 2))
         procs = np.array([0, 1] * 30)
         steps = np.zeros(60, int)
         violations = schedule_violations(dag, machine, procs, steps, [], max_violations=5)
